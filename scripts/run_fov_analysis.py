@@ -30,7 +30,6 @@ def summarize(out_dir: Path) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory root")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     for name in CONFIGS:
@@ -39,7 +38,6 @@ def main() -> int:
             "analyze",
             "--config", str(CONFIG_DIR / f"{name}.json"),
             "--out", str(out_dir),
-            "--workers", str(args.workers),
         ])
         if rc != 0:
             return rc

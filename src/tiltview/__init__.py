@@ -9,7 +9,6 @@ from .optics import (
     TiltedPlaneSpec,
     beam_width,
     image_distance,
-    lenslet_center,
     rayleigh_range,
     tilted_to_global,
     waist_at_focus,
@@ -59,7 +58,6 @@ __all__ = [
     "defocus_psf",
     "extract_fov",
     "image_distance",
-    "lenslet_center",
     "lenslet_pixel_distance",
     "lenslet_tilt",
     "magnification",

@@ -145,7 +145,7 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"scan needs at least 3 steps, got {scan.steps}")
     curve = scan_resolution(
         run.optical_system, D, scan.axis, scan.theta_min_deg, scan.theta_max_deg,
-        scan.steps, z_i_override_mm=run.z_i_override_mm, workers=args.workers)
+        scan.steps, z_i_override_mm=run.z_i_override_mm)
     fov = extract_fov(curve, threshold_ratio=scan.threshold_ratio)
     out = Path(args.out or run.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -168,8 +168,7 @@ def cmd_reconstruct(args) -> int:
     plane = TiltedPlaneSpec(theta_x, theta_y, D, plane.grid)
     recon = reconstruct(
         eis, plane, mode=args.mode, strip_width_mm=args.strip_width_mm,
-        z_i_override_mm=run.z_i_override_mm, impulse_psf=args.impulse_psf,
-        workers=args.workers)
+        z_i_override_mm=run.z_i_override_mm, impulse_psf=args.impulse_psf)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     peak = float(recon.field.values.max())
@@ -216,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out", default=None)
     analyze.add_argument("--D-mm", dest="D_mm", type=float, default=None)
     analyze.add_argument("--steps", type=int, default=None)
-    analyze.add_argument("--workers", type=int, default=1)
+    analyze.add_argument("--workers", type=int, default=1,
+                         help="ignored; accepted for existing command lines")
     analyze.set_defaults(func=cmd_analyze)
 
     recon = sub.add_parser("reconstruct", help="back-project elemental images onto a plane")
@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     recon.add_argument("--impulse-psf", action="store_true",
                        help="debug: replace the defocus PSF with a discrete delta")
     recon.add_argument("--strip-width-mm", type=float, default=None)
-    recon.add_argument("--workers", type=int, default=1)
+    recon.add_argument("--workers", type=int, default=1,
+                       help="ignored; accepted for existing command lines")
     recon.set_defaults(func=cmd_reconstruct)
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,9 +129,13 @@ class OpticalSystemConfig:
     def mode(self) -> str:
         return "focused" if self.is_focused else "real_virtual"
 
-    def lenslet_center(self, p: int, q: int) -> tuple[float, float]:
-        """Lateral center of lenslet (p, q); lenslet (m/2, n/2) is on axis."""
-        if not (0 <= p < self.m and 0 <= q < self.n):
+    def lenslet_center(self, p, q):
+        """Lateral center of lenslet (p, q); lenslet (m/2, n/2) is on axis.
+
+        Broadcasts over integer index arrays; scalar indices give floats.
+        """
+        p_idx, q_idx = np.asarray(p), np.asarray(q)
+        if np.any((p_idx < 0) | (p_idx >= self.m)) or np.any((q_idx < 0) | (q_idx >= self.n)):
             raise IndexError(f"lenslet index ({p}, {q}) outside {self.m} x {self.n} array")
         return ((p - self.m / 2) * self.pitch_x_mm, (q - self.n / 2) * self.pitch_y_mm)
 
@@ -145,10 +149,6 @@ class OpticalSystemConfig:
             {k: getattr(self, k) for k in self.__dataclass_fields__}, sort_keys=True
         ).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def lenslet_center(p: int, q: int, cfg: OpticalSystemConfig) -> tuple[float, float]:
-    return cfg.lenslet_center(p, q)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -63,16 +62,18 @@ class ElementalImageSet:
     def pixels_y(self) -> int:
         return self.images.shape[2]
 
-    def sample(self, p: int, q: int, u, v):
+    def sample(self, p: int, q, u, v):
         """Bilinear sample of image (p, q) at global display coordinates.
 
-        Points outside the elemental image contribute zero.
+        Points outside the elemental image contribute zero. An index array
+        ``q`` broadcasts against the coordinates, so ``q`` of shape
+        (n, 1, 1) samples every image of row ``p`` at once.
         """
         cx, cy = self.capture_config.lenslet_center(p, q)
         # fractional pixel indices; col 0 at smallest u, row 0 at largest v
         fc = (np.asarray(u, dtype=float) - cx) / self.pixel_pitch_mm + (self.pixels_x - 1) / 2.0
         fr = (self.pixels_y - 1) / 2.0 - (np.asarray(v, dtype=float) - cy) / self.pixel_pitch_mm
-        img = self.images[p, q]
+        img = self.images[p]
         c0 = np.floor(fc).astype(int)
         r0 = np.floor(fr).astype(int)
         wc = fc - c0
@@ -83,7 +84,7 @@ class ElementalImageSet:
             cc = c0 + dc
             inside = (rr >= 0) & (rr < self.pixels_y) & (cc >= 0) & (cc < self.pixels_x)
             w = (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc)
-            vals = img[np.clip(rr, 0, self.pixels_y - 1), np.clip(cc, 0, self.pixels_x - 1)]
+            vals = img[q, np.clip(rr, 0, self.pixels_y - 1), np.clip(cc, 0, self.pixels_x - 1)]
             out += np.where(inside, w * vals, 0.0)
         return out
 
@@ -126,77 +127,62 @@ class Reconstruction:
     mode: str
 
 
-def magnification(x_t, y_t, plane: TiltedPlaneSpec, g_mm: float):
-    """Local lenslet magnification (depth of the plane point over the gap)."""
-    if g_mm <= 0:
-        raise ValueError("gap must be positive")
+def _depth(x_t, y_t, plane: TiltedPlaneSpec) -> np.ndarray:
+    """Axial depth of tilted-plane points, which must lie in front of the array."""
     depth = (plane.axial_offset_mm
              + np.asarray(x_t, dtype=float) * math.sin(plane.theta_x_rad)
              + np.asarray(y_t, dtype=float) * math.sin(plane.theta_y_rad))
     if np.any(depth <= 0):
-        raise OutOfHalfSpaceError("plane point at or behind the lens array (depth <= 0)")
-    out = depth / g_mm
+        raise OutOfHalfSpaceError("plane reaches at or behind the lens array (depth <= 0)")
+    return depth
+
+
+def magnification(x_t, y_t, plane: TiltedPlaneSpec, g_mm: float):
+    """Local lenslet magnification (depth of the plane point over the gap)."""
+    if g_mm <= 0:
+        raise ValueError("gap must be positive")
+    out = _depth(x_t, y_t, plane) / g_mm
     return float(out) if out.ndim == 0 else out
 
 
-def _accumulate(parts):
-    total = None
-    for part in parts:  # fixed lexicographic order
-        total = part.copy() if total is None else total + part
-    return total
-
-
 def _backproject(eis: ElementalImageSet, xs: np.ndarray, ys: np.ndarray,
-                 plane: TiltedPlaneSpec, workers: int = 1) -> np.ndarray:
+                 plane: TiltedPlaneSpec) -> np.ndarray:
     cfg = eis.capture_config
     g = cfg.gap_mm
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    sx, cx_t = math.sin(plane.theta_x_rad), math.cos(plane.theta_x_rad)
-    sy, cy_t = math.sin(plane.theta_y_rad), math.cos(plane.theta_y_rad)
-    depth = plane.axial_offset_mm + X * sx + Y * sy
-    if np.any(depth <= 0):
-        raise OutOfHalfSpaceError("plane grid reaches behind the lens array")
+    depth = _depth(X, Y, plane)
     M = depth / g
-    gx = X * cx_t  # global lateral coordinates of the plane samples
-    gy = Y * cy_t
-    indices = [(p, q) for p in range(cfg.m) for q in range(cfg.n)]
-
-    def one(pq):
-        p, q = pq
+    gx = X * math.cos(plane.theta_x_rad)  # global lateral coordinates of the plane samples
+    gy = Y * math.cos(plane.theta_y_rad)
+    axial2 = (depth + g) ** 2
+    lateral_scale = (1.0 + 1.0 / M) ** 2
+    q = np.arange(cfg.n)[:, None, None]
+    total = np.zeros_like(X)
+    for p in range(cfg.m):
         cpx, cpy = cfg.lenslet_center(p, q)
         u = cpx - (gx - cpx) / M
         v = cpy - (gy - cpy) / M
-        vals = eis.sample(p, q, u, v)
-        denom = (depth + g) ** 2 + ((gx - cpx) ** 2 + (gy - cpy) ** 2) * (1.0 + 1.0 / M) ** 2
-        return vals / denom
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, indices))
-    else:
-        parts = [one(pq) for pq in indices]
-    total = _accumulate(parts)
+        denom = axial2 + ((gx - cpx) ** 2 + (gy - cpy) ** 2) * lateral_scale
+        for part in eis.sample(p, q, u, v) / denom:  # fixed lexicographic (p, q) order
+            total += part
     if not np.any(total):
         warnings.warn("no elemental image sees the reconstruction plane; field is zero")
     return total
 
 
-def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec,
-                          workers: int = 1) -> Reconstruction:
+def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Reconstruction:
     """Sum the distance-weighted back-projections of all elemental images."""
     xs, ys = plane.grid.xs(), plane.grid.ys()
-    total = _backproject(eis, xs, ys, plane, workers=workers)
+    total = _backproject(eis, xs, ys, plane)
     field = ScalarField2D(total, xs, ys, plane.grid.sample_pitch_mm)
     return Reconstruction(plane=plane, field=field, mode="geometric")
 
 
-def backproject_normal(eis: ElementalImageSet, z_mm: float, grid: PlaneGrid,
-                       workers: int = 1) -> ScalarField2D:
+def backproject_normal(eis: ElementalImageSet, z_mm: float, grid: PlaneGrid) -> ScalarField2D:
     """Normal-view back-projection at axial distance z (untilted plane)."""
     plane = TiltedPlaneSpec(0.0, 0.0, z_mm, grid)
     xs, ys = grid.xs(), grid.ys()
-    return ScalarField2D(_backproject(eis, xs, ys, plane, workers=workers),
-                         xs, ys, grid.sample_pitch_mm)
+    return ScalarField2D(_backproject(eis, xs, ys, plane), xs, ys, grid.sample_pitch_mm)
 
 
 def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
@@ -310,16 +296,18 @@ def _auto_psf(cfg: OpticalSystemConfig, z_local_mm: float, z_i_mm: float,
                            pupil_sample_pitch_mm=pupil_sample_pitch_mm)
     du = max(cfg.pitch_x_mm, cfg.pitch_y_mm) / 256.0
     size = max(kernel_size, 512)
-    last_error: Exception | None = None
-    for _ in range(5):
+    attempts = 5
+    for attempt in range(attempts):
         try:
             return defocus_psf(cfg, z_local_mm, z_i_mm, kernel_size=size,
                                pupil_sample_pitch_mm=du)
-        except (ValueError, PupilSamplingError) as exc:
-            last_error = exc
-            du /= 2.0
-            size = min(size * 2, 8192)
-    raise last_error
+        except ValueError:  # includes PupilSamplingError
+            # Re-raise in place and store no exception: a stored exception's
+            # traceback would keep the failed attempt's arrays alive.
+            if attempt == attempts - 1:
+                raise
+        du /= 2.0
+        size = min(size * 2, 8192)
 
 
 def _strip_weights(t: np.ndarray, strip_width_mm: float) -> list[tuple[float, np.ndarray]]:
@@ -388,8 +376,7 @@ def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geo
                 z_i_override_mm: float | None = None,
                 kernel_size: int = 512,
                 pupil_sample_pitch_mm: float | None = None,
-                impulse_psf: bool = False,
-                workers: int = 1) -> Reconstruction:
+                impulse_psf: bool = False) -> Reconstruction:
     """Reconstruct the scene on a tilted plane, geometrically or with blur.
 
     Diffraction mode convolves the back-projected field strip-by-strip with
@@ -398,7 +385,7 @@ def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geo
     """
     if mode not in ("geometric", "diffraction"):
         raise ValueError(f"mode must be 'geometric' or 'diffraction', got {mode!r}")
-    recon = backproject_geometric(eis, plane, workers=workers)
+    recon = backproject_geometric(eis, plane)
     if mode == "geometric":
         return recon
     cfg = eis.capture_config

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,47 +68,57 @@ class FovResult:
     fov_positive_deg: float | None
 
 
-def lenslet_tilt(p: int, q: int, D_mm: float, theta_x_deg: float, theta_y_deg: float,
-                 cfg: OpticalSystemConfig) -> tuple[float, float]:
-    """Tilt of lenslet (p, q)'s beam relative to the viewing direction, degrees."""
+def _float_if_scalar(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def lenslet_tilt(p: int, q, D_mm: float, theta_x_deg: float, theta_y_deg: float,
+                 cfg: OpticalSystemConfig):
+    """Tilt of lenslet (p, q)'s beam relative to the viewing direction, degrees.
+
+    Broadcasts over an index array ``q``; scalar indices give floats.
+    """
     if D_mm <= 0:
         raise ValueError("source depth must be positive")
     cx, cy = cfg.lenslet_center(p, q)
-    tpx = theta_x_deg - math.degrees(math.atan(cx / D_mm))
-    tpy = theta_y_deg - math.degrees(math.atan(cy / D_mm))
-    return tpx, tpy
+    tpx = theta_x_deg - np.degrees(np.arctan(cx / D_mm))
+    tpy = theta_y_deg - np.degrees(np.arctan(cy / D_mm))
+    return _float_if_scalar(tpx), _float_if_scalar(tpy)
 
 
-def lenslet_pixel_distance(p: int, q: int, D_mm: float, g_mm: float,
-                           cfg: OpticalSystemConfig) -> float:
-    """Distance from the on-axis image point to lenslet (p, q)'s elemental pixel."""
+def lenslet_pixel_distance(p: int, q, D_mm: float, g_mm: float, cfg: OpticalSystemConfig):
+    """Distance from the on-axis image point to lenslet (p, q)'s elemental pixel.
+
+    Broadcasts over an index array ``q``; scalar indices give a float.
+    """
     cx, cy = cfg.lenslet_center(p, q)
     scale = (D_mm + g_mm) / D_mm
-    return math.sqrt((D_mm + g_mm) ** 2 + scale**2 * (cx**2 + cy**2))
+    return _float_if_scalar(np.sqrt((D_mm + g_mm) ** 2 + scale**2 * (cx**2 + cy**2)))
 
 
-def point_source_intensity(x_t, y_t, p: int, q: int, D_mm: float,
+def point_source_intensity(x_t, y_t, p: int, q, D_mm: float,
                            cfg: OpticalSystemConfig, beam: BeamParameters,
                            theta_x_deg: float = 0.0, theta_y_deg: float = 0.0):
     """Contribution of lenslet (p, q) to the spot intensity at (x_t, y_t).
 
     A tilted Gaussian centered on the image point, weighted by the
     inverse-square pixel distance so that the central lenslet reproduces the
-    untilted on-axis beam intensity exactly. Broadcasts over array inputs.
+    untilted on-axis beam intensity exactly. Broadcasts over array inputs,
+    including an index array ``q``: with ``q`` of shape (n, 1, 1) and 2D
+    coordinates, the result holds one plane per lenslet of row ``p``.
     """
     tpx_deg, tpy_deg = lenslet_tilt(p, q, D_mm, theta_x_deg, theta_y_deg, cfg)
-    tpx, tpy = math.radians(tpx_deg), math.radians(tpy_deg)
+    tpx, tpy = np.radians(tpx_deg), np.radians(tpy_deg)
     x_t = np.asarray(x_t, dtype=float)
     y_t = np.asarray(y_t, dtype=float)
-    z_loc = D_mm + x_t * math.sin(tpx) + y_t * math.sin(tpy)
+    z_loc = D_mm + x_t * np.sin(tpx) + y_t * np.sin(tpy)
     wx = beam.width_x(z_loc)
     wy = beam.width_y(z_loc)
     d = lenslet_pixel_distance(p, q, D_mm, cfg.gap_mm, cfg)
     weight = (D_mm + cfg.gap_mm) ** 2 / d**2
     amp = 2.0 * beam.power / (math.pi * wx * wy) * weight
-    arg = (x_t * math.cos(tpx)) ** 2 / wx**2 + (y_t * math.cos(tpy)) ** 2 / wy**2
-    out = amp * np.exp(-2.0 * arg)
-    return float(out) if out.ndim == 0 else out
+    arg = (x_t * np.cos(tpx)) ** 2 / wx**2 + (y_t * np.cos(tpy)) ** 2 / wy**2
+    return _float_if_scalar(amp * np.exp(-2.0 * arg))
 
 
 def required_sample_pitch(cfg: OpticalSystemConfig, beam: BeamParameters) -> float:
@@ -120,11 +129,11 @@ def required_sample_pitch(cfg: OpticalSystemConfig, beam: BeamParameters) -> flo
 
 
 def aggregate_spot(plane: TiltedPlaneSpec, D_mm: float, cfg: OpticalSystemConfig,
-                   beam: BeamParameters, workers: int = 1) -> SpotProfile:
+                   beam: BeamParameters) -> SpotProfile:
     """Sum the per-lenslet contributions over the whole array.
 
-    The reduction runs in fixed lexicographic (p, q) order regardless of
-    ``workers``, so results are bit-identical across thread counts.
+    Each lenslet row p is evaluated at once over all q, and its parts are
+    added in fixed lexicographic (p, q) order.
     """
     limit = required_sample_pitch(cfg, beam)
     pitch = plane.grid.sample_pitch_mm
@@ -136,21 +145,12 @@ def aggregate_spot(plane: TiltedPlaneSpec, D_mm: float, cfg: OpticalSystemConfig
         )
     xs, ys = plane.grid.xs(), plane.grid.ys()
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    indices = [(p, q) for p in range(cfg.m) for q in range(cfg.n)]
-
-    def one(pq):
-        p, q = pq
-        return point_source_intensity(X, Y, p, q, D_mm, cfg, beam,
-                                      plane.theta_x_deg, plane.theta_y_deg)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, indices))
-    else:
-        parts = [one(pq) for pq in indices]
+    q = np.arange(cfg.n)[:, None, None]
     total = np.zeros_like(X)
-    for part in parts:  # fixed order regardless of completion order
-        total += part
+    for p in range(cfg.m):
+        for part in point_source_intensity(X, Y, p, q, D_mm, cfg, beam,
+                                           plane.theta_x_deg, plane.theta_y_deg):
+            total += part
     field = ScalarField2D(total, xs, ys, pitch)
     return SpotProfile(plane=plane, intensity=field, source_depth_mm=D_mm)
 
@@ -192,8 +192,7 @@ def default_plane_grid(cfg: OpticalSystemConfig, beam: BeamParameters, D_mm: flo
 def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
                     theta_min_deg: float, theta_max_deg: float, steps: int,
                     z_i_override_mm: float | None = None,
-                    plane_grid: PlaneGrid | None = None,
-                    workers: int = 1) -> ResolutionCurve:
+                    plane_grid: PlaneGrid | None = None) -> ResolutionCurve:
     """Radial spot extent versus tilt angle along one scan axis."""
     if steps < 3:
         raise ValueError(f"scan needs at least 3 steps, got {steps}")
@@ -212,7 +211,7 @@ def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
         tx = float(theta) if axis in ("x", "diagonal") else 0.0
         ty = float(theta) if axis in ("y", "diagonal") else 0.0
         plane = TiltedPlaneSpec(tx, ty, D_mm, grid)
-        spot = aggregate_spot(plane, D_mm, cfg, beam, workers=workers)
+        spot = aggregate_spot(plane, D_mm, cfg, beam)
         samples.append((tx, ty, radial_extent(spot)))
     return ResolutionCurve(samples=tuple(samples), config_digest=cfg.digest())
 

@@ -275,6 +275,27 @@ def test_cli_impulse_diffraction_matches_geometric(tmp_path):
     assert geo.read_bytes() == imp.read_bytes()
 
 
+def test_cli_reconstruct_ignores_workers(tmp_path):
+    config = write_config(
+        tmp_path,
+        plane={"theta_x_deg": 10.0, "D_mm": 200.0,
+               "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
+                        "sample_pitch_mm": 0.2}},
+    )
+    scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
+    out = tmp_path / "cap"
+    main(["synth", "--config", str(config), "--scene", str(scene),
+          "--out", str(out), "--pixel-pitch-mm", "0.15"])
+    outputs = []
+    for workers in ("1", "4"):
+        img = tmp_path / f"w{workers}.pgm"
+        assert main(["reconstruct", "--config", str(config),
+                     "--manifest", str(out / "manifest.json"),
+                     "--workers", workers, "--out", str(img)]) == 0
+        outputs.append(img.read_bytes() + img.with_suffix(".json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_synth_is_byte_deterministic(tmp_path):
     config = write_config(tmp_path)
     scene = write_scene(tmp_path, {"points": [{"x_mm": 1.5, "z_mm": 180.0}]})

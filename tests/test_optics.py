@@ -195,6 +195,8 @@ def test_lenslet_center_out_of_range():
         _cfg().lenslet_center(16, 0)
     with pytest.raises(IndexError):
         _cfg().lenslet_center(0, -1)
+    with pytest.raises(IndexError):
+        _cfg().lenslet_center(0, np.arange(17))
 
 
 def test_mode_property():

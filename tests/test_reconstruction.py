@@ -1,5 +1,6 @@
 """Tests for back-projection, the defocus PSF and diffraction-mode blur."""
 
+import gc
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from tiltview.reconstruction import (
     OutOfHalfSpaceError,
     PSFKernel,
     PupilSamplingError,
+    _auto_psf,
     apply_diffraction,
     backproject_geometric,
     backproject_normal,
@@ -151,13 +153,27 @@ def test_plane_behind_array_rejected():
         backproject_geometric(eis, plane)
 
 
-def test_backprojection_deterministic_across_workers():
-    cfg = small_config()
+def test_backprojection_matches_per_lenslet_loop():
+    # reference: one eis.sample per lenslet, summed in lexicographic (p, q)
+    # order; m != n so that a swapped lenslet axis cannot pass
+    cfg = small_config(m=3, n=5)
     eis = capture(point_source_scene(200.0), cfg, 64, 64, pixel_pitch_mm=0.15)
-    plane = plane_at(200.0, hw=3.0, pitch=0.1)
-    a = backproject_geometric(eis, plane, workers=1)
-    b = backproject_geometric(eis, plane, workers=4)
-    np.testing.assert_array_equal(a.field.values, b.field.values)
+    plane = plane_at(200.0, tx=12.0, ty=-7.0, hw=3.0, pitch=0.1)
+    X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
+    depth = (plane.axial_offset_mm + X * math.sin(plane.theta_x_rad)
+             + Y * math.sin(plane.theta_y_rad))
+    M = depth / cfg.gap_mm
+    gx, gy = X * math.cos(plane.theta_x_rad), Y * math.cos(plane.theta_y_rad)
+    expected = np.zeros_like(X)
+    for p in range(cfg.m):
+        for q in range(cfg.n):
+            cx, cy = cfg.lenslet_center(p, q)
+            vals = eis.sample(p, q, cx - (gx - cx) / M, cy - (gy - cy) / M)
+            expected += vals / ((depth + cfg.gap_mm) ** 2
+                                + ((gx - cx) ** 2 + (gy - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
+    assert np.any(expected)
+    rec = reconstruct(eis, plane, mode="geometric")
+    np.testing.assert_array_equal(rec.field.values, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +294,22 @@ def test_impulse_kernel_is_discrete_delta():
     kern = impulse_kernel()
     assert kern.samples.shape == (1, 1)
     assert kern.samples[0, 0] == 1.0
+
+
+def test_auto_psf_leaves_no_reference_cycle():
+    # with a 1 mm pupil at 300 mm the 512^2 attempt reaches the kernel
+    # border and the 1024^2 attempt succeeds; the failed attempt's arrays
+    # must be freed without the cyclic garbage collector
+    cfg = small_config(pitch_x_mm=1.0, pitch_y_mm=1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        psf = _auto_psf(cfg, 300.0, cfg.image_distance_mm(), 512, None)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert psf.samples.shape == (1024, 1024)
+    assert unreachable == 0
 
 
 def test_delta_field_blurs_to_psf():

@@ -181,13 +181,31 @@ def test_under_resolved_grid_rejected_with_required_pitch():
     assert "required sample_pitch" in str(err.value)
 
 
-def test_aggregate_spot_deterministic_across_workers():
-    cfg = rv_config(m=6, n=6)
-    beam = rv_beam(cfg)
-    plane = spot_plane()
-    serial = aggregate_spot(plane, 360.0, cfg, beam, workers=1)
-    threaded = aggregate_spot(plane, 360.0, cfg, beam, workers=4)
-    np.testing.assert_array_equal(serial.intensity.values, threaded.intensity.values)
+def test_aggregate_spot_matches_per_lenslet_loop():
+    # reference: one point_source_intensity per lenslet, summed in
+    # lexicographic (p, q) order; m != n so that a swapped axis cannot pass
+    cfg = rv_config(m=5, n=6)
+    plane = TiltedPlaneSpec(9.0, -4.0, 360.0, PlaneGrid(0.3, 0.3, 0.006))
+    X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
+    for beam in (rv_beam(cfg), BeamParameters.from_config(cfg, z_i_override_mm=math.inf)):
+        expected = np.zeros_like(X)
+        for p in range(cfg.m):
+            for q in range(cfg.n):
+                expected += point_source_intensity(X, Y, p, q, 360.0, cfg, beam, 9.0, -4.0)
+        spot = aggregate_spot(plane, 360.0, cfg, beam)
+        np.testing.assert_allclose(spot.intensity.values, expected, rtol=1e-12, atol=0.0)
+
+
+def test_lenslet_helpers_broadcast_over_q():
+    cfg = rv_config(m=5, n=6)
+    q = np.arange(cfg.n)
+    tpx, tpy = lenslet_tilt(3, q, 360.0, 9.0, -4.0, cfg)
+    d = lenslet_pixel_distance(3, q, 360.0, cfg.gap_mm, cfg)
+    for j in range(cfg.n):
+        scalar_tilt = lenslet_tilt(3, j, 360.0, 9.0, -4.0, cfg)
+        scalar_d = lenslet_pixel_distance(3, j, 360.0, cfg.gap_mm, cfg)
+        assert type(scalar_tilt[0]) is float and type(scalar_d) is float
+        assert (tpx, tpy[j], d[j]) == (scalar_tilt[0], scalar_tilt[1], scalar_d)
 
 
 # ---------------------------------------------------------------------------
