@@ -271,7 +271,7 @@ def tilted_to_global(x_t, y_t, plane: TiltedPlaneSpec):
     y_t = np.asarray(y_t, dtype=float)
     x = x_t * math.cos(tx)
     y = y_t * math.cos(ty)
-    z = x_t * math.sin(tx) + y_t * math.sin(ty) + plane.axial_offset_mm
+    z = plane.axial_offset_mm + x_t * math.sin(tx) + y_t * math.sin(ty)  # as reconstruction._depth
     if x.ndim == 0:
         return float(x), float(y), float(z)
     return x, y, z

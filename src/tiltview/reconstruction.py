@@ -3,6 +3,7 @@ diffraction/defocus blur from the lenslet-pupil point-spread function."""
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -12,13 +13,7 @@ from scipy.signal import fftconvolve
 
 from .optics import OpticalSystemConfig, PlaneGrid, ScalarField2D, TiltedPlaneSpec
 
-
-class PupilSamplingError(ValueError):
-    """Raised when the pupil grid aliases the defocus phase."""
-
-    def __init__(self, message: str, required_pitch_mm: float):
-        super().__init__(message)
-        self.required_pitch_mm = required_pitch_mm
+log = logging.getLogger(__name__)
 
 
 class OutOfHalfSpaceError(ValueError):
@@ -91,11 +86,20 @@ class ElementalImageSet:
 
 @dataclass
 class PSFKernel:
-    """Unit-sum intensity point-spread function sampled on the image plane."""
+    """Unit-sum intensity point-spread function integrated over the pixels of
+    a plane grid, with an odd number of taps per side centred on the point.
+
+    The sampling it was built with is kept: ``subpixels`` per pixel side,
+    ``pupil_samples`` per pupil side and ``window_energy``, the share of the
+    pupil energy that the kernel window holds.
+    """
 
     samples: np.ndarray
     sample_pitch_mm: float
     defocus_distance_mm: float
+    subpixels: int
+    pupil_samples: int
+    window_energy: float
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -104,18 +108,12 @@ class PSFKernel:
         total = self.samples.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"PSF must sum to 1, got {total!r}")
-        if min(self.samples.shape) < 3:
-            return  # a discrete delta has no border to check
-        peak = self.samples.max()
-        edge = max(
-            self.samples[0, :].max(), self.samples[-1, :].max(),
-            self.samples[:, 0].max(), self.samples[:, -1].max(),
-        )
-        if peak > 0 and edge >= 1e-6 * peak:
-            raise ValueError(
-                "PSF support reaches the kernel border "
-                f"(edge/peak = {edge / peak:.3g}); enlarge the transform window"
-            )
+        if not 0.0 < self.window_energy <= 1.0 + 1e-6:
+            raise ValueError(f"window energy must be in (0, 1], got {self.window_energy!r}")
+
+    @property
+    def taps(self) -> int:
+        return self.samples.shape[0]
 
 
 @dataclass
@@ -216,98 +214,84 @@ def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
 
 
 def defocus_psf(cfg: OpticalSystemConfig, z_local_mm: float, z_i_mm: float,
-                kernel_size: int = 512, pupil_sample_pitch_mm: float | None = None) -> PSFKernel:
-    """Intensity PSF of one lenslet pupil with a quadratic defocus phase.
+                sample_pitch_mm: float, max_half_width_mm: float = math.inf) -> PSFKernel:
+    """Intensity PSF of one lenslet pupil with a quadratic defocus phase,
+    integrated over the pixels of a plane grid of the given pitch.
 
     The pupil (diameters = lens pitches) is multiplied by
-    exp[(jk/2)(1/z_local - 1/z_i)(u^2 + v^2)], Fourier transformed, squared
-    and normalized to unit sum; output frequencies map to image-plane
-    lengths via x = lambda * z_local * f_u. A collimated system passes
+    exp[(jk/2)(1/z_local - 1/z_i)(u^2 + v^2)] and Fresnel transformed only at
+    S x S sub-pixel points x of each pixel, as the matrix DFT A . pupil . A^T
+    with A[i, a] = exp(-2 pi j x_i u_a / (lambda z_local)) (Soummer et al.,
+    Opt. Express 15, 15935, 2007). The squared modulus is integrated over
+    each pixel and normalized to unit sum. A collimated system passes
     ``z_i_mm = inf`` (zero 1/z_i).
+
+    The sampling follows from closed forms, with a = the larger pitch:
+
+    * window half-width: the geometric blur radius a/2 |1 - z/z_i| plus 15
+      Airy radii, cropped to ``max_half_width_mm``;
+    * S = ceil(pitch / (lambda z / 2a)) + 2: the Nyquist count for the
+      intensity, whose highest frequency is a / (lambda z), plus two. The
+      sub-pixels are Gauss-Legendre nodes, so the pixel integral converges
+      spectrally in S (midpoint sub-pixels at Nyquist leave ~3% L1 error
+      when a pixel is narrower than the Airy disk);
+    * pupil pitch du: the defocus phase step at the rim stays <= pi/4, the
+      alias period lambda z / du is at least twice the window, and
+      du <= a/256.
+
+    Pupil and phase are even in u and v, so the field is even in x and y:
+    the transform runs over u, v >= 0 (a cosine DFT, the u = 0 column
+    weighted once, the others twice) and x, y >= 0, and is mirrored.
+
+    A matrix DFT has no wrap-around; what it can miss is energy outside the
+    window. ``window_energy`` is the Parseval share of the pupil energy that
+    the window holds, and an uncropped window must hold at least 0.99 of it.
     """
-    if kernel_size < 128 or kernel_size & (kernel_size - 1):
-        raise ValueError("kernel_size must be a power of two >= 128")
     if z_local_mm <= 0:
         raise ValueError("z_local must be positive")
+    if sample_pitch_mm <= 0:
+        raise ValueError("sample pitch must be positive")
     ax, ay = cfg.pitch_x_mm, cfg.pitch_y_mm
-    du = pupil_sample_pitch_mm if pupil_sample_pitch_mm is not None else max(ax, ay) / 128.0
-    if kernel_size * du <= max(ax, ay):
-        raise ValueError("pupil does not fit the sampled aperture plane; "
-                         "increase kernel_size or pupil_sample_pitch")
-    lam = cfg.wavelength_mm
-    k = 2.0 * math.pi / lam
+    a = max(ax, ay)
+    lz = cfg.wavelength_mm * z_local_mm
     inv_zi = 0.0 if not math.isfinite(z_i_mm) else 1.0 / z_i_mm
     delta = 1.0 / z_local_mm - inv_zi
-    u_max = max(ax, ay) / 2.0
-    # phase advance per pupil sample must stay below pi
-    step = k * abs(delta) * u_max * du
-    if step >= math.pi:
-        required = math.pi / (k * abs(delta) * u_max)
-        raise PupilSamplingError(
-            f"defocus phase advances {step:.3g} rad per pupil sample; "
-            f"required pupil_sample_pitch < {required:.6g} mm",
-            required_pitch_mm=required,
-        )
-    coords = (np.arange(kernel_size) - kernel_size / 2) * du
-    U, V = np.meshgrid(coords, coords, indexing="ij")
+    k = 2.0 * math.pi / cfg.wavelength_mm
+    half = a / 2.0 * abs(delta) * z_local_mm + 15 * 1.22 * lz / min(ax, ay)
+    cropped = half > max_half_width_mm
+    taps = 2 * max(1, math.ceil(min(half, max_half_width_mm) / sample_pitch_mm)) + 1
+    sub = math.ceil(sample_pitch_mm * 2.0 * a / lz) + 2
+    du = min(math.pi / 4.0 / (k * abs(delta) * a / 2.0) if delta else math.inf,
+             lz / (4.0 * half), a / 256.0)
+    nodes, weights = np.polynomial.legendre.leggauss(sub)
+    x = ((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel() * sample_pitch_mm
+    x_half = x[x.size // 2:]  # x >= 0: from 0 if x.size is odd
+    # pixel i integrates sub-pixel n, whose field is at |x_n| = x_half[mirror[n]]
+    mirror = np.abs(2 * np.arange(x.size) - (x.size - 1)) // 2
+    quadrature = np.zeros((taps, x_half.size))
+    np.add.at(quadrature, (np.arange(x.size) // sub, mirror),
+              np.tile(weights, taps) * sample_pitch_mm / 2.0)
+
+    def cosine_dft(width):
+        u = np.arange(math.ceil(width / (2.0 * du)) + 2) * du  # reaches past the antialiased rim
+        weight = np.where(u > 0, 2.0, 1.0)
+        chirp = np.exp(0.5j * k * delta * u**2)
+        return u, weight, weight * chirp * np.cos(2.0 * math.pi / lz * np.outer(x_half, u))
+
+    u, wu, Ax = cosine_dft(ax)
+    v, wv, Ay = cosine_dft(ay)
+    U, V = np.meshgrid(u, v, indexing="ij")
     pupil = _antialiased_pupil(U, V, ax, ay, du, cfg.aperture_shape)
-    phased = pupil * np.exp(0.5j * k * delta * (U**2 + V**2))
-    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(phased)))
-    intensity = np.abs(spectrum) ** 2
-    intensity /= intensity.sum()
-    out_pitch = lam * z_local_mm / (kernel_size * du)
-    return PSFKernel(samples=intensity, sample_pitch_mm=out_pitch,
-                     defocus_distance_mm=z_local_mm)
-
-
-def impulse_kernel() -> PSFKernel:
-    """Discrete delta kernel; convolution with it is the identity."""
-    return PSFKernel(samples=np.ones((1, 1)), sample_pitch_mm=1.0, defocus_distance_mm=math.inf)
-
-
-def resample_kernel(kernel: PSFKernel, target_pitch_mm: float,
-                    max_half_width_mm: float | None = None) -> np.ndarray:
-    """Bilinearly resample a PSF onto a grid of the given pitch (unit sum)."""
-    n = kernel.samples.shape[0]
-    half_extent = (n / 2) * kernel.sample_pitch_mm
-    if max_half_width_mm is not None:
-        half_extent = min(half_extent, max_half_width_mm)
-    half_count = max(1, int(half_extent / target_pitch_mm))
-    coords = np.arange(-half_count, half_count + 1) * target_pitch_mm
-    fi = coords / kernel.sample_pitch_mm + n / 2
-    i0 = np.clip(np.floor(fi).astype(int), 0, n - 2)
-    w1 = np.clip(fi - i0, 0.0, 1.0)
-    a = kernel.samples
-    rows = (1 - w1)[:, None] * a[i0, :] + w1[:, None] * a[i0 + 1, :]
-    out = rows[:, i0] * (1 - w1)[None, :] + rows[:, i0 + 1] * w1[None, :]
-    out = np.clip(out, 0.0, None)
-    total = out.sum()
-    if total <= 0:
-        raise ValueError("resampled PSF vanished; target grid too coarse")
-    return out / total
-
-
-def _auto_psf(cfg: OpticalSystemConfig, z_local_mm: float, z_i_mm: float,
-              kernel_size: int, pupil_sample_pitch_mm: float | None) -> PSFKernel:
-    """PSF with caller-chosen sampling, or refine automatically until the
-    kernel support and aliasing constraints are met."""
-    if pupil_sample_pitch_mm is not None:
-        return defocus_psf(cfg, z_local_mm, z_i_mm, kernel_size=kernel_size,
-                           pupil_sample_pitch_mm=pupil_sample_pitch_mm)
-    du = max(cfg.pitch_x_mm, cfg.pitch_y_mm) / 256.0
-    size = max(kernel_size, 512)
-    attempts = 5
-    for attempt in range(attempts):
-        try:
-            return defocus_psf(cfg, z_local_mm, z_i_mm, kernel_size=size,
-                               pupil_sample_pitch_mm=du)
-        except ValueError:  # includes PupilSamplingError
-            # Re-raise in place and store no exception: a stored exception's
-            # traceback would keep the failed attempt's arrays alive.
-            if attempt == attempts - 1:
-                raise
-        du /= 2.0
-        size = min(size * 2, 8192)
+    field = Ax @ pupil @ Ay.T
+    quadrant = field.real**2 + field.imag**2
+    intensity = quadrature @ quadrant @ quadrature.T
+    # Parseval over one alias period (lambda z / du per side) of the full pupil grid
+    window_energy = float(intensity.sum() * (du / lz) ** 2 / (wu @ pupil**2 @ wv))
+    if not cropped and window_energy < 0.99:
+        raise ValueError(f"PSF window holds {window_energy:.4f} of the pupil energy (< 0.99)")
+    return PSFKernel(samples=intensity / intensity.sum(), sample_pitch_mm=sample_pitch_mm,
+                     defocus_distance_mm=z_local_mm, subpixels=sub,
+                     pupil_samples=2 * max(u.size, v.size) - 1, window_energy=window_energy)
 
 
 def _strip_weights(t: np.ndarray, strip_width_mm: float) -> list[tuple[float, np.ndarray]]:
@@ -333,8 +317,6 @@ def _strip_weights(t: np.ndarray, strip_width_mm: float) -> list[tuple[float, np
 def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
                       cfg: OpticalSystemConfig, z_i_mm: float,
                       strip_width_mm: float | None = None,
-                      kernel_size: int = 512,
-                      pupil_sample_pitch_mm: float | None = None,
                       impulse: bool = False) -> ScalarField2D:
     """Spatially varying convolution with the defocus PSF.
 
@@ -358,24 +340,26 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
         strips = [(0.0, np.ones_like(field.values))]
     else:
         strips = _strip_weights(t, strip_width_mm)
+    # kernels are cropped to the field: a far-defocus disk wider than it costs no more
+    half_span = max(
+        float(field.xs[-1] - field.xs[0]),
+        float(field.ys[-1] - field.ys[0]),
+    ) / 2.0 + field.sample_pitch_mm
     out = np.zeros_like(field.values)
     for t_center, weight in strips:
         z_local = plane.axial_offset_mm + t_center
-        psf = _auto_psf(cfg, z_local, z_i_mm, kernel_size, pupil_sample_pitch_mm)
-        half_span = max(
-            float(field.xs[-1] - field.xs[0]),
-            float(field.ys[-1] - field.ys[0]),
-        ) / 2.0 + field.sample_pitch_mm
-        kern = resample_kernel(psf, field.sample_pitch_mm, max_half_width_mm=half_span)
-        out += fftconvolve(field.values * weight, kern, mode="same")
+        psf = defocus_psf(cfg, z_local_mm=z_local, z_i_mm=z_i_mm,
+                          sample_pitch_mm=field.sample_pitch_mm, max_half_width_mm=half_span)
+        log.debug("strip z=%.6g mm: %d taps, %d subpixels per pixel, %d pupil samples, "
+                  "window energy %.6f", z_local, psf.taps, psf.subpixels,
+                  psf.pupil_samples, psf.window_energy)
+        out += fftconvolve(field.values * weight, psf.samples, mode="same")
     return ScalarField2D(np.clip(out, 0.0, None), field.xs, field.ys, field.sample_pitch_mm)
 
 
 def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geometric",
                 strip_width_mm: float | None = None,
                 z_i_override_mm: float | None = None,
-                kernel_size: int = 512,
-                pupil_sample_pitch_mm: float | None = None,
                 impulse_psf: bool = False) -> Reconstruction:
     """Reconstruct the scene on a tilted plane, geometrically or with blur.
 
@@ -391,8 +375,5 @@ def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geo
     cfg = eis.capture_config
     z_i = cfg.image_distance_mm() if z_i_override_mm is None else float(z_i_override_mm)
     blurred = apply_diffraction(recon.field, plane, cfg, z_i,
-                                strip_width_mm=strip_width_mm,
-                                kernel_size=kernel_size,
-                                pupil_sample_pitch_mm=pupil_sample_pitch_mm,
-                                impulse=impulse_psf)
+                                strip_width_mm=strip_width_mm, impulse=impulse_psf)
     return Reconstruction(plane=plane, field=blurred, mode="diffraction")

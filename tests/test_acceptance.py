@@ -209,9 +209,8 @@ def test_criterion_4_moment_oracles():
 
 
 def test_criterion_5_airy_zero():
-    psf = defocus_psf(REAL_VIRTUAL, 360.0, 360.0, kernel_size=2048,
-                      pupil_sample_pitch_mm=10.0 / 128.0)
-    n = psf.samples.shape[0]
+    psf = defocus_psf(REAL_VIRTUAL, 360.0, 360.0, 0.001)
+    n = psf.taps
     profile = psf.samples[n // 2, n // 2:]
     k = 1
     while profile[k] <= profile[k - 1]:

@@ -1,6 +1,8 @@
 """Tests for PGM I/O, the manifest format and the command-line surface."""
 
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from tiltview.optics import OpticalSystemConfig
 from tiltview.pgm import read_pgm, write_pgm16
 from tiltview.reconstruction import ElementalImageSet
 from tiltview.scene import capture, point_source_scene
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def cfg4():
@@ -294,6 +299,21 @@ def test_cli_reconstruct_ignores_workers(tmp_path):
                      "--workers", workers, "--out", str(img)]) == 0
         outputs.append(img.read_bytes() + img.with_suffix(".json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_reconstruct_diffraction_far_from_focus(tmp_path):
+    # 2000 mm lies far from the 360 mm beam focus of the shipped config
+    config = str(ROOT / "configs" / "textured_recon.json")
+    out = tmp_path / "cap"
+    assert main(["synth", "--config", config, "--out", str(out),
+                 "--scene", str(ROOT / "configs" / "scenes" / "point_360mm.json")]) == 0
+    img = tmp_path / "far.pgm"
+    start = time.monotonic()
+    rc = main(["reconstruct", "--config", config, "--manifest", str(out / "manifest.json"),
+               "--mode", "diffraction", "--D-mm", "2000", "--out", str(img)])
+    assert rc == 0
+    assert time.monotonic() - start < 30.0
+    assert json.loads(img.with_suffix(".json").read_text())["mode"] == "diffraction"
 
 
 def test_cli_synth_is_byte_deterministic(tmp_path):

@@ -21,6 +21,7 @@ from tiltview.optics import (
     tilted_to_global,
     waist_at_focus,
 )
+from tiltview.reconstruction import magnification
 
 LAMBDA_MM = 550e-6
 
@@ -164,6 +165,15 @@ def test_tilted_to_global_origin_fixed_point(tx, ty):
 def test_tilted_to_global_zero_tilt_identity_property(xt, yt):
     x, y, z = tilted_to_global(xt, yt, _plane(0.0, 0.0, 77.0))
     assert (x, y, z) == (xt, yt, 77.0)
+
+
+def test_tilted_to_global_depth_matches_magnification():
+    # one depth expression: the global z is the depth behind magnification
+    plane = TiltedPlaneSpec(17.0, -23.0, 300.0, PlaneGrid(12.0, 12.0, 0.25))
+    X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
+    assert X.shape == (96, 96)
+    _, _, z = tilted_to_global(X, Y, plane)
+    np.testing.assert_array_equal(z, magnification(X, Y, plane, 1.0))
 
 
 def test_plane_spec_validation():

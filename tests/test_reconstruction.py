@@ -7,22 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j1
 
 from tiltview.optics import OpticalSystemConfig, PlaneGrid, ScalarField2D, TiltedPlaneSpec
+from tiltview import reconstruction
 from tiltview.reconstruction import (
     ElementalImageSet,
     OutOfHalfSpaceError,
     PSFKernel,
-    PupilSamplingError,
-    _auto_psf,
+    _antialiased_pupil,
     apply_diffraction,
     backproject_geometric,
     backproject_normal,
     defocus_psf,
-    impulse_kernel,
     magnification,
     reconstruct,
-    resample_kernel,
 )
 from tiltview.scene import Scene, PointEmitter, capture, point_source_scene
 
@@ -180,26 +179,57 @@ def test_backprojection_matches_per_lenslet_loop():
 # defocus PSF
 
 
+def _fft_psf(cfg, z, z_i, size, du, pitch, taps):
+    """Oracle: the FFT of the phased pupil on a size x size grid of pitch du,
+    area-integrated onto taps x taps pixels of the given pitch.
+
+    Each FFT sample stands for a cell of pitch lambda z / (size du); a pixel
+    takes each cell's share by overlap length along x and along y.
+    """
+    k = 2.0 * math.pi / cfg.wavelength_mm
+    c = (np.arange(size) - size / 2) * du
+    U, V = np.meshgrid(c, c, indexing="ij")
+    pupil = _antialiased_pupil(U, V, cfg.pitch_x_mm, cfg.pitch_y_mm, du, cfg.aperture_shape)
+    phased = pupil * np.exp(0.5j * k * (1.0 / z - 1.0 / z_i) * (U**2 + V**2))
+    fine = np.abs(np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(phased)))) ** 2
+    d = cfg.wavelength_mm * z / (size * du)
+    cell = (np.arange(size) - size / 2 - 0.5) * d
+    pixel = (np.arange(taps) - taps // 2 - 0.5) * pitch
+    overlap = np.clip(np.minimum(pixel[:, None] + pitch, cell + d)
+                      - np.maximum(pixel[:, None], cell), 0.0, None) / d
+    out = overlap @ fine @ overlap.T
+    return out / out.sum()
+
+
 def test_psf_kernel_invariants_enforced():
     with pytest.raises(ValueError):
-        PSFKernel(np.ones((4, 4)), 0.1, 100.0)  # sum != 1
-    bad = np.ones((4, 4)) / 16.0  # sums to 1 but support touches the border
-    with pytest.raises(ValueError, match="border"):
-        PSFKernel(bad, 0.1, 100.0)
+        PSFKernel(np.ones((3, 3)), 0.1, 100.0, 1, 64, 1.0)  # sum != 1
+    with pytest.raises(ValueError):
+        PSFKernel(-np.eye(3) + np.full((3, 3), 1.0 / 6.0), 0.1, 100.0, 1, 64, 1.0)
+    with pytest.raises(ValueError, match="window energy"):
+        PSFKernel(np.ones((3, 3)) / 9.0, 0.1, 100.0, 1, 64, 1.5)
 
 
 def test_defocus_psf_unit_sum_and_support():
     cfg = small_config()
-    psf = defocus_psf(cfg, 360.0, 360.0)
+    psf = defocus_psf(cfg, 360.0, 360.0, 0.01)
     assert psf.samples.sum() == pytest.approx(1.0, abs=1e-9)
-    assert psf.samples.shape == (512, 512)
+    # in focus the window is 15 Airy radii; S is the Nyquist count of the
+    # intensity's highest frequency a / (lambda z), plus two
+    lz = cfg.wavelength_mm * 360.0
+    assert psf.taps == 2 * math.ceil(15 * 1.22 * lz / 10.0 / 0.01) + 1
+    assert psf.samples.shape == (psf.taps, psf.taps)
+    assert psf.subpixels == math.ceil(0.01 * 2 * 10.0 / lz) + 2
+    assert psf.pupil_samples >= 256
+    assert np.unravel_index(np.argmax(psf.samples), psf.samples.shape) == (psf.taps // 2,) * 2
+    cropped = defocus_psf(cfg, 360.0, 360.0, 0.01, max_half_width_mm=0.1)
+    assert cropped.taps == 21
 
 
 def test_airy_first_zero():
     cfg = small_config()
-    psf = defocus_psf(cfg, 360.0, 360.0, kernel_size=2048,
-                      pupil_sample_pitch_mm=10.0 / 128.0)
-    n = psf.samples.shape[0]
+    psf = defocus_psf(cfg, 360.0, 360.0, 0.001)
+    n = psf.taps
     profile = psf.samples[n // 2, n // 2:]
     # first local minimum along the radius, refined parabolically
     k = 1
@@ -213,24 +243,35 @@ def test_airy_first_zero():
     assert r_zero == pytest.approx(expected, rel=0.05)
 
 
+def test_in_focus_psf_is_pixel_integrated_airy():
+    # pixels narrower than the Airy disk: the kernel must be the area
+    # integral of [2 J1(v) / v]^2, here by a 16 x 16 midpoint sum per pixel
+    # (Nyquist midpoint sub-pixels would be off by ~3e-2)
+    cfg = small_config()
+    psf = defocus_psf(cfg, 360.0, 360.0, 0.01)
+    fine = 16
+    c = ((np.arange(psf.taps * fine) + 0.5) / fine - psf.taps / 2) * psf.sample_pitch_mm
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    v = math.pi * cfg.pitch_x_mm * np.hypot(X, Y) / (cfg.wavelength_mm * 360.0)
+    airy = (2.0 * j1(v) / v) ** 2  # the grid has no point at v = 0
+    oracle = airy.reshape(psf.taps, fine, psf.taps, fine).sum(axis=(1, 3))
+    assert np.abs(psf.samples - oracle / oracle.sum()).sum() <= 1e-3
+
+
 def test_zero_defocus_psf_radially_symmetric():
     cfg = small_config()
-    psf = defocus_psf(cfg, 360.0, 360.0, kernel_size=512)
-    v = psf.samples
+    v = defocus_psf(cfg, 360.0, 360.0, 0.01).samples
     np.testing.assert_allclose(v, v.T, atol=1e-6 * v.max())
-    np.testing.assert_allclose(v[1:, 1:], v[1:, 1:][::-1, ::-1], atol=1e-6 * v.max())
+    np.testing.assert_allclose(v, v[::-1, ::-1], atol=1e-6 * v.max())
 
 
 def test_defocus_width_monotone():
-    # smaller pitch keeps the auto-refined transforms cheap
     cfg = small_config(pitch_x_mm=2.0, pitch_y_mm=2.0)
     z_i = 360.0
 
     def width(z):
-        psf = defocus_psf(cfg, z, z_i, kernel_size=1024,
-                          pupil_sample_pitch_mm=2.0 / 512.0)
-        n = psf.samples.shape[0]
-        c = (np.arange(n) - n / 2) * psf.sample_pitch_mm
+        psf = defocus_psf(cfg, z, z_i, 0.02)
+        c = (np.arange(psf.taps) - psf.taps // 2) * psf.sample_pitch_mm
         X, Y = np.meshgrid(c, c, indexing="ij")
         return math.sqrt(float((psf.samples * (X**2 + Y**2)).sum()))
 
@@ -238,35 +279,76 @@ def test_defocus_width_monotone():
     assert all(b > a for a, b in zip(widths, widths[1:]))
 
 
-def test_defocus_aliasing_guard():
-    cfg = small_config()
-    with pytest.raises(PupilSamplingError) as err:
-        defocus_psf(cfg, 100.0, 360.0, kernel_size=512,
-                    pupil_sample_pitch_mm=10.0 / 64.0)
-    assert err.value.required_pitch_mm > 0
-    assert "pupil_sample_pitch" in str(err.value)
-
-
 def test_defocus_psf_parameter_validation():
     cfg = small_config()
     with pytest.raises(ValueError):
-        defocus_psf(cfg, 360.0, 360.0, kernel_size=100)
+        defocus_psf(cfg, -5.0, 360.0, 0.01)
     with pytest.raises(ValueError):
-        defocus_psf(cfg, 360.0, 360.0, kernel_size=384)
+        defocus_psf(cfg, 360.0, 360.0, 0.0)
     with pytest.raises(ValueError):
-        defocus_psf(cfg, -5.0, 360.0)
-    with pytest.raises(ValueError):
-        # pupil wider than the sampled aperture plane
-        defocus_psf(cfg, 360.0, 360.0, kernel_size=128, pupil_sample_pitch_mm=0.01)
+        defocus_psf(cfg, 360.0, 360.0, -0.01)
 
 
-def test_resample_kernel_unit_sum():
+def test_defocus_window_energy_guard(monkeypatch):
+    # a pupil that alternates sign per sample sends its energy half an alias
+    # period away, outside any window the closed forms choose
+    def checkerboard(U, V, *args):
+        i, j = np.indices(U.shape)
+        return (-1.0) ** (i + j) * (np.abs(U) < 4.0) * (np.abs(V) < 4.0)
+
+    monkeypatch.setattr(reconstruction, "_antialiased_pupil", checkerboard)
+    with pytest.raises(ValueError, match="window holds"):
+        defocus_psf(small_config(), 360.0, 360.0, 0.01)
+
+
+def test_defocus_psf_matches_fft_oracle_far_from_focus():
+    # the 300 mm sweep depth on the 0.25 mm reconstruction grid
     cfg = small_config()
-    psf = defocus_psf(cfg, 360.0, 360.0)
-    for pitch in (0.005, 0.02):
-        out = resample_kernel(psf, pitch)
-        assert out.sum() == pytest.approx(1.0, rel=1e-12)
-        assert out.ndim == 2 and out.shape[0] % 2 == 1
+    psf = defocus_psf(cfg, 300.0, 360.0, 0.25)
+    oracle = _fft_psf(cfg, 300.0, 360.0, 2048, 10.0 / 1024, 0.25, psf.taps)
+    assert np.abs(psf.samples - oracle).sum() <= 2e-3
+
+
+@pytest.mark.parametrize("z", [351.0, 360.0, 369.0])
+def test_defocus_psf_matches_fft_oracle_near_focus(z):
+    # the strip depths of a 45 degree plane through the 360 mm focus
+    cfg = small_config()
+    psf = defocus_psf(cfg, z, 360.0, 0.25)
+    oracle = _fft_psf(cfg, z, 360.0, 1024, 10.0 / 512, 0.25, psf.taps)
+    assert np.abs(psf.samples - oracle).sum() <= 5e-3
+
+
+def test_defocus_psf_tends_to_geometric_disk():
+    # far from focus the PSF is the uniform disk of radius R = a/2 |1 - z/z_i|,
+    # whose radial second moment is R^2 / 2
+    cfg = small_config(pitch_x_mm=2.0, pitch_y_mm=2.0)
+    z_i = cfg.image_distance_mm()
+    for z in (1000.0, 2000.0):
+        psf = defocus_psf(cfg, z, z_i, 0.2)
+        c = (np.arange(psf.taps) - psf.taps // 2) * psf.sample_pitch_mm
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        R = 1.0 * abs(1.0 - z / z_i)
+        assert float((psf.samples * (X**2 + Y**2)).sum()) == pytest.approx(R * R / 2, rel=0.02)
+
+
+def test_defocus_window_holds_energy_300_to_2000mm():
+    cfg = small_config(m=16, n=16)
+    for z in (300.0, 360.0, 700.0, 1200.0, 2000.0):
+        assert defocus_psf(cfg, z, 360.0, 0.25).window_energy >= 0.99
+
+
+def test_defocus_psf_leaves_no_reference_cycle():
+    # every array of a PSF build must be freed without the cyclic collector
+    cfg = small_config()
+    gc.collect()
+    gc.disable()
+    try:
+        psf = defocus_psf(cfg, 300.0, 360.0, 0.25)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert psf.taps == 11
+    assert unreachable == 0
 
 
 # ---------------------------------------------------------------------------
@@ -290,38 +372,14 @@ def test_apply_diffraction_impulse_is_identity():
     assert out.values is not field.values
 
 
-def test_impulse_kernel_is_discrete_delta():
-    kern = impulse_kernel()
-    assert kern.samples.shape == (1, 1)
-    assert kern.samples[0, 0] == 1.0
-
-
-def test_auto_psf_leaves_no_reference_cycle():
-    # with a 1 mm pupil at 300 mm the 512^2 attempt reaches the kernel
-    # border and the 1024^2 attempt succeeds; the failed attempt's arrays
-    # must be freed without the cyclic garbage collector
-    cfg = small_config(pitch_x_mm=1.0, pitch_y_mm=1.0)
-    gc.collect()
-    gc.disable()
-    try:
-        psf = _auto_psf(cfg, 300.0, cfg.image_distance_mm(), 512, None)
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
-    assert psf.samples.shape == (1024, 1024)
-    assert unreachable == 0
-
-
 def test_delta_field_blurs_to_psf():
     cfg = small_config()
     field = _delta_field(hw=1.0, pitch=0.01)
     plane = plane_at(360.0, hw=1.0, pitch=0.01)
     out = apply_diffraction(field, plane, cfg, 360.0)
-    # resampled zero-defocus PSF with the same auto sampling and crop
-    psf = defocus_psf(cfg, 360.0, 360.0, kernel_size=512,
-                      pupil_sample_pitch_mm=10.0 / 256.0)
+    # the zero-defocus PSF on the same grid, cropped to the field as apply_diffraction crops
     half_span = float(field.xs[-1] - field.xs[0]) / 2.0 + field.sample_pitch_mm
-    kern = resample_kernel(psf, 0.01, max_half_width_mm=half_span)
+    kern = defocus_psf(cfg, 360.0, 360.0, 0.01, max_half_width_mm=half_span).samples
     center = out.values[out.values.shape[0] // 2, out.values.shape[1] // 2]
     k_center = kern[kern.shape[0] // 2, kern.shape[1] // 2]
     assert center == pytest.approx(k_center, rel=1e-6)
