@@ -159,6 +159,14 @@ def cmd_reconstruct(args) -> int:
     run = RunConfig.from_file(args.config)
     eis = manifest_io.load_elemental_set(
         args.manifest, aperture_shape=run.optical_system.aperture_shape)
+    differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
+              f"config {getattr(run.optical_system, key)!r})"
+              for key in ("m", "n", "pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm",
+                          "wavelength_nm")
+              if getattr(eis.capture_config, key) != getattr(run.optical_system, key)]
+    if differ:
+        raise ConfigError(f"the config's optical_system differs from the capture's: "
+                          f"{'; '.join(differ)}; pass the config the capture was made with")
     plane = run.plane
     if plane is None:
         raise ConfigError("reconstruct needs a plane block in the config")

@@ -52,15 +52,11 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
     return path
 
 
-def load_manifest(manifest_path) -> dict:
-    with open(manifest_path) as fh:
-        return json.load(fh)
-
-
 def load_elemental_set(manifest_path, aperture_shape: str = "ellipse") -> ElementalImageSet:
     """Load a saved set; intensities come back in 16-bit units (0..65535)."""
     path = Path(manifest_path)
-    man = load_manifest(path)
+    with open(path) as fh:
+        man = json.load(fh)
     cfg = OpticalSystemConfig(
         m=man["m"],
         n=man["n"],

@@ -302,10 +302,6 @@ class ScalarField2D:
         if np.any(self.values < 0):
             raise ValueError("intensity field must be nonnegative")
 
-    @classmethod
-    def zeros(cls, xs: np.ndarray, ys: np.ndarray, sample_pitch_mm: float) -> "ScalarField2D":
-        return cls(np.zeros((len(xs), len(ys))), xs, ys, sample_pitch_mm)
-
     def integral(self) -> float:
         """Midpoint-rule integral over the grid."""
         return float(self.values.sum()) * self.sample_pitch_mm**2

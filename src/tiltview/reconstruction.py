@@ -9,9 +9,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .optics import OpticalSystemConfig, PlaneGrid, ScalarField2D, TiltedPlaneSpec
+from .optics import OpticalSystemConfig, ScalarField2D, TiltedPlaneSpec
 
 log = logging.getLogger(__name__)
 
@@ -143,10 +142,11 @@ def magnification(x_t, y_t, plane: TiltedPlaneSpec, g_mm: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _backproject(eis: ElementalImageSet, xs: np.ndarray, ys: np.ndarray,
-                 plane: TiltedPlaneSpec) -> np.ndarray:
+def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Reconstruction:
+    """Sum the distance-weighted back-projections of all elemental images."""
     cfg = eis.capture_config
     g = cfg.gap_mm
+    xs, ys = plane.grid.xs(), plane.grid.ys()
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     depth = _depth(X, Y, plane)
     M = depth / g
@@ -165,22 +165,8 @@ def _backproject(eis: ElementalImageSet, xs: np.ndarray, ys: np.ndarray,
             total += part
     if not np.any(total):
         warnings.warn("no elemental image sees the reconstruction plane; field is zero")
-    return total
-
-
-def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Reconstruction:
-    """Sum the distance-weighted back-projections of all elemental images."""
-    xs, ys = plane.grid.xs(), plane.grid.ys()
-    total = _backproject(eis, xs, ys, plane)
     field = ScalarField2D(total, xs, ys, plane.grid.sample_pitch_mm)
     return Reconstruction(plane=plane, field=field, mode="geometric")
-
-
-def backproject_normal(eis: ElementalImageSet, z_mm: float, grid: PlaneGrid) -> ScalarField2D:
-    """Normal-view back-projection at axial distance z (untilted plane)."""
-    plane = TiltedPlaneSpec(0.0, 0.0, z_mm, grid)
-    xs, ys = grid.xs(), grid.ys()
-    return ScalarField2D(_backproject(eis, xs, ys, plane), xs, ys, grid.sample_pitch_mm)
 
 
 def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
@@ -314,6 +300,17 @@ def _strip_weights(t: np.ndarray, strip_width_mm: float) -> list[tuple[float, np
     return out
 
 
+def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+    """Linear convolution of a 2D field with an odd kernel, cropped to the
+    field around the kernel centre (scipy's ``mode="same"``). Each axis is
+    zero-padded to a power of two >= the full size, so nothing wraps."""
+    full = [a + b - 1 for a, b in zip(in1.shape, in2.shape)]
+    size = [1 << (s - 1).bit_length() for s in full]
+    out = np.fft.irfft2(np.fft.rfft2(in1, size) * np.fft.rfft2(in2, size), size)
+    (n0, n1), (k0, k1) = in1.shape, in2.shape
+    return out[k0 // 2:k0 // 2 + n0, k1 // 2:k1 // 2 + n1]
+
+
 def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
                       cfg: OpticalSystemConfig, z_i_mm: float,
                       strip_width_mm: float | None = None,
@@ -353,7 +350,7 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
         log.debug("strip z=%.6g mm: %d taps, %d subpixels per pixel, %d pupil samples, "
                   "window energy %.6f", z_local, psf.taps, psf.subpixels,
                   psf.pupil_samples, psf.window_energy)
-        out += fftconvolve(field.values * weight, psf.samples, mode="same")
+        out += fftconvolve(field.values * weight, psf.samples)
     return ScalarField2D(np.clip(out, 0.0, None), field.xs, field.ys, field.sample_pitch_mm)
 
 

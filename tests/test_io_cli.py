@@ -1,6 +1,9 @@
 """Tests for PGM I/O, the manifest format and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -314,6 +317,38 @@ def test_cli_reconstruct_diffraction_far_from_focus(tmp_path):
     assert rc == 0
     assert time.monotonic() - start < 30.0
     assert json.loads(img.with_suffix(".json").read_text())["mode"] == "diffraction"
+
+
+def test_cli_reconstruct_rejects_config_of_another_capture(tmp_path, caplog):
+    plane = {"D_mm": 200.0, "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
+                                     "sample_pitch_mm": 0.2}}
+    config = write_config(tmp_path, plane=plane)
+    scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
+    out = tmp_path / "cap"
+    assert main(["synth", "--config", str(config), "--scene", str(scene),
+                 "--out", str(out), "--pixel-pitch-mm", "0.15"]) == 0
+    doc = json.loads(config.read_text())
+    doc["optical_system"]["gap_mm"] = 51.0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    img = tmp_path / "r.pgm"
+    rc = main(["reconstruct", "--config", str(other),
+               "--manifest", str(out / "manifest.json"), "--out", str(img)])
+    assert rc == 1
+    assert not img.exists()
+    assert "gap_mm (manifest 50.0, config 51.0)" in caplog.text
+    assert "pitch_x_mm" not in caplog.text
+
+
+def test_cli_imports_without_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, tiltview.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_synth_is_byte_deterministic(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve as scipy_fftconvolve
 from scipy.special import j1
 
 from tiltview.optics import OpticalSystemConfig, PlaneGrid, ScalarField2D, TiltedPlaneSpec
@@ -16,9 +17,9 @@ from tiltview.reconstruction import (
     OutOfHalfSpaceError,
     PSFKernel,
     _antialiased_pupil,
+    _strip_weights,
     apply_diffraction,
     backproject_geometric,
-    backproject_normal,
     defocus_psf,
     magnification,
     reconstruct,
@@ -104,12 +105,22 @@ def test_elemental_sample_outside_is_zero():
 
 
 def test_tilted_zero_matches_normal_path():
+    # reference: the normal-view per-lenslet loop, one magnification M = D/g
     cfg = small_config()
     eis = capture(point_source_scene(200.0), cfg, 64, 64, pixel_pitch_mm=0.15)
     plane = plane_at(200.0, hw=3.0, pitch=0.05)
+    X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
+    M = 200.0 / cfg.gap_mm
+    normal = np.zeros_like(X)
+    for p in range(cfg.m):
+        for q in range(cfg.n):
+            cx, cy = cfg.lenslet_center(p, q)
+            vals = eis.sample(p, q, cx - (X - cx) / M, cy - (Y - cy) / M)
+            normal += vals / ((200.0 + cfg.gap_mm) ** 2
+                              + ((X - cx) ** 2 + (Y - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
+    assert np.any(normal)
     tilted = backproject_geometric(eis, plane)
-    normal = backproject_normal(eis, 200.0, plane.grid)
-    np.testing.assert_allclose(tilted.field.values, normal.values, rtol=1e-12)
+    np.testing.assert_allclose(tilted.field.values, normal, rtol=1e-12)
 
 
 def test_point_source_recovered_at_origin():
@@ -394,6 +405,31 @@ def test_untilted_plane_uses_single_strip():
     a = apply_diffraction(field, plane, cfg, 360.0)
     b = apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=0.5)
     np.testing.assert_allclose(a.values, b.values, rtol=1e-9, atol=1e-20)
+
+
+@pytest.mark.parametrize("width", [0.3, 1.0, 2.5])
+def test_strip_weights_partition_unity(width):
+    # the impulse path returns before any strip is made, so check the blend here
+    plane = plane_at(300.0, tx=17.0, ty=-23.0, hw=12.0, pitch=0.25)
+    X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
+    t = X * math.sin(plane.theta_x_rad) + Y * math.sin(plane.theta_y_rad)
+    strips = _strip_weights(t, width)
+    assert len(strips) > 1
+    assert all(np.all(w >= 0.0) for _, w in strips)
+    np.testing.assert_allclose(sum(w for _, w in strips), 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(96, 96), (40, 70)])
+@pytest.mark.parametrize("taps", [1, 5, 11, 99])
+def test_fftconvolve_matches_scipy_same(shape, taps):
+    # 99 taps is wider than either field's short axis
+    rng = np.random.default_rng(taps)
+    field = rng.random(shape)
+    kernel = rng.random((taps, taps))
+    ours = reconstruction.fftconvolve(field, kernel)
+    ref = scipy_fftconvolve(field, kernel, mode="same")
+    assert ours.shape == shape
+    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_strip_width_validated():
