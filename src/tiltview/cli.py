@@ -158,11 +158,12 @@ def cmd_analyze(args) -> int:
 def cmd_reconstruct(args) -> int:
     run = RunConfig.from_file(args.config)
     eis = manifest_io.load_elemental_set(
-        args.manifest, aperture_shape=run.optical_system.aperture_shape)
+        args.manifest, aperture_shape=run.optical_system.aperture_shape,
+        focus_epsilon=run.optical_system.focus_epsilon)
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
               f"config {getattr(run.optical_system, key)!r})"
               for key in ("m", "n", "pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm",
-                          "wavelength_nm")
+                          "wavelength_nm", "aperture_shape", "focus_epsilon")
               if getattr(eis.capture_config, key) != getattr(run.optical_system, key)]
     if differ:
         raise ConfigError(f"the config's optical_system differs from the capture's: "

@@ -40,6 +40,8 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
         "g_mm": cfg.gap_mm,
         "f_mm": cfg.focal_length_mm,
         "wavelength_nm": cfg.wavelength_nm,
+        "aperture_shape": cfg.aperture_shape,
+        "focus_epsilon": cfg.focus_epsilon,
         "pixel_pitch_mm": eis.pixel_pitch_mm,
         "pixels_x": eis.pixels_x,
         "pixels_y": eis.pixels_y,
@@ -52,8 +54,13 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
     return path
 
 
-def load_elemental_set(manifest_path, aperture_shape: str = "ellipse") -> ElementalImageSet:
-    """Load a saved set; intensities come back in 16-bit units (0..65535)."""
+def load_elemental_set(manifest_path, aperture_shape: str = "ellipse",
+                       focus_epsilon: float = 1e-6) -> ElementalImageSet:
+    """Load a saved set; intensities come back in 16-bit units (0..65535).
+
+    ``aperture_shape`` and ``focus_epsilon`` stand in for the manifest's own
+    values when it was written before they were stored.
+    """
     path = Path(manifest_path)
     with open(path) as fh:
         man = json.load(fh)
@@ -65,7 +72,8 @@ def load_elemental_set(manifest_path, aperture_shape: str = "ellipse") -> Elemen
         gap_mm=man["g_mm"],
         focal_length_mm=man["f_mm"],
         wavelength_nm=man["wavelength_nm"],
-        aperture_shape=aperture_shape,
+        aperture_shape=man.get("aperture_shape", aperture_shape),
+        focus_epsilon=man.get("focus_epsilon", focus_epsilon),
     )
     shape = (man["pixels_y"], man["pixels_x"])
     images = np.zeros((cfg.m, cfg.n) + shape)

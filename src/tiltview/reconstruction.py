@@ -142,8 +142,23 @@ def magnification(x_t, y_t, plane: TiltedPlaneSpec, g_mm: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _reach(g_axis: np.ndarray, centers: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index range [lo, hi) of the ascending plane axis within ``radius`` of each center."""
+    return (np.searchsorted(g_axis, centers - radius, side="left"),
+            np.searchsorted(g_axis, centers + radius, side="right"))
+
+
 def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Reconstruction:
-    """Sum the distance-weighted back-projections of all elemental images."""
+    """Sum the distance-weighted back-projections of all elemental images.
+
+    A lenslet adds to a plane sample only where the bilinear footprint of the
+    back-projected point lies inside its elemental image,
+    |g - c| < M (pixels + 1)/2 pixel_pitch per axis. With the grid's largest
+    M and one elemental pixel of margin, that bound picks before the loop
+    the lenslet rows and columns that reach the plane, and the plane samples
+    each can reach. Every term left out is an exact 0.0, so the sum is the
+    same, bit for bit, as over all lenslets and samples in (p, q) order.
+    """
     cfg = eis.capture_config
     g = cfg.gap_mm
     xs, ys = plane.grid.xs(), plane.grid.ys()
@@ -154,15 +169,27 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     gy = Y * math.cos(plane.theta_y_rad)
     axial2 = (depth + g) ** 2
     lateral_scale = (1.0 + 1.0 / M) ** 2
-    q = np.arange(cfg.n)[:, None, None]
+    m_max, pitch = float(M.max()), eis.pixel_pitch_mm
+    cx, cy = cfg.lenslet_centers()
+    x_lo, x_hi = _reach(gx[:, 0], cx, m_max * ((eis.pixels_x + 1) / 2.0 + 1.0) * pitch)
+    y_lo, y_hi = _reach(gy[0, :], cy, m_max * ((eis.pixels_y + 1) / 2.0 + 1.0) * pitch)
+    rows = np.flatnonzero(x_hi > x_lo)
+    cols = np.flatnonzero(y_hi > y_lo)
+    log.debug("back-projection: %d of %d lenslets reach the plane",
+              rows.size * cols.size, cfg.m * cfg.n)
     total = np.zeros_like(X)
-    for p in range(cfg.m):
-        cpx, cpy = cfg.lenslet_center(p, q)
-        u = cpx - (gx - cpx) / M
-        v = cpy - (gy - cpy) / M
-        denom = axial2 + ((gx - cpx) ** 2 + (gy - cpy) ** 2) * lateral_scale
-        for part in eis.sample(p, q, u, v) / denom:  # fixed lexicographic (p, q) order
-            total += part
+    if cols.size:
+        q = cols[:, None, None]
+        ys_reach = slice(y_lo[cols].min(), y_hi[cols].max())
+        for p in rows:
+            s = (slice(x_lo[p], x_hi[p]), ys_reach)
+            cpx, cpy = cfg.lenslet_center(p, q)
+            gxs, gys, Ms = gx[s], gy[s], M[s]
+            u = cpx - (gxs - cpx) / Ms
+            v = cpy - (gys - cpy) / Ms
+            denom = axial2[s] + ((gxs - cpx) ** 2 + (gys - cpy) ** 2) * lateral_scale[s]
+            for part in eis.sample(p, q, u, v) / denom:  # fixed lexicographic (p, q) order
+                total[s] += part
     if not np.any(total):
         warnings.warn("no elemental image sees the reconstruction plane; field is zero")
     field = ScalarField2D(total, xs, ys, plane.grid.sample_pitch_mm)

@@ -49,13 +49,26 @@ class TexturedPlane:
         if np.any(self.texture < 0) or self.intensity_scale < 0:
             raise ValueError("texture intensities must be nonnegative")
 
-    def sample(self, x, y):
-        """Bilinear texture lookup at scene coordinates; zero outside extent."""
+    def _texel(self, x, y):
+        """Fractional texel column and row of scene coordinates."""
         rows, cols = self.texture.shape
         fc = (np.asarray(x, dtype=float) + self.half_width_x_mm) \
             / (2 * self.half_width_x_mm) * (cols - 1)
         fr = (self.half_width_y_mm - np.asarray(y, dtype=float)) \
             / (2 * self.half_width_y_mm) * (rows - 1)
+        return fc, fr
+
+    def misses(self, x_min, x_max, y_min, y_max) -> bool:
+        """True when ``sample`` is zero everywhere in the box: no point of it
+        maps inside the texture (the texel coordinates are monotone in x, y)."""
+        rows, cols = self.texture.shape
+        fc, fr = self._texel(np.array([x_min, x_max]), np.array([y_max, y_min]))
+        return bool(fc[1] < 0 or fc[0] > cols - 1 or fr[1] < 0 or fr[0] > rows - 1)
+
+    def sample(self, x, y):
+        """Bilinear texture lookup at scene coordinates; zero outside extent."""
+        rows, cols = self.texture.shape
+        fc, fr = self._texel(x, y)
         inside = (fc >= 0) & (fc <= cols - 1) & (fr >= 0) & (fr <= rows - 1)
         c0 = np.clip(np.floor(fc).astype(int), 0, cols - 2)
         r0 = np.clip(np.floor(fr).astype(int), 0, rows - 2)
@@ -137,7 +150,8 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
                 # through the lenslet center
                 px = cx - (col_coords[None, :]) * plane.z_mm / g
                 py = cy - (row_coords[:, None]) * plane.z_mm / g
-                img += plane.sample(px, py)
+                if not plane.misses(px.min(), px.max(), py.min(), py.max()):
+                    img += plane.sample(px, py)
     eis = ElementalImageSet(images=images, pixel_pitch_mm=pixel_pitch_mm, capture_config=cfg)
     return eis, report
 

@@ -100,10 +100,29 @@ def test_manifest_schema_fields(tmp_path):
     path = manifest_io.save_elemental_set(eis, tmp_path)
     doc = json.loads(path.read_text())
     assert set(doc) == {"m", "n", "pitch_x_mm", "pitch_y_mm", "g_mm", "f_mm",
-                        "wavelength_nm", "pixel_pitch_mm", "pixels_x", "pixels_y",
-                        "images"}
+                        "wavelength_nm", "aperture_shape", "focus_epsilon",
+                        "pixel_pitch_mm", "pixels_x", "pixels_y", "images"}
     assert len(doc["images"]) == 16
     assert set(doc["images"][0]) == {"p", "q", "file"}
+
+
+def test_manifest_stores_aperture_and_focus_epsilon(tmp_path):
+    cfg = OpticalSystemConfig(m=2, n=3, pitch_x_mm=10.0, pitch_y_mm=8.0, gap_mm=50.0,
+                              focal_length_mm=35.0, aperture_shape="rectangle",
+                              focus_epsilon=1e-3)
+    eis = ElementalImageSet(np.ones((2, 3, 4, 4)), 0.5, cfg)
+    path = manifest_io.save_elemental_set(eis, tmp_path)
+    # the stored values win over the stand-ins for old manifests
+    back = manifest_io.load_elemental_set(path, aperture_shape="ellipse", focus_epsilon=1e-6)
+    assert back.capture_config == cfg
+    # a manifest written before the two keys were stored takes the stand-ins
+    doc = json.loads(path.read_text())
+    del doc["aperture_shape"], doc["focus_epsilon"]
+    path.write_text(json.dumps(doc))
+    old = manifest_io.load_elemental_set(path, aperture_shape="rectangle", focus_epsilon=2e-3)
+    assert (old.capture_config.aperture_shape, old.capture_config.focus_epsilon) == (
+        "rectangle", 2e-3)
+    assert manifest_io.load_elemental_set(path).capture_config.aperture_shape == "ellipse"
 
 
 def test_manifest_missing_image_rejected(tmp_path):
@@ -338,6 +357,36 @@ def test_cli_reconstruct_rejects_config_of_another_capture(tmp_path, caplog):
     assert not img.exists()
     assert "gap_mm (manifest 50.0, config 51.0)" in caplog.text
     assert "pitch_x_mm" not in caplog.text
+
+
+def test_cli_reconstruct_checks_aperture_and_focus_epsilon(tmp_path, caplog):
+    plane = {"D_mm": 200.0, "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
+                                     "sample_pitch_mm": 0.2}}
+    config = write_config(tmp_path, plane=plane)
+    scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
+    out = tmp_path / "cap"
+    assert main(["synth", "--config", str(config), "--scene", str(scene),
+                 "--out", str(out), "--pixel-pitch-mm", "0.15"]) == 0
+    manifest = out / "manifest.json"
+    doc = json.loads(config.read_text())
+    doc["optical_system"].update(aperture_shape="rectangle", focus_epsilon=1e-3)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    img = tmp_path / "r.pgm"
+    rc = main(["reconstruct", "--config", str(other), "--manifest", str(manifest),
+               "--mode", "diffraction", "--out", str(img)])
+    assert rc == 1
+    assert not img.exists()
+    assert "aperture_shape (manifest 'ellipse', config 'rectangle')" in caplog.text
+    assert "focus_epsilon (manifest 1e-06, config 0.001)" in caplog.text
+    # a manifest without the two keys, as written before they were stored,
+    # takes them from the config and still reconstructs
+    stored = json.loads(manifest.read_text())
+    del stored["aperture_shape"], stored["focus_epsilon"]
+    manifest.write_text(json.dumps(stored))
+    assert main(["reconstruct", "--config", str(other), "--manifest", str(manifest),
+                 "--mode", "diffraction", "--out", str(img)]) == 0
+    assert img.exists()
 
 
 def test_cli_imports_without_scipy():

@@ -1,11 +1,13 @@
 """Tests for back-projection, the defocus PSF and diffraction-mode blur."""
 
 import gc
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve as scipy_fftconvolve
 from scipy.special import j1
@@ -163,27 +165,105 @@ def test_plane_behind_array_rejected():
         backproject_geometric(eis, plane)
 
 
-def test_backprojection_matches_per_lenslet_loop():
-    # reference: one eis.sample per lenslet, summed in lexicographic (p, q)
-    # order; m != n so that a swapped lenslet axis cannot pass
-    cfg = small_config(m=3, n=5)
-    eis = capture(point_source_scene(200.0), cfg, 64, 64, pixel_pitch_mm=0.15)
-    plane = plane_at(200.0, tx=12.0, ty=-7.0, hw=3.0, pitch=0.1)
+def _per_lenslet_loop(eis, plane):
+    """Reference back-projection: one eis.sample per lenslet over the whole
+    grid, summed in lexicographic (p, q) order, with no lenslet skipped.
+    Also returns the number of lenslets that add anything."""
+    cfg = eis.capture_config
     X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
     depth = (plane.axial_offset_mm + X * math.sin(plane.theta_x_rad)
              + Y * math.sin(plane.theta_y_rad))
     M = depth / cfg.gap_mm
     gx, gy = X * math.cos(plane.theta_x_rad), Y * math.cos(plane.theta_y_rad)
     expected = np.zeros_like(X)
+    reached = 0
     for p in range(cfg.m):
         for q in range(cfg.n):
             cx, cy = cfg.lenslet_center(p, q)
             vals = eis.sample(p, q, cx - (gx - cx) / M, cy - (gy - cy) / M)
             expected += vals / ((depth + cfg.gap_mm) ** 2
                                 + ((gx - cx) ** 2 + (gy - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
+            reached += bool(np.any(vals))
+    return expected, reached
+
+
+def test_backprojection_matches_per_lenslet_loop():
+    # m != n so that a swapped lenslet axis cannot pass
+    cfg = small_config(m=3, n=5)
+    eis = capture(point_source_scene(200.0), cfg, 64, 64, pixel_pitch_mm=0.15)
+    plane = plane_at(200.0, tx=12.0, ty=-7.0, hw=3.0, pitch=0.1)
+    expected, _ = _per_lenslet_loop(eis, plane)
     assert np.any(expected)
     rec = reconstruct(eis, plane, mode="geometric")
     np.testing.assert_array_equal(rec.field.values, expected)
+
+
+@given(
+    m=st.integers(1, 8), n=st.integers(1, 8), pixels=st.integers(1, 24),
+    fill=st.floats(0.05, 1.0), hw=st.floats(0.5, 40.0), steps=st.integers(1, 20),
+    D=st.floats(60.0, 600.0), tx=st.floats(-45.0, 45.0), ty=st.floats(-45.0, 45.0),
+    seed=st.integers(0, 2**16),
+)
+# none reaches: one lenslet at (-5, -5) mm, a 0.5 mm image, a 1 mm plane
+@example(m=1, n=1, pixels=4, fill=0.05, hw=0.5, steps=4, D=60.0, tx=0.0, ty=0.0, seed=0)
+# part reaches: the row at x = -25 mm and the column at y = -20 mm miss the
+# 10 mm plane at 100 mm
+@example(m=5, n=4, pixels=16, fill=1.0, hw=5.0, steps=10, D=100.0, tx=0.0, ty=0.0, seed=1)
+@settings(max_examples=80, deadline=None)
+def test_backprojection_bound_matches_per_lenslet_loop(m, n, pixels, fill, hw, steps, D,
+                                                        tx, ty, seed):
+    # every elemental pixel is positive, so a lenslet the bound wrongly
+    # skipped would leave its nonzero part out of the field
+    cfg = small_config(m=m, n=n)
+    rng = np.random.default_rng(seed)
+    eis = ElementalImageSet(rng.random((m, n, pixels, pixels)) + 0.5,
+                            fill * cfg.pitch_x_mm / pixels, cfg)
+    plane = plane_at(D, tx=tx, ty=ty, hw=hw, pitch=hw / steps)
+    expected, reached = _per_lenslet_loop(eis, plane)
+    event("lenslets reaching the plane: "
+          + ("none" if not reached else "all" if reached == m * n else "part"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = backproject_geometric(eis, plane)
+    np.testing.assert_array_equal(rec.field.values, expected)
+    warned = any("no elemental image" in str(w.message) for w in caught)
+    assert warned == (not np.any(expected))
+
+
+def test_backprojection_bound_examples_cover_none_and_part():
+    # the two explicit draws of the property above do what their comments say
+    cfg = small_config(m=1, n=1)
+    eis = ElementalImageSet(np.ones((1, 1, 4, 4)), 0.05 * 10.0 / 4, cfg)
+    assert _per_lenslet_loop(eis, plane_at(60.0, hw=0.5, pitch=0.125))[1] == 0
+    cfg = small_config(m=5, n=4)
+    eis = ElementalImageSet(np.ones((5, 4, 16, 16)), 10.0 / 16, cfg)
+    assert 0 < _per_lenslet_loop(eis, plane_at(100.0, hw=5.0, pitch=0.5))[1] < 20
+
+
+def sweep_elemental_set(seed=5):
+    """The sweep geometry (16 x 16 lenslets, 128^2 px of 10/128 mm) with
+    random positive images, so that every lenslet that reaches a sample adds
+    to it."""
+    cfg = small_config(m=16, n=16)
+    images = np.random.default_rng(seed).random((16, 16, 128, 128)) + 0.5
+    return ElementalImageSet(images, 10.0 / 128, cfg)
+
+
+@pytest.mark.parametrize("tx, ty, D", [(0.0, 0.0, 300.0), (17.0, -23.0, 300.0),
+                                       (-20.0, 0.0, 300.0), (45.0, 0.0, 360.0)])
+def test_backprojection_on_sweep_geometry_matches_per_lenslet_loop(tx, ty, D):
+    eis = sweep_elemental_set()
+    plane = TiltedPlaneSpec(tx, ty, D, PlaneGrid(12.0, 12.0, 0.25))
+    rec = backproject_geometric(eis, plane)
+    np.testing.assert_array_equal(rec.field.values, _per_lenslet_loop(eis, plane)[0])
+
+
+def test_backprojection_logs_lenslets_reached(caplog):
+    eis = sweep_elemental_set()
+    plane = TiltedPlaneSpec(10.0, 0.0, 300.0, PlaneGrid(12.0, 12.0, 0.25))
+    with caplog.at_level(logging.DEBUG, logger="tiltview.reconstruction"):
+        backproject_geometric(eis, plane)
+    assert "81 of 256 lenslets reach the plane" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +497,19 @@ def test_strip_weights_partition_unity(width):
     assert len(strips) > 1
     assert all(np.all(w >= 0.0) for _, w in strips)
     np.testing.assert_allclose(sum(w for _, w in strips), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_constant_field_stays_constant_through_strips():
+    # the sweep system with its 360 mm beam focus, on a plane whose depth
+    # varies along both axes: the kernel reaches ~5 px, so at 10 px from the
+    # border only the strip blend can move a constant field (2.6e-4 here,
+    # from the kinks of the triangular weights)
+    cfg = small_config(m=16, n=16)
+    plane = plane_at(300.0, tx=17.0, ty=-23.0, hw=12.0, pitch=0.25)
+    xs, ys = plane.grid.xs(), plane.grid.ys()
+    field = ScalarField2D(np.ones((xs.size, ys.size)), xs, ys, 0.25)
+    out = apply_diffraction(field, plane, cfg, 360.0).values
+    assert np.abs(out[10:-10, 10:-10] - 1.0).max() <= 1e-3
 
 
 @pytest.mark.parametrize("shape", [(96, 96), (40, 70)])

@@ -184,3 +184,32 @@ def test_plane_capture_inverts_image():
     left = img[:, :16].sum()   # -u side
     right = img[:, 16:].sum()  # +u side
     assert left > right
+
+
+def test_plane_capture_skip_matches_unskipped_loop():
+    # a textured plane narrower than the array's reach: lenslets whose view
+    # misses it are skipped, and the images must equal a loop that samples
+    # the plane through every lenslet
+    cfg = cfg16()
+    rng = np.random.default_rng(4)
+    plane = TexturedPlane(300.0, 9.0, 6.0, rng.random((20, 30)) + 0.1)
+    points = [PointEmitter(60.0, 0.0, 80.0), PointEmitter(-3.0, 2.0, 250.0, 0.5)]
+    pixels, pitch = 48, 10.0 / 48
+    eis, report = capture_with_report(Scene(points=points, planes=[plane]), cfg, pixels,
+                                      pixels, pixel_pitch_mm=pitch)
+    # the points are splatted before the plane is added, as in capture
+    expected, point_report = capture_with_report(Scene(points=points), cfg, pixels, pixels,
+                                                 pixel_pitch_mm=pitch)
+    coords = (np.arange(pixels) - (pixels - 1) / 2.0) * pitch
+    missed = 0
+    for p in range(cfg.m):
+        for q in range(cfg.n):
+            cx, cy = cfg.lenslet_center(p, q)
+            view = plane.sample(cx - coords[None, :] * plane.z_mm / cfg.gap_mm,
+                                cy - coords[::-1, None] * plane.z_mm / cfg.gap_mm)
+            expected.images[p, q] += view
+            missed += not np.any(view)
+    assert 0 < missed < cfg.m * cfg.n
+    np.testing.assert_array_equal(eis.images, expected.images)
+    assert report.vignetted > 0
+    assert (report.splatted, report.vignetted) == (point_report.splatted, point_report.vignetted)
