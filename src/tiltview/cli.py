@@ -8,6 +8,7 @@ configs stay honest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -25,6 +26,10 @@ from .resolution import extract_fov, scan_resolution, write_curve_csv, write_fov
 from .scene import PointEmitter, Scene, TexturedPlane, capture_with_report
 
 log = logging.getLogger("tiltview")
+
+
+#: The capture's geometry: every field of OpticalSystemConfig.
+OPTICAL_SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(OpticalSystemConfig))
 
 
 class ConfigError(ValueError):
@@ -62,9 +67,7 @@ class RunConfig:
         if "optical_system" not in doc:
             raise ConfigError("config is missing the optical_system block")
         opt = dict(doc["optical_system"])
-        _strict(opt, {"m", "n", "pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm",
-                      "wavelength_nm", "aperture_shape", "focus_epsilon",
-                      "z_i_override_mm"}, "optical_system")
+        _strict(opt, {*OPTICAL_SYSTEM_KEYS, "z_i_override_mm"}, "optical_system")
         z_i_override = opt.pop("z_i_override_mm", None)
         cfg = OpticalSystemConfig(**opt)
         plane = None
@@ -162,8 +165,7 @@ def cmd_reconstruct(args) -> int:
         focus_epsilon=run.optical_system.focus_epsilon)
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
               f"config {getattr(run.optical_system, key)!r})"
-              for key in ("m", "n", "pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm",
-                          "wavelength_nm", "aperture_shape", "focus_epsilon")
+              for key in OPTICAL_SYSTEM_KEYS
               if getattr(eis.capture_config, key) != getattr(run.optical_system, key)]
     if differ:
         raise ConfigError(f"the config's optical_system differs from the capture's: "
@@ -177,7 +179,7 @@ def cmd_reconstruct(args) -> int:
     plane = TiltedPlaneSpec(theta_x, theta_y, D, plane.grid)
     recon = reconstruct(
         eis, plane, mode=args.mode, strip_width_mm=args.strip_width_mm,
-        z_i_override_mm=run.z_i_override_mm, impulse_psf=args.impulse_psf)
+        z_i_override_mm=run.z_i_override_mm)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     peak = float(recon.field.values.max())
@@ -236,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     recon.add_argument("--theta-y-deg", dest="theta_y_deg", type=float, default=None)
     recon.add_argument("--D-mm", dest="D_mm", type=float, default=None)
     recon.add_argument("--out", required=True)
-    recon.add_argument("--impulse-psf", action="store_true",
-                       help="debug: replace the defocus PSF with a discrete delta")
     recon.add_argument("--strip-width-mm", type=float, default=None)
     recon.add_argument("--workers", type=int, default=1,
                        help="ignored; accepted for existing command lines")

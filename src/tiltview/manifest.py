@@ -80,6 +80,12 @@ def load_elemental_set(manifest_path, aperture_shape: str = "ellipse",
     seen = set()
     for entry in man["images"]:
         p, q = entry["p"], entry["q"]
+        # bool is an int subclass, and numpy reads a bool index as a mask, not a position
+        if not (type(p) is int and type(q) is int and 0 <= p < cfg.m and 0 <= q < cfg.n):
+            raise ValueError(f"{path}: image entry (p={p!r}, q={q!r}) is not a lenslet "
+                             f"of the {cfg.m} x {cfg.n} array")
+        if (p, q) in seen:
+            raise ValueError(f"{path}: image entry (p={p}, q={q}) is listed more than once")
         img = read_pgm(path.parent / entry["file"]).astype(float)
         if img.shape != shape:
             raise ValueError(

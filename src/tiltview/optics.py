@@ -25,6 +25,10 @@ class FocusedModeError(ValueError):
     """Raised when a finite-focus formula is evaluated on a collimated beam."""
 
 
+class OutOfHalfSpaceError(ValueError):
+    """Raised when a plane reaches at or behind the lens array (z <= 0)."""
+
+
 class UnderResolvedGridError(ValueError):
     """Raised when a sampling grid is too coarse for the narrowest beam."""
 
@@ -96,7 +100,6 @@ class OpticalSystemConfig:
     wavelength_nm: float = 550.0
     aperture_shape: str = "ellipse"
     focus_epsilon: float = 1e-6
-    strict_wavelength: bool = True
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -106,11 +109,9 @@ class OpticalSystemConfig:
                 raise ValueError(f"{name} must be positive")
         if self.aperture_shape not in ("ellipse", "rectangle"):
             raise ValueError(f"aperture_shape must be 'ellipse' or 'rectangle', got {self.aperture_shape!r}")
-        if self.strict_wavelength and not 380.0 <= self.wavelength_nm <= 780.0:
+        if not 380.0 <= self.wavelength_nm <= 780.0:
             raise ValueError(
-                f"wavelength {self.wavelength_nm} nm outside the visible band [380, 780]; "
-                "pass strict_wavelength=False to override"
-            )
+                f"wavelength {self.wavelength_nm} nm outside the visible band [380, 780]")
         if self.focus_epsilon <= 0:
             raise ValueError("focus_epsilon must be positive")
 
@@ -164,11 +165,8 @@ class BeamParameters:
     waist_y_mm: float
     rayleigh_x_mm: float
     rayleigh_y_mm: float
-    power: float = 1.0
 
     def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError("beam power must be positive")
         if self.waist_x_mm <= 0 or self.waist_y_mm <= 0:
             raise ValueError("waists must be positive")
         finite_focus = math.isfinite(self.z_focus_mm)
@@ -176,8 +174,8 @@ class BeamParameters:
             raise ValueError("Rayleigh ranges must be finite exactly when the focus is finite")
 
     @classmethod
-    def from_config(cls, cfg: OpticalSystemConfig, z_i_override_mm: float | None = None,
-                    power: float = 1.0) -> "BeamParameters":
+    def from_config(cls, cfg: OpticalSystemConfig,
+                    z_i_override_mm: float | None = None) -> "BeamParameters":
         z_i = cfg.image_distance_mm() if z_i_override_mm is None else float(z_i_override_mm)
         if not math.isfinite(z_i):
             # Focused mode: each pixel maps to a collimated bundle as wide as
@@ -188,7 +186,6 @@ class BeamParameters:
                 waist_y_mm=cfg.pitch_y_mm / 2.0,
                 rayleigh_x_mm=math.inf,
                 rayleigh_y_mm=math.inf,
-                power=power,
             )
         lam = cfg.wavelength_mm
         w0x = waist_at_focus(lam, z_i, cfg.pitch_x_mm)
@@ -199,7 +196,6 @@ class BeamParameters:
             waist_y_mm=w0y,
             rayleigh_x_mm=rayleigh_range(w0x, lam),
             rayleigh_y_mm=rayleigh_range(w0y, lam),
-            power=power,
         )
 
     @property
@@ -265,13 +261,19 @@ class TiltedPlaneSpec:
 
 
 def tilted_to_global(x_t, y_t, plane: TiltedPlaneSpec):
-    """Map tilted-plane coordinates (x_t, y_t) to global (x, y, z)."""
+    """Map tilted-plane coordinates (x_t, y_t) to global (x, y, z).
+
+    This is the one depth expression of the package. Every point must lie in
+    front of the lens array: ``OutOfHalfSpaceError`` is raised when z <= 0.
+    """
     tx, ty = plane.theta_x_rad, plane.theta_y_rad
     x_t = np.asarray(x_t, dtype=float)
     y_t = np.asarray(y_t, dtype=float)
     x = x_t * math.cos(tx)
     y = y_t * math.cos(ty)
-    z = plane.axial_offset_mm + x_t * math.sin(tx) + y_t * math.sin(ty)  # as reconstruction._depth
+    z = plane.axial_offset_mm + x_t * math.sin(tx) + y_t * math.sin(ty)
+    if np.any(z <= 0):
+        raise OutOfHalfSpaceError("plane reaches at or behind the lens array (depth <= 0)")
     if x.ndim == 0:
         return float(x), float(y), float(z)
     return x, y, z

@@ -10,13 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import OpticalSystemConfig, ScalarField2D, TiltedPlaneSpec
+from .optics import (  # noqa: F401 - OutOfHalfSpaceError is re-exported
+    OpticalSystemConfig,
+    OutOfHalfSpaceError,
+    ScalarField2D,
+    TiltedPlaneSpec,
+    tilted_to_global,
+)
 
 log = logging.getLogger(__name__)
-
-
-class OutOfHalfSpaceError(ValueError):
-    """Raised when a reconstruction plane reaches behind the lens array."""
 
 
 @dataclass
@@ -124,22 +126,11 @@ class Reconstruction:
     mode: str
 
 
-def _depth(x_t, y_t, plane: TiltedPlaneSpec) -> np.ndarray:
-    """Axial depth of tilted-plane points, which must lie in front of the array."""
-    depth = (plane.axial_offset_mm
-             + np.asarray(x_t, dtype=float) * math.sin(plane.theta_x_rad)
-             + np.asarray(y_t, dtype=float) * math.sin(plane.theta_y_rad))
-    if np.any(depth <= 0):
-        raise OutOfHalfSpaceError("plane reaches at or behind the lens array (depth <= 0)")
-    return depth
-
-
 def magnification(x_t, y_t, plane: TiltedPlaneSpec, g_mm: float):
     """Local lenslet magnification (depth of the plane point over the gap)."""
     if g_mm <= 0:
         raise ValueError("gap must be positive")
-    out = _depth(x_t, y_t, plane) / g_mm
-    return float(out) if out.ndim == 0 else out
+    return tilted_to_global(x_t, y_t, plane)[2] / g_mm
 
 
 def _reach(g_axis: np.ndarray, centers: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -163,10 +154,8 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     g = cfg.gap_mm
     xs, ys = plane.grid.xs(), plane.grid.ys()
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    depth = _depth(X, Y, plane)
+    gx, gy, depth = tilted_to_global(X, Y, plane)
     M = depth / g
-    gx = X * math.cos(plane.theta_x_rad)  # global lateral coordinates of the plane samples
-    gy = Y * math.cos(plane.theta_y_rad)
     axial2 = (depth + g) ** 2
     lateral_scale = (1.0 + 1.0 / M) ** 2
     m_max, pitch = float(M.max()), eis.pixel_pitch_mm
@@ -340,18 +329,14 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
 
 def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
                       cfg: OpticalSystemConfig, z_i_mm: float,
-                      strip_width_mm: float | None = None,
-                      impulse: bool = False) -> ScalarField2D:
+                      strip_width_mm: float | None = None) -> ScalarField2D:
     """Spatially varying convolution with the defocus PSF.
 
     The plane is partitioned into strips of approximately constant depth;
     each strip is convolved with the PSF of its central depth and the strips
-    are blended with a linear cross-fade of one strip overlap. With
-    ``impulse=True`` the kernel is a discrete delta and the field is
-    returned unchanged.
+    are blended with a linear cross-fade of one strip overlap. An untilted
+    plane, or one strip wider than the plane, is a single strip at depth D.
     """
-    if impulse:
-        return ScalarField2D(field.values.copy(), field.xs, field.ys, field.sample_pitch_mm)
     X, Y = field.meshgrid()
     t = X * math.sin(plane.theta_x_rad) + Y * math.sin(plane.theta_y_rad)
     grad = abs(math.sin(plane.theta_x_rad)) + abs(math.sin(plane.theta_y_rad))
@@ -360,10 +345,7 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
         strip_width_mm = (0.02 * plane.axial_offset_mm / grad) if grad > 0 else math.inf
     elif strip_width_mm < field.sample_pitch_mm:
         raise ValueError("strip width must be at least the plane sample pitch")
-    if grad == 0 or strip_width_mm == math.inf:
-        strips = [(0.0, np.ones_like(field.values))]
-    else:
-        strips = _strip_weights(t, strip_width_mm)
+    strips = _strip_weights(t, strip_width_mm)
     # kernels are cropped to the field: a far-defocus disk wider than it costs no more
     half_span = max(
         float(field.xs[-1] - field.xs[0]),
@@ -383,13 +365,11 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
 
 def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geometric",
                 strip_width_mm: float | None = None,
-                z_i_override_mm: float | None = None,
-                impulse_psf: bool = False) -> Reconstruction:
+                z_i_override_mm: float | None = None) -> Reconstruction:
     """Reconstruct the scene on a tilted plane, geometrically or with blur.
 
     Diffraction mode convolves the back-projected field strip-by-strip with
-    the shared defocus PSF; with an impulse kernel it reduces exactly to the
-    geometric mode.
+    the shared defocus PSF.
     """
     if mode not in ("geometric", "diffraction"):
         raise ValueError(f"mode must be 'geometric' or 'diffraction', got {mode!r}")
@@ -398,6 +378,5 @@ def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geo
         return recon
     cfg = eis.capture_config
     z_i = cfg.image_distance_mm() if z_i_override_mm is None else float(z_i_override_mm)
-    blurred = apply_diffraction(recon.field, plane, cfg, z_i,
-                                strip_width_mm=strip_width_mm, impulse=impulse_psf)
+    blurred = apply_diffraction(recon.field, plane, cfg, z_i, strip_width_mm=strip_width_mm)
     return Reconstruction(plane=plane, field=blurred, mode="diffraction")

@@ -116,7 +116,7 @@ def point_source_intensity(x_t, y_t, p: int, q, D_mm: float,
     wy = beam.width_y(z_loc)
     d = lenslet_pixel_distance(p, q, D_mm, cfg.gap_mm, cfg)
     weight = (D_mm + cfg.gap_mm) ** 2 / d**2
-    amp = 2.0 * beam.power / (math.pi * wx * wy) * weight
+    amp = 2.0 / (math.pi * wx * wy) * weight
     arg = (x_t * np.cos(tpx)) ** 2 / wx**2 + (y_t * np.cos(tpy)) ** 2 / wy**2
     return _float_if_scalar(amp * np.exp(-2.0 * arg))
 
@@ -155,13 +155,11 @@ def aggregate_spot(plane: TiltedPlaneSpec, D_mm: float, cfg: OpticalSystemConfig
     return SpotProfile(plane=plane, intensity=field, source_depth_mm=D_mm)
 
 
-def radial_extent(spot) -> float:
+def radial_extent(field: ScalarField2D) -> float:
     """Normalized radial second moment sqrt(<x^2 + y^2>) of an intensity field.
 
-    Accepts a SpotProfile or a bare ScalarField2D; invariant under uniform
-    intensity rescaling.
+    Invariant under uniform intensity rescaling.
     """
-    field = spot.intensity if isinstance(spot, SpotProfile) else spot
     total = field.values.sum()
     if total <= 0:
         raise DegenerateFieldError("radial extent is undefined for an all-zero field")
@@ -212,7 +210,7 @@ def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
         ty = float(theta) if axis in ("y", "diagonal") else 0.0
         plane = TiltedPlaneSpec(tx, ty, D_mm, grid)
         spot = aggregate_spot(plane, D_mm, cfg, beam)
-        samples.append((tx, ty, radial_extent(spot)))
+        samples.append((tx, ty, radial_extent(spot.intensity)))
     return ResolutionCurve(samples=tuple(samples), config_digest=cfg.digest())
 
 

@@ -1,5 +1,6 @@
 """Tests for PGM I/O, the manifest format and the command-line surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -136,6 +137,34 @@ def test_manifest_missing_image_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="missing"):
         manifest_io.load_elemental_set(path)
+
+
+BAD_ENTRIES = [
+    pytest.param({"p": -1, "q": 0}, "not a lenslet", id="p=-1"),
+    pytest.param({"p": 4, "q": 0}, "not a lenslet", id="p=m"),
+    pytest.param({"p": 0, "q": -1}, "not a lenslet", id="q=-1"),
+    pytest.param({"p": 0, "q": 4}, "not a lenslet", id="q=n"),
+    pytest.param({"p": True, "q": 0}, "not a lenslet", id="p=true"),
+    pytest.param({"p": 0, "q": 1.0}, "not a lenslet", id="q=1.0"),
+    pytest.param({"p": 1, "q": 2}, "more than once", id="repeated"),
+]
+
+
+def _add_manifest_entry(path, entry):
+    doc = json.loads(path.read_text())
+    doc["images"].append(dict(entry, file="e_00_00.pgm"))
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entry, message", BAD_ENTRIES)
+def test_manifest_rejects_bad_entry(tmp_path, entry, message):
+    # a full set plus one entry that would overwrite another image
+    eis = capture(point_source_scene(200.0), cfg4(), 8, 8, pixel_pitch_mm=1.0)
+    path = manifest_io.save_elemental_set(eis, tmp_path)
+    _add_manifest_entry(path, entry)
+    with pytest.raises(ValueError, match=message) as err:
+        manifest_io.load_elemental_set(path)
+    assert str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +310,6 @@ def test_cli_flags_override_config(tmp_path):
     assert sidecar["D_mm"] == 210.0
 
 
-def test_cli_impulse_diffraction_matches_geometric(tmp_path):
-    config = write_config(
-        tmp_path,
-        plane={"theta_x_deg": 5.0, "D_mm": 200.0,
-               "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
-                        "sample_pitch_mm": 0.2}},
-    )
-    scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
-    out = tmp_path / "cap"
-    main(["synth", "--config", str(config), "--scene", str(scene),
-          "--out", str(out), "--pixel-pitch-mm", "0.15"])
-    geo = tmp_path / "geo.pgm"
-    imp = tmp_path / "imp.pgm"
-    manifest = str(out / "manifest.json")
-    main(["reconstruct", "--config", str(config), "--manifest", manifest,
-          "--mode", "geometric", "--out", str(geo)])
-    main(["reconstruct", "--config", str(config), "--manifest", manifest,
-          "--mode", "diffraction", "--impulse-psf", "--out", str(imp)])
-    assert geo.read_bytes() == imp.read_bytes()
-
-
 def test_cli_reconstruct_ignores_workers(tmp_path):
     config = write_config(
         tmp_path,
@@ -338,7 +346,16 @@ def test_cli_reconstruct_diffraction_far_from_focus(tmp_path):
     assert json.loads(img.with_suffix(".json").read_text())["mode"] == "diffraction"
 
 
-def test_cli_reconstruct_rejects_config_of_another_capture(tmp_path, caplog):
+def _other_value(value):
+    """A valid value of the same type that differs from ``value``."""
+    if isinstance(value, str):
+        return "rectangle" if value == "ellipse" else "ellipse"
+    return value + 1 if isinstance(value, int) else value * 1.25
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(OpticalSystemConfig),
+                         ids=lambda f: f.name)
+def test_cli_reconstruct_rejects_config_of_another_capture(tmp_path, caplog, field):
     plane = {"D_mm": 200.0, "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
                                      "sample_pitch_mm": 0.2}}
     config = write_config(tmp_path, plane=plane)
@@ -347,7 +364,8 @@ def test_cli_reconstruct_rejects_config_of_another_capture(tmp_path, caplog):
     assert main(["synth", "--config", str(config), "--scene", str(scene),
                  "--out", str(out), "--pixel-pitch-mm", "0.15"]) == 0
     doc = json.loads(config.read_text())
-    doc["optical_system"]["gap_mm"] = 51.0
+    value = getattr(RunConfig.from_file(config).optical_system, field.name)
+    doc["optical_system"][field.name] = _other_value(value)
     other = tmp_path / "other.json"
     other.write_text(json.dumps(doc))
     img = tmp_path / "r.pgm"
@@ -355,8 +373,26 @@ def test_cli_reconstruct_rejects_config_of_another_capture(tmp_path, caplog):
                "--manifest", str(out / "manifest.json"), "--out", str(img)])
     assert rc == 1
     assert not img.exists()
-    assert "gap_mm (manifest 50.0, config 51.0)" in caplog.text
-    assert "pitch_x_mm" not in caplog.text
+    assert f"{field.name} (manifest {value!r}, config {_other_value(value)!r})" in caplog.text
+    assert caplog.text.count(" (manifest ") == 1
+
+
+@pytest.mark.parametrize("entry, message", BAD_ENTRIES)
+def test_cli_reconstruct_rejects_bad_manifest_entry(tmp_path, caplog, entry, message):
+    config = write_config(tmp_path, plane={
+        "D_mm": 200.0, "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
+                                "sample_pitch_mm": 0.2}})
+    scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
+    out = tmp_path / "cap"
+    assert main(["synth", "--config", str(config), "--scene", str(scene),
+                 "--out", str(out), "--pixel-pitch-mm", "0.15"]) == 0
+    _add_manifest_entry(out / "manifest.json", entry)
+    img = tmp_path / "r.pgm"
+    rc = main(["reconstruct", "--config", str(config),
+               "--manifest", str(out / "manifest.json"), "--out", str(img)])
+    assert rc == 1
+    assert not img.exists()
+    assert message in caplog.text
 
 
 def test_cli_reconstruct_checks_aperture_and_focus_epsilon(tmp_path, caplog):

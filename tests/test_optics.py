@@ -222,11 +222,9 @@ def test_config_validation():
         _cfg(pitch_x_mm=-1.0)
     with pytest.raises(ValueError):
         _cfg(aperture_shape="hexagon")
-    with pytest.raises(ValueError):
+    # the visible-band check always applies
+    with pytest.raises(ValueError, match="visible band"):
         _cfg(wavelength_nm=1064.0)
-    # the visible-band check is advisory and can be disabled
-    cfg = _cfg(wavelength_nm=1064.0, strict_wavelength=False)
-    assert cfg.wavelength_mm == pytest.approx(1.064e-3)
 
 
 def test_config_digest_distinguishes_configs():

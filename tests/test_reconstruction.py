@@ -13,7 +13,7 @@ from scipy.signal import fftconvolve as scipy_fftconvolve
 from scipy.special import j1
 
 from tiltview.optics import OpticalSystemConfig, PlaneGrid, ScalarField2D, TiltedPlaneSpec
-from tiltview import reconstruction
+from tiltview import optics, reconstruction
 from tiltview.reconstruction import (
     ElementalImageSet,
     OutOfHalfSpaceError,
@@ -66,6 +66,10 @@ def test_magnification_origin_is_axial(tx, ty):
 def test_magnification_behind_array_rejected():
     with pytest.raises(OutOfHalfSpaceError):
         magnification(-300.0, 0.0, plane_at(100.0, tx=30.0), 50.0)
+    # the check lives in tilted_to_global, the one depth expression
+    assert OutOfHalfSpaceError is optics.OutOfHalfSpaceError
+    with pytest.raises(OutOfHalfSpaceError):
+        optics.tilted_to_global(-300.0, 0.0, plane_at(100.0, tx=30.0))
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +458,6 @@ def _delta_field(hw=2.0, pitch=0.05):
     return ScalarField2D(values, xs, ys, pitch)
 
 
-def test_apply_diffraction_impulse_is_identity():
-    cfg = small_config()
-    field = _delta_field()
-    plane = plane_at(360.0, tx=20.0, hw=2.0, pitch=0.05)
-    out = apply_diffraction(field, plane, cfg, 360.0, impulse=True)
-    np.testing.assert_array_equal(out.values, field.values)
-    assert out.values is not field.values
-
-
 def test_delta_field_blurs_to_psf():
     cfg = small_config()
     field = _delta_field(hw=1.0, pitch=0.01)
@@ -489,7 +484,8 @@ def test_untilted_plane_uses_single_strip():
 
 @pytest.mark.parametrize("width", [0.3, 1.0, 2.5])
 def test_strip_weights_partition_unity(width):
-    # the impulse path returns before any strip is made, so check the blend here
+    # the blend weights alone; test_impulse_diffraction_equals_geometric runs them
+    # through apply_diffraction
     plane = plane_at(300.0, tx=17.0, ty=-23.0, hw=12.0, pitch=0.25)
     X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
     t = X * math.sin(plane.theta_x_rad) + Y * math.sin(plane.theta_y_rad)
@@ -544,13 +540,28 @@ def test_reconstruct_mode_validation():
         reconstruct(eis, plane_at(200.0), mode="fancy")
 
 
-def test_impulse_diffraction_equals_geometric():
+def test_impulse_diffraction_equals_geometric(monkeypatch):
+    # With a 1x1 unit kernel in place of the defocus PSF, the strip blend and
+    # the FFT convolution still run and must give back the geometric field.
+    # FFT round-off is absolute, so the bound is relative to the field maximum.
+    depths = []
+
+    def unit_psf(cfg, z_local_mm, z_i_mm, sample_pitch_mm, max_half_width_mm):
+        depths.append(z_local_mm)
+        return PSFKernel(samples=np.ones((1, 1)), sample_pitch_mm=sample_pitch_mm,
+                         defocus_distance_mm=z_local_mm, subpixels=1, pupil_samples=1,
+                         window_energy=1.0)
+
+    monkeypatch.setattr(reconstruction, "defocus_psf", unit_psf)
     cfg = small_config()
-    eis = capture(point_source_scene(200.0), cfg, 64, 64, pixel_pitch_mm=0.15)
-    plane = plane_at(200.0, tx=15.0, hw=3.0, pitch=0.05)
+    eis = capture(point_source_scene(300.0), cfg, 64, 64, pixel_pitch_mm=0.15)
+    plane = plane_at(300.0, tx=17.0, ty=-23.0, hw=12.0, pitch=0.25)
     geo = reconstruct(eis, plane, mode="geometric")
-    imp = reconstruct(eis, plane, mode="diffraction", impulse_psf=True)
-    np.testing.assert_allclose(imp.field.values, geo.field.values, rtol=1e-12)
+    imp = reconstruct(eis, plane, mode="diffraction", strip_width_mm=1.0)
+    assert len(depths) == 18
+    peak = geo.field.values.max()
+    assert peak > 0
+    assert np.abs(imp.field.values - geo.field.values).max() <= 1e-12 * peak
     assert geo.mode == "geometric" and imp.mode == "diffraction"
 
 
