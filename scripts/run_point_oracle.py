@@ -32,8 +32,7 @@ def main() -> int:
                       mode="diffraction", z_i_override_mm=360.0)
     measured = radial_extent(rec.field)
 
-    curve = scan_resolution(cfg, D, "x", -1.0, 1.0, 3,
-                            z_i_override_mm=360.0, plane_grid=grid)
+    curve = scan_resolution(cfg, D, "x", -1.0, 1.0, 3, z_i_override_mm=360.0)
     predicted = curve.extents()[1]
 
     print(f"reconstructed spot extent: {measured * 1e3:8.2f} um")

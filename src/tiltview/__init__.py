@@ -34,6 +34,7 @@ from .resolution import (
     point_source_intensity,
     radial_extent,
     scan_resolution,
+    spot_extent,
 )
 from .scene import Scene, capture, point_source_scene
 
@@ -67,6 +68,7 @@ __all__ = [
     "rayleigh_range",
     "reconstruct",
     "scan_resolution",
+    "spot_extent",
     "tilted_to_global",
     "waist_at_focus",
 ]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import manifest as manifest_io
-from .optics import OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec
+from .optics import ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, require_keys
 from .pgm import MAXVAL_16, read_pgm, write_pgm16
 from .reconstruction import reconstruct
 from .resolution import extract_fov, scan_resolution, write_curve_csv, write_fov_json
@@ -30,10 +30,10 @@ log = logging.getLogger("tiltview")
 
 #: The capture's geometry: every field of OpticalSystemConfig.
 OPTICAL_SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(OpticalSystemConfig))
-
-
-class ConfigError(ValueError):
-    pass
+#: The optical-system keys without a default.
+REQUIRED_OPTICAL_SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(OpticalSystemConfig)
+                                     if f.default is dataclasses.MISSING)
+GRID_KEYS = ("half_width_x_mm", "half_width_y_mm", "sample_pitch_mm")
 
 
 def _strict(doc: dict, allowed: set[str], context: str) -> None:
@@ -64,18 +64,20 @@ class RunConfig:
         with open(path) as fh:
             doc = json.load(fh)
         _strict(doc, {"optical_system", "plane", "scan", "io"}, "config")
-        if "optical_system" not in doc:
-            raise ConfigError("config is missing the optical_system block")
+        require_keys(doc, ("optical_system",), "the config", path)
         opt = dict(doc["optical_system"])
         _strict(opt, {*OPTICAL_SYSTEM_KEYS, "z_i_override_mm"}, "optical_system")
+        require_keys(opt, REQUIRED_OPTICAL_SYSTEM_KEYS, "the optical_system block", path)
         z_i_override = opt.pop("z_i_override_mm", None)
         cfg = OpticalSystemConfig(**opt)
         plane = None
         if "plane" in doc:
             pl = dict(doc["plane"])
             _strict(pl, {"theta_x_deg", "theta_y_deg", "D_mm", "grid"}, "plane")
+            require_keys(pl, ("D_mm", "grid"), "the plane block", path)
             grid = dict(pl["grid"])
-            _strict(grid, {"half_width_x_mm", "half_width_y_mm", "sample_pitch_mm"}, "plane.grid")
+            _strict(grid, set(GRID_KEYS), "plane.grid")
+            require_keys(grid, GRID_KEYS, "the plane.grid block", path)
             plane = TiltedPlaneSpec(
                 theta_x_deg=pl.get("theta_x_deg", 0.0),
                 theta_y_deg=pl.get("theta_y_deg", 0.0),

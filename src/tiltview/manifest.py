@@ -12,11 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .optics import OpticalSystemConfig
+from .optics import OpticalSystemConfig, require_keys
 from .pgm import MAXVAL_16, read_pgm, write_pgm16
 from .reconstruction import ElementalImageSet
 
 MANIFEST_NAME = "manifest.json"
+#: Keys every manifest holds; ``aperture_shape`` and ``focus_epsilon`` may be
+#: absent from one written before they were stored.
+REQUIRED_KEYS = ("m", "n", "pitch_x_mm", "pitch_y_mm", "g_mm", "f_mm", "wavelength_nm",
+                 "pixel_pitch_mm", "pixels_x", "pixels_y", "images")
 
 
 def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
@@ -64,6 +68,7 @@ def load_elemental_set(manifest_path, aperture_shape: str = "ellipse",
     path = Path(manifest_path)
     with open(path) as fh:
         man = json.load(fh)
+    require_keys(man, REQUIRED_KEYS, "the manifest", path)
     cfg = OpticalSystemConfig(
         m=man["m"],
         n=man["n"],
@@ -79,6 +84,7 @@ def load_elemental_set(manifest_path, aperture_shape: str = "ellipse",
     images = np.zeros((cfg.m, cfg.n) + shape)
     seen = set()
     for entry in man["images"]:
+        require_keys(entry, ("p", "q", "file"), "an image entry", path)
         p, q = entry["p"], entry["q"]
         # bool is an int subclass, and numpy reads a bool index as a mask, not a position
         if not (type(p) is int and type(q) is int and 0 <= p < cfg.m and 0 <= q < cfg.n):

@@ -29,6 +29,17 @@ class OutOfHalfSpaceError(ValueError):
     """Raised when a plane reaches at or behind the lens array (z <= 0)."""
 
 
+class ConfigError(ValueError):
+    """Raised when a config or manifest document has an unknown key or lacks a required one."""
+
+
+def require_keys(doc: dict, keys, block: str, path) -> None:
+    """Raise ``ConfigError`` naming the file, the block and every missing key."""
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ConfigError(f"{path}: {block} is missing required key(s): {', '.join(missing)}")
+
+
 class UnderResolvedGridError(ValueError):
     """Raised when a sampling grid is too coarse for the narrowest beam."""
 

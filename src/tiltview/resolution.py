@@ -72,11 +72,11 @@ def _float_if_scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def lenslet_tilt(p: int, q, D_mm: float, theta_x_deg: float, theta_y_deg: float,
+def lenslet_tilt(p, q, D_mm: float, theta_x_deg: float, theta_y_deg: float,
                  cfg: OpticalSystemConfig):
     """Tilt of lenslet (p, q)'s beam relative to the viewing direction, degrees.
 
-    Broadcasts over an index array ``q``; scalar indices give floats.
+    Broadcasts over index arrays ``p`` and ``q``; scalar indices give floats.
     """
     if D_mm <= 0:
         raise ValueError("source depth must be positive")
@@ -86,17 +86,17 @@ def lenslet_tilt(p: int, q, D_mm: float, theta_x_deg: float, theta_y_deg: float,
     return _float_if_scalar(tpx), _float_if_scalar(tpy)
 
 
-def lenslet_pixel_distance(p: int, q, D_mm: float, g_mm: float, cfg: OpticalSystemConfig):
+def lenslet_pixel_distance(p, q, D_mm: float, g_mm: float, cfg: OpticalSystemConfig):
     """Distance from the on-axis image point to lenslet (p, q)'s elemental pixel.
 
-    Broadcasts over an index array ``q``; scalar indices give a float.
+    Broadcasts over index arrays ``p`` and ``q``; scalar indices give a float.
     """
     cx, cy = cfg.lenslet_center(p, q)
     scale = (D_mm + g_mm) / D_mm
     return _float_if_scalar(np.sqrt((D_mm + g_mm) ** 2 + scale**2 * (cx**2 + cy**2)))
 
 
-def point_source_intensity(x_t, y_t, p: int, q, D_mm: float,
+def point_source_intensity(x_t, y_t, p, q, D_mm: float,
                            cfg: OpticalSystemConfig, beam: BeamParameters,
                            theta_x_deg: float = 0.0, theta_y_deg: float = 0.0):
     """Contribution of lenslet (p, q) to the spot intensity at (x_t, y_t).
@@ -104,8 +104,8 @@ def point_source_intensity(x_t, y_t, p: int, q, D_mm: float,
     A tilted Gaussian centered on the image point, weighted by the
     inverse-square pixel distance so that the central lenslet reproduces the
     untilted on-axis beam intensity exactly. Broadcasts over array inputs,
-    including an index array ``q``: with ``q`` of shape (n, 1, 1) and 2D
-    coordinates, the result holds one plane per lenslet of row ``p``.
+    including index arrays ``p`` and ``q``: with ``q`` of shape (n, 1, 1) and
+    2D coordinates, the result holds one plane per lenslet of row ``p``.
     """
     tpx_deg, tpy_deg = lenslet_tilt(p, q, D_mm, theta_x_deg, theta_y_deg, cfg)
     tpx, tpy = np.radians(tpx_deg), np.radians(tpy_deg)
@@ -167,31 +167,43 @@ def radial_extent(field: ScalarField2D) -> float:
     return float(np.sqrt(((X**2 + Y**2) * field.values).sum() / total))
 
 
-def default_plane_grid(cfg: OpticalSystemConfig, beam: BeamParameters, D_mm: float,
-                       max_theta_deg: float) -> PlaneGrid:
-    """Grid that resolves the waist and spans 6x the widest beam in the scan."""
-    pitch = required_sample_pitch(cfg, beam)
-    cx, cy = cfg.lenslet_centers()
-    spread_x = math.degrees(math.atan(np.abs(cx).max() / D_mm)) if cfg.m > 1 else 0.0
-    spread_y = math.degrees(math.atan(np.abs(cy).max() / D_mm)) if cfg.n > 1 else 0.0
-    tmax = min(89.0, abs(max_theta_deg) + max(spread_x, spread_y))
-    sin_t = math.sin(math.radians(tmax))
-    half_width = 6.0 * max(beam.waist_x_mm, beam.waist_y_mm)
-    for _ in range(16):
-        z_span = D_mm + np.array([-1.0, 1.0]) * half_width * sin_t
-        w = max(float(np.max(beam.width_x(z_span))), float(np.max(beam.width_y(z_span))))
-        new_hw = 6.0 * w
-        if abs(new_hw - half_width) <= 1e-9 * half_width:
-            break
-        half_width = new_hw
-    return PlaneGrid(half_width, half_width, pitch)
+#: Gauss-Hermite rule for each lenslet's Gaussian, one axis: nodes a and
+#: weights multiplied by e^(a^2), so that they integrate the Gaussian itself.
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(8)
+_GH_WEIGHTS = _GH_WEIGHTS * np.exp(_GH_NODES**2)
+
+
+def spot_extent(theta_x_deg: float, theta_y_deg: float, D_mm: float,
+                cfg: OpticalSystemConfig, beam: BeamParameters) -> float:
+    """Normalized radial second moment of the spot, without a plane grid.
+
+    Each lenslet's contribution is integrated by an 8x8 Gauss-Hermite rule
+    whose nodes are scaled to that lenslet's Gaussian at the source depth,
+    x = w_x(D) a / (sqrt(2) cos t_px) and likewise for y. The rule is exact
+    for a constant beam width and keeps the width's change with depth across
+    the tilted spot, the only remaining factor of the integrand.
+    """
+    p = np.arange(cfg.m)[:, None, None, None]
+    q = np.arange(cfg.n)[None, :, None, None]
+    tpx, tpy = lenslet_tilt(p, q, D_mm, theta_x_deg, theta_y_deg, cfg)
+    sx = beam.width_x(D_mm) / (math.sqrt(2.0) * np.cos(np.radians(tpx)))
+    sy = beam.width_y(D_mm) / (math.sqrt(2.0) * np.cos(np.radians(tpy)))
+    x = sx * _GH_NODES[:, None]
+    y = sy * _GH_NODES[None, :]
+    mass = (sx * sy * _GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]
+            * point_source_intensity(x, y, p, q, D_mm, cfg, beam, theta_x_deg, theta_y_deg))
+    return float(np.sqrt((mass * (x**2 + y**2)).sum() / mass.sum()))
 
 
 def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
                     theta_min_deg: float, theta_max_deg: float, steps: int,
                     z_i_override_mm: float | None = None,
                     plane_grid: PlaneGrid | None = None) -> ResolutionCurve:
-    """Radial spot extent versus tilt angle along one scan axis."""
+    """Radial spot extent versus tilt angle along one scan axis.
+
+    Each step's extent comes from ``spot_extent``. ``plane_grid`` is
+    ignored; it is accepted so that existing callers keep working.
+    """
     if steps < 3:
         raise ValueError(f"scan needs at least 3 steps, got {steps}")
     if theta_min_deg >= theta_max_deg:
@@ -201,16 +213,12 @@ def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
     if axis not in ("x", "y", "diagonal"):
         raise ValueError(f"scan axis must be 'x', 'y' or 'diagonal', got {axis!r}")
     beam = BeamParameters.from_config(cfg, z_i_override_mm=z_i_override_mm)
-    extreme = max(abs(theta_min_deg), abs(theta_max_deg))
-    grid = plane_grid or default_plane_grid(cfg, beam, D_mm, extreme)
     thetas = np.linspace(theta_min_deg, theta_max_deg, steps)
     samples = []
     for theta in thetas:
         tx = float(theta) if axis in ("x", "diagonal") else 0.0
         ty = float(theta) if axis in ("y", "diagonal") else 0.0
-        plane = TiltedPlaneSpec(tx, ty, D_mm, grid)
-        spot = aggregate_spot(plane, D_mm, cfg, beam)
-        samples.append((tx, ty, radial_extent(spot.intensity)))
+        samples.append((tx, ty, spot_extent(tx, ty, D_mm, cfg, beam)))
     return ResolutionCurve(samples=tuple(samples), config_digest=cfg.digest())
 
 

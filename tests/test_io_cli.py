@@ -167,6 +167,23 @@ def test_manifest_rejects_bad_entry(tmp_path, entry, message):
     assert str(path) in str(err.value)
 
 
+def test_manifest_missing_key_names_key_and_file(tmp_path):
+    eis = capture(point_source_scene(200.0), cfg4(), 8, 8, pixel_pitch_mm=1.0)
+    path = manifest_io.save_elemental_set(eis, tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["pixels_x"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        manifest_io.load_elemental_set(path)
+    assert str(err.value) == f"{path}: the manifest is missing required key(s): pixels_x"
+    doc["pixels_x"] = 8
+    del doc["images"][5]["file"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        manifest_io.load_elemental_set(path)
+    assert str(err.value) == f"{path}: an image entry is missing required key(s): file"
+
+
 # ---------------------------------------------------------------------------
 # run config / scene files
 
@@ -220,6 +237,28 @@ def test_run_config_z_i_override(tmp_path):
     assert run.z_i_override_mm == 360.0
 
 
+def test_run_config_optical_system_missing_key_names_block_and_file(tmp_path):
+    doc = json.loads(write_config(tmp_path).read_text())
+    del doc["optical_system"]["gap_mm"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_file(path)
+    assert str(err.value) == (
+        f"{path}: the optical_system block is missing required key(s): gap_mm")
+
+
+def test_cli_analyze_plane_missing_key_names_block_and_file(tmp_path, caplog):
+    path = write_config(tmp_path, plane={"grid": {"half_width_x_mm": 1.0, "half_width_y_mm": 1.0,
+                                                  "sample_pitch_mm": 0.1}})
+    with pytest.raises(ConfigError):
+        RunConfig.from_file(path)
+    rc = main(["analyze", "--config", str(path), "--out", str(tmp_path / "scan")])
+    assert rc == 1
+    assert f"{path}: the plane block is missing required key(s): D_mm" in caplog.text
+    assert not (tmp_path / "scan").exists()
+
+
 def write_scene(tmp_path, doc):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
@@ -251,12 +290,6 @@ def test_cli_synth_analyze_reconstruct(tmp_path):
                         "sample_pitch_mm": 0.15}},
         scan={"axis": "x", "theta_min_deg": -10, "theta_max_deg": 10, "steps": 5},
     )
-    # analyze at the beam focus so the default spot grid stays small
-    analyze_doc = json.loads(config.read_text())
-    analyze_doc["optical_system"]["z_i_override_mm"] = 360.0
-    analyze_doc["plane"]["D_mm"] = 360.0
-    analyze_config = tmp_path / "analyze.json"
-    analyze_config.write_text(json.dumps(analyze_doc))
     scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
     out = tmp_path / "cap"
     rc = main(["synth", "--config", str(config), "--scene", str(scene),
@@ -267,7 +300,7 @@ def test_cli_synth_analyze_reconstruct(tmp_path):
     assert len(list(out.glob("e_*.pgm"))) == 16
 
     scan_out = tmp_path / "scan"
-    rc = main(["analyze", "--config", str(analyze_config), "--out", str(scan_out)])
+    rc = main(["analyze", "--config", str(config), "--out", str(scan_out)])
     assert rc == 0
     lines = (scan_out / "curve.csv").read_text().strip().splitlines()
     assert len(lines) == 6  # header + steps rows

@@ -1,6 +1,7 @@
 """Tests for the spot-profile / radial-extent / field-of-view analyzer."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from tiltview.resolution import (
     point_source_intensity,
     radial_extent,
     scan_resolution,
+    spot_extent,
     write_curve_csv,
     write_fov_json,
 )
@@ -299,17 +301,111 @@ def test_scan_axes():
 
 
 def test_tail_truncation_controlled():
-    # doubling the grid half-width moves the extent by well under 1%
+    # doubling the grid half-width moves the grid moment by well under 1%
     cfg = rv_config()
     beam = rv_beam(cfg)
     pitch = beam.waist_x_mm / 4.0
     e = []
     for hw in (0.3, 0.6):
-        grid = PlaneGrid(hw, hw, pitch)
-        curve = scan_resolution(cfg, 360.0, "x", -1, 1, 3,
-                                z_i_override_mm=360.0, plane_grid=grid)
-        e.append(curve.extents()[1])
+        plane = TiltedPlaneSpec(0.0, 0.0, 360.0, PlaneGrid(hw, hw, pitch))
+        e.append(radial_extent(aggregate_spot(plane, 360.0, cfg, beam).intensity))
     assert abs(e[1] - e[0]) / e[0] < 0.01
+
+
+def test_scan_ignores_plane_grid():
+    cfg = rv_config(m=4, n=4)
+    plain = scan_resolution(cfg, 360.0, "x", -10, 10, 3, z_i_override_mm=360.0)
+    gridded = scan_resolution(cfg, 360.0, "x", -10, 10, 3, z_i_override_mm=360.0,
+                              plane_grid=PlaneGrid(0.01, 0.01, 0.005))
+    assert gridded.samples == plain.samples
+
+
+# ---------------------------------------------------------------------------
+# spot_extent: per-lenslet Gauss-Hermite quadrature
+
+
+@pytest.mark.parametrize("theta", [0.0, 40.0, -40.0, 60.0, -60.0])
+def test_spot_extent_matches_grid_oracle(theta):
+    # a window of 12 waists, twice the six-waist span that holds the spot,
+    # sampled at a quarter waist; at +60 deg the most oblique lenslet
+    # (72.5 deg) still has ~7 standard deviations inside it
+    cfg = rv_config()
+    beam = rv_beam(cfg)
+    hw = 12.0 * beam.waist_x_mm
+    plane = TiltedPlaneSpec(theta, 0.0, 360.0, PlaneGrid(hw, hw, beam.waist_x_mm / 4.0))
+    grid = radial_extent(aggregate_spot(plane, 360.0, cfg, beam).intensity)
+    assert spot_extent(theta, 0.0, 360.0, cfg, beam) == pytest.approx(grid, rel=1e-10, abs=0.0)
+
+
+def _extent_by_reference_rule(tx, ty, D_mm, cfg, beam, nodes=32):
+    """The spot moment by a `nodes`-point Gauss-Hermite rule per lenslet,
+    one lenslet at a time."""
+    a, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w * np.exp(a**2)
+    num = den = 0.0
+    for p in range(cfg.m):
+        for q in range(cfg.n):
+            tpx, tpy = lenslet_tilt(p, q, D_mm, tx, ty, cfg)
+            sx = beam.width_x(D_mm) / (math.sqrt(2.0) * math.cos(math.radians(tpx)))
+            sy = beam.width_y(D_mm) / (math.sqrt(2.0) * math.cos(math.radians(tpy)))
+            X, Y = np.meshgrid(sx * a, sy * a, indexing="ij")
+            mass = sx * sy * np.outer(w, w) * point_source_intensity(
+                X, Y, p, q, D_mm, cfg, beam, tx, ty)
+            num += (mass * (X**2 + Y**2)).sum()
+            den += mass.sum()
+    return math.sqrt(num / den)
+
+
+@pytest.mark.parametrize("D_mm, rel", [(360.0, 1e-9), (300.0, 1e-5), (340.0, 1e-5),
+                                       (400.0, 1e-5)])
+def test_spot_extent_matches_reference_rule(D_mm, rel):
+    # away from the 360 mm focus the beam width changes across the tilted
+    # spot; the 8-node rule stays within 2.7e-6 of 32 nodes up to (60, 60)
+    cfg = rv_config()
+    beam = rv_beam(cfg)
+    for tx, ty in [(0.0, 0.0), (40.0, 0.0), (60.0, 0.0), (-60.0, 0.0), (0.0, 60.0),
+                   (60.0, 60.0), (-60.0, -60.0)]:
+        expected = _extent_by_reference_rule(tx, ty, D_mm, cfg, beam)
+        assert spot_extent(tx, ty, D_mm, cfg, beam) == pytest.approx(expected, rel=rel, abs=0.0)
+
+
+@given(
+    m=st.integers(min_value=1, max_value=16),
+    n=st.integers(min_value=1, max_value=16),
+    tx=st.floats(min_value=-60.0, max_value=60.0),
+    ty=st.floats(min_value=-60.0, max_value=60.0),
+    D_mm=st.floats(min_value=500.0, max_value=6000.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_spot_extent_focused_matches_closed_form(m, n, tx, ty, D_mm):
+    # a collimated beam has a constant width, so each lenslet's Gaussian
+    # integrates in closed form: mass weight / (cos t_px cos t_py), x-variance
+    # w^2 / (4 cos^2 t_px), y-variance w^2 / (4 cos^2 t_py)
+    cfg = OpticalSystemConfig(m=m, n=n, pitch_x_mm=10.0, pitch_y_mm=8.0,
+                              gap_mm=35.0, focal_length_mm=35.0)
+    beam = BeamParameters.from_config(cfg)
+    wx, wy = cfg.pitch_x_mm / 2.0, cfg.pitch_y_mm / 2.0
+    cx, cy = cfg.lenslet_centers()
+    CX, CY = np.meshgrid(cx, cy, indexing="ij")
+    g = cfg.gap_mm
+    weight = (D_mm + g) ** 2 / ((D_mm + g) ** 2 + ((D_mm + g) / D_mm) ** 2 * (CX**2 + CY**2))
+    cos_x = np.cos(math.radians(tx) - np.arctan(CX / D_mm))
+    cos_y = np.cos(math.radians(ty) - np.arctan(CY / D_mm))
+    mass = weight / (cos_x * cos_y)
+    var = wx**2 / (4.0 * cos_x**2) + wy**2 / (4.0 * cos_y**2)
+    expected = math.sqrt((mass * var).sum() / mass.sum())
+    assert spot_extent(tx, ty, D_mm, cfg, beam) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_off_focus_scan_is_fast():
+    # 300 mm from a 360 mm focus a plane grid that holds the spot at the
+    # waist-resolving pitch has ~930^2 samples and took ~15 s per step
+    cfg = rv_config()
+    t0 = time.perf_counter()
+    curve = scan_resolution(cfg, 300.0, "x", -40, 40, 81, z_i_override_mm=360.0)
+    elapsed = time.perf_counter() - t0
+    assert len(curve.samples) == 81 and np.all(np.isfinite(curve.extents()))
+    assert elapsed < 10.0
 
 
 # ---------------------------------------------------------------------------
