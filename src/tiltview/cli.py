@@ -36,10 +36,11 @@ REQUIRED_OPTICAL_SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(OpticalS
 GRID_KEYS = ("half_width_x_mm", "half_width_y_mm", "sample_pitch_mm")
 
 
-def _strict(doc: dict, allowed: set[str], context: str) -> None:
+def _strict(doc: dict, allowed: set[str], block: str, path) -> None:
+    """Raise ``ConfigError`` naming the file, the block and every unknown key."""
     unknown = set(doc) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"{path}: {block} has unknown key(s): {', '.join(sorted(unknown))}")
 
 
 @dataclass
@@ -63,20 +64,21 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         with open(path) as fh:
             doc = json.load(fh)
-        _strict(doc, {"optical_system", "plane", "scan", "io"}, "config")
+        _strict(doc, {"optical_system", "plane", "scan", "io"}, "the config", path)
         require_keys(doc, ("optical_system",), "the config", path)
         opt = dict(doc["optical_system"])
-        _strict(opt, {*OPTICAL_SYSTEM_KEYS, "z_i_override_mm"}, "optical_system")
+        _strict(opt, {*OPTICAL_SYSTEM_KEYS, "z_i_override_mm"}, "the optical_system block",
+                path)
         require_keys(opt, REQUIRED_OPTICAL_SYSTEM_KEYS, "the optical_system block", path)
         z_i_override = opt.pop("z_i_override_mm", None)
         cfg = OpticalSystemConfig(**opt)
         plane = None
         if "plane" in doc:
             pl = dict(doc["plane"])
-            _strict(pl, {"theta_x_deg", "theta_y_deg", "D_mm", "grid"}, "plane")
+            _strict(pl, {"theta_x_deg", "theta_y_deg", "D_mm", "grid"}, "the plane block", path)
             require_keys(pl, ("D_mm", "grid"), "the plane block", path)
             grid = dict(pl["grid"])
-            _strict(grid, set(GRID_KEYS), "plane.grid")
+            _strict(grid, set(GRID_KEYS), "the plane.grid block", path)
             require_keys(grid, GRID_KEYS, "the plane.grid block", path)
             plane = TiltedPlaneSpec(
                 theta_x_deg=pl.get("theta_x_deg", 0.0),
@@ -88,12 +90,12 @@ class RunConfig:
         if "scan" in doc:
             sc = dict(doc["scan"])
             _strict(sc, {"axis", "theta_min_deg", "theta_max_deg", "steps", "threshold_ratio"},
-                    "scan")
+                    "the scan block", path)
             scan = ScanConfig(**sc)
         out_dir = None
         if "io" in doc:
             io_block = dict(doc["io"])
-            _strict(io_block, {"out_dir"}, "io")
+            _strict(io_block, {"out_dir"}, "the io block", path)
             out_dir = io_block.get("out_dir")
         return cls(optical_system=cfg, z_i_override_mm=z_i_override,
                    plane=plane, scan=scan, out_dir=out_dir)
@@ -103,24 +105,34 @@ def load_scene(path) -> Scene:
     base = Path(path).parent
     with open(path) as fh:
         doc = json.load(fh)
-    _strict(doc, {"points", "planes"}, "scene")
+    _strict(doc, {"points", "planes"}, "the scene", path)
     points = []
-    for entry in doc.get("points", []):
-        _strict(entry, {"x_mm", "y_mm", "z_mm", "intensity"}, "scene point")
-        points.append(PointEmitter(
-            x_mm=entry.get("x_mm", 0.0), y_mm=entry.get("y_mm", 0.0),
-            z_mm=entry["z_mm"], intensity=entry.get("intensity", 1.0)))
+    for i, entry in enumerate(doc.get("points", [])):
+        block = f"scene point {i}"
+        _strict(entry, {"x_mm", "y_mm", "z_mm", "intensity"}, block, path)
+        require_keys(entry, ("z_mm",), block, path)
+        try:
+            points.append(PointEmitter(
+                x_mm=entry.get("x_mm", 0.0), y_mm=entry.get("y_mm", 0.0),
+                z_mm=entry["z_mm"], intensity=entry.get("intensity", 1.0)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {block}: {exc}") from exc
     planes = []
-    for entry in doc.get("planes", []):
-        _strict(entry, {"z_mm", "half_width_x_mm", "half_width_y_mm", "texture_file",
-                        "intensity_scale"}, "scene plane")
+    for i, entry in enumerate(doc.get("planes", [])):
+        block = f"scene plane {i}"
+        required = ("z_mm", "half_width_x_mm", "half_width_y_mm", "texture_file")
+        _strict(entry, {*required, "intensity_scale"}, block, path)
+        require_keys(entry, required, block, path)
         texture = read_pgm(base / entry["texture_file"]).astype(float)
-        planes.append(TexturedPlane(
-            z_mm=entry["z_mm"],
-            half_width_x_mm=entry["half_width_x_mm"],
-            half_width_y_mm=entry["half_width_y_mm"],
-            texture=texture,
-            intensity_scale=entry.get("intensity_scale", 1.0)))
+        try:
+            planes.append(TexturedPlane(
+                z_mm=entry["z_mm"],
+                half_width_x_mm=entry["half_width_x_mm"],
+                half_width_y_mm=entry["half_width_y_mm"],
+                texture=texture,
+                intensity_scale=entry.get("intensity_scale", 1.0)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {block}: {exc}") from exc
     return Scene(points=points, planes=planes)
 
 

@@ -66,23 +66,37 @@ class ElementalImageSet:
         (n, 1, 1) samples every image of row ``p`` at once.
         """
         cx, cy = self.capture_config.lenslet_center(p, q)
-        # fractional pixel indices; col 0 at smallest u, row 0 at largest v
-        fc = (np.asarray(u, dtype=float) - cx) / self.pixel_pitch_mm + (self.pixels_x - 1) / 2.0
-        fr = (self.pixels_y - 1) / 2.0 - (np.asarray(v, dtype=float) - cy) / self.pixel_pitch_mm
+        du = np.asarray(u, dtype=float) - cx
+        dv = np.asarray(v, dtype=float) - cy
         img = self.images[p]
-        c0 = np.floor(fc).astype(int)
-        r0 = np.floor(fr).astype(int)
-        wc = fc - c0
-        wr = fr - r0
-        out = np.zeros(np.broadcast(fc, fr).shape, dtype=float)
-        for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            rr = r0 + dr
-            cc = c0 + dc
-            inside = (rr >= 0) & (rr < self.pixels_y) & (cc >= 0) & (cc < self.pixels_x)
-            w = (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc)
-            vals = img[q, np.clip(rr, 0, self.pixels_y - 1), np.clip(cc, 0, self.pixels_x - 1)]
-            out += np.where(inside, w * vals, 0.0)
+        out = np.zeros(np.broadcast(du, dv).shape, dtype=float)
+        for row, col, w, inside in bilinear_corners(du, dv, self.pixel_pitch_mm,
+                                                    self.pixels_y, self.pixels_x):
+            out += np.where(inside, w * img[q, row, col], 0.0)
         return out
+
+
+def pixel_centers(pitch: float, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Display offsets from the image centre of the pixel centres, (du of each
+    column, dv of each row): the inverse of ``bilinear_corners``."""
+    return ((np.arange(cols) - (cols - 1) / 2.0) * pitch,
+            ((rows - 1) / 2.0 - np.arange(rows)) * pitch)
+
+
+def bilinear_corners(du, dv, pitch: float, rows: int, cols: int):
+    """The elemental-pixel model: yields ``(row, col, weight, inside)`` for the
+    4 pixels around display offsets (du, dv) from the image centre, with
+    column 0 at the smallest u and row 0 at the largest v. ``row`` and ``col``
+    are clipped to the image; ``inside`` marks the corners that lie in it."""
+    fc = du / pitch + (cols - 1) / 2.0
+    fr = (rows - 1) / 2.0 - dv / pitch
+    c0, r0 = np.floor(fc).astype(int), np.floor(fr).astype(int)
+    wc, wr = fc - c0, fr - r0
+    for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        rr, cc = r0 + dr, c0 + dc
+        inside = (rr >= 0) & (rr < rows) & (cc >= 0) & (cc < cols)
+        yield (np.clip(rr, 0, rows - 1), np.clip(cc, 0, cols - 1),
+               (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc), inside)
 
 
 @dataclass
@@ -338,7 +352,7 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
     plane, or one strip wider than the plane, is a single strip at depth D.
     """
     X, Y = field.meshgrid()
-    t = X * math.sin(plane.theta_x_rad) + Y * math.sin(plane.theta_y_rad)
+    t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
     grad = abs(math.sin(plane.theta_x_rad)) + abs(math.sin(plane.theta_y_rad))
     if strip_width_mm is None:
         # keep the depth variation below 2% per strip

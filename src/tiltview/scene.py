@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optics import OpticalSystemConfig
-from .reconstruction import ElementalImageSet
+from .reconstruction import ElementalImageSet, bilinear_corners, pixel_centers
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class TexturedPlane:
     def __post_init__(self):
         if self.z_mm <= 0:
             raise ValueError("plane must sit in front of the lens array (z > 0)")
+        if self.half_width_x_mm <= 0 or self.half_width_y_mm <= 0:
+            raise ValueError("plane half widths must be positive")
         object.__setattr__(self, "texture", np.asarray(self.texture, dtype=float))
         if self.texture.ndim != 2:
             raise ValueError("texture must be a 2D array")
@@ -57,13 +59,6 @@ class TexturedPlane:
         fr = (self.half_width_y_mm - np.asarray(y, dtype=float)) \
             / (2 * self.half_width_y_mm) * (rows - 1)
         return fc, fr
-
-    def misses(self, x_min, x_max, y_min, y_max) -> bool:
-        """True when ``sample`` is zero everywhere in the box: no point of it
-        maps inside the texture (the texel coordinates are monotone in x, y)."""
-        rows, cols = self.texture.shape
-        fc, fr = self._texel(np.array([x_min, x_max]), np.array([y_max, y_min]))
-        return bool(fc[1] < 0 or fc[0] > cols - 1 or fr[1] < 0 or fr[0] > rows - 1)
 
     def sample(self, x, y):
         """Bilinear texture lookup at scene coordinates; zero outside extent."""
@@ -121,38 +116,44 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     display plane (with image inversion), splatted bilinearly with
     inverse-square distance falloff; textured planes are sampled per display
     pixel through the inverse mapping. Projections that miss the elemental
-    image are dropped and counted.
+    image are dropped and counted. Emitters are projected through the whole
+    lenslet grid at once; planes are sampled one lenslet row at a time, over
+    the rows and columns whose view reaches the texture.
     """
     if pixels_x < 1 or pixels_y < 1:
         raise ValueError("elemental images need at least one pixel per axis")
     if pixel_pitch_mm is None:
         pixel_pitch_mm = min(cfg.pitch_x_mm / pixels_x, cfg.pitch_y_mm / pixels_y)
-    g = cfg.gap_mm
-    images = np.zeros((cfg.m, cfg.n, pixels_y, pixels_x))
-    report = CaptureReport()
-    col_coords = (np.arange(pixels_x) - (pixels_x - 1) / 2.0) * pixel_pitch_mm
-    row_coords = ((pixels_y - 1) / 2.0 - np.arange(pixels_y)) * pixel_pitch_mm
-    for p in range(cfg.m):
-        for q in range(cfg.n):
-            cx, cy = cfg.lenslet_center(p, q)
-            img = images[p, q]
-            for pt in scene.points:
-                u = cx - (pt.x_mm - cx) * g / pt.z_mm
-                v = cy - (pt.y_mm - cy) * g / pt.z_mm
-                r2 = (pt.x_mm - cx) ** 2 + (pt.y_mm - cy) ** 2 + pt.z_mm**2
-                ok = _splat(img, u - cx, v - cy, pixel_pitch_mm, pt.intensity / r2)
-                if ok:
-                    report.splatted += 1
-                else:
-                    report.vignetted += 1
-            for plane in scene.planes:
-                # display pixel (u, v) sees the plane point on the ray
-                # through the lenslet center
-                px = cx - (col_coords[None, :]) * plane.z_mm / g
-                py = cy - (row_coords[:, None]) * plane.z_mm / g
-                if not plane.misses(px.min(), px.max(), py.min(), py.max()):
-                    img += plane.sample(px, py)
-    eis = ElementalImageSet(images=images, pixel_pitch_mm=pixel_pitch_mm, capture_config=cfg)
+    eis = ElementalImageSet(images=np.zeros((cfg.m, cfg.n, pixels_y, pixels_x)),
+                            pixel_pitch_mm=pixel_pitch_mm, capture_config=cfg)
+    images, report, g = eis.images, CaptureReport(), cfg.gap_mm
+    cx, cy = cfg.lenslet_centers()
+    P, Q = np.ogrid[:cfg.m, :cfg.n]
+    for pt in scene.points:
+        dx, dy = pt.x_mm - cx[P], pt.y_mm - cy[Q]
+        u, v = cx[P] - dx * g / pt.z_mm, cy[Q] - dy * g / pt.z_mm
+        # float_power squares with C pow, as ** on Python floats does (numpy's **
+        # multiplies), so each deposit equals a scalar per-lenslet loop's bit for bit
+        value = pt.intensity / (np.float_power(dx, 2) + np.float_power(dy, 2) + pt.z_mm**2)
+        hit = np.zeros((cfg.m, cfg.n), dtype=bool)
+        for row, col, w, inside in bilinear_corners(u - cx[P], v - cy[Q], pixel_pitch_mm,
+                                                    pixels_y, pixels_x):
+            np.add.at(images, (P, Q, row, col), np.where(inside, value * w, 0.0))
+            hit |= inside
+        report.splatted += int(hit.sum())
+        report.vignetted += hit.size - int(hit.sum())
+    du, dv = pixel_centers(pixel_pitch_mm, pixels_y, pixels_x)
+    for plane in scene.planes:
+        # pixel (du, dv) sees the plane point x = cx - du z/g, y = cy - dv z/g
+        sx, sy = du * plane.z_mm / g, dv[:, None] * plane.z_mm / g
+        # texel coordinates are monotone in x and y: a lenslet row's view
+        # reaches the texture iff its extreme x do, and likewise per column
+        (fc_lo, fc_hi), (fr_lo, fr_hi) = plane._texel(np.stack([cx - sx[-1], cx - sx[0]]),
+                                                      np.stack([cy - sy[-1], cy - sy[0]]))
+        tex_rows, tex_cols = plane.texture.shape
+        q = np.flatnonzero((fr_hi >= 0) & (fr_lo <= tex_rows - 1))
+        for p in np.flatnonzero((fc_hi >= 0) & (fc_lo <= tex_cols - 1)):
+            images[p, q] += plane.sample(cx[p] - sx, cy[q, None, None] - sy)
     return eis, report
 
 
@@ -160,22 +161,3 @@ def capture(scene: Scene, cfg: OpticalSystemConfig, pixels_x: int, pixels_y: int
             pixel_pitch_mm: float | None = None) -> ElementalImageSet:
     eis, _ = capture_with_report(scene, cfg, pixels_x, pixels_y, pixel_pitch_mm)
     return eis
-
-
-def _splat(img: np.ndarray, du: float, dv: float, pitch: float, value: float) -> bool:
-    """Bilinear deposit at offset (du, dv) from the elemental-image center."""
-    rows, cols = img.shape
-    fc = du / pitch + (cols - 1) / 2.0
-    fr = (rows - 1) / 2.0 - dv / pitch
-    c0 = int(np.floor(fc))
-    r0 = int(np.floor(fr))
-    wc = fc - c0
-    wr = fr - r0
-    hit = False
-    for dr, dc, w in ((0, 0, (1 - wr) * (1 - wc)), (0, 1, (1 - wr) * wc),
-                      (1, 0, wr * (1 - wc)), (1, 1, wr * wc)):
-        rr, cc = r0 + dr, c0 + dc
-        if 0 <= rr < rows and 0 <= cc < cols:
-            img[rr, cc] += value * w
-            hit = True
-    return hit

@@ -274,8 +274,51 @@ def test_load_scene_points(tmp_path):
 
 def test_load_scene_rejects_unknown(tmp_path):
     path = write_scene(tmp_path, {"points": [{"z_mm": 200.0, "bogus": 1}]})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         load_scene(path)
+    assert str(err.value) == f"{path}: scene point 0 has unknown key(s): bogus"
+
+
+def test_load_scene_plane_missing_keys_names_block_and_file(tmp_path):
+    path = write_scene(tmp_path, {"planes": [{"z_mm": 200.0, "half_width_x_mm": 5.0}]})
+    with pytest.raises(ConfigError) as err:
+        load_scene(path)
+    assert str(err.value) == (f"{path}: scene plane 0 is missing required key(s): "
+                              "half_width_y_mm, texture_file")
+
+
+def test_cli_synth_scene_point_missing_key_names_block_and_file(tmp_path, caplog):
+    scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}, {"x_mm": 1.0}]})
+    out = tmp_path / "cap"
+    rc = main(["synth", "--config", str(write_config(tmp_path)), "--scene", str(scene),
+               "--out", str(out), "--pixels-x", "8", "--pixels-y", "8"])
+    assert rc == 1
+    assert f"{scene}: scene point 1 is missing required key(s): z_mm" in caplog.text
+    assert not out.exists()
+
+
+def test_cli_synth_scene_plane_zero_half_width_names_block_and_file(tmp_path, caplog):
+    write_pgm16(tmp_path / "tex.pgm", np.full((4, 4), 100, dtype=np.uint16))
+    scene = write_scene(tmp_path, {"planes": [
+        {"z_mm": 200.0, "half_width_x_mm": 0.0, "half_width_y_mm": 5.0,
+         "texture_file": "tex.pgm"}]})
+    out = tmp_path / "cap"
+    rc = main(["synth", "--config", str(write_config(tmp_path)), "--scene", str(scene),
+               "--out", str(out), "--pixels-x", "8", "--pixels-y", "8"])
+    assert rc == 1
+    assert f"{scene}: scene plane 0: plane half widths must be positive" in caplog.text
+    assert not out.exists()
+
+
+def test_cli_synth_rejects_zero_pixel_pitch(tmp_path, caplog):
+    scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
+    out = tmp_path / "cap"
+    rc = main(["synth", "--config", str(write_config(tmp_path)), "--scene", str(scene),
+               "--out", str(out), "--pixels-x", "8", "--pixels-y", "8",
+               "--pixel-pitch-mm", "0"])
+    assert rc == 1
+    assert "pixel pitch must be positive" in caplog.text
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the synthetic-scene pinhole capture model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,12 @@ def test_textured_plane_validation():
         TexturedPlane(100.0, 5.0, 5.0, np.ones(4))
     with pytest.raises(ValueError):
         TexturedPlane(100.0, 5.0, 5.0, -np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("half_widths", [(0.0, 5.0), (5.0, 0.0), (-5.0, 5.0), (5.0, -5.0)])
+def test_textured_plane_rejects_nonpositive_half_widths(half_widths):
+    with pytest.raises(ValueError, match="half widths must be positive"):
+        TexturedPlane(100.0, *half_widths, np.ones((4, 4)))
 
 
 def test_textured_plane_sample_outside_zero():
@@ -159,6 +167,11 @@ def test_capture_rejects_empty_raster():
         capture(point_source_scene(100.0), cfg4(), 0, 16)
 
 
+def test_capture_rejects_zero_pixel_pitch_before_projecting():
+    with pytest.raises(ValueError, match="pixel pitch must be positive"):
+        capture(point_source_scene(100.0), cfg4(), 16, 16, pixel_pitch_mm=0.0)
+
+
 # ---------------------------------------------------------------------------
 # plane capture
 
@@ -186,30 +199,86 @@ def test_plane_capture_inverts_image():
     assert left > right
 
 
-def test_plane_capture_skip_matches_unskipped_loop():
-    # a textured plane narrower than the array's reach: lenslets whose view
-    # misses it are skipped, and the images must equal a loop that samples
-    # the plane through every lenslet
-    cfg = cfg16()
-    rng = np.random.default_rng(4)
-    plane = TexturedPlane(300.0, 9.0, 6.0, rng.random((20, 30)) + 0.1)
-    points = [PointEmitter(60.0, 0.0, 80.0), PointEmitter(-3.0, 2.0, 250.0, 0.5)]
-    pixels, pitch = 48, 10.0 / 48
-    eis, report = capture_with_report(Scene(points=points, planes=[plane]), cfg, pixels,
-                                      pixels, pixel_pitch_mm=pitch)
-    # the points are splatted before the plane is added, as in capture
-    expected, point_report = capture_with_report(Scene(points=points), cfg, pixels, pixels,
-                                                 pixel_pitch_mm=pitch)
-    coords = (np.arange(pixels) - (pixels - 1) / 2.0) * pitch
-    missed = 0
+def reference_capture(scene, cfg, pixels_x, pixels_y, pitch):
+    """Per-lenslet capture in Python scalars: each emitter is splatted into
+    image (p, q) in turn, then each plane is sampled through lenslet (p, q).
+    Returns the images and the (splatted, vignetted) counts."""
+    images = np.zeros((cfg.m, cfg.n, pixels_y, pixels_x))
+    splatted = vignetted = 0
+    g = cfg.gap_mm
+    col_du = (np.arange(pixels_x) - (pixels_x - 1) / 2.0) * pitch
+    row_dv = ((pixels_y - 1) / 2.0 - np.arange(pixels_y)) * pitch
     for p in range(cfg.m):
         for q in range(cfg.n):
             cx, cy = cfg.lenslet_center(p, q)
-            view = plane.sample(cx - coords[None, :] * plane.z_mm / cfg.gap_mm,
-                                cy - coords[::-1, None] * plane.z_mm / cfg.gap_mm)
-            expected.images[p, q] += view
-            missed += not np.any(view)
+            img = images[p, q]
+            for pt in scene.points:
+                u = cx - (pt.x_mm - cx) * g / pt.z_mm
+                v = cy - (pt.y_mm - cy) * g / pt.z_mm
+                value = pt.intensity / ((pt.x_mm - cx) ** 2 + (pt.y_mm - cy) ** 2 + pt.z_mm**2)
+                fc = (u - cx) / pitch + (pixels_x - 1) / 2.0
+                fr = (pixels_y - 1) / 2.0 - (v - cy) / pitch
+                c0, r0 = math.floor(fc), math.floor(fr)
+                wc, wr = fc - c0, fr - r0
+                hit = False
+                for dr, dc, w in ((0, 0, (1 - wr) * (1 - wc)), (0, 1, (1 - wr) * wc),
+                                  (1, 0, wr * (1 - wc)), (1, 1, wr * wc)):
+                    if 0 <= r0 + dr < pixels_y and 0 <= c0 + dc < pixels_x:
+                        img[r0 + dr, c0 + dc] += value * w
+                        hit = True
+                splatted += hit
+                vignetted += not hit
+            for plane in scene.planes:
+                img += plane.sample(cx - col_du[None, :] * plane.z_mm / g,
+                                    cy - row_dv[:, None] * plane.z_mm / g)
+    return images, (splatted, vignetted)
+
+
+def random_points(rng, count, spread_mm, z_range_mm):
+    """Emitters with Python float fields, as a scene file gives them."""
+    return [PointEmitter(*rng.uniform(-spread_mm, spread_mm, 2).tolist(),
+                         float(rng.uniform(*z_range_mm)), float(rng.uniform(0.1, 2.0)))
+            for _ in range(count)]
+
+
+def test_plane_capture_skip_matches_unskipped_loop():
+    # points that vignette on some lenslets and a textured plane narrower
+    # than the array's reach: lenslets whose view misses the plane are
+    # skipped, and the images must equal the per-lenslet loop bit for bit
+    cfg = cfg16()
+    rng = np.random.default_rng(4)
+    plane = TexturedPlane(300.0, 9.0, 6.0, rng.random((20, 30)) + 0.1)
+    points = [PointEmitter(60.0, 0.0, 80.0), PointEmitter(-3.0, 2.0, 250.0, 0.5),
+              *random_points(rng, 8, 70.0, (60.0, 400.0))]
+    pixels, pitch = 48, 10.0 / 48
+    scene = Scene(points=points, planes=[plane])
+    eis, report = capture_with_report(scene, cfg, pixels, pixels, pixel_pitch_mm=pitch)
+    expected, counts = reference_capture(scene, cfg, pixels, pixels, pitch)
+    plane_only, _ = reference_capture(Scene(planes=[plane]), cfg, pixels, pixels, pitch)
+    missed = int(np.sum(~np.any(plane_only, axis=(2, 3))))
     assert 0 < missed < cfg.m * cfg.n
-    np.testing.assert_array_equal(eis.images, expected.images)
-    assert report.vignetted > 0
-    assert (report.splatted, report.vignetted) == (point_report.splatted, point_report.vignetted)
+    assert report.splatted > 0 and report.vignetted > 0
+    np.testing.assert_array_equal(eis.images, expected)
+    assert (report.splatted, report.vignetted) == counts
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_capture_matches_per_lenslet_reference_on_unequal_axes(seed):
+    # odd m != n, pitch_x != pitch_y and pixels_x != pixels_y, so a swapped
+    # axis or a transposed image cannot cancel out. The plane's edges lie
+    # within 0.1 texel inside the edges of the views of lenslet rows 1, 2
+    # and columns 2, 3 (x views [-6.85, -1.15] and [1.15, 6.85] mm, y views
+    # [-10.35, -1.65] and [1.65, 10.35] mm), so a lenslet picked too tightly
+    # drops a nonzero edge pixel.
+    cfg = OpticalSystemConfig(m=3, n=5, pitch_x_mm=8.0, pitch_y_mm=12.0,
+                              gap_mm=40.0, focal_length_mm=30.0)
+    rng = np.random.default_rng(seed)
+    plane = TexturedPlane(30.0, 1.2, 1.75, rng.random((4, 3)) + 0.1)
+    scene = Scene(points=random_points(rng, 12, 30.0, (50.0, 300.0)), planes=[plane])
+    eis, report = capture_with_report(scene, cfg, 20, 30, pixel_pitch_mm=0.4)
+    expected, counts = reference_capture(scene, cfg, 20, 30, 0.4)
+    plane_only, _ = reference_capture(Scene(planes=[plane]), cfg, 20, 30, 0.4)
+    assert 0 < int(np.sum(~np.any(plane_only, axis=(2, 3)))) < cfg.m * cfg.n
+    assert report.splatted > 0 and report.vignetted > 0
+    np.testing.assert_array_equal(eis.images, expected)
+    assert (report.splatted, report.vignetted) == counts
