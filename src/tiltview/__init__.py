@@ -20,14 +20,11 @@ from .reconstruction import (
     apply_diffraction,
     backproject_geometric,
     defocus_psf,
-    magnification,
     reconstruct,
 )
 from .resolution import (
     FovResult,
     ResolutionCurve,
-    SpotProfile,
-    aggregate_spot,
     extract_fov,
     lenslet_pixel_distance,
     lenslet_tilt,
@@ -49,9 +46,7 @@ __all__ = [
     "ResolutionCurve",
     "ScalarField2D",
     "Scene",
-    "SpotProfile",
     "TiltedPlaneSpec",
-    "aggregate_spot",
     "apply_diffraction",
     "backproject_geometric",
     "beam_width",
@@ -61,7 +56,6 @@ __all__ = [
     "image_distance",
     "lenslet_pixel_distance",
     "lenslet_tilt",
-    "magnification",
     "point_source_intensity",
     "point_source_scene",
     "radial_extent",

@@ -152,8 +152,6 @@ def cmd_synth(args) -> int:
 def cmd_analyze(args) -> int:
     run = RunConfig.from_file(args.config)
     scan = run.scan or ScanConfig()
-    if args.steps is not None:
-        scan.steps = args.steps
     D = args.D_mm if args.D_mm is not None else (
         run.plane.axial_offset_mm if run.plane else None)
     if D is None:
@@ -239,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--config", required=True)
     analyze.add_argument("--out", default=None)
     analyze.add_argument("--D-mm", dest="D_mm", type=float, default=None)
-    analyze.add_argument("--steps", type=int, default=None)
     analyze.add_argument("--workers", type=int, default=1,
                          help="ignored; accepted for existing command lines")
     analyze.set_defaults(func=cmd_analyze)

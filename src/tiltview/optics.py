@@ -40,14 +40,6 @@ def require_keys(doc: dict, keys, block: str, path) -> None:
         raise ConfigError(f"{path}: {block} is missing required key(s): {', '.join(missing)}")
 
 
-class UnderResolvedGridError(ValueError):
-    """Raised when a sampling grid is too coarse for the narrowest beam."""
-
-    def __init__(self, message: str, required_pitch_mm: float):
-        super().__init__(message)
-        self.required_pitch_mm = required_pitch_mm
-
-
 def image_distance(f_mm: float, g_mm: float, focus_epsilon: float = 1e-6) -> float:
     """Conjugate distance from the lens law 1/z = 1/f - 1/g.
 
@@ -115,16 +107,16 @@ class OpticalSystemConfig:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError(f"lenslet counts must be >= 1, got {self.m} x {self.n}")
-        for name in ("pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm", "wavelength_nm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm", "wavelength_nm",
+                     "focus_epsilon"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.aperture_shape not in ("ellipse", "rectangle"):
             raise ValueError(f"aperture_shape must be 'ellipse' or 'rectangle', got {self.aperture_shape!r}")
         if not 380.0 <= self.wavelength_nm <= 780.0:
             raise ValueError(
                 f"wavelength {self.wavelength_nm} nm outside the visible band [380, 780]")
-        if self.focus_epsilon <= 0:
-            raise ValueError("focus_epsilon must be positive")
 
     @property
     def wavelength_mm(self) -> float:
@@ -209,10 +201,6 @@ class BeamParameters:
             rayleigh_y_mm=rayleigh_range(w0y, lam),
         )
 
-    @property
-    def is_collimated(self) -> bool:
-        return not math.isfinite(self.z_focus_mm)
-
     def width_x(self, z_mm):
         return beam_width(z_mm, self.z_focus_mm, self.waist_x_mm, self.rayleigh_x_mm)
 
@@ -229,8 +217,9 @@ class PlaneGrid:
     sample_pitch_mm: float
 
     def __post_init__(self):
-        if min(self.half_width_x_mm, self.half_width_y_mm, self.sample_pitch_mm) <= 0:
-            raise ValueError("grid spans and sample pitch must be positive")
+        if not all(0 < v < math.inf for v in (self.half_width_x_mm, self.half_width_y_mm,
+                                              self.sample_pitch_mm)):
+            raise ValueError("grid spans and sample pitch must be positive and finite")
 
     def _axis(self, half_width: float) -> np.ndarray:
         count = max(1, round(2.0 * half_width / self.sample_pitch_mm))
@@ -259,8 +248,9 @@ class TiltedPlaneSpec:
     def __post_init__(self):
         if not (abs(self.theta_x_deg) < 90.0 and abs(self.theta_y_deg) < 90.0):
             raise ValueError("tilt angles must satisfy |theta| < 90 degrees")
-        if self.axial_offset_mm <= 0:
-            raise ValueError("axial offset must be positive")
+        if not 0 < self.axial_offset_mm < math.inf:
+            raise ValueError(
+                f"axial offset must be positive and finite, got {self.axial_offset_mm!r}")
 
     @property
     def theta_x_rad(self) -> float:
@@ -314,10 +304,6 @@ class ScalarField2D:
             )
         if np.any(self.values < 0):
             raise ValueError("intensity field must be nonnegative")
-
-    def integral(self) -> float:
-        """Midpoint-rule integral over the grid."""
-        return float(self.values.sum()) * self.sample_pitch_mm**2
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.xs, self.ys, indexing="ij")

@@ -87,9 +87,11 @@ def bilinear_corners(du, dv, pitch: float, rows: int, cols: int):
     """The elemental-pixel model: yields ``(row, col, weight, inside)`` for the
     4 pixels around display offsets (du, dv) from the image centre, with
     column 0 at the smallest u and row 0 at the largest v. ``row`` and ``col``
-    are clipped to the image; ``inside`` marks the corners that lie in it."""
-    fc = du / pitch + (cols - 1) / 2.0
-    fr = (rows - 1) / 2.0 - dv / pitch
+    are clipped to the image; ``inside`` marks the corners that lie in it.
+    The fractional index is clipped to [-2, size + 1] first, which moves no
+    corner into the image and keeps a far projection's index castable."""
+    fc = np.clip(du / pitch + (cols - 1) / 2.0, -2.0, cols + 1.0)
+    fr = np.clip((rows - 1) / 2.0 - dv / pitch, -2.0, rows + 1.0)
     c0, r0 = np.floor(fc).astype(int), np.floor(fr).astype(int)
     wc, wr = fc - c0, fr - r0
     for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -138,13 +140,6 @@ class Reconstruction:
     plane: TiltedPlaneSpec
     field: ScalarField2D
     mode: str
-
-
-def magnification(x_t, y_t, plane: TiltedPlaneSpec, g_mm: float):
-    """Local lenslet magnification (depth of the plane point over the gap)."""
-    if g_mm <= 0:
-        raise ValueError("gap must be positive")
-    return tilted_to_global(x_t, y_t, plane)[2] / g_mm
 
 
 def _reach(g_axis: np.ndarray, centers: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

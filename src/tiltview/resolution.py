@@ -15,27 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import (
-    BeamParameters,
-    OpticalSystemConfig,
-    PlaneGrid,
-    ScalarField2D,
-    TiltedPlaneSpec,
-    UnderResolvedGridError,
-)
+from .optics import BeamParameters, OpticalSystemConfig, PlaneGrid, ScalarField2D
 
 
 class DegenerateFieldError(ValueError):
     """Raised when a moment is requested of an all-zero field."""
-
-
-@dataclass
-class SpotProfile:
-    """Intensity of the visualized on-axis point source on a tilted plane."""
-
-    plane: TiltedPlaneSpec
-    intensity: ScalarField2D
-    source_depth_mm: float
 
 
 @dataclass(frozen=True)
@@ -78,22 +62,22 @@ def lenslet_tilt(p, q, D_mm: float, theta_x_deg: float, theta_y_deg: float,
 
     Broadcasts over index arrays ``p`` and ``q``; scalar indices give floats.
     """
-    if D_mm <= 0:
-        raise ValueError("source depth must be positive")
+    if not 0 < D_mm < math.inf:
+        raise ValueError(f"source depth must be positive and finite, got {D_mm!r}")
     cx, cy = cfg.lenslet_center(p, q)
     tpx = theta_x_deg - np.degrees(np.arctan(cx / D_mm))
     tpy = theta_y_deg - np.degrees(np.arctan(cy / D_mm))
     return _float_if_scalar(tpx), _float_if_scalar(tpy)
 
 
-def lenslet_pixel_distance(p, q, D_mm: float, g_mm: float, cfg: OpticalSystemConfig):
+def lenslet_pixel_distance(p, q, D_mm: float, cfg: OpticalSystemConfig):
     """Distance from the on-axis image point to lenslet (p, q)'s elemental pixel.
 
     Broadcasts over index arrays ``p`` and ``q``; scalar indices give a float.
     """
     cx, cy = cfg.lenslet_center(p, q)
-    scale = (D_mm + g_mm) / D_mm
-    return _float_if_scalar(np.sqrt((D_mm + g_mm) ** 2 + scale**2 * (cx**2 + cy**2)))
+    axial = D_mm + cfg.gap_mm
+    return _float_if_scalar(np.sqrt(axial**2 + (axial / D_mm) ** 2 * (cx**2 + cy**2)))
 
 
 def point_source_intensity(x_t, y_t, p, q, D_mm: float,
@@ -114,45 +98,11 @@ def point_source_intensity(x_t, y_t, p, q, D_mm: float,
     z_loc = D_mm + x_t * np.sin(tpx) + y_t * np.sin(tpy)
     wx = beam.width_x(z_loc)
     wy = beam.width_y(z_loc)
-    d = lenslet_pixel_distance(p, q, D_mm, cfg.gap_mm, cfg)
+    d = lenslet_pixel_distance(p, q, D_mm, cfg)
     weight = (D_mm + cfg.gap_mm) ** 2 / d**2
     amp = 2.0 / (math.pi * wx * wy) * weight
     arg = (x_t * np.cos(tpx)) ** 2 / wx**2 + (y_t * np.cos(tpy)) ** 2 / wy**2
     return _float_if_scalar(amp * np.exp(-2.0 * arg))
-
-
-def required_sample_pitch(cfg: OpticalSystemConfig, beam: BeamParameters) -> float:
-    """Coarsest grid pitch that still resolves the narrowest beam."""
-    if beam.is_collimated:
-        return min(cfg.pitch_x_mm, cfg.pitch_y_mm) / 8.0
-    return min(beam.waist_x_mm, beam.waist_y_mm) / 4.0
-
-
-def aggregate_spot(plane: TiltedPlaneSpec, D_mm: float, cfg: OpticalSystemConfig,
-                   beam: BeamParameters) -> SpotProfile:
-    """Sum the per-lenslet contributions over the whole array.
-
-    Each lenslet row p is evaluated at once over all q, and its parts are
-    added in fixed lexicographic (p, q) order.
-    """
-    limit = required_sample_pitch(cfg, beam)
-    pitch = plane.grid.sample_pitch_mm
-    if pitch > limit * (1.0 + 1e-12):
-        raise UnderResolvedGridError(
-            f"plane sample pitch {pitch:.6g} mm under-resolves the beam; "
-            f"required sample_pitch <= {limit:.6g} mm",
-            required_pitch_mm=limit,
-        )
-    xs, ys = plane.grid.xs(), plane.grid.ys()
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    q = np.arange(cfg.n)[:, None, None]
-    total = np.zeros_like(X)
-    for p in range(cfg.m):
-        for part in point_source_intensity(X, Y, p, q, D_mm, cfg, beam,
-                                           plane.theta_x_deg, plane.theta_y_deg):
-            total += part
-    field = ScalarField2D(total, xs, ys, pitch)
-    return SpotProfile(plane=plane, intensity=field, source_depth_mm=D_mm)
 
 
 def radial_extent(field: ScalarField2D) -> float:
@@ -228,6 +178,9 @@ def extract_fov(curve: ResolutionCurve, threshold_ratio: float = 1.5) -> FovResu
     Crossings are located by linear interpolation between bracketing
     samples; a side that never crosses is reported as open-ended (None).
     """
+    if not 1.0 < threshold_ratio < math.inf:
+        raise ValueError(
+            f"threshold_ratio must be a finite number above 1, got {threshold_ratio!r}")
     if not curve.samples:
         raise ValueError("cannot extract a field of view from an empty curve")
     angles = curve.swept_angles()

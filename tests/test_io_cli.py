@@ -512,6 +512,14 @@ def test_cli_imports_without_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_package_exports_resolve():
+    import tiltview
+
+    assert len(tiltview.__all__) == len(set(tiltview.__all__))
+    missing = [name for name in tiltview.__all__ if not hasattr(tiltview, name)]
+    assert missing == []
+
+
 def test_cli_synth_is_byte_deterministic(tmp_path):
     config = write_config(tmp_path)
     scene = write_scene(tmp_path, {"points": [{"x_mm": 1.5, "z_mm": 180.0}]})
@@ -537,6 +545,29 @@ def test_cli_analyze_zero_steps_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["analyze", "--config", str(config), "--out", str(tmp_path / "o")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("depth", ["nan", "inf"])
+def test_cli_analyze_rejects_non_finite_depth(tmp_path, caplog, depth):
+    # a NaN depth had written a curve.csv of nan and a fov.json holding a
+    # bare NaN, which is not JSON
+    config = write_config(tmp_path, scan={"steps": 5})
+    out = tmp_path / "o"
+    rc = main(["analyze", "--config", str(config), "--D-mm", depth, "--out", str(out)])
+    assert rc == 1
+    assert "source depth must be positive and finite" in caplog.text
+    assert not (out / "curve.csv").exists() and not (out / "fov.json").exists()
+
+
+def test_cli_analyze_rejects_threshold_ratio_below_one(tmp_path, caplog):
+    doc = json.loads((ROOT / "configs" / "real_virtual_fov.json").read_text())
+    doc["scan"]["threshold_ratio"] = 0.5
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert "threshold_ratio" in caplog.text
+    assert not (out / "curve.csv").exists() and not (out / "fov.json").exists()
 
 
 def test_cli_bad_config_returns_nonzero(tmp_path):

@@ -21,7 +21,7 @@ from tiltview.optics import (
     tilted_to_global,
     waist_at_focus,
 )
-from tiltview.reconstruction import magnification
+from tiltview.reconstruction import defocus_psf
 
 LAMBDA_MM = 550e-6
 
@@ -168,12 +168,17 @@ def test_tilted_to_global_zero_tilt_identity_property(xt, yt):
 
 
 def test_tilted_to_global_depth_matches_magnification():
-    # one depth expression: the global z is the depth behind magnification
+    # one depth expression: the global z, which the back-projection divides
+    # by the gap for its magnification M = z / g, is D + x sin(tx) + y sin(ty)
+    # evaluated point by point in Python floats
     plane = TiltedPlaneSpec(17.0, -23.0, 300.0, PlaneGrid(12.0, 12.0, 0.25))
     X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
     assert X.shape == (96, 96)
     _, _, z = tilted_to_global(X, Y, plane)
-    np.testing.assert_array_equal(z, magnification(X, Y, plane, 1.0))
+    sx, sy = math.sin(math.radians(17.0)), math.sin(math.radians(-23.0))
+    expected = [[300.0 + float(x) * sx + float(y) * sy for x, y in zip(row_x, row_y)]
+                for row_x, row_y in zip(X, Y)]
+    np.testing.assert_array_equal(z, expected)
 
 
 def test_plane_spec_validation():
@@ -181,6 +186,20 @@ def test_plane_spec_validation():
         _plane(90.0, 0.0, 100.0)
     with pytest.raises(ValueError):
         _plane(0.0, 0.0, -5.0)
+
+
+@pytest.mark.parametrize("D", [math.nan, math.inf])
+def test_plane_spec_rejects_non_finite_depth(D):
+    with pytest.raises(ValueError, match="axial offset must be positive and finite"):
+        _plane(0.0, 0.0, D)
+
+
+@pytest.mark.parametrize("hw", [math.nan, math.inf])
+def test_plane_grid_rejects_non_finite_half_width(hw):
+    with pytest.raises(ValueError, match="positive and finite"):
+        PlaneGrid(hw, 1.0, 0.1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        PlaneGrid(1.0, hw, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +246,23 @@ def test_config_validation():
         _cfg(wavelength_nm=1064.0)
 
 
+@pytest.mark.parametrize("key, value", [("pitch_x_mm", math.nan), ("pitch_y_mm", math.inf),
+                                        ("focal_length_mm", math.nan), ("gap_mm", math.inf),
+                                        ("gap_mm", math.nan), ("focus_epsilon", math.nan)])
+def test_config_rejects_non_finite_geometry(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        _cfg(**{key: value})
+
+
+def test_collimated_inputs_stay_accepted():
+    # an infinite focus is the focused-mode sentinel, not a bad input
+    beam = BeamParameters.from_config(_cfg(), z_i_override_mm=math.inf)
+    assert math.isinf(beam.z_focus_mm)
+    kernel = defocus_psf(_cfg(m=1, n=1, pitch_x_mm=1.0, pitch_y_mm=1.0), z_local_mm=300.0,
+                         z_i_mm=math.inf, sample_pitch_mm=0.05)
+    assert kernel.samples.sum() == pytest.approx(1.0, rel=1e-9)
+
+
 def test_config_digest_distinguishes_configs():
     assert _cfg().digest() != _cfg(gap_mm=51.0).digest()
     assert _cfg().digest() == _cfg().digest()
@@ -241,7 +277,7 @@ def test_beam_parameters_real_virtual():
     assert beam.z_focus_mm == 360.0
     assert beam.waist_x_mm == pytest.approx(0.0483120, abs=1e-7)
     assert beam.rayleigh_x_mm == pytest.approx(6.666029, abs=1e-5)
-    assert not beam.is_collimated
+    assert math.isfinite(beam.z_focus_mm)
     # waist and Rayleigh range stay mutually consistent
     assert beam.rayleigh_x_mm == pytest.approx(
         math.pi * beam.waist_x_mm**2 / (2.0 * LAMBDA_MM), rel=1e-12
@@ -250,7 +286,7 @@ def test_beam_parameters_real_virtual():
 
 def test_beam_parameters_focused_fallback():
     beam = BeamParameters.from_config(_cfg(gap_mm=35.0))
-    assert beam.is_collimated
+    assert math.isinf(beam.z_focus_mm)
     assert beam.waist_x_mm == 5.0
     assert beam.waist_y_mm == 5.0
     assert beam.width_x(1234.5) == 5.0
@@ -281,4 +317,9 @@ def test_scalar_field_shape_check():
 
 def test_scalar_field_integral_midpoint():
     field = ScalarField2D(np.ones((4, 4)), np.arange(4) * 0.5, np.arange(4) * 0.5, 0.5)
-    assert field.integral() == pytest.approx(16 * 0.25, rel=1e-12)
+    assert field.values.sum() * field.sample_pitch_mm**2 == pytest.approx(16 * 0.25, rel=1e-12)
+    # on a PlaneGrid the midpoint sum of a Gaussian is its integral pi w^2 / 2
+    grid = PlaneGrid(0.5, 0.5, 0.005)
+    X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
+    gauss = ScalarField2D(np.exp(-2.0 * (X**2 + Y**2) / 0.05**2), grid.xs(), grid.ys(), 0.005)
+    assert gauss.values.sum() * 0.005**2 == pytest.approx(math.pi * 0.05**2 / 2.0, rel=1e-12)

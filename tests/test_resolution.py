@@ -14,13 +14,11 @@ from tiltview.optics import (
     PlaneGrid,
     ScalarField2D,
     TiltedPlaneSpec,
-    UnderResolvedGridError,
 )
 from tiltview.resolution import (
     DegenerateFieldError,
     FovResult,
     ResolutionCurve,
-    aggregate_spot,
     extract_fov,
     lenslet_pixel_distance,
     lenslet_tilt,
@@ -73,19 +71,19 @@ def test_lenslet_tilt_eighty_mm_offset_value():
 
 def test_lenslet_pixel_distance_central_is_axial():
     cfg = rv_config()
-    assert lenslet_pixel_distance(8, 8, 360.0, 50.0, cfg) == pytest.approx(410.0, rel=1e-12)
+    assert lenslet_pixel_distance(8, 8, 360.0, cfg) == pytest.approx(410.0, rel=1e-12)
 
 
 def test_lenslet_pixel_distance_offset_value():
     cfg = rv_config()
-    assert lenslet_pixel_distance(9, 8, 360.0, 50.0, cfg) == pytest.approx(
+    assert lenslet_pixel_distance(9, 8, 360.0, cfg) == pytest.approx(
         410.1581485, abs=1e-6
     )
 
 
 def test_lenslet_pixel_distance_monotone_in_offset():
     cfg = rv_config()
-    dists = [lenslet_pixel_distance(p, 8, 360.0, 50.0, cfg) for p in range(8, 16)]
+    dists = [lenslet_pixel_distance(p, 8, 360.0, cfg) for p in range(8, 16)]
     assert all(b > a for a, b in zip(dists, dists[1:]))
 
 
@@ -132,7 +130,22 @@ def test_intensity_broadcasts():
 
 
 # ---------------------------------------------------------------------------
-# aggregate_spot
+# the spot on a plane grid: the oracle of spot_extent
+
+
+def grid_spot(plane, D_mm, cfg, beam):
+    """The spot intensity sampled on the plane's grid. Each lenslet row p is
+    evaluated at once over all q, and its parts are added in fixed
+    lexicographic (p, q) order."""
+    xs, ys = plane.grid.xs(), plane.grid.ys()
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    q = np.arange(cfg.n)[:, None, None]
+    total = np.zeros_like(X)
+    for p in range(cfg.m):
+        for part in point_source_intensity(X, Y, p, q, D_mm, cfg, beam,
+                                           plane.theta_x_deg, plane.theta_y_deg):
+            total += part
+    return ScalarField2D(total, xs, ys, plane.grid.sample_pitch_mm)
 
 
 def spot_plane(hw=0.3, pitch=0.006, tx=0.0):
@@ -144,21 +157,21 @@ def test_single_lenslet_spot_equals_lone_contribution():
                               gap_mm=50.0, focal_length_mm=35.0)
     beam = rv_beam(cfg)
     plane = spot_plane()
-    spot = aggregate_spot(plane, 360.0, cfg, beam)
-    X, Y = spot.intensity.meshgrid()
+    spot = grid_spot(plane, 360.0, cfg, beam)
+    X, Y = spot.meshgrid()
     expected = point_source_intensity(X, Y, 0, 0, 360.0, cfg, beam)
-    np.testing.assert_array_equal(spot.intensity.values, expected)
+    np.testing.assert_array_equal(spot.values, expected)
 
 
 def test_array_spot_dominates_central_lenslet():
     cfg = rv_config()
     beam = rv_beam(cfg)
     plane = spot_plane()
-    spot = aggregate_spot(plane, 360.0, cfg, beam)
-    X, Y = spot.intensity.meshgrid()
+    spot = grid_spot(plane, 360.0, cfg, beam)
+    X, Y = spot.meshgrid()
     central = point_source_intensity(X, Y, 8, 8, 360.0, cfg, beam)
-    assert spot.intensity.values.sum() >= central.sum()
-    assert np.all(spot.intensity.values >= central)
+    assert spot.values.sum() >= central.sum()
+    assert np.all(spot.values >= central)
 
 
 def test_spot_nearly_even_at_normal_view():
@@ -166,26 +179,16 @@ def test_spot_nearly_even_at_normal_view():
     # (centers -80..+70 mm), so evenness holds to the far-tail level only
     cfg = rv_config()
     beam = rv_beam(cfg)
-    spot = aggregate_spot(spot_plane(), 360.0, cfg, beam)
-    v = spot.intensity.values
+    v = grid_spot(spot_plane(), 360.0, cfg, beam).values
     peak = v.max()
     np.testing.assert_allclose(v, v[::-1, :], atol=1e-5 * peak)
     np.testing.assert_allclose(v, v[:, ::-1], atol=1e-5 * peak)
 
 
-def test_under_resolved_grid_rejected_with_required_pitch():
-    cfg = rv_config()
-    beam = rv_beam(cfg)
-    plane = spot_plane(pitch=0.2)
-    with pytest.raises(UnderResolvedGridError) as err:
-        aggregate_spot(plane, 360.0, cfg, beam)
-    assert err.value.required_pitch_mm == pytest.approx(beam.waist_x_mm / 4.0, rel=1e-12)
-    assert "required sample_pitch" in str(err.value)
-
-
 def test_aggregate_spot_matches_per_lenslet_loop():
-    # reference: one point_source_intensity per lenslet, summed in
-    # lexicographic (p, q) order; m != n so that a swapped axis cannot pass
+    # the row-batched grid sum against one point_source_intensity per lenslet,
+    # summed in lexicographic (p, q) order; m != n so that a swapped axis
+    # cannot pass
     cfg = rv_config(m=5, n=6)
     plane = TiltedPlaneSpec(9.0, -4.0, 360.0, PlaneGrid(0.3, 0.3, 0.006))
     X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
@@ -194,18 +197,18 @@ def test_aggregate_spot_matches_per_lenslet_loop():
         for p in range(cfg.m):
             for q in range(cfg.n):
                 expected += point_source_intensity(X, Y, p, q, 360.0, cfg, beam, 9.0, -4.0)
-        spot = aggregate_spot(plane, 360.0, cfg, beam)
-        np.testing.assert_allclose(spot.intensity.values, expected, rtol=1e-12, atol=0.0)
+        spot = grid_spot(plane, 360.0, cfg, beam)
+        np.testing.assert_allclose(spot.values, expected, rtol=1e-12, atol=0.0)
 
 
 def test_lenslet_helpers_broadcast_over_q():
     cfg = rv_config(m=5, n=6)
     q = np.arange(cfg.n)
     tpx, tpy = lenslet_tilt(3, q, 360.0, 9.0, -4.0, cfg)
-    d = lenslet_pixel_distance(3, q, 360.0, cfg.gap_mm, cfg)
+    d = lenslet_pixel_distance(3, q, 360.0, cfg)
     for j in range(cfg.n):
         scalar_tilt = lenslet_tilt(3, j, 360.0, 9.0, -4.0, cfg)
-        scalar_d = lenslet_pixel_distance(3, j, 360.0, cfg.gap_mm, cfg)
+        scalar_d = lenslet_pixel_distance(3, j, 360.0, cfg)
         assert type(scalar_tilt[0]) is float and type(scalar_d) is float
         assert (tpx, tpy[j], d[j]) == (scalar_tilt[0], scalar_tilt[1], scalar_d)
 
@@ -308,7 +311,7 @@ def test_tail_truncation_controlled():
     e = []
     for hw in (0.3, 0.6):
         plane = TiltedPlaneSpec(0.0, 0.0, 360.0, PlaneGrid(hw, hw, pitch))
-        e.append(radial_extent(aggregate_spot(plane, 360.0, cfg, beam).intensity))
+        e.append(radial_extent(grid_spot(plane, 360.0, cfg, beam)))
     assert abs(e[1] - e[0]) / e[0] < 0.01
 
 
@@ -333,7 +336,7 @@ def test_spot_extent_matches_grid_oracle(theta):
     beam = rv_beam(cfg)
     hw = 12.0 * beam.waist_x_mm
     plane = TiltedPlaneSpec(theta, 0.0, 360.0, PlaneGrid(hw, hw, beam.waist_x_mm / 4.0))
-    grid = radial_extent(aggregate_spot(plane, 360.0, cfg, beam).intensity)
+    grid = radial_extent(grid_spot(plane, 360.0, cfg, beam))
     assert spot_extent(theta, 0.0, 360.0, cfg, beam) == pytest.approx(grid, rel=1e-10, abs=0.0)
 
 
@@ -446,6 +449,16 @@ def test_fov_threshold_ratio_respected():
     fov = extract_fov(curve, threshold_ratio=2.0)
     assert fov.threshold_ratio == 2.0
     assert fov.fov_positive_deg == pytest.approx(5.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5, 0.0, -2.0, math.nan, math.inf])
+def test_fov_rejects_threshold_ratio_not_above_one(ratio):
+    # a threshold at or below the minimum puts the crossing behind the
+    # bracketing sample: at 0.5 the 16x16 real/virtual scan over +/-40 deg
+    # had read a field of view of 4087.5 / -11712.6 deg
+    curve = _curve([(-10.0, 0.0, 1.6), (0.0, 0.0, 1.0), (10.0, 0.0, 1.6)])
+    with pytest.raises(ValueError, match="threshold_ratio"):
+        extract_fov(curve, threshold_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

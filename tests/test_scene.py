@@ -156,6 +156,17 @@ def test_vignetting_reported():
     assert report.splatted + report.vignetted == cfg.m * cfg.n
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_emitter_almost_on_the_array_vignettes_without_warning():
+    # 1e-290 mm in front of the array the projection lands ~1e292 pixels out;
+    # the fractional pixel index must not be cast to int unclipped
+    cfg = cfg4()
+    scene = Scene(points=[PointEmitter(3.0, 0.0, 1e-290)])
+    eis, report = capture_with_report(scene, cfg, 16, 16, pixel_pitch_mm=0.5)
+    assert (report.splatted, report.vignetted) == (0, cfg.m * cfg.n)
+    assert not np.any(eis.images)
+
+
 def test_default_pixel_pitch_fills_pitch():
     cfg = cfg4()
     eis = capture(point_source_scene(200.0), cfg, 40, 40)
