@@ -172,9 +172,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     run = RunConfig.from_file(args.config)
-    eis = manifest_io.load_elemental_set(
-        args.manifest, aperture_shape=run.optical_system.aperture_shape,
-        focus_epsilon=run.optical_system.focus_epsilon)
+    eis = manifest_io.load_elemental_set(args.manifest)
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
               f"config {getattr(run.optical_system, key)!r})"
               for key in OPTICAL_SYSTEM_KEYS

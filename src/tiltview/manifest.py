@@ -12,15 +12,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .optics import OpticalSystemConfig, require_keys
+from .optics import FOCUS_BAND, ConfigError, OpticalSystemConfig, require_keys
 from .pgm import MAXVAL_16, read_pgm, write_pgm16
 from .reconstruction import ElementalImageSet
 
 MANIFEST_NAME = "manifest.json"
-#: Keys every manifest holds; ``aperture_shape`` and ``focus_epsilon`` may be
-#: absent from one written before they were stored.
 REQUIRED_KEYS = ("m", "n", "pitch_x_mm", "pitch_y_mm", "g_mm", "f_mm", "wavelength_nm",
                  "pixel_pitch_mm", "pixels_x", "pixels_y", "images")
+#: Keys that manifests written before the pupil and focus band were fixed may
+#: hold, each with the one value it can take.
+FIXED_KEYS = {"aperture_shape": "ellipse", "focus_epsilon": FOCUS_BAND}
 
 
 def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
@@ -44,8 +45,6 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
         "g_mm": cfg.gap_mm,
         "f_mm": cfg.focal_length_mm,
         "wavelength_nm": cfg.wavelength_nm,
-        "aperture_shape": cfg.aperture_shape,
-        "focus_epsilon": cfg.focus_epsilon,
         "pixel_pitch_mm": eis.pixel_pitch_mm,
         "pixels_x": eis.pixels_x,
         "pixels_y": eis.pixels_y,
@@ -58,17 +57,16 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
     return path
 
 
-def load_elemental_set(manifest_path, aperture_shape: str = "ellipse",
-                       focus_epsilon: float = 1e-6) -> ElementalImageSet:
-    """Load a saved set; intensities come back in 16-bit units (0..65535).
-
-    ``aperture_shape`` and ``focus_epsilon`` stand in for the manifest's own
-    values when it was written before they were stored.
-    """
+def load_elemental_set(manifest_path) -> ElementalImageSet:
+    """Load a saved set; intensities come back in 16-bit units (0..65535)."""
     path = Path(manifest_path)
     with open(path) as fh:
         man = json.load(fh)
     require_keys(man, REQUIRED_KEYS, "the manifest", path)
+    for key, value in FIXED_KEYS.items():
+        if man.get(key, value) != value:
+            raise ConfigError(f"{path}: the manifest's {key} is {man[key]!r}, but only "
+                              f"{value!r} can be reconstructed")
     cfg = OpticalSystemConfig(
         m=man["m"],
         n=man["n"],
@@ -77,8 +75,6 @@ def load_elemental_set(manifest_path, aperture_shape: str = "ellipse",
         gap_mm=man["g_mm"],
         focal_length_mm=man["f_mm"],
         wavelength_nm=man["wavelength_nm"],
-        aperture_shape=man.get("aperture_shape", aperture_shape),
-        focus_epsilon=man.get("focus_epsilon", focus_epsilon),
     )
     shape = (man["pixels_y"], man["pixels_x"])
     images = np.zeros((cfg.m, cfg.n) + shape)

@@ -19,6 +19,8 @@ NM_PER_MM = 1e6
 
 #: Sentinel for a collimated (focused-mode) beam whose focus is at infinity.
 INFINITE_FOCUS = math.inf
+#: Width of the focused-mode band around g = f, relative to 1/f.
+FOCUS_BAND = 1e-6
 
 
 class FocusedModeError(ValueError):
@@ -40,17 +42,17 @@ def require_keys(doc: dict, keys, block: str, path) -> None:
         raise ConfigError(f"{path}: {block} is missing required key(s): {', '.join(missing)}")
 
 
-def image_distance(f_mm: float, g_mm: float, focus_epsilon: float = 1e-6) -> float:
+def image_distance(f_mm: float, g_mm: float) -> float:
     """Conjugate distance from the lens law 1/z = 1/f - 1/g.
 
-    Returns ``INFINITE_FOCUS`` when g is within ``focus_epsilon`` (relative
-    to 1/f) of the focal length, and a negative value (virtual focus) when
+    Returns ``INFINITE_FOCUS`` when g is within ``FOCUS_BAND`` (relative to
+    1/f) of the focal length, and a negative value (virtual focus) when
     g < f outside that band.
     """
     if f_mm <= 0 or g_mm <= 0:
         raise ValueError(f"focal length and gap must be positive, got f={f_mm}, g={g_mm}")
     inv = 1.0 / f_mm - 1.0 / g_mm
-    if abs(inv) < focus_epsilon / f_mm:
+    if abs(inv) < FOCUS_BAND / f_mm:
         return INFINITE_FOCUS
     return 1.0 / inv
 
@@ -101,19 +103,14 @@ class OpticalSystemConfig:
     gap_mm: float
     focal_length_mm: float
     wavelength_nm: float = 550.0
-    aperture_shape: str = "ellipse"
-    focus_epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError(f"lenslet counts must be >= 1, got {self.m} x {self.n}")
-        for name in ("pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm", "wavelength_nm",
-                     "focus_epsilon"):
+        for name in ("pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm", "wavelength_nm"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.aperture_shape not in ("ellipse", "rectangle"):
-            raise ValueError(f"aperture_shape must be 'ellipse' or 'rectangle', got {self.aperture_shape!r}")
         if not 380.0 <= self.wavelength_nm <= 780.0:
             raise ValueError(
                 f"wavelength {self.wavelength_nm} nm outside the visible band [380, 780]")
@@ -122,16 +119,19 @@ class OpticalSystemConfig:
     def wavelength_mm(self) -> float:
         return self.wavelength_nm / NM_PER_MM
 
-    def image_distance_mm(self) -> float:
-        return image_distance(self.focal_length_mm, self.gap_mm, self.focus_epsilon)
+    def focus_mm(self, z_i_override_mm: float | None = None) -> float:
+        """Beam focus distance: the lens-law one, or the override when given.
 
-    @property
-    def is_focused(self) -> bool:
-        return not math.isfinite(self.image_distance_mm())
-
-    @property
-    def mode(self) -> str:
-        return "focused" if self.is_focused else "real_virtual"
+        An infinite value of either sign is the collimated, focused-mode case
+        and a negative one a virtual focus; a NaN or zero override raises.
+        """
+        if z_i_override_mm is None:
+            return image_distance(self.focal_length_mm, self.gap_mm)
+        z_i = float(z_i_override_mm)
+        if math.isnan(z_i) or z_i == 0:
+            raise ValueError(f"z_i_override_mm must be nonzero and not NaN, got {z_i!r}; "
+                             "use inf for a collimated beam")
+        return z_i
 
     def lenslet_center(self, p, q):
         """Lateral center of lenslet (p, q); lenslet (m/2, n/2) is on axis.
@@ -179,7 +179,7 @@ class BeamParameters:
     @classmethod
     def from_config(cls, cfg: OpticalSystemConfig,
                     z_i_override_mm: float | None = None) -> "BeamParameters":
-        z_i = cfg.image_distance_mm() if z_i_override_mm is None else float(z_i_override_mm)
+        z_i = cfg.focus_mm(z_i_override_mm)
         if not math.isfinite(z_i):
             # Focused mode: each pixel maps to a collimated bundle as wide as
             # the lenslet pupil, modelled as a constant pitch/2 half-width.

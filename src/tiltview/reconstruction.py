@@ -195,8 +195,9 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
 
 
 def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
-                       du: float, shape: str, subsamples: int = 8) -> np.ndarray:
-    """Aperture transmission with area-weighted rim samples.
+                       du: float, subsamples: int = 8) -> np.ndarray:
+    """Transmission of the ellipse inscribed in the lens pitches, with
+    area-weighted rim samples.
 
     A hard-thresholded rim aliases the transform badly enough to lift the
     kernel floor above the support tolerance; fractional edge coverage
@@ -204,17 +205,11 @@ def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
     """
 
     def inside(u, v):
-        if shape == "ellipse":
-            return (u / (ax / 2.0)) ** 2 + (v / (ay / 2.0)) ** 2 <= 1.0
-        return (np.abs(u) <= ax / 2.0) & (np.abs(v) <= ay / 2.0)
+        return (u / (ax / 2.0)) ** 2 + (v / (ay / 2.0)) ** 2 <= 1.0
 
     pupil = inside(U, V).astype(float)
-    if shape == "ellipse":
-        r = np.sqrt((U / (ax / 2.0)) ** 2 + (V / (ay / 2.0)) ** 2)
-        band = np.abs(r - 1.0) < 2.0 * du / min(ax, ay)
-    else:
-        band = ((np.abs(np.abs(U) - ax / 2.0) < du) & (np.abs(V) <= ay / 2.0 + du)) | \
-               ((np.abs(np.abs(V) - ay / 2.0) < du) & (np.abs(U) <= ax / 2.0 + du))
+    r = np.sqrt((U / (ax / 2.0)) ** 2 + (V / (ay / 2.0)) ** 2)
+    band = np.abs(r - 1.0) < 2.0 * du / min(ax, ay)
     if np.any(band):
         off = ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * du
         ou, ov = np.meshgrid(off, off, indexing="ij")
@@ -292,7 +287,7 @@ def defocus_psf(cfg: OpticalSystemConfig, z_local_mm: float, z_i_mm: float,
     u, wu, Ax = cosine_dft(ax)
     v, wv, Ay = cosine_dft(ay)
     U, V = np.meshgrid(u, v, indexing="ij")
-    pupil = _antialiased_pupil(U, V, ax, ay, du, cfg.aperture_shape)
+    pupil = _antialiased_pupil(U, V, ax, ay, du)
     field = Ax @ pupil @ Ay.T
     quadrant = field.real**2 + field.imag**2
     intensity = quadrature @ quadrant @ quadrature.T
@@ -386,6 +381,6 @@ def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geo
     if mode == "geometric":
         return recon
     cfg = eis.capture_config
-    z_i = cfg.image_distance_mm() if z_i_override_mm is None else float(z_i_override_mm)
+    z_i = cfg.focus_mm(z_i_override_mm)
     blurred = apply_diffraction(recon.field, plane, cfg, z_i, strip_width_mm=strip_width_mm)
     return Reconstruction(plane=plane, field=blurred, mode="diffraction")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,29 +102,18 @@ def test_manifest_schema_fields(tmp_path):
     path = manifest_io.save_elemental_set(eis, tmp_path)
     doc = json.loads(path.read_text())
     assert set(doc) == {"m", "n", "pitch_x_mm", "pitch_y_mm", "g_mm", "f_mm",
-                        "wavelength_nm", "aperture_shape", "focus_epsilon",
-                        "pixel_pitch_mm", "pixels_x", "pixels_y", "images"}
+                        "wavelength_nm", "pixel_pitch_mm", "pixels_x", "pixels_y", "images"}
     assert len(doc["images"]) == 16
     assert set(doc["images"][0]) == {"p", "q", "file"}
 
 
-def test_manifest_stores_aperture_and_focus_epsilon(tmp_path):
+def test_manifest_round_trips_capture_config(tmp_path):
+    # the counts, the pitches per axis and the wavelength all differ from the 16x16 configs
     cfg = OpticalSystemConfig(m=2, n=3, pitch_x_mm=10.0, pitch_y_mm=8.0, gap_mm=50.0,
-                              focal_length_mm=35.0, aperture_shape="rectangle",
-                              focus_epsilon=1e-3)
+                              focal_length_mm=35.0, wavelength_nm=633.0)
     eis = ElementalImageSet(np.ones((2, 3, 4, 4)), 0.5, cfg)
-    path = manifest_io.save_elemental_set(eis, tmp_path)
-    # the stored values win over the stand-ins for old manifests
-    back = manifest_io.load_elemental_set(path, aperture_shape="ellipse", focus_epsilon=1e-6)
+    back = manifest_io.load_elemental_set(manifest_io.save_elemental_set(eis, tmp_path))
     assert back.capture_config == cfg
-    # a manifest written before the two keys were stored takes the stand-ins
-    doc = json.loads(path.read_text())
-    del doc["aperture_shape"], doc["focus_epsilon"]
-    path.write_text(json.dumps(doc))
-    old = manifest_io.load_elemental_set(path, aperture_shape="rectangle", focus_epsilon=2e-3)
-    assert (old.capture_config.aperture_shape, old.capture_config.focus_epsilon) == (
-        "rectangle", 2e-3)
-    assert manifest_io.load_elemental_set(path).capture_config.aperture_shape == "ellipse"
 
 
 def test_manifest_missing_image_rejected(tmp_path):
@@ -424,8 +414,6 @@ def test_cli_reconstruct_diffraction_far_from_focus(tmp_path):
 
 def _other_value(value):
     """A valid value of the same type that differs from ``value``."""
-    if isinstance(value, str):
-        return "rectangle" if value == "ellipse" else "ellipse"
     return value + 1 if isinstance(value, int) else value * 1.25
 
 
@@ -471,34 +459,81 @@ def test_cli_reconstruct_rejects_bad_manifest_entry(tmp_path, caplog, entry, mes
     assert message in caplog.text
 
 
-def test_cli_reconstruct_checks_aperture_and_focus_epsilon(tmp_path, caplog):
+def _synth_point_capture(tmp_path, **extra):
+    """Config, manifest path and an output image path for a 4x4 point capture."""
     plane = {"D_mm": 200.0, "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
                                      "sample_pitch_mm": 0.2}}
-    config = write_config(tmp_path, plane=plane)
+    config = write_config(tmp_path, plane=plane, **extra)
     scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
     out = tmp_path / "cap"
     assert main(["synth", "--config", str(config), "--scene", str(scene),
                  "--out", str(out), "--pixel-pitch-mm", "0.15"]) == 0
-    manifest = out / "manifest.json"
-    doc = json.loads(config.read_text())
-    doc["optical_system"].update(aperture_shape="rectangle", focus_epsilon=1e-3)
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps(doc))
-    img = tmp_path / "r.pgm"
-    rc = main(["reconstruct", "--config", str(other), "--manifest", str(manifest),
+    return config, out / "manifest.json", tmp_path / "r.pgm"
+
+
+@pytest.mark.parametrize("key, value", [("aperture_shape", "rectangle"),
+                                        ("focus_epsilon", 0.001)])
+def test_cli_reconstruct_rejects_manifest_of_another_geometry(tmp_path, caplog, key, value):
+    # a capture with another pupil or focus band is never reconstructed with this one
+    config, manifest, img = _synth_point_capture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc[key] = value
+    manifest.write_text(json.dumps(doc))
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
                "--mode", "diffraction", "--out", str(img)])
     assert rc == 1
-    assert not img.exists()
-    assert "aperture_shape (manifest 'ellipse', config 'rectangle')" in caplog.text
-    assert "focus_epsilon (manifest 1e-06, config 0.001)" in caplog.text
-    # a manifest without the two keys, as written before they were stored,
-    # takes them from the config and still reconstructs
-    stored = json.loads(manifest.read_text())
-    del stored["aperture_shape"], stored["focus_epsilon"]
-    manifest.write_text(json.dumps(stored))
-    assert main(["reconstruct", "--config", str(other), "--manifest", str(manifest),
+    assert not img.exists() and not img.with_suffix(".json").exists()
+    assert f"{manifest}: the manifest's {key} is {value!r}" in caplog.text
+
+
+def test_cli_reconstruct_reads_manifest_with_fixed_geometry_keys(tmp_path):
+    # older manifests store the pupil shape and focus band with the only values there are
+    config, manifest, img = _synth_point_capture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc.update(aperture_shape="ellipse", focus_epsilon=1e-06)
+    manifest.write_text(json.dumps(doc, indent=2))
+    assert '"focus_epsilon": 1e-06' in manifest.read_text()
+    assert main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
                  "--mode", "diffraction", "--out", str(img)]) == 0
     assert img.exists()
+
+
+def test_cli_rejects_pupil_shape_in_config(tmp_path, caplog):
+    doc = json.loads(write_config(tmp_path).read_text())
+    doc["optical_system"]["aperture_shape"] = "hexagon"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(path), "--D-mm", "300", "--out", str(out)]) == 1
+    assert (f"{path}: the optical_system block has unknown key(s): aperture_shape"
+            in caplog.text)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [math.nan, 0])
+def test_cli_analyze_rejects_nan_and_zero_focus_override(tmp_path, caplog, override):
+    # a NaN override had been taken as the collimated case and written a focused-mode curve
+    doc = json.loads((ROOT / "configs" / "real_virtual_fov.json").read_text())
+    doc["optical_system"]["z_i_override_mm"] = override
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert "z_i_override_mm" in caplog.text
+    assert not (out / "curve.csv").exists() and not (out / "fov.json").exists()
+
+
+@pytest.mark.parametrize("override", [math.nan, 0])
+def test_cli_reconstruct_rejects_nan_and_zero_focus_override(tmp_path, caplog, override):
+    config, manifest, img = _synth_point_capture(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["optical_system"]["z_i_override_mm"] = override
+    config.write_text(json.dumps(doc))
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--mode", "diffraction", "--out", str(img)])
+    assert rc == 1
+    assert "z_i_override_mm" in caplog.text
+    assert not img.exists()
 
 
 def test_cli_imports_without_scipy():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltview.optics import (
+    FOCUS_BAND,
     INFINITE_FOCUS,
     BeamParameters,
     FocusedModeError,
@@ -59,10 +60,9 @@ def test_image_distance_rejects_nonpositive(f, g):
     delta=st.floats(min_value=-0.4, max_value=0.4),
 )
 def test_mode_classification_stable_near_focus(f, delta):
-    # perturbing g by less than focus_epsilon * f / 2 never flips focused mode
-    eps = 1e-6
-    g = f * (1.0 + delta * eps)
-    assert image_distance(f, g, focus_epsilon=eps) == INFINITE_FOCUS
+    # perturbing g by less than FOCUS_BAND * f / 2 never flips focused mode
+    g = f * (1.0 + delta * FOCUS_BAND)
+    assert image_distance(f, g) == INFINITE_FOCUS
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +229,23 @@ def test_lenslet_center_out_of_range():
 
 
 def test_mode_property():
-    assert _cfg().mode == "real_virtual"
-    assert _cfg(gap_mm=35.0).mode == "focused"
-    assert _cfg(gap_mm=35.0).is_focused
+    assert _cfg().focus_mm() == pytest.approx(350.0 / 3.0, rel=1e-12)
+    assert _cfg(gap_mm=35.0).focus_mm() == INFINITE_FOCUS
+
+
+@pytest.mark.parametrize("override", [360.0, -120.0, math.inf, -math.inf])
+def test_focus_mm_returns_override(override):
+    # a negative override is a virtual focus and either infinity the collimated case
+    z_i = _cfg(gap_mm=35.0).focus_mm(override)
+    assert type(z_i) is float and z_i == override
+
+
+@pytest.mark.parametrize("override", [math.nan, 0])
+def test_focus_mm_rejects_nan_and_zero_override(override):
+    with pytest.raises(ValueError, match="z_i_override_mm"):
+        _cfg().focus_mm(override)
+    with pytest.raises(ValueError, match="z_i_override_mm"):
+        BeamParameters.from_config(_cfg(), z_i_override_mm=override)
 
 
 def test_config_validation():
@@ -239,8 +253,6 @@ def test_config_validation():
         _cfg(m=0)
     with pytest.raises(ValueError):
         _cfg(pitch_x_mm=-1.0)
-    with pytest.raises(ValueError):
-        _cfg(aperture_shape="hexagon")
     # the visible-band check always applies
     with pytest.raises(ValueError, match="visible band"):
         _cfg(wavelength_nm=1064.0)
@@ -248,7 +260,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("key, value", [("pitch_x_mm", math.nan), ("pitch_y_mm", math.inf),
                                         ("focal_length_mm", math.nan), ("gap_mm", math.inf),
-                                        ("gap_mm", math.nan), ("focus_epsilon", math.nan)])
+                                        ("gap_mm", math.nan)])
 def test_config_rejects_non_finite_geometry(key, value):
     with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
         _cfg(**{key: value})

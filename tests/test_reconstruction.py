@@ -293,7 +293,7 @@ def _fft_psf(cfg, z, z_i, size, du, pitch, taps):
     k = 2.0 * math.pi / cfg.wavelength_mm
     c = (np.arange(size) - size / 2) * du
     U, V = np.meshgrid(c, c, indexing="ij")
-    pupil = _antialiased_pupil(U, V, cfg.pitch_x_mm, cfg.pitch_y_mm, du, cfg.aperture_shape)
+    pupil = _antialiased_pupil(U, V, cfg.pitch_x_mm, cfg.pitch_y_mm, du)
     phased = pupil * np.exp(0.5j * k * (1.0 / z - 1.0 / z_i) * (U**2 + V**2))
     fine = np.abs(np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(phased)))) ** 2
     d = cfg.wavelength_mm * z / (size * du)
@@ -396,7 +396,7 @@ def test_defocus_psf_parameter_validation():
 def test_defocus_window_energy_guard(monkeypatch):
     # a pupil that alternates sign per sample sends its energy half an alias
     # period away, outside any window the closed forms choose
-    def checkerboard(U, V, *args):
+    def checkerboard(U, V, ax, ay, du):
         i, j = np.indices(U.shape)
         return (-1.0) ** (i + j) * (np.abs(U) < 4.0) * (np.abs(V) < 4.0)
 
@@ -426,7 +426,7 @@ def test_defocus_psf_tends_to_geometric_disk():
     # far from focus the PSF is the uniform disk of radius R = a/2 |1 - z/z_i|,
     # whose radial second moment is R^2 / 2
     cfg = small_config(pitch_x_mm=2.0, pitch_y_mm=2.0)
-    z_i = cfg.image_distance_mm()
+    z_i = cfg.focus_mm()
     for z in (1000.0, 2000.0):
         psf = defocus_psf(cfg, z, z_i, 0.2)
         c = (np.arange(psf.taps) - psf.taps // 2) * psf.sample_pitch_mm
