@@ -1,8 +1,9 @@
 """Command-line surface: ``tiltview synth | analyze | reconstruct``.
 
 Runs are driven by a single JSON config document; command-line flags win
-over config values. Unknown config keys are rejected so that fixture
-configs stay honest.
+over config values. Every block of the config and scene documents is read
+by ``optics.read_block`` and built by ``optics.build``, so an unknown key,
+a missing key or a rejected value is reported with the file and the block.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import manifest as manifest_io
-from .optics import ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, require_keys
+from .optics import (ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, build,
+                     read_block)
 from .pgm import MAXVAL_16, read_pgm, write_pgm16
 from .reconstruction import reconstruct
 from .resolution import extract_fov, scan_resolution, write_curve_csv, write_fov_json
@@ -34,13 +36,6 @@ OPTICAL_SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(OpticalSystemConf
 REQUIRED_OPTICAL_SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(OpticalSystemConfig)
                                      if f.default is dataclasses.MISSING)
 GRID_KEYS = ("half_width_x_mm", "half_width_y_mm", "sample_pitch_mm")
-
-
-def _strict(doc: dict, allowed: set[str], block: str, path) -> None:
-    """Raise ``ConfigError`` naming the file, the block and every unknown key."""
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: {block} has unknown key(s): {', '.join(sorted(unknown))}")
 
 
 @dataclass
@@ -63,76 +58,52 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path) as fh:
-            doc = json.load(fh)
-        _strict(doc, {"optical_system", "plane", "scan", "io"}, "the config", path)
-        require_keys(doc, ("optical_system",), "the config", path)
-        opt = dict(doc["optical_system"])
-        _strict(opt, {*OPTICAL_SYSTEM_KEYS, "z_i_override_mm"}, "the optical_system block",
-                path)
-        require_keys(opt, REQUIRED_OPTICAL_SYSTEM_KEYS, "the optical_system block", path)
+            doc = read_block(json.load(fh), path, "the config", required=("optical_system",),
+                             optional=("plane", "scan", "io"))
+        block = "the optical_system block"
+        opt = read_block(doc["optical_system"], path, block,
+                         required=REQUIRED_OPTICAL_SYSTEM_KEYS,
+                         optional=(*OPTICAL_SYSTEM_KEYS, "z_i_override_mm"))
         z_i_override = opt.pop("z_i_override_mm", None)
-        cfg = OpticalSystemConfig(**opt)
+        cfg = build(OpticalSystemConfig, path, block, **opt)
         plane = None
         if "plane" in doc:
-            pl = dict(doc["plane"])
-            _strict(pl, {"theta_x_deg", "theta_y_deg", "D_mm", "grid"}, "the plane block", path)
-            require_keys(pl, ("D_mm", "grid"), "the plane block", path)
-            grid = dict(pl["grid"])
-            _strict(grid, set(GRID_KEYS), "the plane.grid block", path)
-            require_keys(grid, GRID_KEYS, "the plane.grid block", path)
-            plane = TiltedPlaneSpec(
-                theta_x_deg=pl.get("theta_x_deg", 0.0),
-                theta_y_deg=pl.get("theta_y_deg", 0.0),
-                axial_offset_mm=pl["D_mm"],
-                grid=PlaneGrid(**grid),
-            )
+            block = "the plane block"
+            pl = read_block(doc["plane"], path, block, required=("D_mm", "grid"),
+                            optional=("theta_x_deg", "theta_y_deg"))
+            grid = read_block(pl["grid"], path, "the plane.grid block", required=GRID_KEYS)
+            plane = build(TiltedPlaneSpec, path, block,
+                          theta_x_deg=pl.get("theta_x_deg", 0.0),
+                          theta_y_deg=pl.get("theta_y_deg", 0.0),
+                          axial_offset_mm=pl["D_mm"],
+                          grid=build(PlaneGrid, path, "the plane.grid block", **grid))
         scan = None
         if "scan" in doc:
-            sc = dict(doc["scan"])
-            _strict(sc, {"axis", "theta_min_deg", "theta_max_deg", "steps", "threshold_ratio"},
-                    "the scan block", path)
-            scan = ScanConfig(**sc)
-        out_dir = None
-        if "io" in doc:
-            io_block = dict(doc["io"])
-            _strict(io_block, {"out_dir"}, "the io block", path)
-            out_dir = io_block.get("out_dir")
+            sc = read_block(doc["scan"], path, "the scan block",
+                            optional=[f.name for f in dataclasses.fields(ScanConfig)])
+            scan = build(ScanConfig, path, "the scan block", **sc)
+        io_block = read_block(doc.get("io", {}), path, "the io block", optional=("out_dir",))
         return cls(optical_system=cfg, z_i_override_mm=z_i_override,
-                   plane=plane, scan=scan, out_dir=out_dir)
+                   plane=plane, scan=scan, out_dir=io_block.get("out_dir"))
 
 
 def load_scene(path) -> Scene:
     base = Path(path).parent
     with open(path) as fh:
-        doc = json.load(fh)
-    _strict(doc, {"points", "planes"}, "the scene", path)
+        doc = read_block(json.load(fh), path, "the scene", optional=("points", "planes"))
     points = []
     for i, entry in enumerate(doc.get("points", [])):
         block = f"scene point {i}"
-        _strict(entry, {"x_mm", "y_mm", "z_mm", "intensity"}, block, path)
-        require_keys(entry, ("z_mm",), block, path)
-        try:
-            points.append(PointEmitter(
-                x_mm=entry.get("x_mm", 0.0), y_mm=entry.get("y_mm", 0.0),
-                z_mm=entry["z_mm"], intensity=entry.get("intensity", 1.0)))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {block}: {exc}") from exc
+        entry = read_block(entry, path, block, required=("z_mm",),
+                           optional=("x_mm", "y_mm", "intensity"))
+        points.append(build(PointEmitter, path, block, **{"x_mm": 0.0, "y_mm": 0.0, **entry}))
     planes = []
     for i, entry in enumerate(doc.get("planes", [])):
         block = f"scene plane {i}"
-        required = ("z_mm", "half_width_x_mm", "half_width_y_mm", "texture_file")
-        _strict(entry, {*required, "intensity_scale"}, block, path)
-        require_keys(entry, required, block, path)
-        texture = read_pgm(base / entry["texture_file"]).astype(float)
-        try:
-            planes.append(TexturedPlane(
-                z_mm=entry["z_mm"],
-                half_width_x_mm=entry["half_width_x_mm"],
-                half_width_y_mm=entry["half_width_y_mm"],
-                texture=texture,
-                intensity_scale=entry.get("intensity_scale", 1.0)))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {block}: {exc}") from exc
+        entry = read_block(entry, path, block, optional=("intensity_scale",), required=(
+            "z_mm", "half_width_x_mm", "half_width_y_mm", "texture_file"))
+        texture = read_pgm(base / entry.pop("texture_file")).astype(float)
+        planes.append(build(TexturedPlane, path, block, texture=texture, **entry))
     return Scene(points=points, planes=planes)
 
 

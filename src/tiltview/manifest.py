@@ -7,18 +7,21 @@ relative intensities survive quantization.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .optics import FOCUS_BAND, ConfigError, OpticalSystemConfig, require_keys
+from .optics import FOCUS_BAND, ConfigError, OpticalSystemConfig, build, read_block
 from .pgm import MAXVAL_16, read_pgm, write_pgm16
 from .reconstruction import ElementalImageSet
 
 MANIFEST_NAME = "manifest.json"
-REQUIRED_KEYS = ("m", "n", "pitch_x_mm", "pitch_y_mm", "g_mm", "f_mm", "wavelength_nm",
-                 "pixel_pitch_mm", "pixels_x", "pixels_y", "images")
+#: The manifest key of each OpticalSystemConfig field, in the order they are written.
+GEOMETRY_KEYS = {f.name: {"gap_mm": "g_mm", "focal_length_mm": "f_mm"}.get(f.name, f.name)
+                 for f in dataclasses.fields(OpticalSystemConfig)}
+REQUIRED_KEYS = (*GEOMETRY_KEYS.values(), "pixel_pitch_mm", "pixels_x", "pixels_y", "images")
 #: Keys that manifests written before the pupil and focus band were fixed may
 #: hold, each with the one value it can take.
 FIXED_KEYS = {"aperture_shape": "ellipse", "focus_epsilon": FOCUS_BAND}
@@ -37,19 +40,9 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
             name = f"e_{p:02d}_{q:02d}.pgm"
             write_pgm16(out / name, np.round(eis.images[p, q] * scale).astype(np.uint16))
             entries.append({"p": p, "q": q, "file": name})
-    manifest = {
-        "m": cfg.m,
-        "n": cfg.n,
-        "pitch_x_mm": cfg.pitch_x_mm,
-        "pitch_y_mm": cfg.pitch_y_mm,
-        "g_mm": cfg.gap_mm,
-        "f_mm": cfg.focal_length_mm,
-        "wavelength_nm": cfg.wavelength_nm,
-        "pixel_pitch_mm": eis.pixel_pitch_mm,
-        "pixels_x": eis.pixels_x,
-        "pixels_y": eis.pixels_y,
-        "images": entries,
-    }
+    manifest = {key: getattr(cfg, name) for name, key in GEOMETRY_KEYS.items()}
+    manifest.update(pixel_pitch_mm=eis.pixel_pitch_mm, pixels_x=eis.pixels_x,
+                    pixels_y=eis.pixels_y, images=entries)
     path = out / MANIFEST_NAME
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -61,26 +54,22 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
     """Load a saved set; intensities come back in 16-bit units (0..65535)."""
     path = Path(manifest_path)
     with open(path) as fh:
-        man = json.load(fh)
-    require_keys(man, REQUIRED_KEYS, "the manifest", path)
+        man = read_block(json.load(fh), path, "the manifest", required=REQUIRED_KEYS,
+                         optional=FIXED_KEYS)
     for key, value in FIXED_KEYS.items():
         if man.get(key, value) != value:
             raise ConfigError(f"{path}: the manifest's {key} is {man[key]!r}, but only "
                               f"{value!r} can be reconstructed")
-    cfg = OpticalSystemConfig(
-        m=man["m"],
-        n=man["n"],
-        pitch_x_mm=man["pitch_x_mm"],
-        pitch_y_mm=man["pitch_y_mm"],
-        gap_mm=man["g_mm"],
-        focal_length_mm=man["f_mm"],
-        wavelength_nm=man["wavelength_nm"],
-    )
+    cfg = build(OpticalSystemConfig, path, "the manifest",
+                **{name: man[key] for name, key in GEOMETRY_KEYS.items()})
     shape = (man["pixels_y"], man["pixels_x"])
+    if not all(type(size) is int and size >= 1 for size in shape):
+        raise ConfigError(f"{path}: the manifest: pixels_x and pixels_y must be integers "
+                          f">= 1, got {man['pixels_x']!r} and {man['pixels_y']!r}")
     images = np.zeros((cfg.m, cfg.n) + shape)
     seen = set()
     for entry in man["images"]:
-        require_keys(entry, ("p", "q", "file"), "an image entry", path)
+        entry = read_block(entry, path, "an image entry", required=("p", "q", "file"))
         p, q = entry["p"], entry["q"]
         # bool is an int subclass, and numpy reads a bool index as a mask, not a position
         if not (type(p) is int and type(q) is int and 0 <= p < cfg.m and 0 <= q < cfg.n):
@@ -97,5 +86,7 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
         seen.add((p, q))
     missing = {(p, q) for p in range(cfg.m) for q in range(cfg.n)} - seen
     if missing:
-        raise ValueError(f"manifest is missing {len(missing)} elemental images, e.g. {sorted(missing)[0]}")
-    return ElementalImageSet(images=images, pixel_pitch_mm=man["pixel_pitch_mm"], capture_config=cfg)
+        raise ValueError(f"{path}: the manifest is missing {len(missing)} elemental images, "
+                         f"e.g. {sorted(missing)[0]}")
+    return build(ElementalImageSet, path, "the manifest", images=images,
+                 pixel_pitch_mm=man["pixel_pitch_mm"], capture_config=cfg)

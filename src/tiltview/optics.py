@@ -32,14 +32,37 @@ class OutOfHalfSpaceError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Raised when a config or manifest document has an unknown key or lacks a required one."""
+    """Raised when a block of a config, scene or manifest document is rejected.
+
+    The message starts with the file and the block.
+    """
 
 
-def require_keys(doc: dict, keys, block: str, path) -> None:
-    """Raise ``ConfigError`` naming the file, the block and every missing key."""
-    missing = [key for key in keys if key not in doc]
+def read_block(doc, path, block: str, required=(), optional=()) -> dict:
+    """A copy of one JSON object of a document, holding only the keys named.
+
+    Raises ``ConfigError`` naming the file and the block when ``doc`` is not
+    an object, has a key that is neither required nor optional, or lacks a
+    required key.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {block} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - {*required, *optional}
+    if unknown:
+        raise ConfigError(f"{path}: {block} has unknown key(s): {', '.join(sorted(unknown))}")
+    missing = [key for key in required if key not in doc]
     if missing:
         raise ConfigError(f"{path}: {block} is missing required key(s): {', '.join(missing)}")
+    return dict(doc)
+
+
+def build(cls, path, block: str, **values):
+    """``cls(**values)``, with a rejected value reported as a ``ConfigError``
+    naming the file and the block."""
+    try:
+        return cls(**values)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {block}: {exc}") from exc
 
 
 def image_distance(f_mm: float, g_mm: float) -> float:
@@ -105,8 +128,11 @@ class OpticalSystemConfig:
     wavelength_nm: float = 550.0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"lenslet counts must be >= 1, got {self.m} x {self.n}")
+        for name in ("m", "n"):
+            value = getattr(self, name)
+            # bool is an int subclass, and a fractional count puts no lenslet on the axis
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm", "wavelength_nm"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

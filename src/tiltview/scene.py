@@ -8,6 +8,7 @@ concern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,18 +81,6 @@ class Scene:
     points: list[PointEmitter] = field(default_factory=list)
     planes: list[TexturedPlane] = field(default_factory=list)
 
-    def scaled(self, factor: float) -> "Scene":
-        """Scene with all intensities multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("intensity scale must be nonnegative")
-        return Scene(
-            points=[PointEmitter(p.x_mm, p.y_mm, p.z_mm, p.intensity * factor)
-                    for p in self.points],
-            planes=[TexturedPlane(pl.z_mm, pl.half_width_x_mm, pl.half_width_y_mm,
-                                  pl.texture, pl.intensity_scale * factor)
-                    for pl in self.planes],
-        )
-
 
 def point_source_scene(D_mm: float) -> Scene:
     """Single unit-intensity emitter on the longitudinal axis at depth D."""
@@ -131,13 +120,24 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     P, Q = np.ogrid[:cfg.m, :cfg.n]
     for pt in scene.points:
         dx, dy = pt.x_mm - cx[P], pt.y_mm - cy[Q]
-        u, v = cx[P] - dx * g / pt.z_mm, cy[Q] - dy * g / pt.z_mm
         # float_power squares with C pow, as ** on Python floats does (numpy's **
         # multiplies), so each deposit equals a scalar per-lenslet loop's bit for bit
-        value = pt.intensity / (np.float_power(dx, 2) + np.float_power(dy, 2) + pt.z_mm**2)
+        dist_sq = np.float_power(dx, 2) + np.float_power(dy, 2) + pt.z_mm**2
+        # the largest deposit, divided in Python floats, which give inf without a warning
+        nearest = float(dist_sq.min())
+        if nearest == 0 or math.isinf(pt.intensity / nearest):
+            raise ValueError(f"the emitter at z_mm={pt.z_mm!r} deposits an infinite intensity "
+                             "behind the lenslet nearest its axis; move it away from the "
+                             "lens array")
+        value = pt.intensity / dist_sq
+        # so near the array a projection can leave the float range: the infinite
+        # offset is a miss, which bilinear_corners clips
+        with np.errstate(over="ignore"):
+            u, v = cx[P] - dx * g / pt.z_mm, cy[Q] - dy * g / pt.z_mm
+            corners = list(bilinear_corners(u - cx[P], v - cy[Q], pixel_pitch_mm,
+                                            pixels_y, pixels_x))
         hit = np.zeros((cfg.m, cfg.n), dtype=bool)
-        for row, col, w, inside in bilinear_corners(u - cx[P], v - cy[Q], pixel_pitch_mm,
-                                                    pixels_y, pixels_x):
+        for row, col, w, inside in corners:
             np.add.at(images, (P, Q, row, col), np.where(inside, value * w, 0.0))
             hit |= inside
         report.splatted += int(hit.sum())

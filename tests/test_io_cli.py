@@ -510,6 +510,72 @@ def test_cli_rejects_pupil_shape_in_config(tmp_path, caplog):
     assert not out.exists()
 
 
+READER_CASES = [
+    pytest.param("config", ["optical_system", "gap_mm"], -1, "the optical_system block",
+                 id="gap_mm"),
+    pytest.param("config", ["plane", "theta_x_deg"], 95, "the plane block", id="theta_x_deg"),
+    pytest.param("config", ["plane", "grid", "sample_pitch_mm"], "1", "the plane.grid block",
+                 id="sample_pitch_mm"),
+    pytest.param("config", ["optical_system"], [1], "the optical_system block",
+                 id="non-object"),
+    pytest.param("scene", ["planes", 0, "z_mm"], 0, "scene plane 0", id="scene-z_mm"),
+    pytest.param("manifest", ["bogus"], 1, "the manifest", id="manifest-key"),
+    pytest.param("manifest", ["pixels_x"], -3, "the manifest", id="pixels_x"),
+]
+
+
+@pytest.mark.parametrize("document, keys, value, block", READER_CASES)
+def test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, keys, value,
+                                                 block):
+    config, manifest, _ = _synth_point_capture(tmp_path)
+    write_pgm16(tmp_path / "tex.pgm", np.full((4, 4), 100, dtype=np.uint16))
+    scene = write_scene(tmp_path, {"planes": [{"z_mm": 200.0, "half_width_x_mm": 5.0,
+                                               "half_width_y_mm": 5.0,
+                                               "texture_file": "tex.pgm"}]})
+    path = {"config": config, "scene": scene, "manifest": manifest}[document]
+    doc = json.loads(path.read_text())
+    block_doc = doc
+    for key in keys[:-1]:
+        block_doc = block_doc[key]
+    block_doc[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {"config": ["analyze", "--config", str(config), "--out", str(out)],
+            "scene": ["synth", "--config", str(config), "--scene", str(scene),
+                      "--out", str(out)],
+            "manifest": ["reconstruct", "--config", str(config), "--manifest", str(manifest),
+                         "--out", str(out / "r.pgm")]}[document]
+    assert main(argv) == 1
+    assert not out.exists()
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{path}: {block}")
+
+
+@pytest.mark.parametrize("m", [2.5, True])
+def test_cli_analyze_rejects_non_integer_lenslet_count(tmp_path, caplog, m):
+    # m = 2.5 had scanned 3 lenslets, none on the axis, and true a single one
+    doc = json.loads((ROOT / "configs" / "real_virtual_fov.json").read_text())
+    doc["optical_system"]["m"] = m
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert not (out / "curve.csv").exists()
+    assert f"{config}: the optical_system block: m must be an integer" in caplog.text
+
+
+def test_cli_reconstruct_rejects_non_integer_lenslet_count_in_manifest(tmp_path, caplog):
+    config, manifest, img = _synth_point_capture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["m"] = 2.5
+    manifest.write_text(json.dumps(doc))
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--out", str(img)])
+    assert rc == 1
+    assert not img.exists()
+    assert f"{manifest}: the manifest: m must be an integer" in caplog.text
+
+
 @pytest.mark.parametrize("override", [math.nan, 0])
 def test_cli_analyze_rejects_nan_and_zero_focus_override(tmp_path, caplog, override):
     # a NaN override had been taken as the collimated case and written a focused-mode curve

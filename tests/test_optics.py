@@ -258,6 +258,13 @@ def test_config_validation():
         _cfg(wavelength_nm=1064.0)
 
 
+@pytest.mark.parametrize("key, value", [("m", 2.5), ("n", 4.0), ("m", True), ("n", False),
+                                        ("m", "4")])
+def test_config_rejects_non_integer_lenslet_count(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        _cfg(**{key: value})
+
+
 @pytest.mark.parametrize("key, value", [("pitch_x_mm", math.nan), ("pitch_y_mm", math.inf),
                                         ("focal_length_mm", math.nan), ("gap_mm", math.inf),
                                         ("gap_mm", math.nan)])

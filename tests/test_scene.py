@@ -120,9 +120,10 @@ def test_projection_through_offset_lenslet():
 
 def test_capture_linear_in_intensity():
     cfg = cfg4()
-    scene = Scene(points=[PointEmitter(1.0, -2.0, 250.0, 0.75)])
-    a = capture(scene, cfg, 32, 32, pixel_pitch_mm=0.3)
-    b = capture(scene.scaled(4.0), cfg, 32, 32, pixel_pitch_mm=0.3)
+    a = capture(Scene(points=[PointEmitter(1.0, -2.0, 250.0, 0.75)]), cfg, 32, 32,
+                pixel_pitch_mm=0.3)
+    b = capture(Scene(points=[PointEmitter(1.0, -2.0, 250.0, 0.75 * 4.0)]), cfg, 32, 32,
+                pixel_pitch_mm=0.3)
     np.testing.assert_array_equal(b.images, 4.0 * a.images)
 
 
@@ -130,9 +131,9 @@ def test_capture_linear_in_intensity():
 @settings(max_examples=3, deadline=None)
 def test_capture_linearity_property(scale):
     cfg = cfg4()
-    scene = Scene(points=[PointEmitter(2.0, 1.0, 300.0)])
-    a = capture(scene, cfg, 16, 16, pixel_pitch_mm=0.5)
-    b = capture(scene.scaled(scale), cfg, 16, 16, pixel_pitch_mm=0.5)
+    a = capture(Scene(points=[PointEmitter(2.0, 1.0, 300.0)]), cfg, 16, 16, pixel_pitch_mm=0.5)
+    b = capture(Scene(points=[PointEmitter(2.0, 1.0, 300.0, scale)]), cfg, 16, 16,
+                pixel_pitch_mm=0.5)
     np.testing.assert_array_equal(b.images, scale * a.images)
 
 
@@ -164,6 +165,23 @@ def test_emitter_almost_on_the_array_vignettes_without_warning():
     scene = Scene(points=[PointEmitter(3.0, 0.0, 1e-290)])
     eis, report = capture_with_report(scene, cfg, 16, 16, pixel_pitch_mm=0.5)
     assert (report.splatted, report.vignetted) == (0, cfg.m * cfg.n)
+    assert not np.any(eis.images)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z_mm", [1e-170, 1e-305, 1e-308, 5e-324])
+@pytest.mark.parametrize("x_mm", [3.0, 0.0])
+def test_emitter_on_the_array_rejected_or_captured_finite(x_mm, z_mm):
+    # at x = 0 the emitter sits on the axis of lenslet (2, 2), where 1 / z**2
+    # had deposited inf; at x = 3 its projections had overflowed from 1e-305
+    # mm in and are misses. Either it is rejected by name or every image is finite.
+    scene = Scene(points=[PointEmitter(x_mm, 0.0, z_mm)])
+    if x_mm == 0.0:
+        with pytest.raises(ValueError, match="z_mm"):
+            capture(scene, cfg4(), 16, 16, pixel_pitch_mm=0.5)
+        return
+    eis, report = capture_with_report(scene, cfg4(), 16, 16, pixel_pitch_mm=0.5)
+    assert (report.splatted, report.vignetted) == (0, 16)
     assert not np.any(eis.images)
 
 
