@@ -17,14 +17,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import manifest as manifest_io
 from .optics import (ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, build,
                      read_block)
-from .pgm import MAXVAL_16, read_pgm, write_pgm16
+from .pgm import read_pgm, to_codes, write_pgm16
 from .reconstruction import reconstruct
-from .resolution import extract_fov, scan_resolution, write_curve_csv, write_fov_json
+from .resolution import (check_threshold_ratio, extract_fov, scan_resolution, write_curve_csv,
+                         write_fov_json)
 from .scene import PointEmitter, Scene, TexturedPlane, capture_with_report
 
 log = logging.getLogger("tiltview")
@@ -46,6 +45,9 @@ class ScanConfig:
     steps: int = 81
     threshold_ratio: float = 1.5
 
+    def __post_init__(self):
+        check_threshold_ratio(self.threshold_ratio)
+
 
 @dataclass
 class RunConfig:
@@ -66,6 +68,7 @@ class RunConfig:
                          optional=(*OPTICAL_SYSTEM_KEYS, "z_i_override_mm"))
         z_i_override = opt.pop("z_i_override_mm", None)
         cfg = build(OpticalSystemConfig, path, block, **opt)
+        build(cfg.focus_mm, path, block, z_i_override_mm=z_i_override)  # rejects NaN and 0
         plane = None
         if "plane" in doc:
             block = "the plane block"
@@ -102,7 +105,7 @@ def load_scene(path) -> Scene:
         block = f"scene plane {i}"
         entry = read_block(entry, path, block, optional=("intensity_scale",), required=(
             "z_mm", "half_width_x_mm", "half_width_y_mm", "texture_file"))
-        texture = read_pgm(base / entry.pop("texture_file")).astype(float)
+        texture = read_pgm(base / entry.pop("texture_file"))
         planes.append(build(TexturedPlane, path, block, texture=texture, **entry))
     return Scene(points=points, planes=planes)
 
@@ -164,10 +167,8 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     peak = float(recon.field.values.max())
-    scale = MAXVAL_16 / peak if peak > 0 else 1.0
     # field is [ix, iy]; image rows run top-down along -y
-    raster = np.round(recon.field.values.T[::-1] * scale).astype(np.uint16)
-    write_pgm16(out, raster)
+    write_pgm16(out, to_codes(recon.field.values.T[::-1], peak))
     sidecar = {
         "theta_x_deg": plane.theta_x_deg,
         "theta_y_deg": plane.theta_y_deg,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .optics import FOCUS_BAND, ConfigError, OpticalSystemConfig, build, read_block
-from .pgm import MAXVAL_16, read_pgm, write_pgm16
+from .pgm import read_pgm, to_codes, write_pgm16
 from .reconstruction import ElementalImageSet
 
 MANIFEST_NAME = "manifest.json"
@@ -33,12 +33,11 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     cfg = eis.capture_config
     peak = float(eis.images.max())
-    scale = MAXVAL_16 / peak if peak > 0 else 1.0
     entries = []
     for p in range(cfg.m):
         for q in range(cfg.n):
             name = f"e_{p:02d}_{q:02d}.pgm"
-            write_pgm16(out / name, np.round(eis.images[p, q] * scale).astype(np.uint16))
+            write_pgm16(out / name, to_codes(eis.images[p, q], peak))
             entries.append({"p": p, "q": q, "file": name})
     manifest = {key: getattr(cfg, name) for name, key in GEOMETRY_KEYS.items()}
     manifest.update(pixel_pitch_mm=eis.pixel_pitch_mm, pixels_x=eis.pixels_x,
@@ -77,7 +76,7 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
                              f"of the {cfg.m} x {cfg.n} array")
         if (p, q) in seen:
             raise ValueError(f"{path}: image entry (p={p}, q={q}) is listed more than once")
-        img = read_pgm(path.parent / entry["file"]).astype(float)
+        img = read_pgm(path.parent / entry["file"])
         if img.shape != shape:
             raise ValueError(
                 f"{entry['file']}: image shape {img.shape} does not match manifest {shape}"

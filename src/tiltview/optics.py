@@ -57,8 +57,8 @@ def read_block(doc, path, block: str, required=(), optional=()) -> dict:
 
 
 def build(cls, path, block: str, **values):
-    """``cls(**values)``, with a rejected value reported as a ``ConfigError``
-    naming the file and the block."""
+    """``cls(**values)`` for a class or any other callable, with a rejected value
+    reported as a ``ConfigError`` naming the file and the block."""
     try:
         return cls(**values)
     except (ValueError, TypeError) as exc:

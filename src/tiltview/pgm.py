@@ -1,21 +1,30 @@
-"""Minimal binary (P5) PGM reader/writer; 16-bit output, 8/16-bit input."""
+"""Binary (P5) PGM: the one 16-bit encoder (``to_codes``), its writer and an 8/16-bit reader."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 MAXVAL_16 = 65535
+# P5, width, height and maxval, whitespace or # comments between, one whitespace byte after
+_SEP = rb"\s(?:\s|#[^\n]*\n)*"
+_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
+def to_codes(values, peak: float) -> np.ndarray:
+    """Rounded 16-bit codes of nonnegative intensities, ``peak`` (the maximum of
+    all values encoded on one scale) at MAXVAL_16; a zero peak keeps the zeros."""
+    scale = MAXVAL_16 / peak if peak > 0 else 1.0
+    return np.round(np.asarray(values) * scale).astype(np.uint16)
 
 
 def write_pgm16(path, values: np.ndarray) -> None:
     """Write a 2D uint16 array as a binary P5 PGM with maxval 65535."""
     arr = np.asarray(values)
-    if arr.ndim != 2:
-        raise ValueError("PGM payload must be a 2D array")
-    if arr.dtype != np.uint16:
-        if np.any(arr < 0) or np.any(arr > MAXVAL_16):
-            raise ValueError("values outside the 16-bit range; normalize before writing")
-        arr = np.round(arr).astype(np.uint16)
+    if arr.ndim != 2 or arr.dtype != np.uint16:
+        raise ValueError(f"a 16-bit PGM holds a 2D uint16 array, got {arr.ndim}D {arr.dtype}; "
+                         "encode intensities with pgm.to_codes")
     rows, cols = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n{MAXVAL_16}\n".encode("ascii"))
@@ -26,41 +35,19 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary P5 PGM into a uint8 or uint16 array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, rest = _token(data)
-    if magic != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    cols, rest = _token(rest)
-    rows, rest = _token(rest)
-    maxval, rest = _token(rest)
-    cols, rows, maxval = int(cols), int(rows), int(maxval)
+    head = _HEADER.match(data)
+    if head is None:
+        raise ValueError(f"{path}: not a binary PGM: the header must be P5, width, height "
+                         f"and maxval in decimal digits, got {data[:40]!r}")
+    cols, rows, maxval = (int(token) for token in head.groups())
+    if cols < 1 or rows < 1:
+        raise ValueError(f"{path}: PGM size {cols} x {rows} has no pixels")
     if maxval <= 0 or maxval > MAXVAL_16:
         raise ValueError(f"{path}: invalid maxval {maxval}")
-    # exactly one whitespace byte separates the header from the raster
-    raster = rest[1:]
     dtype = ">u2" if maxval > 255 else "u1"
-    count = rows * cols
-    expected = count * np.dtype(dtype).itemsize
+    expected = rows * cols * np.dtype(dtype).itemsize
+    raster = data[head.end():]
     if len(raster) < expected:
         raise ValueError(f"{path}: truncated raster ({len(raster)} < {expected} bytes)")
     arr = np.frombuffer(raster[:expected], dtype=dtype).reshape(rows, cols)
     return arr.astype(np.uint16 if maxval > 255 else np.uint8)
-
-
-def _token(data: bytes) -> tuple[bytes, bytes]:
-    """Next header token, skipping whitespace and # comments."""
-    i = 0
-    while i < len(data):
-        c = data[i : i + 1]
-        if c == b"#":
-            j = data.find(b"\n", i)
-            i = len(data) if j < 0 else j + 1
-        elif c.isspace():
-            i += 1
-        else:
-            break
-    j = i
-    while j < len(data) and not data[j : j + 1].isspace():
-        j += 1
-    if j == i:
-        raise ValueError("unexpected end of PGM header")
-    return data[i:j], data[j:]

@@ -172,15 +172,20 @@ def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
     return ResolutionCurve(samples=tuple(samples), config_digest=cfg.digest())
 
 
+def check_threshold_ratio(threshold_ratio: float) -> None:
+    """Raise ``ValueError`` unless the ratio is a finite number above 1."""
+    if not 1.0 < threshold_ratio < math.inf:
+        raise ValueError(
+            f"threshold_ratio must be a finite number above 1, got {threshold_ratio!r}")
+
+
 def extract_fov(curve: ResolutionCurve, threshold_ratio: float = 1.5) -> FovResult:
     """First outward crossings of threshold_ratio x the curve minimum.
 
     Crossings are located by linear interpolation between bracketing
     samples; a side that never crosses is reported as open-ended (None).
     """
-    if not 1.0 < threshold_ratio < math.inf:
-        raise ValueError(
-            f"threshold_ratio must be a finite number above 1, got {threshold_ratio!r}")
+    check_threshold_ratio(threshold_ratio)
     if not curve.samples:
         raise ValueError("cannot extract a field of view from an empty curve")
     angles = curve.swept_angles()

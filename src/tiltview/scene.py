@@ -47,8 +47,10 @@ class TexturedPlane:
         if self.half_width_x_mm <= 0 or self.half_width_y_mm <= 0:
             raise ValueError("plane half widths must be positive")
         object.__setattr__(self, "texture", np.asarray(self.texture, dtype=float))
-        if self.texture.ndim != 2:
-            raise ValueError("texture must be a 2D array")
+        if self.texture.ndim != 2 or min(self.texture.shape) < 2:
+            # one texel per axis would give the bilinear lookup no edge on that axis
+            raise ValueError(f"texture must be a 2D array of at least 2 x 2 texels, "
+                             f"got shape {self.texture.shape}")
         if np.any(self.texture < 0) or self.intensity_scale < 0:
             raise ValueError("texture intensities must be nonnegative")
 
@@ -121,8 +123,10 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     for pt in scene.points:
         dx, dy = pt.x_mm - cx[P], pt.y_mm - cy[Q]
         # float_power squares with C pow, as ** on Python floats does (numpy's **
-        # multiplies), so each deposit equals a scalar per-lenslet loop's bit for bit
-        dist_sq = np.float_power(dx, 2) + np.float_power(dy, 2) + pt.z_mm**2
+        # multiplies), so each deposit equals a scalar per-lenslet loop's bit for bit;
+        # unlike ** it gives inf for an emitter too far to square, whose deposits are 0
+        with np.errstate(over="ignore"):
+            dist_sq = np.float_power(dx, 2) + np.float_power(dy, 2) + np.float_power(pt.z_mm, 2)
         # the largest deposit, divided in Python floats, which give inf without a warning
         nearest = float(dist_sq.min())
         if nearest == 0 or math.isinf(pt.intensity / nearest):

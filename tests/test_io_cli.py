@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltview import manifest as manifest_io
 from tiltview.cli import ConfigError, RunConfig, load_scene, main
 from tiltview.optics import OpticalSystemConfig
-from tiltview.pgm import read_pgm, write_pgm16
+from tiltview.pgm import MAXVAL_16, read_pgm, to_codes, write_pgm16
 from tiltview.reconstruction import ElementalImageSet
 from tiltview.scene import capture, point_source_scene
 
@@ -73,6 +75,68 @@ def test_pgm_truncated_raster(tmp_path):
 def test_pgm_rejects_out_of_range():
     with pytest.raises(ValueError):
         write_pgm16("/dev/null", np.array([[70000.0]]))
+    # only 2D uint16 codes are written: floats, even in range, go through to_codes
+    for values in (np.array([[1.0, 2.0]]), np.array([[3]]), np.zeros(3, dtype=np.uint16),
+                   np.zeros((2, 2, 2), dtype=np.uint16)):
+        with pytest.raises(ValueError, match="2D uint16"):
+            write_pgm16("/dev/null", values)
+
+
+def test_pgm_writes_exact_bytes(tmp_path):
+    path = tmp_path / "fixed.pgm"
+    write_pgm16(path, np.array([[0, 1, 256], [4660, 65534, 65535]], dtype=np.uint16))
+    assert path.read_bytes() == (b"P5\n3 2\n65535\n" + bytes([0x00, 0x00, 0x00, 0x01, 0x01, 0x00,
+                                                             0x12, 0x34, 0xFF, 0xFE, 0xFF, 0xFF]))
+
+
+@pytest.mark.parametrize("header", [b"P5\n-2 -2\n255\n", b"P5\n0 0\n255\n",
+                                    b"P5\n3 0\n255\n", b"P5\nab 2\n255\n",
+                                    b"P5\n2 2\n255x\n", b"P5\n2 2\n0\n", b"P5\n2 2\n65536\n",
+                                    b"P52 2\n255\n", b"P5\n2 2\n255"],
+                         ids=["negative", "zero", "zero-rows", "ab", "255x", "maxval-0",
+                              "maxval-65536", "no-separator", "no-raster-byte"])
+def test_pgm_rejected_header_names_file(tmp_path, header):
+    # a negative size had raised a reshape error, "ab" an int() error, and "0 0"
+    # had been read as an empty image; neither error named the file
+    path = tmp_path / "bad_header.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(ValueError, match="bad_header.pgm"):
+        read_pgm(path)
+
+
+SEPARATORS = st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"# c\n",
+                                         b"#\n"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seps=st.lists(SEPARATORS, min_size=3, max_size=3), cols=st.integers(1, 4),
+       rows=st.integers(1, 4), maxval=st.sampled_from([1, 255, 256, 65535]),
+       last=st.sampled_from([b" ", b"\n", b"\t", b"\r"]))
+def test_pgm_header_grammar(tmp_path_factory, seps, cols, rows, maxval, last):
+    # whitespace or # comments between the tokens, a whitespace byte first
+    # (a comment glued to a token is part of it), then exactly one whitespace
+    # byte: the raster's first byte is a newline and stays pixel data
+    seps = [b" " + b"".join(sep) for sep in seps]
+    wide = maxval > 255
+    codes = (np.arange(10, 10 + rows * cols, dtype=np.uint16).reshape(rows, cols)
+             * (257 if wide else 1))
+    path = tmp_path_factory.mktemp("grammar") / "g.pgm"
+    path.write_bytes(b"P5" + seps[0] + str(cols).encode() + seps[1] + str(rows).encode()
+                     + seps[2] + str(maxval).encode() + last
+                     + codes.astype(">u2" if wide else "u1").tobytes())
+    image = read_pgm(path)
+    assert image.dtype == (np.uint16 if wide else np.uint8)
+    np.testing.assert_array_equal(image, codes)
+
+
+def test_to_codes_maps_peak_to_maxval():
+    values = np.array([[0.0, 0.25, 1.0], [0.5, 2.0, 1e-9]])
+    np.testing.assert_array_equal(to_codes(values, 2.0),
+                                  [[0, 8192, 32768], [16384, MAXVAL_16, 0]])
+    assert to_codes(values, 2.0).dtype == np.uint16
+    # a set encoded image by image with the set-wide peak
+    np.testing.assert_array_equal(to_codes(values[0], 2.0), to_codes(values, 2.0)[0])
+    np.testing.assert_array_equal(to_codes(np.zeros((2, 2)), 0.0), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +585,17 @@ READER_CASES = [
     pytest.param("scene", ["planes", 0, "z_mm"], 0, "scene plane 0", id="scene-z_mm"),
     pytest.param("manifest", ["bogus"], 1, "the manifest", id="manifest-key"),
     pytest.param("manifest", ["pixels_x"], -3, "the manifest", id="pixels_x"),
+    pytest.param("config", ["optical_system", "z_i_override_mm"], 0, "the optical_system block",
+                 id="z_i_override_mm-zero"),
+    pytest.param("config", ["scan", "threshold_ratio"], 0.5, "the scan block",
+                 id="threshold_ratio"),
 ]
 
 
 @pytest.mark.parametrize("document, keys, value, block", READER_CASES)
 def test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, keys, value,
                                                  block):
-    config, manifest, _ = _synth_point_capture(tmp_path)
+    config, manifest, _ = _synth_point_capture(tmp_path, scan={"steps": 5})
     write_pgm16(tmp_path / "tex.pgm", np.full((4, 4), 100, dtype=np.uint16))
     scene = write_scene(tmp_path, {"planes": [{"z_mm": 200.0, "half_width_x_mm": 5.0,
                                                "half_width_y_mm": 5.0,
@@ -600,6 +668,54 @@ def test_cli_reconstruct_rejects_nan_and_zero_focus_override(tmp_path, caplog, o
     assert rc == 1
     assert "z_i_override_mm" in caplog.text
     assert not img.exists()
+
+
+@pytest.mark.parametrize("override", [math.nan, 0])
+def test_cli_geometric_reconstruct_rejects_nan_and_zero_focus_override(tmp_path, caplog,
+                                                                     override):
+    # the geometric back-projection never uses the focus, and had accepted it
+    config, manifest, img = _synth_point_capture(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["optical_system"]["z_i_override_mm"] = override
+    config.write_text(json.dumps(doc))
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--out", str(img)])
+    assert rc == 1
+    assert f"{config}: the optical_system block: z_i_override_mm must be nonzero" in caplog.text
+    assert not img.exists()
+
+
+@pytest.mark.parametrize("override, focus", [(math.inf, math.inf), (-math.inf, -math.inf),
+                                             (-120, -120.0), (360, 360.0)])
+def test_run_config_keeps_infinite_and_negative_focus_override(tmp_path, override, focus):
+    doc = json.loads(write_config(tmp_path).read_text())
+    doc["optical_system"]["z_i_override_mm"] = override
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    run = RunConfig.from_file(path)
+    assert run.optical_system.focus_mm(run.z_i_override_mm) == focus
+
+
+def test_cli_synth_rejects_one_texel_wide_texture(tmp_path, caplog):
+    # a texture one texel wide had no edge in x: the plane filled every view
+    write_pgm16(tmp_path / "tex.pgm", np.full((4, 1), 100, dtype=np.uint16))
+    scene = write_scene(tmp_path, {"planes": [
+        {"z_mm": 200.0, "half_width_x_mm": 5.0, "half_width_y_mm": 5.0,
+         "texture_file": "tex.pgm"}]})
+    out = tmp_path / "cap"
+    rc = main(["synth", "--config", str(write_config(tmp_path)), "--scene", str(scene),
+               "--out", str(out), "--pixels-x", "8", "--pixels-y", "8"])
+    assert rc == 1
+    assert f"{scene}: scene plane 0: texture must be a 2D array of at least 2 x 2" in caplog.text
+    assert not out.exists()
+
+
+def test_cli_analyze_matches_reference_curve(tmp_path):
+    out = tmp_path / "fov"
+    assert main(["analyze", "--config", str(ROOT / "configs" / "real_virtual_fov.json"),
+                 "--out", str(out)]) == 0
+    reference = ROOT / "perfbench" / "ref" / "real_virtual_fov_curve.csv"
+    assert (out / "curve.csv").read_bytes() == reference.read_bytes()
 
 
 def test_cli_imports_without_scipy():

@@ -65,6 +65,20 @@ def test_textured_plane_validation():
         TexturedPlane(100.0, 5.0, 5.0, -np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4), (1, 1), (0, 0), (0, 4)])
+def test_textured_plane_rejects_texture_under_two_texels_per_axis(shape):
+    # with one column, (cols - 1) = 0 put every x inside, so sample(1e6, 0) was 1;
+    # a (0, 0) texture had raised an IndexError
+    with pytest.raises(ValueError, match="at least 2 x 2 texels"):
+        TexturedPlane(300.0, 5.0, 5.0, np.ones(shape))
+
+
+def test_textured_plane_two_texels_has_edges():
+    plane = TexturedPlane(300.0, 5.0, 5.0, np.ones((2, 2)))
+    assert plane.sample(1e6, 0.0) == 0.0 and plane.sample(0.0, 1e6) == 0.0
+    assert plane.sample(5.0, -5.0) == 1.0
+
+
 @pytest.mark.parametrize("half_widths", [(0.0, 5.0), (5.0, 0.0), (-5.0, 5.0), (5.0, -5.0)])
 def test_textured_plane_rejects_nonpositive_half_widths(half_widths):
     with pytest.raises(ValueError, match="half widths must be positive"):
@@ -182,6 +196,16 @@ def test_emitter_on_the_array_rejected_or_captured_finite(x_mm, z_mm):
         return
     eis, report = capture_with_report(scene, cfg4(), 16, 16, pixel_pitch_mm=0.5)
     assert (report.splatted, report.vignetted) == (0, 16)
+    assert not np.any(eis.images)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z_mm", [1.4e154, 1e200, 1.7e308])
+def test_emitter_too_far_to_square_captures_zero(z_mm):
+    # z_mm**2 on a Python float had raised a bare OverflowError: (34, ...)
+    eis, report = capture_with_report(Scene(points=[PointEmitter(0.0, 0.0, z_mm)]), cfg4(),
+                                      16, 16, pixel_pitch_mm=0.5)
+    assert report.splatted + report.vignetted == 16
     assert not np.any(eis.images)
 
 
