@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .optics import FOCUS_BAND, ConfigError, OpticalSystemConfig, build, read_block
-from .pgm import read_pgm, to_codes, write_pgm16
+from .pgm import read_pgm16, to_codes, write_pgm16
 from .reconstruction import ElementalImageSet
 
 MANIFEST_NAME = "manifest.json"
@@ -50,7 +50,10 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
 
 
 def load_elemental_set(manifest_path) -> ElementalImageSet:
-    """Load a saved set; intensities come back in 16-bit units (0..65535)."""
+    """Load a saved set; intensities come back as its uint16 codes (0..65535).
+
+    Every image must be a 16-bit PGM with maxval 65535, the scale the set
+    was saved on."""
     path = Path(manifest_path)
     with open(path) as fh:
         man = read_block(json.load(fh), path, "the manifest", required=REQUIRED_KEYS,
@@ -65,7 +68,7 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
     if not all(type(size) is int and size >= 1 for size in shape):
         raise ConfigError(f"{path}: the manifest: pixels_x and pixels_y must be integers "
                           f">= 1, got {man['pixels_x']!r} and {man['pixels_y']!r}")
-    images = np.zeros((cfg.m, cfg.n) + shape)
+    images = np.zeros((cfg.m, cfg.n) + shape, dtype=np.uint16)
     seen = set()
     for entry in man["images"]:
         entry = read_block(entry, path, "an image entry", required=("p", "q", "file"))
@@ -76,7 +79,7 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
                              f"of the {cfg.m} x {cfg.n} array")
         if (p, q) in seen:
             raise ValueError(f"{path}: image entry (p={p}, q={q}) is listed more than once")
-        img = read_pgm(path.parent / entry["file"])
+        img = read_pgm16(path.parent / entry["file"])
         if img.shape != shape:
             raise ValueError(
                 f"{entry['file']}: image shape {img.shape} does not match manifest {shape}"

@@ -1,4 +1,5 @@
-"""Binary (P5) PGM: the one 16-bit encoder (``to_codes``), its writer and an 8/16-bit reader."""
+"""Binary (P5) PGM: the one 16-bit encoder (``to_codes``), its writer, its reader
+and an 8/16-bit reader."""
 
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ def write_pgm16(path, values: np.ndarray) -> None:
         fh.write(arr.astype(">u2").tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 PGM into a uint8 or uint16 array."""
+def _read(path) -> tuple[np.ndarray, int]:
+    """The raster of a binary P5 PGM, as uint8 or uint16, and its maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
     head = _HEADER.match(data)
@@ -50,4 +51,19 @@ def read_pgm(path) -> np.ndarray:
     if len(raster) < expected:
         raise ValueError(f"{path}: truncated raster ({len(raster)} < {expected} bytes)")
     arr = np.frombuffer(raster[:expected], dtype=dtype).reshape(rows, cols)
-    return arr.astype(np.uint16 if maxval > 255 else np.uint8)
+    return arr.astype(np.uint16 if maxval > 255 else np.uint8), maxval
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary P5 PGM into a uint8 or uint16 array."""
+    return _read(path)[0]
+
+
+def read_pgm16(path) -> np.ndarray:
+    """Read the uint16 codes of a PGM on the 16-bit scale of ``write_pgm16``;
+    any other maxval would put its codes on another scale, so it is rejected."""
+    arr, maxval = _read(path)
+    if maxval != MAXVAL_16:
+        raise ValueError(f"{path}: maxval {maxval}, but a 16-bit PGM with maxval "
+                         f"{MAXVAL_16} is needed")
+    return arr

@@ -26,7 +26,11 @@ class ElementalImageSet:
     """m x n grid of elemental images with a shared physical pixel pitch.
 
     ``images[p][q]`` is a 2D array indexed ``[row, col]``; row 0 is the top
-    of the image (largest y) and columns run along +x.
+    of the image (largest y) and columns run along +x. A set loaded from a
+    manifest holds its 16-bit codes as ``uint16`` (2 bytes per pixel); any
+    other input, such as a capture, is held as float64. The back-projection
+    copies only the images of the lenslets it visits (``padded``) and
+    converts to float only the pixels it reads from them (``gather``).
     """
 
     images: np.ndarray  # shape (m, n, pixels_y, pixels_x)
@@ -34,17 +38,23 @@ class ElementalImageSet:
     capture_config: OpticalSystemConfig
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=float)
+        images = np.asarray(self.images)
+        self.images = images if images.dtype == np.uint16 else images.astype(float, copy=False)
         cfg = self.capture_config
         if self.images.ndim != 4 or self.images.shape[:2] != (cfg.m, cfg.n):
             raise ValueError(
                 f"expected images of shape ({cfg.m}, {cfg.n}, pixels_y, pixels_x), "
                 f"got {self.images.shape}"
             )
-        if self.pixel_pitch_mm <= 0:
-            raise ValueError("pixel pitch must be positive")
-        if np.any(self.images < 0):
-            raise ValueError("elemental intensities must be nonnegative")
+        if not (math.isfinite(self.pixel_pitch_mm) and self.pixel_pitch_mm > 0):
+            raise ValueError(f"pixel pitch must be positive and finite, "
+                             f"got {self.pixel_pitch_mm!r}")
+        if self.images.dtype != np.uint16:  # codes are finite and nonnegative
+            # NaN fails both comparisons: min and max propagate it
+            lo, hi = self.images.min(), self.images.max()
+            if not (lo >= 0 and hi < math.inf):
+                raise ValueError(f"elemental intensities must be finite and nonnegative, "
+                                 f"got values from {float(lo)} to {float(hi)}")
         if self.pixels_x * self.pixel_pitch_mm > cfg.pitch_x_mm * (1 + 1e-12):
             raise ValueError("elemental image wider than the lens pitch in x")
         if self.pixels_y * self.pixel_pitch_mm > cfg.pitch_y_mm * (1 + 1e-12):
@@ -58,40 +68,49 @@ class ElementalImageSet:
     def pixels_y(self) -> int:
         return self.images.shape[2]
 
-    def sample(self, p: int, q, u, v):
-        """Bilinear sample of image (p, q) at global display coordinates.
-
-        Points outside the elemental image contribute zero. An index array
-        ``q`` broadcasts against the coordinates, so ``q`` of shape
-        (n, 1, 1) samples every image of row ``p`` at once.
-        """
-        cx, cy = self.capture_config.lenslet_center(p, q)
-        du = np.asarray(u, dtype=float) - cx
-        dv = np.asarray(v, dtype=float) - cy
-        img = self.images[p]
-        out = np.zeros(np.broadcast(du, dv).shape, dtype=float)
-        for row, col, w, inside in bilinear_corners(du, dv, self.pixel_pitch_mm,
-                                                    self.pixels_y, self.pixels_x):
-            out += np.where(inside, w * img[q, row, col], 0.0)
+    def padded(self, p, q) -> np.ndarray:
+        """Copies of the images of lenslet rows ``p`` and columns ``q``
+        (index arrays), shape (len(p), len(q), rows + 5, cols + 5), each
+        inside the zero border that ``gather`` reads for a corner outside
+        it. They keep the set's dtype: uint16 codes stay 2 bytes a pixel."""
+        rows, cols = self.pixels_y, self.pixels_x
+        out = np.zeros((len(p), len(q), rows + 2 * _BORDER + 1, cols + 2 * _BORDER + 1),
+                       dtype=self.images.dtype)
+        out[..., _BORDER:_BORDER + rows, _BORDER:_BORDER + cols] = self.images[np.ix_(p, q)]
         return out
+
+
+#: The fractional pixel index is clipped to [-_BORDER, size - 1 + _BORDER],
+#: so the corners around it lie at most _BORDER pixels before the first
+#: pixel and _BORDER + 1 past the last: the zero border of ``padded``.
+_BORDER = 2
+
+
+def pixel_index(du, dv, pitch: float, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The elemental-pixel convention: the fractional (row, col) index of
+    display offsets (du, dv) from the image centre, with column 0 at the
+    smallest u and row 0 at the largest v. It is clipped to [-2, size + 1],
+    which moves no corner into the image and keeps a far projection's index
+    castable; an offset too far for the float range is such a projection."""
+    with np.errstate(over="ignore"):
+        fr = np.clip((rows - 1) / 2.0 - dv / pitch, -_BORDER, rows - 1.0 + _BORDER)
+        fc = np.clip(du / pitch + (cols - 1) / 2.0, -_BORDER, cols - 1.0 + _BORDER)
+    return fr, fc
 
 
 def pixel_centers(pitch: float, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Display offsets from the image centre of the pixel centres, (du of each
-    column, dv of each row): the inverse of ``bilinear_corners``."""
+    column, dv of each row): the inverse of ``pixel_index``."""
     return ((np.arange(cols) - (cols - 1) / 2.0) * pitch,
             ((rows - 1) / 2.0 - np.arange(rows)) * pitch)
 
 
 def bilinear_corners(du, dv, pitch: float, rows: int, cols: int):
-    """The elemental-pixel model: yields ``(row, col, weight, inside)`` for the
-    4 pixels around display offsets (du, dv) from the image centre, with
-    column 0 at the smallest u and row 0 at the largest v. ``row`` and ``col``
-    are clipped to the image; ``inside`` marks the corners that lie in it.
-    The fractional index is clipped to [-2, size + 1] first, which moves no
-    corner into the image and keeps a far projection's index castable."""
-    fc = np.clip(du / pitch + (cols - 1) / 2.0, -2.0, cols + 1.0)
-    fr = np.clip((rows - 1) / 2.0 - dv / pitch, -2.0, rows + 1.0)
+    """Yields ``(row, col, weight, inside)`` for the 4 pixels around display
+    offsets (du, dv) from the image centre (``pixel_index``). ``row`` and
+    ``col`` are clipped to the image; ``inside`` marks the corners that lie
+    in it."""
+    fr, fc = pixel_index(du, dv, pitch, rows, cols)
     c0, r0 = np.floor(fc).astype(int), np.floor(fr).astype(int)
     wc, wr = fc - c0, fr - r0
     for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -99,6 +118,25 @@ def bilinear_corners(du, dv, pitch: float, rows: int, cols: int):
         inside = (rr >= 0) & (rr < rows) & (cc >= 0) & (cc < cols)
         yield (np.clip(rr, 0, rows - 1), np.clip(cc, 0, cols - 1),
                (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc), inside)
+
+
+def gather(padded: np.ndarray, k, du, dv, pitch: float) -> np.ndarray:
+    """Bilinear sample of image ``k`` of a ``padded`` stack (its leading axes
+    flattened) at display offsets (du, dv) from the image centre; ``k``
+    broadcasts against the offsets. A corner outside the image reads the
+    zero border, so it adds an exact 0.0, as a masked sum would."""
+    height, width = padded.shape[-2:]
+    fr, fc = pixel_index(du, dv, pitch, height - 2 * _BORDER - 1, width - 2 * _BORDER - 1)
+    r0, c0 = np.floor(fr), np.floor(fc)
+    wr, wc = fr - r0, fc - c0
+    vr, vc = 1.0 - wr, 1.0 - wc
+    # flat index of corner (r0, c0) of image k; corners (r0, c0 + 1),
+    # (r0 + 1, c0) and (r0 + 1, c0 + 1) are 1, width and width + 1 further on
+    origin = (k * height + _BORDER) * width + _BORDER
+    at = r0.astype(np.intp) * width + c0.astype(np.intp) + origin
+    flat = padded.reshape(-1)
+    return (vr * vc * flat[at] + vr * wc * flat[1:][at]
+            + wr * vc * flat[width:][at] + wr * wc * flat[width + 1:][at])
 
 
 @dataclass
@@ -158,6 +196,8 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     the lenslet rows and columns that reach the plane, and the plane samples
     each can reach. Every term left out is an exact 0.0, so the sum is the
     same, bit for bit, as over all lenslets and samples in (p, q) order.
+    The images of those lenslets are copied once into a zero-padded stack
+    (``ElementalImageSet.padded``) and sampled with ``gather``.
     """
     cfg = eis.capture_config
     g = cfg.gap_mm
@@ -176,17 +216,19 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     log.debug("back-projection: %d of %d lenslets reach the plane",
               rows.size * cols.size, cfg.m * cfg.n)
     total = np.zeros_like(X)
-    if cols.size:
+    if rows.size and cols.size:
         q = cols[:, None, None]
         ys_reach = slice(y_lo[cols].min(), y_hi[cols].max())
-        for p in rows:
+        # the visited images, copied once per call; row i's are i * cols.size + k
+        stack, k = eis.padded(rows, cols), np.arange(cols.size)[:, None, None]
+        for i, p in enumerate(rows):
             s = (slice(x_lo[p], x_hi[p]), ys_reach)
             cpx, cpy = cfg.lenslet_center(p, q)
-            gxs, gys, Ms = gx[s], gy[s], M[s]
-            u = cpx - (gxs - cpx) / Ms
-            v = cpy - (gys - cpy) / Ms
-            denom = axial2[s] + ((gxs - cpx) ** 2 + (gys - cpy) ** 2) * lateral_scale[s]
-            for part in eis.sample(p, q, u, v) / denom:  # fixed lexicographic (p, q) order
+            dx, dy, Ms = gx[s] - cpx, gy[s] - cpy, M[s]
+            u, v = cpx - dx / Ms, cpy - dy / Ms
+            denom = axial2[s] + (dx ** 2 + dy ** 2) * lateral_scale[s]
+            values = gather(stack, i * cols.size + k, u - cpx, v - cpy, pitch)
+            for part in values / denom:  # fixed lexicographic (p, q) order
                 total[s] += part
     if not np.any(total):
         warnings.warn("no elemental image sees the reconstruction plane; field is zero")

@@ -38,7 +38,7 @@ from tiltview.optics import (
     TiltedPlaneSpec,
 )
 from tiltview import reconstruction
-from tiltview.reconstruction import PSFKernel, defocus_psf, reconstruct
+from tiltview.reconstruction import PSFKernel, bilinear_corners, defocus_psf, reconstruct
 from tiltview.resolution import extract_fov, radial_extent, scan_resolution
 from tiltview.scene import Scene, TexturedPlane, capture, point_source_scene
 
@@ -284,14 +284,19 @@ def test_criterion_8_reductions_and_determinism(monkeypatch):
     plane = TiltedPlaneSpec(0.0, 0.0, 200.0, grid)
 
     # the normal-view per-lenslet sum (one magnification D/g) in
-    # lexicographic (p, q) order, written out here
+    # lexicographic (p, q) order, written out here, each lenslet's bilinear
+    # sample with the corners outside its image masked to 0.0
     X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     M = 200.0 / cfg.gap_mm
     loop = np.zeros_like(X)
     for p in range(cfg.m):
         for q in range(cfg.n):
             cx, cy = cfg.lenslet_center(p, q)
-            vals = eis.sample(p, q, cx - (X - cx) / M, cy - (Y - cy) / M)
+            du, dv = cx - (X - cx) / M - cx, cy - (Y - cy) / M - cy
+            vals = np.zeros_like(X)
+            for row, col, w, inside in bilinear_corners(du, dv, eis.pixel_pitch_mm,
+                                                        eis.pixels_y, eis.pixels_x):
+                vals += np.where(inside, w * eis.images[p, q, row, col], 0.0)
             loop += vals / ((200.0 + cfg.gap_mm) ** 2
                             + ((X - cx) ** 2 + (Y - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
 

@@ -19,7 +19,7 @@ from tiltview.cli import ConfigError, RunConfig, load_scene, main
 from tiltview.optics import OpticalSystemConfig
 from tiltview.pgm import MAXVAL_16, read_pgm, to_codes, write_pgm16
 from tiltview.reconstruction import ElementalImageSet
-from tiltview.scene import capture, point_source_scene
+from tiltview.scene import PointEmitter, Scene, capture, point_source_scene
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -236,6 +236,36 @@ def test_manifest_missing_key_names_key_and_file(tmp_path):
     with pytest.raises(ConfigError) as err:
         manifest_io.load_elemental_set(path)
     assert str(err.value) == f"{path}: an image entry is missing required key(s): file"
+
+
+def test_manifest_resave_of_loaded_set_is_byte_identical(tmp_path):
+    eis = capture(Scene(points=[PointEmitter(x, y, 200.0 + 40.0 * x, 1.0 + y)
+                                for x in (-3.0, 1.0) for y in (0.0, 2.5)]),
+                  cfg4(), 8, 6, pixel_pitch_mm=1.0)
+    assert eis.images.dtype == np.float64  # a capture stays float
+    first = manifest_io.save_elemental_set(eis, tmp_path / "a")
+    loaded = manifest_io.load_elemental_set(first)
+    # a loaded set holds its 16-bit codes, 2 bytes per pixel
+    assert loaded.images.dtype == np.uint16 and loaded.images.itemsize == 2
+    manifest_io.save_elemental_set(loaded, tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(names) == 17 and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
+
+@pytest.mark.parametrize("maxval", [255, 4095])
+def test_manifest_rejects_image_that_is_not_16bit(tmp_path, maxval):
+    # an 8-bit image would load 257x too dim, and a 12-bit one 16x
+    eis = capture(point_source_scene(200.0), cfg4(), 8, 8, pixel_pitch_mm=1.0)
+    path = manifest_io.save_elemental_set(eis, tmp_path)
+    image = tmp_path / "e_01_02.pgm"
+    codes = read_pgm(image) >> (16 - maxval.bit_length())
+    raster = codes.astype(np.uint8 if maxval < 256 else ">u2").tobytes()
+    image.write_bytes(f"P5\n8 8\n{maxval}\n".encode() + raster)
+    with pytest.raises(ValueError) as err:
+        manifest_io.load_elemental_set(path)
+    assert str(err.value).startswith(f"{image}: maxval {maxval}, but a 16-bit PGM")
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +615,8 @@ READER_CASES = [
     pytest.param("scene", ["planes", 0, "z_mm"], 0, "scene plane 0", id="scene-z_mm"),
     pytest.param("manifest", ["bogus"], 1, "the manifest", id="manifest-key"),
     pytest.param("manifest", ["pixels_x"], -3, "the manifest", id="pixels_x"),
+    pytest.param("manifest", ["pixel_pitch_mm"], math.nan, "the manifest",
+                 id="pixel_pitch_mm-nan"),
     pytest.param("config", ["optical_system", "z_i_override_mm"], 0, "the optical_system block",
                  id="z_i_override_mm-zero"),
     pytest.param("config", ["scan", "threshold_ratio"], 0.5, "the scan block",

@@ -3,6 +3,7 @@
 import gc
 import logging
 import math
+import tempfile
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from tiltview.optics import (
     tilted_to_global,
 )
 from tiltview import optics, reconstruction
+from tiltview.manifest import load_elemental_set, save_elemental_set
 from tiltview.reconstruction import (
     ElementalImageSet,
     OutOfHalfSpaceError,
@@ -28,7 +30,9 @@ from tiltview.reconstruction import (
     _strip_weights,
     apply_diffraction,
     backproject_geometric,
+    bilinear_corners,
     defocus_psf,
+    gather,
     reconstruct,
 )
 from tiltview.scene import Scene, PointEmitter, capture, point_source_scene
@@ -96,23 +100,126 @@ def test_elemental_set_validation():
         ElementalImageSet(np.zeros((4, 4, 8, 8)), 2.0, cfg)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300])
+def test_elemental_set_rejects_nonfinite_or_negative_intensity(value):
+    images = np.ones((4, 4, 8, 8))
+    images[2, 1, 5, 3] = value
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ElementalImageSet(images, 0.1, small_config())
+
+
+@pytest.mark.parametrize("pitch", [math.nan, math.inf, 0.0, -0.1])
+def test_elemental_set_rejects_nonfinite_or_nonpositive_pitch(pitch):
+    with pytest.raises(ValueError, match="pixel pitch must be positive and finite"):
+        ElementalImageSet(np.ones((4, 4, 8, 8)), pitch, small_config())
+
+
+def test_elemental_set_keeps_codes_and_holds_other_input_as_float():
+    cfg = small_config()
+    codes = np.full((4, 4, 8, 8), 65535, dtype=np.uint16)
+    assert ElementalImageSet(codes, 0.1, cfg).images is codes
+    ints = np.ones((4, 4, 8, 8), dtype=np.int32)
+    assert ElementalImageSet(ints, 0.1, cfg).images.dtype == np.float64
+
+
 def test_elemental_sample_at_pixel_centers():
     cfg = small_config()
     rng = np.random.default_rng(7)
     images = rng.random((4, 4, 8, 8))
     eis = ElementalImageSet(images, 0.5, cfg)
-    cx, cy = cfg.lenslet_center(1, 2)
-    # pixel (row 3, col 5) center in global display coordinates
-    u = cx + (5 - 3.5) * 0.5
-    v = cy + (3.5 - 3) * 0.5
-    assert eis.sample(1, 2, u, v) == pytest.approx(images[1, 2, 3, 5], rel=1e-12)
+    # pixel (row 3, col 5) center, as an offset from the image centre
+    du, dv = (5 - 3.5) * 0.5, (3.5 - 3) * 0.5
+    # image (1, 2) is image 1 * 3 + 2 of the stack of rows 0..2 and columns 0..2
+    stack = eis.padded([0, 1, 2], [0, 1, 2])
+    assert gather(stack, 5, du, dv, 0.5) == pytest.approx(images[1, 2, 3, 5], rel=1e-12)
 
 
 def test_elemental_sample_outside_is_zero():
     cfg = small_config()
     eis = ElementalImageSet(np.ones((4, 4, 8, 8)), 0.5, cfg)
-    cx, cy = cfg.lenslet_center(0, 0)
-    assert eis.sample(0, 0, cx + 7.0, cy) == 0.0
+    assert gather(eis.padded([0], [0]), 0, 7.0, 0.0, 0.5) == 0.0
+
+
+def masked_sample(eis, p, q, u, v):
+    """Reference bilinear sample of image (p, q) at global display
+    coordinates: the four corners of ``bilinear_corners`` summed in order,
+    each corner outside the image masked to 0.0. An index array ``q``
+    broadcasts against the coordinates."""
+    cx, cy = eis.capture_config.lenslet_center(p, q)
+    du = np.asarray(u, dtype=float) - cx
+    dv = np.asarray(v, dtype=float) - cy
+    img = eis.images[p].astype(float)
+    out = np.zeros(np.broadcast(du, dv).shape)
+    for row, col, w, inside in bilinear_corners(du, dv, eis.pixel_pitch_mm,
+                                                eis.pixels_y, eis.pixels_x):
+        out += np.where(inside, w * img[q, row, col], 0.0)
+    return out
+
+
+def scalar_bilinear(img, du, dv, pitch):
+    """Reference bilinear sample of one image at one display offset from its
+    centre, in Python floats: column 0 at the smallest u, row 0 at the
+    largest v, and a corner outside the image adds nothing."""
+    rows, cols = img.shape
+    fr = (rows - 1) / 2.0 - dv / pitch
+    fc = du / pitch + (cols - 1) / 2.0
+    if not (-1.0 < fr < rows and -1.0 < fc < cols):  # no corner with weight inside
+        return 0.0
+    r0, c0 = math.floor(fr), math.floor(fc)
+    wr, wc = fr - r0, fc - c0
+    total = 0.0
+    for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        if 0 <= r0 + dr < rows and 0 <= c0 + dc < cols:
+            total += ((wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc)
+                      * float(img[r0 + dr, c0 + dc]))
+    return total
+
+
+#: Offsets far outside any image; the largest finite ones leave the float
+#: range when divided by a pitch below 1.
+FAR_OFFSETS = [1e300, -1e300, float(np.nextafter(np.inf, 0.0)),
+               -float(np.nextafter(np.inf, 0.0))]
+
+
+def gather_case(rows, cols, pitch, seed, indices):
+    """A 2 x 2 set of random rows x cols images and display offsets
+    (du, dv) at the given fractional (row, col) indices of one image; a
+    float in FAR_OFFSETS stands for itself as an offset."""
+    images = np.random.default_rng(seed).random((2, 2, rows, cols)) + 0.5
+    du = [fc if fc in FAR_OFFSETS else (fc - (cols - 1) / 2.0) * pitch for _, fc in indices]
+    dv = [fr if fr in FAR_OFFSETS else ((rows - 1) / 2.0 - fr) * pitch for fr, _ in indices]
+    return images, pitch, np.array(du), np.array(dv)
+
+
+@st.composite
+def gather_cases(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def index(size):
+        return st.one_of(st.sampled_from([-2.0, size + 1.0, *FAR_OFFSETS]),
+                         st.floats(-4.0, size + 3.0))
+
+    indices = draw(st.lists(st.tuples(index(rows), index(cols)), min_size=1, max_size=12))
+    # a power-of-two pitch puts an index exactly on the clip bounds -2 and size + 1
+    pitch = draw(st.one_of(st.sampled_from([0.25, 1.0, 4.0]), st.floats(0.01, 10.0)))
+    return gather_case(rows, cols, pitch, draw(st.integers(0, 2**16)), indices)
+
+
+@given(case=gather_cases(), p=st.integers(0, 1), q=st.integers(0, 1))
+@example(case=gather_case(1, 1, 0.25, 0, [(0.0, 0.0), (-2.0, -2.0), (2.0, 2.0), (0.5, -0.5),
+                                          (1e300, 0.0), (0.0, -1e300)]), p=1, q=0)
+@example(case=gather_case(1, 5, 1.0, 1, [(0.0, -2.0), (0.0, 6.0), (-2.0, 3.5), (2.0, 0.25),
+                                         (0.25, 4.0), (-1.0, 1.0)]), p=0, q=1)
+@settings(max_examples=150, deadline=None)
+def test_padded_gather_matches_masked_scalar_reference(case, p, q):
+    images, pitch, du, dv = case
+    rows, cols = images.shape[2:]
+    cfg = small_config(m=2, n=2, pitch_x_mm=cols * pitch, pitch_y_mm=rows * pitch)
+    eis = ElementalImageSet(images, pitch, cfg)
+    values = gather(eis.padded([0, 1], [0, 1]), 2 * p + q, du, dv, pitch)
+    expected = [scalar_bilinear(images[p, q], u, v, pitch)
+                for u, v in zip(du.tolist(), dv.tolist())]
+    np.testing.assert_array_equal(values, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +237,7 @@ def test_tilted_zero_matches_normal_path():
     for p in range(cfg.m):
         for q in range(cfg.n):
             cx, cy = cfg.lenslet_center(p, q)
-            vals = eis.sample(p, q, cx - (X - cx) / M, cy - (Y - cy) / M)
+            vals = masked_sample(eis, p, q, cx - (X - cx) / M, cy - (Y - cy) / M)
             normal += vals / ((200.0 + cfg.gap_mm) ** 2
                               + ((X - cx) ** 2 + (Y - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
     assert np.any(normal)
@@ -179,7 +286,7 @@ def test_plane_behind_array_rejected():
 
 
 def _per_lenslet_loop(eis, plane):
-    """Reference back-projection: one eis.sample per lenslet over the whole
+    """Reference back-projection: one masked_sample per lenslet over the whole
     grid, summed in lexicographic (p, q) order, with no lenslet skipped.
     Also returns the number of lenslets that add anything."""
     cfg = eis.capture_config
@@ -193,22 +300,31 @@ def _per_lenslet_loop(eis, plane):
     for p in range(cfg.m):
         for q in range(cfg.n):
             cx, cy = cfg.lenslet_center(p, q)
-            vals = eis.sample(p, q, cx - (gx - cx) / M, cy - (gy - cy) / M)
+            vals = masked_sample(eis, p, q, cx - (gx - cx) / M, cy - (gy - cy) / M)
             expected += vals / ((depth + cfg.gap_mm) ** 2
                                 + ((gx - cx) ** 2 + (gy - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
             reached += bool(np.any(vals))
     return expected, reached
 
 
+def reloaded(eis):
+    """The set saved as 16-bit PGMs and loaded back: its uint16 codes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        back = load_elemental_set(save_elemental_set(eis, tmp))
+    assert back.images.dtype == np.uint16
+    return back
+
+
 def test_backprojection_matches_per_lenslet_loop():
     # m != n so that a swapped lenslet axis cannot pass
     cfg = small_config(m=3, n=5)
-    eis = capture(point_source_scene(200.0), cfg, 64, 64, pixel_pitch_mm=0.15)
+    captured = capture(point_source_scene(200.0), cfg, 64, 64, pixel_pitch_mm=0.15)
     plane = plane_at(200.0, tx=12.0, ty=-7.0, hw=3.0, pitch=0.1)
-    expected, _ = _per_lenslet_loop(eis, plane)
-    assert np.any(expected)
-    rec = reconstruct(eis, plane, mode="geometric")
-    np.testing.assert_array_equal(rec.field.values, expected)
+    for eis in (captured, reloaded(captured)):
+        expected, _ = _per_lenslet_loop(eis, plane)
+        assert np.any(expected)
+        rec = reconstruct(eis, plane, mode="geometric")
+        np.testing.assert_array_equal(rec.field.values, expected)
 
 
 @given(
@@ -227,20 +343,22 @@ def test_backprojection_bound_matches_per_lenslet_loop(m, n, pixels, fill, hw, s
                                                         tx, ty, seed):
     # every elemental pixel is positive, so a lenslet the bound wrongly
     # skipped would leave its nonzero part out of the field
+    # and so is every 16-bit code of the reloaded set
     cfg = small_config(m=m, n=n)
     rng = np.random.default_rng(seed)
-    eis = ElementalImageSet(rng.random((m, n, pixels, pixels)) + 0.5,
-                            fill * cfg.pitch_x_mm / pixels, cfg)
+    drawn = ElementalImageSet(rng.random((m, n, pixels, pixels)) + 0.5,
+                              fill * cfg.pitch_x_mm / pixels, cfg)
     plane = plane_at(D, tx=tx, ty=ty, hw=hw, pitch=hw / steps)
-    expected, reached = _per_lenslet_loop(eis, plane)
-    event("lenslets reaching the plane: "
-          + ("none" if not reached else "all" if reached == m * n else "part"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rec = backproject_geometric(eis, plane)
-    np.testing.assert_array_equal(rec.field.values, expected)
-    warned = any("no elemental image" in str(w.message) for w in caught)
-    assert warned == (not np.any(expected))
+    for eis in (drawn, reloaded(drawn)):
+        expected, reached = _per_lenslet_loop(eis, plane)
+        event("lenslets reaching the plane: "
+              + ("none" if not reached else "all" if reached == m * n else "part"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = backproject_geometric(eis, plane)
+        np.testing.assert_array_equal(rec.field.values, expected)
+        warned = any("no elemental image" in str(w.message) for w in caught)
+        assert warned == (not np.any(expected))
 
 
 def test_backprojection_bound_examples_cover_none_and_part():
