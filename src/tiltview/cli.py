@@ -145,6 +145,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.strip_width_mm is not None and args.mode != "diffraction":
+        raise UsageError("--strip-width-mm sets the strips of the defocus blur; "
+                         "it needs --mode diffraction")
     run = RunConfig.from_file(args.config)
     eis = manifest_io.load_elemental_set(args.manifest)
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
@@ -219,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     recon.add_argument("--theta-y-deg", dest="theta_y_deg", type=float, default=None)
     recon.add_argument("--D-mm", dest="D_mm", type=float, default=None)
     recon.add_argument("--out", required=True)
-    recon.add_argument("--strip-width-mm", type=float, default=None)
+    recon.add_argument("--strip-width-mm", type=float, default=None,
+                       help="depth strip width of the defocus blur (--mode diffraction only)")
     recon.add_argument("--workers", type=int, default=1,
                        help="ignored; accepted for existing command lines")
     recon.set_defaults(func=cmd_reconstruct)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,51 +296,85 @@ def defocus_psf(cfg: OpticalSystemConfig, z_local_mm: float, z_i_mm: float,
     window. ``window_energy`` is the Parseval share of the pupil energy that
     the window holds, and an uncropped window must hold at least 0.99 of it.
     """
-    if z_local_mm <= 0:
-        raise ValueError("z_local must be positive")
+    return psf_builder(cfg, z_i_mm, sample_pitch_mm, max_half_width_mm)(z_local_mm)
+
+
+def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
+                max_half_width_mm: float) -> Callable[[float], PSFKernel]:
+    """The PSF builder of one plane grid and beam focus: ``build(z_local_mm)``
+    returns ``defocus_psf(cfg, z_local_mm, z_i_mm, sample_pitch_mm,
+    max_half_width_mm)``.
+
+    The parts that do not depend on the depth are built once per value of
+    what they do depend on and shared by the builder's later calls: the
+    pupil quadrant and its Parseval denominator per pupil pitch du, the
+    Gauss-Legendre rule per S and the pixel quadrature per (taps, S). They
+    live as long as the builder, so ``apply_diffraction`` makes one per call.
+    """
     if sample_pitch_mm <= 0:
         raise ValueError("sample pitch must be positive")
     ax, ay = cfg.pitch_x_mm, cfg.pitch_y_mm
     a = max(ax, ay)
-    lz = cfg.wavelength_mm * z_local_mm
     inv_zi = 0.0 if not math.isfinite(z_i_mm) else 1.0 / z_i_mm
-    delta = 1.0 / z_local_mm - inv_zi
     k = 2.0 * math.pi / cfg.wavelength_mm
-    half = a / 2.0 * abs(delta) * z_local_mm + 15 * 1.22 * lz / min(ax, ay)
-    cropped = half > max_half_width_mm
-    taps = 2 * max(1, math.ceil(min(half, max_half_width_mm) / sample_pitch_mm)) + 1
-    sub = math.ceil(sample_pitch_mm * 2.0 * a / lz) + 2
-    du = min(math.pi / 4.0 / (k * abs(delta) * a / 2.0) if delta else math.inf,
-             lz / (4.0 * half), a / 256.0)
-    nodes, weights = np.polynomial.legendre.leggauss(sub)
-    x = ((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel() * sample_pitch_mm
-    x_half = x[x.size // 2:]  # x >= 0: from 0 if x.size is odd
-    # pixel i integrates sub-pixel n, whose field is at |x_n| = x_half[mirror[n]]
-    mirror = np.abs(2 * np.arange(x.size) - (x.size - 1)) // 2
-    quadrature = np.zeros((taps, x_half.size))
-    np.add.at(quadrature, (np.arange(x.size) // sub, mirror),
-              np.tile(weights, taps) * sample_pitch_mm / 2.0)
+    pupils, rules, quadratures = {}, {}, {}
 
-    def cosine_dft(width):
-        u = np.arange(math.ceil(width / (2.0 * du)) + 2) * du  # reaches past the antialiased rim
-        weight = np.where(u > 0, 2.0, 1.0)
-        chirp = np.exp(0.5j * k * delta * u**2)
-        return u, weight, weight * chirp * np.cos(2.0 * math.pi / lz * np.outer(x_half, u))
+    def pupil_quadrant(du):
+        if du not in pupils:
+            # u, v >= 0 reach past the antialiased rim; the u = 0 column is weighted once
+            u = np.arange(math.ceil(ax / (2.0 * du)) + 2) * du
+            v = np.arange(math.ceil(ay / (2.0 * du)) + 2) * du
+            wu, wv = np.where(u > 0, 2.0, 1.0), np.where(v > 0, 2.0, 1.0)
+            U, V = np.meshgrid(u, v, indexing="ij")
+            pupil = _antialiased_pupil(U, V, ax, ay, du)
+            pupils[du] = u, wu, v, wv, pupil, wu @ pupil**2 @ wv
+        return pupils[du]
 
-    u, wu, Ax = cosine_dft(ax)
-    v, wv, Ay = cosine_dft(ay)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    pupil = _antialiased_pupil(U, V, ax, ay, du)
-    field = Ax @ pupil @ Ay.T
-    quadrant = field.real**2 + field.imag**2
-    intensity = quadrature @ quadrant @ quadrature.T
-    # Parseval over one alias period (lambda z / du per side) of the full pupil grid
-    window_energy = float(intensity.sum() * (du / lz) ** 2 / (wu @ pupil**2 @ wv))
-    if not cropped and window_energy < 0.99:
-        raise ValueError(f"PSF window holds {window_energy:.4f} of the pupil energy (< 0.99)")
-    return PSFKernel(samples=intensity / intensity.sum(), sample_pitch_mm=sample_pitch_mm,
-                     defocus_distance_mm=z_local_mm, subpixels=sub,
-                     pupil_samples=2 * max(u.size, v.size) - 1, window_energy=window_energy)
+    def pixel_quadrature(taps, sub):
+        if (taps, sub) not in quadratures:
+            if sub not in rules:
+                rules[sub] = np.polynomial.legendre.leggauss(sub)
+            nodes, weights = rules[sub]
+            x = ((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel() * sample_pitch_mm
+            x_half = x[x.size // 2:]  # x >= 0: from 0 if x.size is odd
+            # pixel i integrates sub-pixel n, whose field is at |x_n| = x_half[mirror[n]]
+            mirror = np.abs(2 * np.arange(x.size) - (x.size - 1)) // 2
+            quadrature = np.zeros((taps, x_half.size))
+            np.add.at(quadrature, (np.arange(x.size) // sub, mirror),
+                      np.tile(weights, taps) * sample_pitch_mm / 2.0)
+            quadratures[taps, sub] = x_half, quadrature
+        return quadratures[taps, sub]
+
+    def build(z_local_mm: float) -> PSFKernel:
+        if z_local_mm <= 0:
+            raise ValueError("z_local must be positive")
+        lz = cfg.wavelength_mm * z_local_mm
+        delta = 1.0 / z_local_mm - inv_zi
+        half = a / 2.0 * abs(delta) * z_local_mm + 15 * 1.22 * lz / min(ax, ay)
+        cropped = half > max_half_width_mm
+        taps = 2 * max(1, math.ceil(min(half, max_half_width_mm) / sample_pitch_mm)) + 1
+        sub = math.ceil(sample_pitch_mm * 2.0 * a / lz) + 2
+        du = min(math.pi / 4.0 / (k * abs(delta) * a / 2.0) if delta else math.inf,
+                 lz / (4.0 * half), a / 256.0)
+        u, wu, v, wv, pupil, pupil_energy = pupil_quadrant(du)
+        x_half, quadrature = pixel_quadrature(taps, sub)
+
+        def cosine_dft(u, weight):
+            chirp = np.exp(0.5j * k * delta * u**2)
+            return weight * chirp * np.cos(2.0 * math.pi / lz * np.outer(x_half, u))
+
+        field = cosine_dft(u, wu) @ pupil @ cosine_dft(v, wv).T
+        quadrant = field.real**2 + field.imag**2
+        intensity = quadrature @ quadrant @ quadrature.T
+        # Parseval over one alias period (lambda z / du per side) of the full pupil grid
+        window_energy = float(intensity.sum() * (du / lz) ** 2 / pupil_energy)
+        if not cropped and window_energy < 0.99:
+            raise ValueError(f"PSF window holds {window_energy:.4f} of the pupil energy (< 0.99)")
+        return PSFKernel(samples=intensity / intensity.sum(), sample_pitch_mm=sample_pitch_mm,
+                         defocus_distance_mm=z_local_mm, subpixels=sub,
+                         pupil_samples=2 * max(u.size, v.size) - 1, window_energy=window_energy)
+
+    return build
 
 
 def _strip_weights(t: np.ndarray, strip_width_mm: float) -> list[tuple[float, np.ndarray]]:
@@ -382,6 +417,8 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
     each strip is convolved with the PSF of its central depth and the strips
     are blended with a linear cross-fade of one strip overlap. An untilted
     plane, or one strip wider than the plane, is a single strip at depth D.
+    The strips' kernels come from one ``psf_builder``, so they share its
+    depth-invariant parts.
     """
     X, Y = field.meshgrid()
     t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
@@ -389,19 +426,20 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
     if strip_width_mm is None:
         # keep the depth variation below 2% per strip
         strip_width_mm = (0.02 * plane.axial_offset_mm / grad) if grad > 0 else math.inf
-    elif strip_width_mm < field.sample_pitch_mm:
-        raise ValueError("strip width must be at least the plane sample pitch")
+    elif not strip_width_mm >= field.sample_pitch_mm:  # NaN fails too
+        raise ValueError(f"strip width must be at least the plane sample pitch "
+                         f"({field.sample_pitch_mm!r} mm), got {strip_width_mm!r}")
     strips = _strip_weights(t, strip_width_mm)
     # kernels are cropped to the field: a far-defocus disk wider than it costs no more
     half_span = max(
         float(field.xs[-1] - field.xs[0]),
         float(field.ys[-1] - field.ys[0]),
     ) / 2.0 + field.sample_pitch_mm
+    build_psf = psf_builder(cfg, z_i_mm, field.sample_pitch_mm, half_span)
     out = np.zeros_like(field.values)
     for t_center, weight in strips:
         z_local = plane.axial_offset_mm + t_center
-        psf = defocus_psf(cfg, z_local_mm=z_local, z_i_mm=z_i_mm,
-                          sample_pitch_mm=field.sample_pitch_mm, max_half_width_mm=half_span)
+        psf = build_psf(z_local)
         log.debug("strip z=%.6g mm: %d taps, %d subpixels per pixel, %d pupil samples, "
                   "window energy %.6f", z_local, psf.taps, psf.subpixels,
                   psf.pupil_samples, psf.window_energy)

@@ -306,12 +306,14 @@ def test_criterion_8_reductions_and_determinism(monkeypatch):
     # diffraction mode with a 1x1 unit kernel in place of the defocus PSF: the
     # FFT convolution still runs, and its round-off is absolute, so the bound
     # is relative to the field maximum
-    def unit_psf(cfg, z_local_mm, z_i_mm, sample_pitch_mm, max_half_width_mm):
-        return PSFKernel(samples=np.ones((1, 1)), sample_pitch_mm=sample_pitch_mm,
-                         defocus_distance_mm=z_local_mm, subpixels=1, pupil_samples=1,
-                         window_energy=1.0)
+    def unit_psf_builder(cfg, z_i_mm, sample_pitch_mm, max_half_width_mm):
+        def unit_psf(z_local_mm):
+            return PSFKernel(samples=np.ones((1, 1)), sample_pitch_mm=sample_pitch_mm,
+                             defocus_distance_mm=z_local_mm, subpixels=1, pupil_samples=1,
+                             window_energy=1.0)
+        return unit_psf
 
-    monkeypatch.setattr(reconstruction, "defocus_psf", unit_psf)
+    monkeypatch.setattr(reconstruction, "psf_builder", unit_psf_builder)
     imp = reconstruct(eis, plane, mode="diffraction")
     peak = tilted.field.values.max()
     impulse_ok = bool(np.abs(imp.field.values - tilted.field.values).max() <= 1e-12 * peak)

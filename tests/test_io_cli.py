@@ -565,6 +565,17 @@ def _synth_point_capture(tmp_path, **extra):
     return config, out / "manifest.json", tmp_path / "r.pgm"
 
 
+def test_cli_geometric_reconstruct_rejects_strip_width(tmp_path, capsys):
+    # the strip width only splits the plane for the defocus blur
+    config, manifest, img = _synth_point_capture(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+              "--strip-width-mm", "1", "--out", str(img)])
+    assert err.value.code == 2
+    assert "--mode diffraction" in capsys.readouterr().err
+    assert not img.exists()
+
+
 @pytest.mark.parametrize("key, value", [("aperture_shape", "rectangle"),
                                         ("focus_epsilon", 0.001)])
 def test_cli_reconstruct_rejects_manifest_of_another_geometry(tmp_path, caplog, key, value):

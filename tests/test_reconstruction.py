@@ -654,6 +654,70 @@ def test_strip_width_validated():
     plane = plane_at(360.0, tx=10.0, hw=1.0, pitch=0.01)
     with pytest.raises(ValueError):
         apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=0.001)
+    # NaN had passed the guard and failed later, converting the strip count
+    with pytest.raises(ValueError, match="at least the plane sample pitch.*got nan"):
+        apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=math.nan)
+    # an infinite width is valid: one strip
+    single = apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=math.inf)
+    assert np.array_equal(single.values, _strip_oracle(field, plane, cfg, 360.0, math.inf))
+
+
+def _strip_oracle(field, plane, cfg, z_i_mm, strip_width_mm):
+    """apply_diffraction written out with a fresh defocus_psf for every strip."""
+    X, Y = field.meshgrid()
+    t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
+    half_span = max(float(field.xs[-1] - field.xs[0]),
+                    float(field.ys[-1] - field.ys[0])) / 2.0 + field.sample_pitch_mm
+    out = np.zeros_like(field.values)
+    for t_center, weight in _strip_weights(t, strip_width_mm):
+        psf = defocus_psf(cfg, plane.axial_offset_mm + t_center, z_i_mm,
+                          field.sample_pitch_mm, max_half_width_mm=half_span)
+        out += reconstruction.fftconvolve(field.values * weight, psf.samples)
+    return np.clip(out, 0.0, None)
+
+
+def _pupil_counter(monkeypatch):
+    """Records (ax, du) of each pupil the PSF builds make."""
+    built = []
+
+    def counting(U, V, ax, ay, du):
+        built.append((ax, du))
+        return _antialiased_pupil(U, V, ax, ay, du)
+
+    monkeypatch.setattr(reconstruction, "_antialiased_pupil", counting)
+    return built
+
+
+def _random_field(plane, seed=0):
+    xs, ys = plane.grid.xs(), plane.grid.ys()
+    values = np.random.default_rng(seed).random((xs.size, ys.size))
+    return ScalarField2D(values, xs, ys, plane.grid.sample_pitch_mm)
+
+
+@pytest.mark.parametrize("D, shared_du", [(360.0, True), (300.0, False)])
+def test_strips_sharing_psf_parts_equal_fresh_kernels(monkeypatch, D, shared_du):
+    # 45 degrees in 1 mm strips: through the 360 mm focus every strip has the
+    # pupil pitch a/256; at 300 mm the defocus phase sets a pitch per strip
+    cfg = small_config(m=16, n=16)
+    plane = plane_at(D, tx=45.0, hw=12.0, pitch=0.25)
+    field = _random_field(plane)
+    built = _pupil_counter(monkeypatch)
+    oracle = _strip_oracle(field, plane, cfg, 360.0, 1.0)
+    assert len(built) == 18
+    assert (len({du for _, du in built}) == 1) == shared_du
+    out = apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=1.0)
+    assert np.array_equal(out.values, oracle)
+
+
+def test_psf_parts_are_shared_within_one_call_only(monkeypatch):
+    built = _pupil_counter(monkeypatch)
+    plane = plane_at(360.0, tx=45.0, hw=12.0, pitch=0.25)
+    field = _random_field(plane)
+    for pitch in (10.0, 10.0, 8.0):
+        cfg = small_config(m=16, n=16, pitch_x_mm=pitch, pitch_y_mm=pitch)
+        apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=1.0)
+    # one pupil per call, each of its own config, none kept from the call before
+    assert built == [(10.0, 10.0 / 256), (10.0, 10.0 / 256), (8.0, 8.0 / 256)]
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +737,15 @@ def test_impulse_diffraction_equals_geometric(monkeypatch):
     # FFT round-off is absolute, so the bound is relative to the field maximum.
     depths = []
 
-    def unit_psf(cfg, z_local_mm, z_i_mm, sample_pitch_mm, max_half_width_mm):
-        depths.append(z_local_mm)
-        return PSFKernel(samples=np.ones((1, 1)), sample_pitch_mm=sample_pitch_mm,
-                         defocus_distance_mm=z_local_mm, subpixels=1, pupil_samples=1,
-                         window_energy=1.0)
+    def unit_psf_builder(cfg, z_i_mm, sample_pitch_mm, max_half_width_mm):
+        def unit_psf(z_local_mm):
+            depths.append(z_local_mm)
+            return PSFKernel(samples=np.ones((1, 1)), sample_pitch_mm=sample_pitch_mm,
+                             defocus_distance_mm=z_local_mm, subpixels=1, pupil_samples=1,
+                             window_energy=1.0)
+        return unit_psf
 
-    monkeypatch.setattr(reconstruction, "defocus_psf", unit_psf)
+    monkeypatch.setattr(reconstruction, "psf_builder", unit_psf_builder)
     cfg = small_config()
     eis = capture(point_source_scene(300.0), cfg, 64, 64, pixel_pitch_mm=0.15)
     plane = plane_at(300.0, tx=17.0, ty=-23.0, hw=12.0, pitch=0.25)
