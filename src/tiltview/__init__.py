@@ -26,7 +26,6 @@ from .resolution import (
     FovResult,
     ResolutionCurve,
     extract_fov,
-    lenslet_pixel_distance,
     lenslet_tilt,
     point_source_intensity,
     radial_extent,
@@ -54,7 +53,6 @@ __all__ = [
     "defocus_psf",
     "extract_fov",
     "image_distance",
-    "lenslet_pixel_distance",
     "lenslet_tilt",
     "point_source_intensity",
     "point_source_scene",

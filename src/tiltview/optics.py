@@ -159,20 +159,21 @@ class OpticalSystemConfig:
                              "use inf for a collimated beam")
         return z_i
 
-    def lenslet_center(self, p, q):
-        """Lateral center of lenslet (p, q); lenslet (m/2, n/2) is on axis.
-
-        Broadcasts over integer index arrays; scalar indices give floats.
-        """
-        p_idx, q_idx = np.asarray(p), np.asarray(q)
-        if np.any((p_idx < 0) | (p_idx >= self.m)) or np.any((q_idx < 0) | (q_idx >= self.n)):
-            raise IndexError(f"lenslet index ({p}, {q}) outside {self.m} x {self.n} array")
-        return ((p - self.m / 2) * self.pitch_x_mm, (q - self.n / 2) * self.pitch_y_mm)
-
     def lenslet_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lateral centres (cx[p], cy[q]) of the lenslets; lenslet (m/2, n/2) is on axis."""
         cx = (np.arange(self.m) - self.m / 2) * self.pitch_x_mm
         cy = (np.arange(self.n) - self.n / 2) * self.pitch_y_mm
         return cx, cy
+
+    def pixel_distance_sq(self, dx, dy, z_mm):
+        """Squared distance from a point at depth z, offset (dx, dy) from a
+        lenslet centre, to the display pixel that sees it through that centre.
+
+        The pixel lies g behind the centre at offset -(dx, dy)/M, M = z/g.
+        Broadcasts over arrays.
+        """
+        g = self.gap_mm
+        return (z_mm + g) ** 2 + (dx ** 2 + dy ** 2) * (1.0 + 1.0 / (z_mm / g)) ** 2
 
     def digest(self) -> str:
         blob = json.dumps(

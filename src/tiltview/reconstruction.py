@@ -206,8 +206,6 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     gx, gy, depth = tilted_to_global(X, Y, plane)
     M = depth / g
-    axial2 = (depth + g) ** 2
-    lateral_scale = (1.0 + 1.0 / M) ** 2
     m_max, pitch = float(M.max()), eis.pixel_pitch_mm
     cx, cy = cfg.lenslet_centers()
     x_lo, x_hi = _reach(gx[:, 0], cx, m_max * ((eis.pixels_x + 1) / 2.0 + 1.0) * pitch)
@@ -224,10 +222,10 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
         stack, k = eis.padded(rows, cols), np.arange(cols.size)[:, None, None]
         for i, p in enumerate(rows):
             s = (slice(x_lo[p], x_hi[p]), ys_reach)
-            cpx, cpy = cfg.lenslet_center(p, q)
+            cpx, cpy = cx[p], cy[q]
             dx, dy, Ms = gx[s] - cpx, gy[s] - cpy, M[s]
             u, v = cpx - dx / Ms, cpy - dy / Ms
-            denom = axial2[s] + (dx ** 2 + dy ** 2) * lateral_scale[s]
+            denom = cfg.pixel_distance_sq(dx, dy, depth[s])
             values = gather(stack, i * cols.size + k, u - cpx, v - cpy, pitch)
             for part in values / denom:  # fixed lexicographic (p, q) order
                 total[s] += part
@@ -378,23 +376,15 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
 
 
 def _strip_weights(t: np.ndarray, strip_width_mm: float) -> list[tuple[float, np.ndarray]]:
-    """Triangular partition of unity over the strip coordinate t."""
+    """Triangular partition of unity over the strip coordinate t. The first
+    and last centres are t's extremes, where their weight is exactly 1."""
     t_min, t_max = float(t.min()), float(t.max())
     span = t_max - t_min
     if span <= strip_width_mm:
         return [((t_min + t_max) / 2.0, np.ones_like(t))]
-    count = int(math.ceil(span / strip_width_mm)) + 1
-    centers = np.linspace(t_min, t_max, count)
+    centers = np.linspace(t_min, t_max, int(math.ceil(span / strip_width_mm)) + 1)
     width = centers[1] - centers[0]
-    out = []
-    for i, c in enumerate(centers):
-        w = np.clip(1.0 - np.abs(t - c) / width, 0.0, None)
-        if i == 0:
-            w = np.where(t <= c, 1.0, w)
-        if i == count - 1:
-            w = np.where(t >= c, 1.0, w)
-        out.append((float(c), w))
-    return out
+    return [(float(c), np.clip(1.0 - np.abs(t - c) / width, 0.0, None)) for c in centers]
 
 
 def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
@@ -453,10 +443,14 @@ def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geo
     """Reconstruct the scene on a tilted plane, geometrically or with blur.
 
     Diffraction mode convolves the back-projected field strip-by-strip with
-    the shared defocus PSF.
+    the shared defocus PSF; ``strip_width_mm`` sets those strips, so
+    geometric mode rejects it.
     """
     if mode not in ("geometric", "diffraction"):
         raise ValueError(f"mode must be 'geometric' or 'diffraction', got {mode!r}")
+    if strip_width_mm is not None and mode != "diffraction":
+        raise ValueError(f"a strip width ({strip_width_mm!r} mm) sets the strips of the "
+                         "defocus blur; it needs mode='diffraction'")
     recon = backproject_geometric(eis, plane)
     if mode == "geometric":
         return recon

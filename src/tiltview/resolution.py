@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,20 +64,10 @@ def lenslet_tilt(p, q, D_mm: float, theta_x_deg: float, theta_y_deg: float,
     """
     if not 0 < D_mm < math.inf:
         raise ValueError(f"source depth must be positive and finite, got {D_mm!r}")
-    cx, cy = cfg.lenslet_center(p, q)
-    tpx = theta_x_deg - np.degrees(np.arctan(cx / D_mm))
-    tpy = theta_y_deg - np.degrees(np.arctan(cy / D_mm))
+    cx, cy = cfg.lenslet_centers()
+    tpx = theta_x_deg - np.degrees(np.arctan(cx[p] / D_mm))
+    tpy = theta_y_deg - np.degrees(np.arctan(cy[q] / D_mm))
     return _float_if_scalar(tpx), _float_if_scalar(tpy)
-
-
-def lenslet_pixel_distance(p, q, D_mm: float, cfg: OpticalSystemConfig):
-    """Distance from the on-axis image point to lenslet (p, q)'s elemental pixel.
-
-    Broadcasts over index arrays ``p`` and ``q``; scalar indices give a float.
-    """
-    cx, cy = cfg.lenslet_center(p, q)
-    axial = D_mm + cfg.gap_mm
-    return _float_if_scalar(np.sqrt(axial**2 + (axial / D_mm) ** 2 * (cx**2 + cy**2)))
 
 
 def point_source_intensity(x_t, y_t, p, q, D_mm: float,
@@ -98,8 +88,8 @@ def point_source_intensity(x_t, y_t, p, q, D_mm: float,
     z_loc = D_mm + x_t * np.sin(tpx) + y_t * np.sin(tpy)
     wx = beam.width_x(z_loc)
     wy = beam.width_y(z_loc)
-    d = lenslet_pixel_distance(p, q, D_mm, cfg)
-    weight = (D_mm + cfg.gap_mm) ** 2 / d**2
+    cx, cy = cfg.lenslet_centers()  # the source point is (0, 0, D)
+    weight = (D_mm + cfg.gap_mm) ** 2 / cfg.pixel_distance_sq(0.0 - cx[p], 0.0 - cy[q], D_mm)
     amp = 2.0 / (math.pi * wx * wy) * weight
     arg = (x_t * np.cos(tpx)) ** 2 / wx**2 + (y_t * np.cos(tpy)) ** 2 / wy**2
     return _float_if_scalar(amp * np.exp(-2.0 * arg))
@@ -221,15 +211,7 @@ def write_curve_csv(curve: ResolutionCurve, path) -> None:
 
 
 def write_fov_json(fov: FovResult, path) -> None:
+    """The fields of ``fov`` as a JSON object, in their declared order."""
     with open(path, "w") as fh:
-        json.dump(
-            {
-                "threshold_ratio": fov.threshold_ratio,
-                "min_extent_mm": fov.min_extent_mm,
-                "fov_negative_deg": fov.fov_negative_deg,
-                "fov_positive_deg": fov.fov_positive_deg,
-            },
-            fh,
-            indent=2,
-        )
+        json.dump(asdict(fov), fh, indent=2)
         fh.write("\n")

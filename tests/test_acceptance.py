@@ -289,9 +289,10 @@ def test_criterion_8_reductions_and_determinism(monkeypatch):
     X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     M = 200.0 / cfg.gap_mm
     loop = np.zeros_like(X)
+    centers_x, centers_y = cfg.lenslet_centers()
     for p in range(cfg.m):
         for q in range(cfg.n):
-            cx, cy = cfg.lenslet_center(p, q)
+            cx, cy = centers_x[p], centers_y[q]
             du, dv = cx - (X - cx) / M - cx, cy - (Y - cy) / M - cy
             vals = np.zeros_like(X)
             for row, col, w, inside in bilinear_corners(du, dv, eis.pixel_pitch_mm,

@@ -753,12 +753,17 @@ def test_cli_synth_rejects_one_texel_wide_texture(tmp_path, caplog):
     assert not out.exists()
 
 
-def test_cli_analyze_matches_reference_curve(tmp_path):
+@pytest.mark.parametrize("config", ["focused_2m", "focused_6m", "real_virtual_fov"])
+def test_cli_analyze_matches_reference_curve(tmp_path, config):
+    # golden bytes of each shipped config; the real/virtual curve is the benchmark's reference
     out = tmp_path / "fov"
-    assert main(["analyze", "--config", str(ROOT / "configs" / "real_virtual_fov.json"),
+    assert main(["analyze", "--config", str(ROOT / "configs" / f"{config}.json"),
                  "--out", str(out)]) == 0
-    reference = ROOT / "perfbench" / "ref" / "real_virtual_fov_curve.csv"
-    assert (out / "curve.csv").read_bytes() == reference.read_bytes()
+    golden = ROOT / "tests" / "golden" / config
+    curve = (ROOT / "perfbench" / "ref" / "real_virtual_fov_curve.csv"
+             if config == "real_virtual_fov" else golden / "curve.csv")
+    assert (out / "curve.csv").read_bytes() == curve.read_bytes()
+    assert (out / "fov.json").read_bytes() == (golden / "fov.json").read_bytes()
 
 
 def test_cli_imports_without_scipy():

@@ -213,19 +213,60 @@ def _cfg(**kw):
 
 
 def test_lenslet_center_values():
+    cx, cy = _cfg().lenslet_centers()
+    assert (cx[8], cy[8]) == (0.0, 0.0)
+    assert (cx[0], cy[8]) == (-80.0, 0.0)
+    assert (cx[15], cy[8]) == (70.0, 0.0)
+    assert cx.shape == cy.shape == (16,)
+
+
+# ---------------------------------------------------------------------------
+# pixel distance: the on-axis source at depth D seen through lenslet (p, q)
+
+
+def _on_axis_pixel_distance_sq(cfg, p, q, D):
+    cx, cy = cfg.lenslet_centers()
+    return cfg.pixel_distance_sq(0.0 - cx[p], 0.0 - cy[q], D)
+
+
+def test_pixel_distance_sq_central_is_axial():
+    assert _on_axis_pixel_distance_sq(_cfg(), 8, 8, 360.0) == (360.0 + 50.0) ** 2
+
+
+def test_pixel_distance_sq_offset_value():
+    d2 = _on_axis_pixel_distance_sq(_cfg(), 9, 8, 360.0)
+    assert math.sqrt(d2) == pytest.approx(410.1581485, abs=1e-6)
+
+
+def test_pixel_distance_sq_monotone_in_offset():
+    d2 = [_on_axis_pixel_distance_sq(_cfg(), p, 8, 360.0) for p in range(8, 16)]
+    assert all(b > a for a, b in zip(d2, d2[1:]))
+
+
+@pytest.mark.parametrize("D", [160.0, 300.0, 360.0, 2000.0])
+def test_pixel_distance_sq_matches_closed_form(D):
+    # the pixel sits g behind lenslet centre c at -c/M, M = D/g: its distance
+    # to (0, 0, D) is sqrt((D + g)^2 + ((D + g)/D)^2 |c|^2)
     cfg = _cfg()
-    assert cfg.lenslet_center(8, 8) == (0.0, 0.0)
-    assert cfg.lenslet_center(0, 8) == (-80.0, 0.0)
-    assert cfg.lenslet_center(15, 8) == (70.0, 0.0)
+    g = cfg.gap_mm
+    CX, CY = np.meshgrid(*cfg.lenslet_centers(), indexing="ij")
+    closed = (D + g) ** 2 + ((D + g) / D) ** 2 * (CX**2 + CY**2)
+    np.testing.assert_allclose(cfg.pixel_distance_sq(0.0 - CX, 0.0 - CY, D), closed,
+                               rtol=1e-15, atol=0.0)
 
 
-def test_lenslet_center_out_of_range():
-    with pytest.raises(IndexError):
-        _cfg().lenslet_center(16, 0)
-    with pytest.raises(IndexError):
-        _cfg().lenslet_center(0, -1)
-    with pytest.raises(IndexError):
-        _cfg().lenslet_center(0, np.arange(17))
+@pytest.mark.parametrize("D", [160.0, 300.0, 360.0, 2000.0])
+def test_pixel_distance_sq_matches_capture_distance(D):
+    # the capture weights by the squared lens-centre distance dx^2 + dy^2 + z^2;
+    # the pixel and the source lie on one ray through the centre, so the pixel
+    # distance is that distance stretched by (z + g)/z
+    cfg = _cfg()
+    g = cfg.gap_mm
+    CX, CY = np.meshgrid(*cfg.lenslet_centers(), indexing="ij")
+    dx, dy = 0.0 - CX, 0.0 - CY
+    centre_sq = np.float_power(dx, 2) + np.float_power(dy, 2) + np.float_power(D, 2)
+    np.testing.assert_allclose(centre_sq * ((D + g) / D) ** 2,
+                               cfg.pixel_distance_sq(dx, dy, D), rtol=1e-15, atol=0.0)
 
 
 def test_mode_property():

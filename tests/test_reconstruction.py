@@ -145,7 +145,8 @@ def masked_sample(eis, p, q, u, v):
     coordinates: the four corners of ``bilinear_corners`` summed in order,
     each corner outside the image masked to 0.0. An index array ``q``
     broadcasts against the coordinates."""
-    cx, cy = eis.capture_config.lenslet_center(p, q)
+    centers_x, centers_y = eis.capture_config.lenslet_centers()
+    cx, cy = centers_x[p], centers_y[q]
     du = np.asarray(u, dtype=float) - cx
     dv = np.asarray(v, dtype=float) - cy
     img = eis.images[p].astype(float)
@@ -234,9 +235,10 @@ def test_tilted_zero_matches_normal_path():
     X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
     M = 200.0 / cfg.gap_mm
     normal = np.zeros_like(X)
+    centers_x, centers_y = cfg.lenslet_centers()
     for p in range(cfg.m):
         for q in range(cfg.n):
-            cx, cy = cfg.lenslet_center(p, q)
+            cx, cy = centers_x[p], centers_y[q]
             vals = masked_sample(eis, p, q, cx - (X - cx) / M, cy - (Y - cy) / M)
             normal += vals / ((200.0 + cfg.gap_mm) ** 2
                               + ((X - cx) ** 2 + (Y - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
@@ -297,9 +299,10 @@ def _per_lenslet_loop(eis, plane):
     gx, gy = X * math.cos(plane.theta_x_rad), Y * math.cos(plane.theta_y_rad)
     expected = np.zeros_like(X)
     reached = 0
+    centers_x, centers_y = cfg.lenslet_centers()
     for p in range(cfg.m):
         for q in range(cfg.n):
-            cx, cy = cfg.lenslet_center(p, q)
+            cx, cy = centers_x[p], centers_y[q]
             vals = masked_sample(eis, p, q, cx - (gx - cx) / M, cy - (gy - cy) / M)
             expected += vals / ((depth + cfg.gap_mm) ** 2
                                 + ((gx - cx) ** 2 + (gy - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
@@ -660,6 +663,14 @@ def test_strip_width_validated():
     # an infinite width is valid: one strip
     single = apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=math.inf)
     assert np.array_equal(single.values, _strip_oracle(field, plane, cfg, 360.0, math.inf))
+
+
+@pytest.mark.parametrize("width", [1.0, math.nan])
+def test_geometric_reconstruct_rejects_strip_width(width):
+    # the strip width only splits the plane for the defocus blur; it had been ignored
+    eis = capture(point_source_scene(200.0), small_config(), 16, 16)
+    with pytest.raises(ValueError, match=r"needs mode='diffraction'"):
+        reconstruct(eis, plane_at(200.0), mode="geometric", strip_width_mm=width)
 
 
 def _strip_oracle(field, plane, cfg, z_i_mm, strip_width_mm):

@@ -20,7 +20,6 @@ from tiltview.resolution import (
     FovResult,
     ResolutionCurve,
     extract_fov,
-    lenslet_pixel_distance,
     lenslet_tilt,
     point_source_intensity,
     radial_extent,
@@ -67,24 +66,6 @@ def test_lenslet_tilt_eighty_mm_offset_value():
     tpx, _ = lenslet_tilt(16, 8, 360.0, 15.0, 0.0, cfg)  # c_p = (16 - 8.5)*10 = 75
     assert tpx == pytest.approx(15.0 - math.degrees(math.atan(75.0 / 360.0)), rel=1e-12)
     assert 15.0 - math.degrees(math.atan(80.0 / 360.0)) == pytest.approx(2.4711923, abs=1e-6)
-
-
-def test_lenslet_pixel_distance_central_is_axial():
-    cfg = rv_config()
-    assert lenslet_pixel_distance(8, 8, 360.0, cfg) == pytest.approx(410.0, rel=1e-12)
-
-
-def test_lenslet_pixel_distance_offset_value():
-    cfg = rv_config()
-    assert lenslet_pixel_distance(9, 8, 360.0, cfg) == pytest.approx(
-        410.1581485, abs=1e-6
-    )
-
-
-def test_lenslet_pixel_distance_monotone_in_offset():
-    cfg = rv_config()
-    dists = [lenslet_pixel_distance(p, 8, 360.0, cfg) for p in range(8, 16)]
-    assert all(b > a for a, b in zip(dists, dists[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +186,10 @@ def test_lenslet_helpers_broadcast_over_q():
     cfg = rv_config(m=5, n=6)
     q = np.arange(cfg.n)
     tpx, tpy = lenslet_tilt(3, q, 360.0, 9.0, -4.0, cfg)
-    d = lenslet_pixel_distance(3, q, 360.0, cfg)
     for j in range(cfg.n):
         scalar_tilt = lenslet_tilt(3, j, 360.0, 9.0, -4.0, cfg)
-        scalar_d = lenslet_pixel_distance(3, j, 360.0, cfg)
-        assert type(scalar_tilt[0]) is float and type(scalar_d) is float
-        assert (tpx, tpy[j], d[j]) == (scalar_tilt[0], scalar_tilt[1], scalar_d)
+        assert type(scalar_tilt[0]) is float and type(scalar_tilt[1]) is float
+        assert (tpx, tpy[j]) == scalar_tilt
 
 
 # ---------------------------------------------------------------------------

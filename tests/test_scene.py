@@ -127,7 +127,7 @@ def test_projection_through_offset_lenslet():
     eis = capture(point_source_scene(360.0), cfg, 64, 64, pixel_pitch_mm=0.15)
     # u - c_p = c_p * g / z for the on-axis source
     for p in (6, 10):
-        cx, _ = cfg.lenslet_center(p, 8)
+        cx = cfg.lenslet_centers()[0][p]
         u, _ = center_of_mass(eis.images[p, 8], 0.15)
         assert u == pytest.approx(cx * 50.0 / 360.0, abs=1e-9)
 
@@ -261,9 +261,10 @@ def reference_capture(scene, cfg, pixels_x, pixels_y, pitch):
     g = cfg.gap_mm
     col_du = (np.arange(pixels_x) - (pixels_x - 1) / 2.0) * pitch
     row_dv = ((pixels_y - 1) / 2.0 - np.arange(pixels_y)) * pitch
+    centers_x, centers_y = cfg.lenslet_centers()
     for p in range(cfg.m):
         for q in range(cfg.n):
-            cx, cy = cfg.lenslet_center(p, q)
+            cx, cy = float(centers_x[p]), float(centers_y[q])
             img = images[p, q]
             for pt in scene.points:
                 u = cx - (pt.x_mm - cx) * g / pt.z_mm
