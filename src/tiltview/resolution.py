@@ -56,17 +56,58 @@ def _float_if_scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _check_depth(D_mm: float) -> None:
+    if not 0 < D_mm < math.inf:
+        raise ValueError(f"source depth must be positive and finite, got {D_mm!r}")
+
+
+def _center_angles(c, D_mm: float):
+    """Angle at which the on-axis source at depth D sees lenslet centre c, degrees."""
+    return np.degrees(np.arctan(c / D_mm))
+
+
+def _inverse_square_weight(cx, cy, D_mm: float, cfg: OpticalSystemConfig):
+    """Weight of the lenslets centred at (cx, cy) in the spot of the on-axis
+    source at depth D: exactly 1 for the central lenslet."""
+    return (D_mm + cfg.gap_mm) ** 2 / cfg.pixel_distance_sq(0.0 - cx, 0.0 - cy, D_mm)
+
+
+def _tilted_gaussian(x_t, y_t, tpx, tpy, weight, D_mm: float, beam: BeamParameters,
+                     out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Weighted tilted Gaussians of lenslets with beam tilts (tpx, tpy), radians.
+
+    The result is written into ``out`` and returned; ``work`` is scratch.
+    Both have the broadcast shape of the inputs and hold the intermediate
+    results, so that a call makes few new arrays of that size. A round
+    beam's width is evaluated once, for both axes.
+    """
+    z_loc = np.add(D_mm + x_t * np.sin(tpx), y_t * np.sin(tpy), out=work)
+    wx = beam.width_x(z_loc)
+    round_beam = beam.waist_x_mm == beam.waist_y_mm and beam.rayleigh_x_mm == beam.rayleigh_y_mm
+    wy = wx if round_beam else beam.width_y(z_loc)
+    amp = np.multiply(math.pi, wx, out=out)
+    amp *= wy
+    np.divide(2.0, amp, out=amp)
+    amp *= weight
+    wx_sq = wx**2
+    wy_sq = wx_sq if wy is wx else wy**2
+    arg = np.divide((x_t * np.cos(tpx)) ** 2, wx_sq, out=work)
+    arg += (y_t * np.cos(tpy)) ** 2 / wy_sq
+    arg *= -2.0
+    amp *= np.exp(arg, out=arg)
+    return amp
+
+
 def lenslet_tilt(p, q, D_mm: float, theta_x_deg: float, theta_y_deg: float,
                  cfg: OpticalSystemConfig):
     """Tilt of lenslet (p, q)'s beam relative to the viewing direction, degrees.
 
     Broadcasts over index arrays ``p`` and ``q``; scalar indices give floats.
     """
-    if not 0 < D_mm < math.inf:
-        raise ValueError(f"source depth must be positive and finite, got {D_mm!r}")
+    _check_depth(D_mm)
     cx, cy = cfg.lenslet_centers()
-    tpx = theta_x_deg - np.degrees(np.arctan(cx[p] / D_mm))
-    tpy = theta_y_deg - np.degrees(np.arctan(cy[q] / D_mm))
+    tpx = theta_x_deg - _center_angles(cx[p], D_mm)
+    tpy = theta_y_deg - _center_angles(cy[q], D_mm)
     return _float_if_scalar(tpx), _float_if_scalar(tpy)
 
 
@@ -82,17 +123,14 @@ def point_source_intensity(x_t, y_t, p, q, D_mm: float,
     2D coordinates, the result holds one plane per lenslet of row ``p``.
     """
     tpx_deg, tpy_deg = lenslet_tilt(p, q, D_mm, theta_x_deg, theta_y_deg, cfg)
-    tpx, tpy = np.radians(tpx_deg), np.radians(tpy_deg)
-    x_t = np.asarray(x_t, dtype=float)
-    y_t = np.asarray(y_t, dtype=float)
-    z_loc = D_mm + x_t * np.sin(tpx) + y_t * np.sin(tpy)
-    wx = beam.width_x(z_loc)
-    wy = beam.width_y(z_loc)
     cx, cy = cfg.lenslet_centers()  # the source point is (0, 0, D)
-    weight = (D_mm + cfg.gap_mm) ** 2 / cfg.pixel_distance_sq(0.0 - cx[p], 0.0 - cy[q], D_mm)
-    amp = 2.0 / (math.pi * wx * wy) * weight
-    arg = (x_t * np.cos(tpx)) ** 2 / wx**2 + (y_t * np.cos(tpy)) ** 2 / wy**2
-    return _float_if_scalar(amp * np.exp(-2.0 * arg))
+    weight = _inverse_square_weight(cx[p], cy[q], D_mm, cfg)
+    x_t, y_t = np.asarray(x_t, dtype=float), np.asarray(y_t, dtype=float)
+    tpx, tpy = np.radians(tpx_deg), np.radians(tpy_deg)
+    shape = np.broadcast(x_t, y_t, tpx, tpy, weight).shape
+    value = _tilted_gaussian(x_t, y_t, tpx, tpy, weight, D_mm, beam,
+                             out=np.empty(shape), work=np.empty(shape))
+    return _float_if_scalar(value)
 
 
 def radial_extent(field: ScalarField2D) -> float:
@@ -113,6 +151,66 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(8)
 _GH_WEIGHTS = _GH_WEIGHTS * np.exp(_GH_NODES**2)
 
 
+def _grazing_error(theta_x, theta_y, tilt_x, tilt_y, angles_x, angles_y,
+                   D_mm: float) -> ValueError:
+    """The error for the first tilt step that turns a lenslet's beam to 90
+    degrees or more, with the tilt range that keeps every beam below it."""
+    i, p, q = np.argwhere((np.abs(tilt_x) >= 90.0)[:, :, None]
+                          | (np.abs(tilt_y) >= 90.0)[:, None, :])[0]
+    tilt = tilt_x[i, p] if abs(tilt_x[i, p]) >= 90.0 else tilt_y[i, q]
+    return ValueError(
+        f"tilt step {i} (theta_x {theta_x[i]:g}, theta_y {theta_y[i]:g} degrees) turns the "
+        f"beam of lenslet ({p}, {q}) {tilt:.2f} degrees from the view, where the spot is "
+        f"undefined; at D_mm = {D_mm:g} every beam stays below 90 degrees only for theta_x in "
+        f"({angles_x.max() - 90.0:.2f}, {angles_x.min() + 90.0:.2f}) and theta_y in "
+        f"({angles_y.max() - 90.0:.2f}, {angles_y.min() + 90.0:.2f}) degrees: narrow the scan "
+        "or move the source farther away")
+
+
+def _spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
+                  theta_x_deg, theta_y_deg) -> list[float]:
+    """Spot extents at the tilt steps (theta_x_deg[i], theta_y_deg[i]).
+
+    What does not depend on the tilt is built once for all steps: the
+    angles at which the source sees the lenslet centres, the inverse-square
+    weights, the beam widths at D, the node arrays and the full-size
+    arrays every step writes into. Every step is checked before any is
+    evaluated. The arrays are laid out (p, a, q, b): lenslet row, x node,
+    lenslet column, y node, so that each full-size operation streams over
+    contiguous (q, b) blocks. The two sums read (p, q, a, b) copies, which
+    keeps the summation order, and so every bit, of an (m, n, 8, 8) array.
+    """
+    _check_depth(D_mm)
+    cx, cy = cfg.lenslet_centers()
+    angles_x, angles_y = _center_angles(cx, D_mm), _center_angles(cy, D_mm)
+    theta_x, theta_y = np.asarray(theta_x_deg, dtype=float), np.asarray(theta_y_deg, dtype=float)
+    tilt_x, tilt_y = theta_x[:, None] - angles_x, theta_y[:, None] - angles_y
+    if np.any(np.abs(tilt_x) >= 90.0) or np.any(np.abs(tilt_y) >= 90.0):
+        raise _grazing_error(theta_x, theta_y, tilt_x, tilt_y, angles_x, angles_y, D_mm)
+    weight = _inverse_square_weight(cx[:, None, None, None], cy[:, None], D_mm, cfg)
+    width_x, width_y = beam.width_x(D_mm), beam.width_y(D_mm)
+    k = _GH_NODES.size
+    nodes_a, weights_a = _GH_NODES[:, None, None], _GH_WEIGHTS[:, None, None]
+    mass, work = np.empty((2, cfg.m, k, cfg.n, k))
+    summand = np.empty((cfg.m, cfg.n, k, k))
+    extents = []
+    for tpx, tpy in zip(np.radians(tilt_x), np.radians(tilt_y)):
+        tpx, tpy = tpx[:, None, None, None], tpy[:, None]
+        sx = width_x / (math.sqrt(2.0) * np.cos(tpx))
+        sy = width_y / (math.sqrt(2.0) * np.cos(tpy))
+        x, y = sx * nodes_a, sy * _GH_NODES
+        _tilted_gaussian(x, y, tpx, tpy, weight, D_mm, beam, out=mass, work=work)
+        # the quadrature weight sx sy w_a w_b, multiplied in that order
+        mass *= np.multiply(sx * sy * weights_a, _GH_WEIGHTS, out=work)
+        moment = np.add(x**2, y**2, out=work)
+        moment *= mass
+        np.copyto(summand, moment.transpose(0, 2, 1, 3))
+        total_moment = summand.sum()
+        np.copyto(summand, mass.transpose(0, 2, 1, 3))
+        extents.append(float(np.sqrt(total_moment / summand.sum())))
+    return extents
+
+
 def spot_extent(theta_x_deg: float, theta_y_deg: float, D_mm: float,
                 cfg: OpticalSystemConfig, beam: BeamParameters) -> float:
     """Normalized radial second moment of the spot, without a plane grid.
@@ -121,18 +219,11 @@ def spot_extent(theta_x_deg: float, theta_y_deg: float, D_mm: float,
     whose nodes are scaled to that lenslet's Gaussian at the source depth,
     x = w_x(D) a / (sqrt(2) cos t_px) and likewise for y. The rule is exact
     for a constant beam width and keeps the width's change with depth across
-    the tilted spot, the only remaining factor of the integrand.
+    the tilted spot, the only remaining factor of the integrand. It is a
+    scan of one step: ``ValueError`` is raised when the tilt turns some
+    lenslet's beam to 90 degrees or more.
     """
-    p = np.arange(cfg.m)[:, None, None, None]
-    q = np.arange(cfg.n)[None, :, None, None]
-    tpx, tpy = lenslet_tilt(p, q, D_mm, theta_x_deg, theta_y_deg, cfg)
-    sx = beam.width_x(D_mm) / (math.sqrt(2.0) * np.cos(np.radians(tpx)))
-    sy = beam.width_y(D_mm) / (math.sqrt(2.0) * np.cos(np.radians(tpy)))
-    x = sx * _GH_NODES[:, None]
-    y = sy * _GH_NODES[None, :]
-    mass = (sx * sy * _GH_WEIGHTS[:, None] * _GH_WEIGHTS[None, :]
-            * point_source_intensity(x, y, p, q, D_mm, cfg, beam, theta_x_deg, theta_y_deg))
-    return float(np.sqrt((mass * (x**2 + y**2)).sum() / mass.sum()))
+    return _spot_extents(cfg, D_mm, beam, [theta_x_deg], [theta_y_deg])[0]
 
 
 def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
@@ -141,8 +232,11 @@ def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
                     plane_grid: PlaneGrid | None = None) -> ResolutionCurve:
     """Radial spot extent versus tilt angle along one scan axis.
 
-    Each step's extent comes from ``spot_extent``. ``plane_grid`` is
-    ignored; it is accepted so that existing callers keep working.
+    Each step's extent is the one ``spot_extent`` gives; the parts that do
+    not depend on the tilt are built once per scan. ``ValueError`` is raised,
+    before any step is evaluated, when a step turns some lenslet's beam to
+    90 degrees or more. ``plane_grid`` is ignored; it is accepted so that
+    existing callers keep working.
     """
     if steps < 3:
         raise ValueError(f"scan needs at least 3 steps, got {steps}")
@@ -154,12 +248,12 @@ def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
         raise ValueError(f"scan axis must be 'x', 'y' or 'diagonal', got {axis!r}")
     beam = BeamParameters.from_config(cfg, z_i_override_mm=z_i_override_mm)
     thetas = np.linspace(theta_min_deg, theta_max_deg, steps)
-    samples = []
-    for theta in thetas:
-        tx = float(theta) if axis in ("x", "diagonal") else 0.0
-        ty = float(theta) if axis in ("y", "diagonal") else 0.0
-        samples.append((tx, ty, spot_extent(tx, ty, D_mm, cfg, beam)))
-    return ResolutionCurve(samples=tuple(samples), config_digest=cfg.digest())
+    untilted = np.zeros(steps)
+    tx = thetas if axis in ("x", "diagonal") else untilted
+    ty = thetas if axis in ("y", "diagonal") else untilted
+    extents = _spot_extents(cfg, D_mm, beam, tx, ty)
+    samples = tuple((float(a), float(b), e) for a, b, e in zip(tx, ty, extents))
+    return ResolutionCurve(samples=samples, config_digest=cfg.digest())
 
 
 def check_threshold_ratio(threshold_ratio: float) -> None:
@@ -213,5 +307,5 @@ def write_curve_csv(curve: ResolutionCurve, path) -> None:
 def write_fov_json(fov: FovResult, path) -> None:
     """The fields of ``fov`` as a JSON object, in their declared order."""
     with open(path, "w") as fh:
-        json.dump(asdict(fov), fh, indent=2)
+        json.dump(asdict(fov), fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -31,6 +31,11 @@ class PointEmitter:
             raise ValueError("emitter intensity must be nonnegative")
 
 
+def _on_texels(f, count: int):
+    """Whether fractional texel indices ``f`` lie on an axis of ``count`` texels."""
+    return (f >= 0) & (f <= count - 1)
+
+
 @dataclass(frozen=True)
 class TexturedPlane:
     """A fronto-parallel textured rectangle at a fixed depth."""
@@ -67,7 +72,7 @@ class TexturedPlane:
         """Bilinear texture lookup at scene coordinates; zero outside extent."""
         rows, cols = self.texture.shape
         fc, fr = self._texel(x, y)
-        inside = (fc >= 0) & (fc <= cols - 1) & (fr >= 0) & (fr <= rows - 1)
+        inside = _on_texels(fc, cols) & _on_texels(fr, rows)
         c0 = np.clip(np.floor(fc).astype(int), 0, cols - 2)
         r0 = np.clip(np.floor(fr).astype(int), 0, rows - 2)
         wc = np.clip(fc - c0, 0.0, 1.0)
@@ -109,7 +114,7 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     pixel through the inverse mapping. Projections that miss the elemental
     image are dropped and counted. Emitters are projected through the whole
     lenslet grid at once; planes are sampled one lenslet row at a time, over
-    the rows and columns whose view reaches the texture.
+    the pixels of the rows and columns whose view lands on the texture.
     """
     if pixels_x < 1 or pixels_y < 1:
         raise ValueError("elemental images need at least one pixel per axis")
@@ -149,15 +154,22 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     du, dv = pixel_centers(pixel_pitch_mm, pixels_y, pixels_x)
     for plane in scene.planes:
         # pixel (du, dv) sees the plane point x = cx - du z/g, y = cy - dv z/g
-        sx, sy = du * plane.z_mm / g, dv[:, None] * plane.z_mm / g
-        # texel coordinates are monotone in x and y: a lenslet row's view
-        # reaches the texture iff its extreme x do, and likewise per column
-        (fc_lo, fc_hi), (fr_lo, fr_hi) = plane._texel(np.stack([cx - sx[-1], cx - sx[0]]),
-                                                      np.stack([cy - sy[-1], cy - sy[0]]))
+        sx, sy = du * plane.z_mm / g, dv * plane.z_mm / g
+        # a pixel sees the texture iff its x lies on the texture's columns and
+        # its y on its rows: each lenslet row is cropped to the pixel columns
+        # whose x does, and the lenslet columns to the pixel rows whose y does
+        # for any of them
+        fc, fr = plane._texel(cx[:, None] - sx, cy[:, None] - sy)
         tex_rows, tex_cols = plane.texture.shape
-        q = np.flatnonzero((fr_hi >= 0) & (fr_lo <= tex_rows - 1))
-        for p in np.flatnonzero((fc_hi >= 0) & (fc_lo <= tex_cols - 1)):
-            images[p, q] += plane.sample(cx[p] - sx, cy[q, None, None] - sy)
+        cols_on, rows_on = _on_texels(fc, tex_cols), _on_texels(fr, tex_rows)
+        seen = np.flatnonzero(rows_on.any(axis=0))
+        if seen.size == 0:
+            continue
+        q, r = np.flatnonzero(rows_on.any(axis=1)), slice(seen[0], seen[-1] + 1)
+        for p in np.flatnonzero(cols_on.any(axis=1)):
+            seen = np.flatnonzero(cols_on[p])
+            c = slice(seen[0], seen[-1] + 1)
+            images[p, q, r, c] += plane.sample(cx[p] - sx[c], cy[q, None, None] - sy[r, None])
     return eis, report
 
 

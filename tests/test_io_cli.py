@@ -824,6 +824,23 @@ def test_cli_analyze_rejects_non_finite_depth(tmp_path, caplog, depth):
     assert not (out / "curve.csv").exists() and not (out / "fov.json").exists()
 
 
+def test_cli_analyze_rejects_beam_tilted_to_ninety_degrees(tmp_path, caplog):
+    # at 120 mm an x scan over +/-60 degrees turns the outer lenslets' beams
+    # past 90 degrees: it had exited 0 with nan at 57 and 58 degrees, finite
+    # garbage beyond and a fov.json holding a bare NaN
+    doc = json.loads((ROOT / "configs" / "real_virtual_fov.json").read_text())
+    del doc["optical_system"]["z_i_override_mm"]
+    doc["plane"]["D_mm"] = 120.0
+    doc["scan"].update(theta_min_deg=-60.0, theta_max_deg=60.0, steps=121)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert "lenslet (15, 0)" in caplog.text
+    assert "theta_x in (-59.74, 56.31)" in caplog.text
+    assert not (out / "curve.csv").exists() and not (out / "fov.json").exists()
+
+
 def test_cli_analyze_rejects_threshold_ratio_below_one(tmp_path, caplog):
     doc = json.loads((ROOT / "configs" / "real_virtual_fov.json").read_text())
     doc["scan"]["threshold_ratio"] = 0.5

@@ -379,6 +379,95 @@ def test_spot_extent_focused_matches_closed_form(m, n, tx, ty, D_mm):
     assert spot_extent(tx, ty, D_mm, cfg, beam) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def _spot_extent_reference(tx, ty, D_mm, cfg, beam):
+    """The spot moment as one broadcast expression over an (m, n, 8, 8)
+    array, lenslet row, lenslet column, x node, y node: every operation
+    written out in the order that ``spot_extent`` keeps, so that the two
+    agree bit for bit."""
+    a, w = np.polynomial.hermite.hermgauss(8)
+    w = w * np.exp(a**2)
+    centers_x, centers_y = cfg.lenslet_centers()
+    cx, cy = centers_x[:, None, None, None], centers_y[None, :, None, None]
+    tpx = np.radians(tx - np.degrees(np.arctan(cx / D_mm)))
+    tpy = np.radians(ty - np.degrees(np.arctan(cy / D_mm)))
+    sx = beam.width_x(D_mm) / (math.sqrt(2.0) * np.cos(tpx))
+    sy = beam.width_y(D_mm) / (math.sqrt(2.0) * np.cos(tpy))
+    x, y = sx * a[:, None], sy * a[None, :]
+    z = D_mm + x * np.sin(tpx) + y * np.sin(tpy)
+    wx, wy = beam.width_x(z), beam.width_y(z)
+    g = cfg.gap_mm
+    weight = (D_mm + g) ** 2 / ((D_mm + g) ** 2 + ((0.0 - cx) ** 2 + (0.0 - cy) ** 2)
+                                * (1.0 + 1.0 / (D_mm / g)) ** 2)
+    intensity = (2.0 / (math.pi * wx * wy) * weight
+                 * np.exp(-2.0 * ((x * np.cos(tpx)) ** 2 / wx**2
+                                  + (y * np.cos(tpy)) ** 2 / wy**2)))
+    mass = sx * sy * w[:, None] * w[None, :] * intensity
+    return float(np.sqrt((mass * (x**2 + y**2)).sum() / mass.sum()))
+
+
+#: (m, n, pitch_x, pitch_y, gap, focal length, focus override, D): a round
+#: beam, whose width is evaluated once, and a rectangular pitch, whose two
+#: widths are evaluated apart, off focus; a focused (g = f) rectangular
+#: array; a virtual focus (g < f); one lenslet
+REFERENCE_SYSTEMS = {
+    "round": (16, 16, 10.0, 10.0, 50.0, 35.0, 360.0, 300.0),
+    "rectangular": (5, 7, 10.0, 8.0, 50.0, 35.0, None, 160.0),
+    "focused": (6, 4, 10.0, 8.0, 35.0, 35.0, None, 800.0),
+    "virtual": (3, 5, 10.0, 10.0, 30.0, 35.0, None, 400.0),
+    "single": (1, 1, 10.0, 10.0, 50.0, 35.0, 360.0, 2000.0),
+}
+
+
+@pytest.mark.parametrize("system", sorted(REFERENCE_SYSTEMS))
+def test_spot_extent_matches_broadcast_reference_bit_for_bit(system):
+    m, n, px, py, g, f, override, D_mm = REFERENCE_SYSTEMS[system]
+    cfg = OpticalSystemConfig(m=m, n=n, pitch_x_mm=px, pitch_y_mm=py, gap_mm=g,
+                              focal_length_mm=f)
+    beam = BeamParameters.from_config(cfg, z_i_override_mm=override)
+    for tx, ty in [(0.0, 0.0), (40.0, 0.0), (0.0, -55.0), (30.0, 30.0), (17.0, -23.0),
+                   (-60.0, 60.0)]:
+        assert spot_extent(tx, ty, D_mm, cfg, beam) == _spot_extent_reference(
+            tx, ty, D_mm, cfg, beam)
+
+
+@pytest.mark.parametrize("system", sorted(REFERENCE_SYSTEMS))
+@pytest.mark.parametrize("axis", ["x", "y", "diagonal"])
+def test_scan_samples_equal_spot_extent(system, axis):
+    # the scan builds the tilt-independent parts once; each step must still
+    # be exactly the one-step evaluation
+    m, n, px, py, g, f, override, D_mm = REFERENCE_SYSTEMS[system]
+    cfg = OpticalSystemConfig(m=m, n=n, pitch_x_mm=px, pitch_y_mm=py, gap_mm=g,
+                              focal_length_mm=f)
+    beam = BeamParameters.from_config(cfg, z_i_override_mm=override)
+    curve = scan_resolution(cfg, D_mm, axis, -60.0, 60.0, 9, z_i_override_mm=override)
+    for tx, ty, extent in curve.samples:
+        assert extent == spot_extent(tx, ty, D_mm, cfg, beam)
+        assert extent == _spot_extent_reference(tx, ty, D_mm, cfg, beam)
+
+
+def test_scan_rejects_beam_tilted_to_ninety_degrees():
+    # at 120 mm the outer lenslets sit 33.7 and 30.3 degrees off the source,
+    # so an x scan over +/-60 degrees turns some beam past 90 degrees, where
+    # cos t <= 0 had scaled the nodes through zero: nan at 57 and 58 degrees
+    # and 26.9 mm at 60 degrees against 0.11 mm at normal view
+    cfg = rv_config()
+    with pytest.raises(ValueError, match=r"step 0 .* lenslet \(15, 0\) -90\.26 degrees") as err:
+        scan_resolution(cfg, 120.0, "x", -60.0, 60.0, 121)
+    assert "theta_x in (-59.74, 56.31)" in str(err.value)
+    with pytest.raises(ValueError, match=r"lenslet \(0, 0\) 90\.69 degrees"):
+        scan_resolution(cfg, 120.0, "x", 0.0, 57.0, 3)
+    with pytest.raises(ValueError, match=r"lenslet \(0, 0\)"):
+        spot_extent(57.0, 0.0, 120.0, cfg, BeamParameters.from_config(cfg))
+    # a focused array of 8 x 12 mm pitch fails on its y axis at 160 mm
+    focused = OpticalSystemConfig(m=16, n=16, pitch_x_mm=8.0, pitch_y_mm=12.0, gap_mm=35.0,
+                                  focal_length_mm=35.0)
+    with pytest.raises(ValueError, match=r"step 120 .* theta_y in \(-62\.30, 59\.04\)"):
+        scan_resolution(focused, 160.0, "y", -60.0, 60.0, 121)
+    # inside the range every step is finite
+    curve = scan_resolution(cfg, 120.0, "x", -59.0, 56.0, 5)
+    assert np.all(np.isfinite(curve.extents()))
+
+
 def test_off_focus_scan_is_fast():
     # 300 mm from a 360 mm focus a plane grid that holds the spot at the
     # waist-resolving pitch has ~930^2 samples and took ~15 s per step
@@ -453,6 +542,14 @@ def test_curve_csv_format(tmp_path):
     assert len(lines) == 3
     # values carry >= 9 significant digits
     assert float(lines[2].split(",")[2]) == pytest.approx(1.23456789012, rel=1e-9)
+
+
+def test_fov_json_rejects_nan(tmp_path):
+    # a bare NaN is not JSON
+    fov = FovResult(threshold_ratio=1.5, min_extent_mm=math.nan,
+                    fov_negative_deg=None, fov_positive_deg=None)
+    with pytest.raises(ValueError):
+        write_fov_json(fov, tmp_path / "fov.json")
 
 
 def test_fov_json_nulls(tmp_path):

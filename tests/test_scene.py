@@ -336,3 +336,24 @@ def test_capture_matches_per_lenslet_reference_on_unequal_axes(seed):
     assert report.splatted > 0 and report.vignetted > 0
     np.testing.assert_array_equal(eis.images, expected)
     assert (report.splatted, report.vignetted) == counts
+
+
+def test_plane_capture_crop_partial_on_both_axes():
+    # lenslet row 2 sees the 14 x 3 mm plane through pixel columns 3-20 of
+    # 24, rows 1 and 3 through one edge each; lenslet columns 2 and 3 see it
+    # through pixel rows 12-15 and 2-5 of 18, so their batch is cropped to
+    # rows 2-15. A crop one pixel too tight on either axis drops a nonzero
+    # pixel, and lenslets whose view misses the plane are left out.
+    cfg = OpticalSystemConfig(m=4, n=5, pitch_x_mm=10.0, pitch_y_mm=8.0,
+                              gap_mm=50.0, focal_length_mm=35.0)
+    rng = np.random.default_rng(7)
+    plane = TexturedPlane(100.0, 7.0, 1.5, rng.random((5, 13)) + 0.1)
+    scene = Scene(planes=[plane])
+    eis = capture(scene, cfg, 24, 18, pixel_pitch_mm=0.4)
+    expected, _ = reference_capture(scene, cfg, 24, 18, 0.4)
+    np.testing.assert_array_equal(eis.images, expected)
+    seen = expected > 0
+    rows_seen = np.flatnonzero(seen.any(axis=(0, 1, 3)))
+    assert (rows_seen[0], rows_seen[-1]) == (2, 15)
+    cols_seen = np.flatnonzero(seen[2].any(axis=(0, 1)))
+    assert (cols_seen[0], cols_seen[-1]) == (3, 20)
