@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Free-view reconstruction sweep of a synthetic textured scene.
 
-Captures a smooth random texture at 300 mm with the real/virtual system,
-then reconstructs it on planes tilted by 0, 10, 12, 15, 17 and 20 degrees
-(diffraction mode by default). One 16-bit PGM plus JSON sidecar is written
-per angle.
+Captures a smooth random texture at 300 mm with the optical system of
+configs/textured_recon.json (the real/virtual system), then reconstructs
+it on planes tilted by 0, 10, 12, 15, 17 and 20 degrees (diffraction mode
+by default). One 16-bit PGM plus JSON sidecar is written per angle.
 """
 
 import argparse
@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from tiltview.cli import main as tiltview_main
+from tiltview.cli import RunConfig, main as tiltview_main
 from tiltview.manifest import save_elemental_set
-from tiltview.optics import OpticalSystemConfig
 from tiltview.scene import Scene, TexturedPlane, capture
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "textured_recon.json"
 ANGLES_DEG = [0.0, 10.0, 12.0, 15.0, 17.0, 20.0]
+PIXELS = 128  # elemental pixels per lenslet and axis
 
 
 def smooth_texture(n: int = 64, sigma: float = 0.05, seed: int = 42) -> np.ndarray:
@@ -40,13 +40,13 @@ def main() -> int:
     args = parser.parse_args()
     out = Path(args.out)
 
-    cfg = OpticalSystemConfig(m=16, n=16, pitch_x_mm=10.0, pitch_y_mm=10.0,
-                              gap_mm=50.0, focal_length_mm=35.0)
+    cfg = RunConfig.from_file(CONFIG).optical_system
     plane = TexturedPlane(z_mm=300.0, half_width_x_mm=15.0, half_width_y_mm=15.0,
                           texture=smooth_texture(seed=args.seed))
-    eis = capture(Scene(planes=[plane]), cfg, 128, 128, pixel_pitch_mm=10.0 / 128.0)
+    eis = capture(Scene(planes=[plane]), cfg, PIXELS, PIXELS,
+                  pixel_pitch_mm=cfg.pitch_x_mm / PIXELS)
     manifest = save_elemental_set(eis, out / "capture")
-    print(f"captured 16x16 elemental images -> {manifest}")
+    print(f"captured {cfg.m}x{cfg.n} elemental images -> {manifest}")
 
     for theta in ANGLES_DEG:
         image = out / f"recon_theta_{theta:04.1f}.pgm"

@@ -19,18 +19,15 @@ from .reconstruction import (
     Reconstruction,
     apply_diffraction,
     backproject_geometric,
-    defocus_psf,
     reconstruct,
 )
 from .resolution import (
     FovResult,
     ResolutionCurve,
     extract_fov,
-    lenslet_tilt,
-    point_source_intensity,
     radial_extent,
     scan_resolution,
-    spot_extent,
+    spot_extents,
 )
 from .scene import Scene, capture, point_source_scene
 
@@ -50,17 +47,14 @@ __all__ = [
     "backproject_geometric",
     "beam_width",
     "capture",
-    "defocus_psf",
     "extract_fov",
     "image_distance",
-    "lenslet_tilt",
-    "point_source_intensity",
     "point_source_scene",
     "radial_extent",
     "rayleigh_range",
     "reconstruct",
     "scan_resolution",
-    "spot_extent",
+    "spot_extents",
     "tilted_to_global",
     "waist_at_focus",
 ]

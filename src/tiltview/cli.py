@@ -22,8 +22,8 @@ from .optics import (ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpe
                      read_block)
 from .pgm import read_pgm, to_codes, write_pgm16
 from .reconstruction import reconstruct
-from .resolution import (check_threshold_ratio, extract_fov, scan_resolution, write_curve_csv,
-                         write_fov_json)
+from .resolution import (check_scan, check_threshold_ratio, extract_fov, scan_resolution,
+                         write_curve_csv, write_fov_json)
 from .scene import PointEmitter, Scene, TexturedPlane, capture_with_report
 
 log = logging.getLogger("tiltview")
@@ -46,6 +46,7 @@ class ScanConfig:
     threshold_ratio: float = 1.5
 
     def __post_init__(self):
+        check_scan(self.axis, self.theta_min_deg, self.theta_max_deg, self.steps)
         check_threshold_ratio(self.threshold_ratio)
 
 
@@ -130,8 +131,6 @@ def cmd_analyze(args) -> int:
         run.plane.axial_offset_mm if run.plane else None)
     if D is None:
         raise ConfigError("analyze needs a depth: set plane.D_mm or pass --D-mm")
-    if scan.steps < 3:
-        raise UsageError(f"scan needs at least 3 steps, got {scan.steps}")
     curve = scan_resolution(
         run.optical_system, D, scan.axis, scan.theta_min_deg, scan.theta_max_deg,
         scan.steps, z_i_override_mm=run.z_i_override_mm)

@@ -260,10 +260,12 @@ def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
     return pupil
 
 
-def defocus_psf(cfg: OpticalSystemConfig, z_local_mm: float, z_i_mm: float,
-                sample_pitch_mm: float, max_half_width_mm: float = math.inf) -> PSFKernel:
-    """Intensity PSF of one lenslet pupil with a quadratic defocus phase,
-    integrated over the pixels of a plane grid of the given pitch.
+def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
+                max_half_width_mm: float) -> Callable[[float], PSFKernel]:
+    """The defocus PSF builder of one plane grid and beam focus:
+    ``build(z_local_mm)`` returns the intensity PSF of one lenslet pupil with
+    a quadratic defocus phase, integrated over the pixels of a plane grid of
+    pitch ``sample_pitch_mm``.
 
     The pupil (diameters = lens pitches) is multiplied by
     exp[(jk/2)(1/z_local - 1/z_i)(u^2 + v^2)] and Fresnel transformed only at
@@ -293,15 +295,6 @@ def defocus_psf(cfg: OpticalSystemConfig, z_local_mm: float, z_i_mm: float,
     A matrix DFT has no wrap-around; what it can miss is energy outside the
     window. ``window_energy`` is the Parseval share of the pupil energy that
     the window holds, and an uncropped window must hold at least 0.99 of it.
-    """
-    return psf_builder(cfg, z_i_mm, sample_pitch_mm, max_half_width_mm)(z_local_mm)
-
-
-def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
-                max_half_width_mm: float) -> Callable[[float], PSFKernel]:
-    """The PSF builder of one plane grid and beam focus: ``build(z_local_mm)``
-    returns ``defocus_psf(cfg, z_local_mm, z_i_mm, sample_pitch_mm,
-    max_half_width_mm)``.
 
     The parts that do not depend on the depth are built once per value of
     what they do depend on and shared by the builder's later calls: the

@@ -52,87 +52,6 @@ class FovResult:
     fov_positive_deg: float | None
 
 
-def _float_if_scalar(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def _check_depth(D_mm: float) -> None:
-    if not 0 < D_mm < math.inf:
-        raise ValueError(f"source depth must be positive and finite, got {D_mm!r}")
-
-
-def _center_angles(c, D_mm: float):
-    """Angle at which the on-axis source at depth D sees lenslet centre c, degrees."""
-    return np.degrees(np.arctan(c / D_mm))
-
-
-def _inverse_square_weight(cx, cy, D_mm: float, cfg: OpticalSystemConfig):
-    """Weight of the lenslets centred at (cx, cy) in the spot of the on-axis
-    source at depth D: exactly 1 for the central lenslet."""
-    return (D_mm + cfg.gap_mm) ** 2 / cfg.pixel_distance_sq(0.0 - cx, 0.0 - cy, D_mm)
-
-
-def _tilted_gaussian(x_t, y_t, tpx, tpy, weight, D_mm: float, beam: BeamParameters,
-                     out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Weighted tilted Gaussians of lenslets with beam tilts (tpx, tpy), radians.
-
-    The result is written into ``out`` and returned; ``work`` is scratch.
-    Both have the broadcast shape of the inputs and hold the intermediate
-    results, so that a call makes few new arrays of that size. A round
-    beam's width is evaluated once, for both axes.
-    """
-    z_loc = np.add(D_mm + x_t * np.sin(tpx), y_t * np.sin(tpy), out=work)
-    wx = beam.width_x(z_loc)
-    round_beam = beam.waist_x_mm == beam.waist_y_mm and beam.rayleigh_x_mm == beam.rayleigh_y_mm
-    wy = wx if round_beam else beam.width_y(z_loc)
-    amp = np.multiply(math.pi, wx, out=out)
-    amp *= wy
-    np.divide(2.0, amp, out=amp)
-    amp *= weight
-    wx_sq = wx**2
-    wy_sq = wx_sq if wy is wx else wy**2
-    arg = np.divide((x_t * np.cos(tpx)) ** 2, wx_sq, out=work)
-    arg += (y_t * np.cos(tpy)) ** 2 / wy_sq
-    arg *= -2.0
-    amp *= np.exp(arg, out=arg)
-    return amp
-
-
-def lenslet_tilt(p, q, D_mm: float, theta_x_deg: float, theta_y_deg: float,
-                 cfg: OpticalSystemConfig):
-    """Tilt of lenslet (p, q)'s beam relative to the viewing direction, degrees.
-
-    Broadcasts over index arrays ``p`` and ``q``; scalar indices give floats.
-    """
-    _check_depth(D_mm)
-    cx, cy = cfg.lenslet_centers()
-    tpx = theta_x_deg - _center_angles(cx[p], D_mm)
-    tpy = theta_y_deg - _center_angles(cy[q], D_mm)
-    return _float_if_scalar(tpx), _float_if_scalar(tpy)
-
-
-def point_source_intensity(x_t, y_t, p, q, D_mm: float,
-                           cfg: OpticalSystemConfig, beam: BeamParameters,
-                           theta_x_deg: float = 0.0, theta_y_deg: float = 0.0):
-    """Contribution of lenslet (p, q) to the spot intensity at (x_t, y_t).
-
-    A tilted Gaussian centered on the image point, weighted by the
-    inverse-square pixel distance so that the central lenslet reproduces the
-    untilted on-axis beam intensity exactly. Broadcasts over array inputs,
-    including index arrays ``p`` and ``q``: with ``q`` of shape (n, 1, 1) and
-    2D coordinates, the result holds one plane per lenslet of row ``p``.
-    """
-    tpx_deg, tpy_deg = lenslet_tilt(p, q, D_mm, theta_x_deg, theta_y_deg, cfg)
-    cx, cy = cfg.lenslet_centers()  # the source point is (0, 0, D)
-    weight = _inverse_square_weight(cx[p], cy[q], D_mm, cfg)
-    x_t, y_t = np.asarray(x_t, dtype=float), np.asarray(y_t, dtype=float)
-    tpx, tpy = np.radians(tpx_deg), np.radians(tpy_deg)
-    shape = np.broadcast(x_t, y_t, tpx, tpy, weight).shape
-    value = _tilted_gaussian(x_t, y_t, tpx, tpy, weight, D_mm, beam,
-                             out=np.empty(shape), work=np.empty(shape))
-    return _float_if_scalar(value)
-
-
 def radial_extent(field: ScalarField2D) -> float:
     """Normalized radial second moment sqrt(<x^2 + y^2>) of an intensity field.
 
@@ -167,28 +86,50 @@ def _grazing_error(theta_x, theta_y, tilt_x, tilt_y, angles_x, angles_y,
         "or move the source farther away")
 
 
-def _spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
-                  theta_x_deg, theta_y_deg) -> list[float]:
-    """Spot extents at the tilt steps (theta_x_deg[i], theta_y_deg[i]).
+def spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
+                 theta_x_deg, theta_y_deg) -> list[float]:
+    """Normalized radial second moment of the spot at each tilt step
+    (theta_x_deg[i], theta_y_deg[i]), without a plane grid.
+
+    The spot of the on-axis source at depth D is the sum of one tilted
+    Gaussian per lenslet, centred on the image point. The source sees the
+    centre c of lenslet (p, q) at the angles atan(c/D), so the lenslet's
+    beam is tilted t_p = theta - atan(c/D) from the view. Its widths are
+    those of the beam at the local depth z = D + x sin t_px + y sin t_py,
+    its Gaussian is stretched by 1/cos t_p, and it is weighted by the
+    inverse square of its pixel distance, so that the central lenslet
+    reproduces the untilted on-axis beam intensity 2 / (pi w_x w_y) exactly.
+
+    Each lenslet's contribution is integrated by an 8x8 Gauss-Hermite rule
+    whose nodes are scaled to that lenslet's Gaussian at the source depth,
+    x = w_x(D) a / (sqrt(2) cos t_px) and likewise for y. The rule is exact
+    for a constant beam width and keeps the width's change with depth
+    across the tilted spot, the only remaining factor of the integrand.
 
     What does not depend on the tilt is built once for all steps: the
-    angles at which the source sees the lenslet centres, the inverse-square
-    weights, the beam widths at D, the node arrays and the full-size
-    arrays every step writes into. Every step is checked before any is
-    evaluated. The arrays are laid out (p, a, q, b): lenslet row, x node,
-    lenslet column, y node, so that each full-size operation streams over
-    contiguous (q, b) blocks. The two sums read (p, q, a, b) copies, which
-    keeps the summation order, and so every bit, of an (m, n, 8, 8) array.
+    angles of the lenslet centres, the inverse-square weights, the beam
+    widths at D, the node arrays and the full-size arrays every step writes
+    into; a round beam's width is evaluated once for both axes. Every step
+    is checked before any is evaluated: ``ValueError`` is raised when a
+    step turns some lenslet's beam to 90 degrees or more. The arrays are
+    laid out (p, a, q, b): lenslet row, x node, lenslet column, y node, so
+    that each full-size operation streams over contiguous (q, b) blocks.
+    The two sums read (p, q, a, b) copies, which keeps the summation order,
+    and so every bit, of an (m, n, 8, 8) array.
     """
-    _check_depth(D_mm)
-    cx, cy = cfg.lenslet_centers()
-    angles_x, angles_y = _center_angles(cx, D_mm), _center_angles(cy, D_mm)
+    if not 0 < D_mm < math.inf:
+        raise ValueError(f"source depth must be positive and finite, got {D_mm!r}")
+    cx, cy = cfg.lenslet_centers()  # the source point is (0, 0, D)
+    angles_x, angles_y = np.degrees(np.arctan(cx / D_mm)), np.degrees(np.arctan(cy / D_mm))
     theta_x, theta_y = np.asarray(theta_x_deg, dtype=float), np.asarray(theta_y_deg, dtype=float)
     tilt_x, tilt_y = theta_x[:, None] - angles_x, theta_y[:, None] - angles_y
     if np.any(np.abs(tilt_x) >= 90.0) or np.any(np.abs(tilt_y) >= 90.0):
         raise _grazing_error(theta_x, theta_y, tilt_x, tilt_y, angles_x, angles_y, D_mm)
-    weight = _inverse_square_weight(cx[:, None, None, None], cy[:, None], D_mm, cfg)
+    # the inverse-square weights, exactly 1 for the central lenslet
+    weight = (D_mm + cfg.gap_mm) ** 2 / cfg.pixel_distance_sq(
+        0.0 - cx[:, None, None, None], 0.0 - cy[:, None], D_mm)
     width_x, width_y = beam.width_x(D_mm), beam.width_y(D_mm)
+    round_beam = beam.waist_x_mm == beam.waist_y_mm and beam.rayleigh_x_mm == beam.rayleigh_y_mm
     k = _GH_NODES.size
     nodes_a, weights_a = _GH_NODES[:, None, None], _GH_WEIGHTS[:, None, None]
     mass, work = np.empty((2, cfg.m, k, cfg.n, k))
@@ -199,7 +140,20 @@ def _spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
         sx = width_x / (math.sqrt(2.0) * np.cos(tpx))
         sy = width_y / (math.sqrt(2.0) * np.cos(tpy))
         x, y = sx * nodes_a, sy * _GH_NODES
-        _tilted_gaussian(x, y, tpx, tpy, weight, D_mm, beam, out=mass, work=work)
+        # the weighted Gaussians at the nodes, written into mass
+        z_loc = np.add(D_mm + x * np.sin(tpx), y * np.sin(tpy), out=work)
+        wx = beam.width_x(z_loc)
+        wy = wx if round_beam else beam.width_y(z_loc)
+        np.multiply(math.pi, wx, out=mass)
+        mass *= wy
+        np.divide(2.0, mass, out=mass)
+        mass *= weight
+        wx_sq = wx**2
+        wy_sq = wx_sq if wy is wx else wy**2
+        arg = np.divide((x * np.cos(tpx)) ** 2, wx_sq, out=work)
+        arg += (y * np.cos(tpy)) ** 2 / wy_sq
+        arg *= -2.0
+        mass *= np.exp(arg, out=arg)
         # the quadrature weight sx sy w_a w_b, multiplied in that order
         mass *= np.multiply(sx * sy * weights_a, _GH_WEIGHTS, out=work)
         moment = np.add(x**2, y**2, out=work)
@@ -211,49 +165,38 @@ def _spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
     return extents
 
 
-def spot_extent(theta_x_deg: float, theta_y_deg: float, D_mm: float,
-                cfg: OpticalSystemConfig, beam: BeamParameters) -> float:
-    """Normalized radial second moment of the spot, without a plane grid.
-
-    Each lenslet's contribution is integrated by an 8x8 Gauss-Hermite rule
-    whose nodes are scaled to that lenslet's Gaussian at the source depth,
-    x = w_x(D) a / (sqrt(2) cos t_px) and likewise for y. The rule is exact
-    for a constant beam width and keeps the width's change with depth across
-    the tilted spot, the only remaining factor of the integrand. It is a
-    scan of one step: ``ValueError`` is raised when the tilt turns some
-    lenslet's beam to 90 degrees or more.
-    """
-    return _spot_extents(cfg, D_mm, beam, [theta_x_deg], [theta_y_deg])[0]
-
-
 def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
                     theta_min_deg: float, theta_max_deg: float, steps: int,
                     z_i_override_mm: float | None = None,
                     plane_grid: PlaneGrid | None = None) -> ResolutionCurve:
-    """Radial spot extent versus tilt angle along one scan axis.
-
-    Each step's extent is the one ``spot_extent`` gives; the parts that do
-    not depend on the tilt are built once per scan. ``ValueError`` is raised,
-    before any step is evaluated, when a step turns some lenslet's beam to
-    90 degrees or more. ``plane_grid`` is ignored; it is accepted so that
-    existing callers keep working.
+    """Radial spot extent versus tilt angle along one scan axis: the
+    ``spot_extents`` of ``steps`` evenly spaced tilts, with ``ValueError``
+    raised for a scan ``check_scan`` rejects. ``plane_grid`` is ignored; it
+    is accepted so that existing callers keep working.
     """
-    if steps < 3:
-        raise ValueError(f"scan needs at least 3 steps, got {steps}")
-    if theta_min_deg >= theta_max_deg:
-        raise ValueError("scan range must satisfy theta_min < theta_max")
-    if max(abs(theta_min_deg), abs(theta_max_deg)) > 60.0:
-        raise ValueError("scan range must stay within +/-60 degrees")
-    if axis not in ("x", "y", "diagonal"):
-        raise ValueError(f"scan axis must be 'x', 'y' or 'diagonal', got {axis!r}")
+    check_scan(axis, theta_min_deg, theta_max_deg, steps)
     beam = BeamParameters.from_config(cfg, z_i_override_mm=z_i_override_mm)
     thetas = np.linspace(theta_min_deg, theta_max_deg, steps)
     untilted = np.zeros(steps)
     tx = thetas if axis in ("x", "diagonal") else untilted
     ty = thetas if axis in ("y", "diagonal") else untilted
-    extents = _spot_extents(cfg, D_mm, beam, tx, ty)
+    extents = spot_extents(cfg, D_mm, beam, tx, ty)
     samples = tuple((float(a), float(b), e) for a, b, e in zip(tx, ty, extents))
     return ResolutionCurve(samples=samples, config_digest=cfg.digest())
+
+
+def check_scan(axis: str, theta_min_deg: float, theta_max_deg: float, steps: int) -> None:
+    """Raise ``ValueError`` unless the scan runs along 'x', 'y' or 'diagonal'
+    over finite angles with theta_min < theta_max inside +/-60 degrees, in an
+    integer number of steps of at least 3."""
+    if axis not in ("x", "y", "diagonal"):
+        raise ValueError(f"scan axis must be 'x', 'y' or 'diagonal', got {axis!r}")
+    if not -60.0 <= theta_min_deg < theta_max_deg <= 60.0:  # NaN fails too
+        raise ValueError(f"scan range must satisfy -60 <= theta_min < theta_max <= 60 degrees, "
+                         f"got theta_min {theta_min_deg!r} and theta_max {theta_max_deg!r}")
+    # bool is an int subclass, and a fractional count is no number of steps
+    if type(steps) is not int or steps < 3:
+        raise ValueError(f"scan steps must be an integer >= 3, got {steps!r}")
 
 
 def check_threshold_ratio(threshold_ratio: float) -> None:

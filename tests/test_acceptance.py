@@ -4,7 +4,7 @@ Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them on passing runs). Shared scans are computed once per module.
 
 Criterion 1 checks the real/virtual field-of-view scan against the spot
-model documented in ``point_source_intensity`` and ``radial_extent``: one
+model documented in README.md and in ``resolution.spot_extents``: one
 Gaussian per lenslet, centred on the image point, its width scaled by the
 lenslet's obliquity 1/cos t_p, and the spot size the normalized radial
 second moment of their sum. Integrating each Gaussian gives the moment in
@@ -38,7 +38,7 @@ from tiltview.optics import (
     TiltedPlaneSpec,
 )
 from tiltview import reconstruction
-from tiltview.reconstruction import PSFKernel, bilinear_corners, defocus_psf, reconstruct
+from tiltview.reconstruction import PSFKernel, bilinear_corners, psf_builder, reconstruct
 from tiltview.resolution import extract_fov, radial_extent, scan_resolution
 from tiltview.scene import Scene, TexturedPlane, capture, point_source_scene
 
@@ -210,7 +210,7 @@ def test_criterion_4_moment_oracles():
 
 
 def test_criterion_5_airy_zero():
-    psf = defocus_psf(REAL_VIRTUAL, 360.0, 360.0, 0.001)
+    psf = psf_builder(REAL_VIRTUAL, 360.0, 0.001, math.inf)(360.0)
     n = psf.taps
     profile = psf.samples[n // 2, n // 2:]
     k = 1

@@ -799,7 +799,10 @@ def test_cli_synth_is_byte_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_analyze_zero_steps_usage_error(tmp_path):
+def test_cli_analyze_zero_steps_usage_error(tmp_path, caplog):
+    # the step count is checked with the rest of the scan block when the
+    # config is read, so a bad count is a config error (exit 1), not a
+    # usage error (exit 2)
     config = write_config(
         tmp_path,
         plane={"D_mm": 200.0,
@@ -807,9 +810,34 @@ def test_cli_analyze_zero_steps_usage_error(tmp_path):
                         "sample_pitch_mm": 0.2}},
         scan={"steps": 0},
     )
-    with pytest.raises(SystemExit) as err:
-        main(["analyze", "--config", str(config), "--out", str(tmp_path / "o")])
-    assert err.value.code == 2
+    assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert f"{config}: the scan block: scan steps must be an integer >= 3, got 0" in caplog.text
+
+
+@pytest.mark.parametrize("scan, message", [
+    # a NaN angle had written a curve.csv of nan rows and a truncated fov.json
+    ({"theta_min_deg": math.nan}, "scan range"),
+    # a fractional count had failed in numpy without naming the file
+    ({"steps": 5.5}, "steps must be an integer >= 3, got 5.5"),
+    # a bool is an int subclass, and had passed the step check
+    ({"steps": True}, "steps must be an integer >= 3, got True"),
+    ({"steps": 2}, "steps must be an integer >= 3, got 2"),
+    ({"axis": "z"}, "scan axis must be 'x', 'y' or 'diagonal', got 'z'"),
+    ({"theta_min_deg": 20.0, "theta_max_deg": -20.0}, "scan range"),
+])
+def test_cli_analyze_rejects_bad_scan_block(tmp_path, caplog, scan, message):
+    config = write_config(
+        tmp_path,
+        plane={"D_mm": 360.0,
+               "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
+                        "sample_pitch_mm": 0.2}},
+        scan=scan,
+    )
+    out = tmp_path / "o"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert f"{config}: the scan block: " in caplog.text
+    assert message in caplog.text
+    assert not (out / "curve.csv").exists() and not (out / "fov.json").exists()
 
 
 @pytest.mark.parametrize("depth", ["nan", "inf"])

@@ -22,7 +22,7 @@ from tiltview.optics import (
     tilted_to_global,
     waist_at_focus,
 )
-from tiltview.reconstruction import defocus_psf
+from tiltview.reconstruction import psf_builder
 
 LAMBDA_MM = 550e-6
 
@@ -318,8 +318,9 @@ def test_collimated_inputs_stay_accepted():
     # an infinite focus is the focused-mode sentinel, not a bad input
     beam = BeamParameters.from_config(_cfg(), z_i_override_mm=math.inf)
     assert math.isinf(beam.z_focus_mm)
-    kernel = defocus_psf(_cfg(m=1, n=1, pitch_x_mm=1.0, pitch_y_mm=1.0), z_local_mm=300.0,
-                         z_i_mm=math.inf, sample_pitch_mm=0.05)
+    build_psf = psf_builder(_cfg(m=1, n=1, pitch_x_mm=1.0, pitch_y_mm=1.0), z_i_mm=math.inf,
+                            sample_pitch_mm=0.05, max_half_width_mm=math.inf)
+    kernel = build_psf(300.0)
     assert kernel.samples.sum() == pytest.approx(1.0, rel=1e-9)
 
 

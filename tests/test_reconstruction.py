@@ -31,8 +31,8 @@ from tiltview.reconstruction import (
     apply_diffraction,
     backproject_geometric,
     bilinear_corners,
-    defocus_psf,
     gather,
+    psf_builder,
     reconstruct,
 )
 from tiltview.scene import Scene, PointEmitter, capture, point_source_scene
@@ -437,7 +437,7 @@ def test_psf_kernel_invariants_enforced():
 
 def test_defocus_psf_unit_sum_and_support():
     cfg = small_config()
-    psf = defocus_psf(cfg, 360.0, 360.0, 0.01)
+    psf = psf_builder(cfg, 360.0, 0.01, math.inf)(360.0)
     assert psf.samples.sum() == pytest.approx(1.0, abs=1e-9)
     # in focus the window is 15 Airy radii; S is the Nyquist count of the
     # intensity's highest frequency a / (lambda z), plus two
@@ -447,13 +447,13 @@ def test_defocus_psf_unit_sum_and_support():
     assert psf.subpixels == math.ceil(0.01 * 2 * 10.0 / lz) + 2
     assert psf.pupil_samples >= 256
     assert np.unravel_index(np.argmax(psf.samples), psf.samples.shape) == (psf.taps // 2,) * 2
-    cropped = defocus_psf(cfg, 360.0, 360.0, 0.01, max_half_width_mm=0.1)
+    cropped = psf_builder(cfg, 360.0, 0.01, 0.1)(360.0)
     assert cropped.taps == 21
 
 
 def test_airy_first_zero():
     cfg = small_config()
-    psf = defocus_psf(cfg, 360.0, 360.0, 0.001)
+    psf = psf_builder(cfg, 360.0, 0.001, math.inf)(360.0)
     n = psf.taps
     profile = psf.samples[n // 2, n // 2:]
     # first local minimum along the radius, refined parabolically
@@ -473,7 +473,7 @@ def test_in_focus_psf_is_pixel_integrated_airy():
     # integral of [2 J1(v) / v]^2, here by a 16 x 16 midpoint sum per pixel
     # (Nyquist midpoint sub-pixels would be off by ~3e-2)
     cfg = small_config()
-    psf = defocus_psf(cfg, 360.0, 360.0, 0.01)
+    psf = psf_builder(cfg, 360.0, 0.01, math.inf)(360.0)
     fine = 16
     c = ((np.arange(psf.taps * fine) + 0.5) / fine - psf.taps / 2) * psf.sample_pitch_mm
     X, Y = np.meshgrid(c, c, indexing="ij")
@@ -485,7 +485,7 @@ def test_in_focus_psf_is_pixel_integrated_airy():
 
 def test_zero_defocus_psf_radially_symmetric():
     cfg = small_config()
-    v = defocus_psf(cfg, 360.0, 360.0, 0.01).samples
+    v = psf_builder(cfg, 360.0, 0.01, math.inf)(360.0).samples
     np.testing.assert_allclose(v, v.T, atol=1e-6 * v.max())
     np.testing.assert_allclose(v, v[::-1, ::-1], atol=1e-6 * v.max())
 
@@ -495,7 +495,7 @@ def test_defocus_width_monotone():
     z_i = 360.0
 
     def width(z):
-        psf = defocus_psf(cfg, z, z_i, 0.02)
+        psf = psf_builder(cfg, z_i, 0.02, math.inf)(z)
         c = (np.arange(psf.taps) - psf.taps // 2) * psf.sample_pitch_mm
         X, Y = np.meshgrid(c, c, indexing="ij")
         return math.sqrt(float((psf.samples * (X**2 + Y**2)).sum()))
@@ -507,11 +507,11 @@ def test_defocus_width_monotone():
 def test_defocus_psf_parameter_validation():
     cfg = small_config()
     with pytest.raises(ValueError):
-        defocus_psf(cfg, -5.0, 360.0, 0.01)
+        psf_builder(cfg, 360.0, 0.01, math.inf)(-5.0)
     with pytest.raises(ValueError):
-        defocus_psf(cfg, 360.0, 360.0, 0.0)
+        psf_builder(cfg, 360.0, 0.0, math.inf)(360.0)
     with pytest.raises(ValueError):
-        defocus_psf(cfg, 360.0, 360.0, -0.01)
+        psf_builder(cfg, 360.0, -0.01, math.inf)(360.0)
 
 
 def test_defocus_window_energy_guard(monkeypatch):
@@ -523,13 +523,13 @@ def test_defocus_window_energy_guard(monkeypatch):
 
     monkeypatch.setattr(reconstruction, "_antialiased_pupil", checkerboard)
     with pytest.raises(ValueError, match="window holds"):
-        defocus_psf(small_config(), 360.0, 360.0, 0.01)
+        psf_builder(small_config(), 360.0, 0.01, math.inf)(360.0)
 
 
 def test_defocus_psf_matches_fft_oracle_far_from_focus():
     # the 300 mm sweep depth on the 0.25 mm reconstruction grid
     cfg = small_config()
-    psf = defocus_psf(cfg, 300.0, 360.0, 0.25)
+    psf = psf_builder(cfg, 360.0, 0.25, math.inf)(300.0)
     oracle = _fft_psf(cfg, 300.0, 360.0, 2048, 10.0 / 1024, 0.25, psf.taps)
     assert np.abs(psf.samples - oracle).sum() <= 2e-3
 
@@ -538,7 +538,7 @@ def test_defocus_psf_matches_fft_oracle_far_from_focus():
 def test_defocus_psf_matches_fft_oracle_near_focus(z):
     # the strip depths of a 45 degree plane through the 360 mm focus
     cfg = small_config()
-    psf = defocus_psf(cfg, z, 360.0, 0.25)
+    psf = psf_builder(cfg, 360.0, 0.25, math.inf)(z)
     oracle = _fft_psf(cfg, z, 360.0, 1024, 10.0 / 512, 0.25, psf.taps)
     assert np.abs(psf.samples - oracle).sum() <= 5e-3
 
@@ -549,7 +549,7 @@ def test_defocus_psf_tends_to_geometric_disk():
     cfg = small_config(pitch_x_mm=2.0, pitch_y_mm=2.0)
     z_i = cfg.focus_mm()
     for z in (1000.0, 2000.0):
-        psf = defocus_psf(cfg, z, z_i, 0.2)
+        psf = psf_builder(cfg, z_i, 0.2, math.inf)(z)
         c = (np.arange(psf.taps) - psf.taps // 2) * psf.sample_pitch_mm
         X, Y = np.meshgrid(c, c, indexing="ij")
         R = 1.0 * abs(1.0 - z / z_i)
@@ -559,7 +559,7 @@ def test_defocus_psf_tends_to_geometric_disk():
 def test_defocus_window_holds_energy_300_to_2000mm():
     cfg = small_config(m=16, n=16)
     for z in (300.0, 360.0, 700.0, 1200.0, 2000.0):
-        assert defocus_psf(cfg, z, 360.0, 0.25).window_energy >= 0.99
+        assert psf_builder(cfg, 360.0, 0.25, math.inf)(z).window_energy >= 0.99
 
 
 def test_defocus_psf_leaves_no_reference_cycle():
@@ -568,7 +568,7 @@ def test_defocus_psf_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        psf = defocus_psf(cfg, 300.0, 360.0, 0.25)
+        psf = psf_builder(cfg, 360.0, 0.25, math.inf)(300.0)
         unreachable = gc.collect()
     finally:
         gc.enable()
@@ -595,7 +595,7 @@ def test_delta_field_blurs_to_psf():
     out = apply_diffraction(field, plane, cfg, 360.0)
     # the zero-defocus PSF on the same grid, cropped to the field as apply_diffraction crops
     half_span = float(field.xs[-1] - field.xs[0]) / 2.0 + field.sample_pitch_mm
-    kern = defocus_psf(cfg, 360.0, 360.0, 0.01, max_half_width_mm=half_span).samples
+    kern = psf_builder(cfg, 360.0, 0.01, half_span)(360.0).samples
     center = out.values[out.values.shape[0] // 2, out.values.shape[1] // 2]
     k_center = kern[kern.shape[0] // 2, kern.shape[1] // 2]
     assert center == pytest.approx(k_center, rel=1e-6)
@@ -674,15 +674,15 @@ def test_geometric_reconstruct_rejects_strip_width(width):
 
 
 def _strip_oracle(field, plane, cfg, z_i_mm, strip_width_mm):
-    """apply_diffraction written out with a fresh defocus_psf for every strip."""
+    """apply_diffraction written out with a fresh psf_builder for every strip."""
     X, Y = field.meshgrid()
     t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
     half_span = max(float(field.xs[-1] - field.xs[0]),
                     float(field.ys[-1] - field.ys[0])) / 2.0 + field.sample_pitch_mm
     out = np.zeros_like(field.values)
     for t_center, weight in _strip_weights(t, strip_width_mm):
-        psf = defocus_psf(cfg, plane.axial_offset_mm + t_center, z_i_mm,
-                          field.sample_pitch_mm, max_half_width_mm=half_span)
+        build_psf = psf_builder(cfg, z_i_mm, field.sample_pitch_mm, half_span)
+        psf = build_psf(plane.axial_offset_mm + t_center)
         out += reconstruction.fftconvolve(field.values * weight, psf.samples)
     return np.clip(out, 0.0, None)
 

@@ -20,11 +20,9 @@ from tiltview.resolution import (
     FovResult,
     ResolutionCurve,
     extract_fov,
-    lenslet_tilt,
-    point_source_intensity,
     radial_extent,
     scan_resolution,
-    spot_extent,
+    spot_extents,
     write_curve_csv,
     write_fov_json,
 )
@@ -41,50 +39,50 @@ def rv_beam(cfg):
 
 
 # ---------------------------------------------------------------------------
-# per-lenslet geometry
+# the spot model of README.md, written out apart from the library
 
 
-def test_lenslet_tilt_central_is_view_angle():
-    cfg = rv_config()
-    assert lenslet_tilt(8, 8, 360.0, 12.5, -3.0, cfg) == (12.5, -3.0)
+def lenslet_tilts(p, q, D_mm, cfg, theta_x_deg, theta_y_deg):
+    """Centres (cx, cy) of lenslets (p, q), lenslet (m/2, n/2) on axis, and
+    the tilts (t_px, t_py) of their beams from the view in radians: the view
+    angle less the angle atan(c/D) at which the source (0, 0, D) sees c."""
+    cx = (np.asarray(p) - cfg.m / 2) * cfg.pitch_x_mm
+    cy = (np.asarray(q) - cfg.n / 2) * cfg.pitch_y_mm
+    tpx = math.radians(theta_x_deg) - np.arctan(cx / D_mm)
+    tpy = math.radians(theta_y_deg) - np.arctan(cy / D_mm)
+    return cx, cy, tpx, tpy
 
 
-def test_lenslet_tilt_offsets():
-    cfg = rv_config()
-    tpx, _ = lenslet_tilt(9, 8, 360.0, 0.0, 0.0, cfg)  # c_p = +10 mm
-    assert tpx == pytest.approx(-1.5911403, abs=1e-6)
-    tpx, _ = lenslet_tilt(0, 8, 360.0, 15.0, 0.0, cfg)  # c_p = -80 mm
-    assert tpx == pytest.approx(15.0 + math.degrees(math.atan(80.0 / 360.0)), rel=1e-12)
-    tpx, _ = lenslet_tilt(15, 8, 360.0, 15.0, 0.0, cfg)  # c_p = +70 mm
-    assert tpx == pytest.approx(15.0 - math.degrees(math.atan(70.0 / 360.0)), rel=1e-12)
-
-
-def test_lenslet_tilt_eighty_mm_offset_value():
-    # a lenslet 80 mm off axis seen from 360 mm away under a 15 degree view
-    cfg = OpticalSystemConfig(m=17, n=17, pitch_x_mm=10.0, pitch_y_mm=10.0,
-                              gap_mm=50.0, focal_length_mm=35.0)
-    tpx, _ = lenslet_tilt(16, 8, 360.0, 15.0, 0.0, cfg)  # c_p = (16 - 8.5)*10 = 75
-    assert tpx == pytest.approx(15.0 - math.degrees(math.atan(75.0 / 360.0)), rel=1e-12)
-    assert 15.0 - math.degrees(math.atan(80.0 / 360.0)) == pytest.approx(2.4711923, abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# point_source_intensity
+def lenslet_gaussian(x_t, y_t, p, q, D_mm, cfg, beam, theta_x_deg=0.0, theta_y_deg=0.0):
+    """Contribution of lenslet (p, q) to the spot at (x_t, y_t) on the plane
+    tilted (theta_x, theta_y) through the source: the Gaussian
+    2 / (pi w_x w_y) exp(-2 ((x cos t_px / w_x)^2 + (y cos t_py / w_y)^2)),
+    its widths those of the beam at the depth D + x sin t_px + y sin t_py,
+    weighted by (D + g)^2 over the squared pixel distance
+    (D + g)^2 + |c|^2 ((D + g) / D)^2. Broadcasts over arrays, index arrays
+    p and q included."""
+    cx, cy, tpx, tpy = lenslet_tilts(p, q, D_mm, cfg, theta_x_deg, theta_y_deg)
+    z = D_mm + x_t * np.sin(tpx) + y_t * np.sin(tpy)
+    wx, wy = beam.width_x(z), beam.width_y(z)
+    g = cfg.gap_mm
+    weight = (D_mm + g) ** 2 / ((D_mm + g) ** 2 + (cx**2 + cy**2) * ((D_mm + g) / D_mm) ** 2)
+    return (weight * 2.0 / (math.pi * wx * wy)
+            * np.exp(-2.0 * ((x_t * np.cos(tpx) / wx) ** 2 + (y_t * np.cos(tpy) / wy) ** 2)))
 
 
 def test_central_peak_matches_on_axis_formula():
     cfg = rv_config()
     beam = rv_beam(cfg)
-    peak = point_source_intensity(0.0, 0.0, 8, 8, 360.0, cfg, beam)
+    peak = lenslet_gaussian(0.0, 0.0, 8, 8, 360.0, cfg, beam)
     assert peak == pytest.approx(2.0 / (math.pi * beam.waist_x_mm**2), rel=1e-12)
 
 
 def test_gaussian_falloff_one_over_e():
     cfg = rv_config()
     beam = rv_beam(cfg)
-    peak = point_source_intensity(0.0, 0.0, 8, 8, 360.0, cfg, beam)
+    peak = lenslet_gaussian(0.0, 0.0, 8, 8, 360.0, cfg, beam)
     x = beam.waist_x_mm / math.sqrt(2.0)
-    val = point_source_intensity(x, 0.0, 8, 8, 360.0, cfg, beam)
+    val = lenslet_gaussian(x, 0.0, 8, 8, 360.0, cfg, beam)
     assert val == pytest.approx(peak / math.e, rel=1e-12)
 
 
@@ -98,20 +96,20 @@ def test_gaussian_falloff_one_over_e():
 def test_intensity_strictly_positive(x, y, p, q):
     cfg = rv_config()
     beam = rv_beam(cfg)
-    assert point_source_intensity(x, y, p, q, 360.0, cfg, beam, 10.0, 0.0) > 0.0
+    assert lenslet_gaussian(x, y, p, q, 360.0, cfg, beam, 10.0, 0.0) > 0.0
 
 
 def test_intensity_broadcasts():
     cfg = rv_config()
     beam = rv_beam(cfg)
     xs = np.linspace(-0.1, 0.1, 7)
-    out = point_source_intensity(xs, 0.0, 8, 8, 360.0, cfg, beam)
+    out = lenslet_gaussian(xs, 0.0, 8, 8, 360.0, cfg, beam)
     assert out.shape == (7,)
     assert np.all(out > 0)
 
 
 # ---------------------------------------------------------------------------
-# the spot on a plane grid: the oracle of spot_extent
+# the spot on a plane grid: the oracle of spot_extents
 
 
 def grid_spot(plane, D_mm, cfg, beam):
@@ -123,8 +121,8 @@ def grid_spot(plane, D_mm, cfg, beam):
     q = np.arange(cfg.n)[:, None, None]
     total = np.zeros_like(X)
     for p in range(cfg.m):
-        for part in point_source_intensity(X, Y, p, q, D_mm, cfg, beam,
-                                           plane.theta_x_deg, plane.theta_y_deg):
+        for part in lenslet_gaussian(X, Y, p, q, D_mm, cfg, beam,
+                                     plane.theta_x_deg, plane.theta_y_deg):
             total += part
     return ScalarField2D(total, xs, ys, plane.grid.sample_pitch_mm)
 
@@ -140,7 +138,7 @@ def test_single_lenslet_spot_equals_lone_contribution():
     plane = spot_plane()
     spot = grid_spot(plane, 360.0, cfg, beam)
     X, Y = spot.meshgrid()
-    expected = point_source_intensity(X, Y, 0, 0, 360.0, cfg, beam)
+    expected = lenslet_gaussian(X, Y, 0, 0, 360.0, cfg, beam)
     np.testing.assert_array_equal(spot.values, expected)
 
 
@@ -150,7 +148,7 @@ def test_array_spot_dominates_central_lenslet():
     plane = spot_plane()
     spot = grid_spot(plane, 360.0, cfg, beam)
     X, Y = spot.meshgrid()
-    central = point_source_intensity(X, Y, 8, 8, 360.0, cfg, beam)
+    central = lenslet_gaussian(X, Y, 8, 8, 360.0, cfg, beam)
     assert spot.values.sum() >= central.sum()
     assert np.all(spot.values >= central)
 
@@ -167,7 +165,7 @@ def test_spot_nearly_even_at_normal_view():
 
 
 def test_aggregate_spot_matches_per_lenslet_loop():
-    # the row-batched grid sum against one point_source_intensity per lenslet,
+    # the row-batched grid sum against one lenslet_gaussian per lenslet,
     # summed in lexicographic (p, q) order; m != n so that a swapped axis
     # cannot pass
     cfg = rv_config(m=5, n=6)
@@ -177,19 +175,9 @@ def test_aggregate_spot_matches_per_lenslet_loop():
         expected = np.zeros_like(X)
         for p in range(cfg.m):
             for q in range(cfg.n):
-                expected += point_source_intensity(X, Y, p, q, 360.0, cfg, beam, 9.0, -4.0)
+                expected += lenslet_gaussian(X, Y, p, q, 360.0, cfg, beam, 9.0, -4.0)
         spot = grid_spot(plane, 360.0, cfg, beam)
         np.testing.assert_allclose(spot.values, expected, rtol=1e-12, atol=0.0)
-
-
-def test_lenslet_helpers_broadcast_over_q():
-    cfg = rv_config(m=5, n=6)
-    q = np.arange(cfg.n)
-    tpx, tpy = lenslet_tilt(3, q, 360.0, 9.0, -4.0, cfg)
-    for j in range(cfg.n):
-        scalar_tilt = lenslet_tilt(3, j, 360.0, 9.0, -4.0, cfg)
-        assert type(scalar_tilt[0]) is float and type(scalar_tilt[1]) is float
-        assert (tpx, tpy[j]) == scalar_tilt
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +237,12 @@ def test_scan_validation():
         scan_resolution(cfg, 360.0, "z", -40, 40, 5)
     with pytest.raises(ValueError):
         scan_resolution(cfg, 360.0, "x", 40, -40, 5)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="scan range"):
+            scan_resolution(cfg, 360.0, "x", bad, 40, 5)
+    for steps in (5.5, 3.0, True):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            scan_resolution(cfg, 360.0, "x", -40, 40, steps)
 
 
 def test_scan_curve_nearly_even():
@@ -303,7 +297,12 @@ def test_scan_ignores_plane_grid():
 
 
 # ---------------------------------------------------------------------------
-# spot_extent: per-lenslet Gauss-Hermite quadrature
+# spot_extents: per-lenslet Gauss-Hermite quadrature
+
+
+def step_extent(tx, ty, D_mm, cfg, beam):
+    """The spot extent of the one tilt step (tx, ty)."""
+    return spot_extents(cfg, D_mm, beam, [tx], [ty])[0]
 
 
 @pytest.mark.parametrize("theta", [0.0, 40.0, -40.0, 60.0, -60.0])
@@ -316,7 +315,7 @@ def test_spot_extent_matches_grid_oracle(theta):
     hw = 12.0 * beam.waist_x_mm
     plane = TiltedPlaneSpec(theta, 0.0, 360.0, PlaneGrid(hw, hw, beam.waist_x_mm / 4.0))
     grid = radial_extent(grid_spot(plane, 360.0, cfg, beam))
-    assert spot_extent(theta, 0.0, 360.0, cfg, beam) == pytest.approx(grid, rel=1e-10, abs=0.0)
+    assert step_extent(theta, 0.0, 360.0, cfg, beam) == pytest.approx(grid, rel=1e-10, abs=0.0)
 
 
 def _extent_by_reference_rule(tx, ty, D_mm, cfg, beam, nodes=32):
@@ -327,11 +326,11 @@ def _extent_by_reference_rule(tx, ty, D_mm, cfg, beam, nodes=32):
     num = den = 0.0
     for p in range(cfg.m):
         for q in range(cfg.n):
-            tpx, tpy = lenslet_tilt(p, q, D_mm, tx, ty, cfg)
-            sx = beam.width_x(D_mm) / (math.sqrt(2.0) * math.cos(math.radians(tpx)))
-            sy = beam.width_y(D_mm) / (math.sqrt(2.0) * math.cos(math.radians(tpy)))
+            _, _, tpx, tpy = lenslet_tilts(p, q, D_mm, cfg, tx, ty)
+            sx = beam.width_x(D_mm) / (math.sqrt(2.0) * math.cos(tpx))
+            sy = beam.width_y(D_mm) / (math.sqrt(2.0) * math.cos(tpy))
             X, Y = np.meshgrid(sx * a, sy * a, indexing="ij")
-            mass = sx * sy * np.outer(w, w) * point_source_intensity(
+            mass = sx * sy * np.outer(w, w) * lenslet_gaussian(
                 X, Y, p, q, D_mm, cfg, beam, tx, ty)
             num += (mass * (X**2 + Y**2)).sum()
             den += mass.sum()
@@ -348,7 +347,7 @@ def test_spot_extent_matches_reference_rule(D_mm, rel):
     for tx, ty in [(0.0, 0.0), (40.0, 0.0), (60.0, 0.0), (-60.0, 0.0), (0.0, 60.0),
                    (60.0, 60.0), (-60.0, -60.0)]:
         expected = _extent_by_reference_rule(tx, ty, D_mm, cfg, beam)
-        assert spot_extent(tx, ty, D_mm, cfg, beam) == pytest.approx(expected, rel=rel, abs=0.0)
+        assert step_extent(tx, ty, D_mm, cfg, beam) == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 @given(
@@ -376,13 +375,13 @@ def test_spot_extent_focused_matches_closed_form(m, n, tx, ty, D_mm):
     mass = weight / (cos_x * cos_y)
     var = wx**2 / (4.0 * cos_x**2) + wy**2 / (4.0 * cos_y**2)
     expected = math.sqrt((mass * var).sum() / mass.sum())
-    assert spot_extent(tx, ty, D_mm, cfg, beam) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert step_extent(tx, ty, D_mm, cfg, beam) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def _spot_extent_reference(tx, ty, D_mm, cfg, beam):
     """The spot moment as one broadcast expression over an (m, n, 8, 8)
     array, lenslet row, lenslet column, x node, y node: every operation
-    written out in the order that ``spot_extent`` keeps, so that the two
+    written out in the order that ``spot_extents`` keeps, so that the two
     agree bit for bit."""
     a, w = np.polynomial.hermite.hermgauss(8)
     w = w * np.exp(a**2)
@@ -426,7 +425,7 @@ def test_spot_extent_matches_broadcast_reference_bit_for_bit(system):
     beam = BeamParameters.from_config(cfg, z_i_override_mm=override)
     for tx, ty in [(0.0, 0.0), (40.0, 0.0), (0.0, -55.0), (30.0, 30.0), (17.0, -23.0),
                    (-60.0, 60.0)]:
-        assert spot_extent(tx, ty, D_mm, cfg, beam) == _spot_extent_reference(
+        assert step_extent(tx, ty, D_mm, cfg, beam) == _spot_extent_reference(
             tx, ty, D_mm, cfg, beam)
 
 
@@ -441,7 +440,7 @@ def test_scan_samples_equal_spot_extent(system, axis):
     beam = BeamParameters.from_config(cfg, z_i_override_mm=override)
     curve = scan_resolution(cfg, D_mm, axis, -60.0, 60.0, 9, z_i_override_mm=override)
     for tx, ty, extent in curve.samples:
-        assert extent == spot_extent(tx, ty, D_mm, cfg, beam)
+        assert extent == step_extent(tx, ty, D_mm, cfg, beam)
         assert extent == _spot_extent_reference(tx, ty, D_mm, cfg, beam)
 
 
@@ -457,7 +456,7 @@ def test_scan_rejects_beam_tilted_to_ninety_degrees():
     with pytest.raises(ValueError, match=r"lenslet \(0, 0\) 90\.69 degrees"):
         scan_resolution(cfg, 120.0, "x", 0.0, 57.0, 3)
     with pytest.raises(ValueError, match=r"lenslet \(0, 0\)"):
-        spot_extent(57.0, 0.0, 120.0, cfg, BeamParameters.from_config(cfg))
+        spot_extents(cfg, 120.0, BeamParameters.from_config(cfg), [57.0], [0.0])
     # a focused array of 8 x 12 mm pitch fails on its y axis at 160 mm
     focused = OpticalSystemConfig(m=16, n=16, pitch_x_mm=8.0, pitch_y_mm=12.0, gap_mm=35.0,
                                   focal_length_mm=35.0)
