@@ -172,8 +172,16 @@ class OpticalSystemConfig:
         The pixel lies g behind the centre at offset -(dx, dy)/M, M = z/g.
         Broadcasts over arrays.
         """
+        axial, spread = self.pixel_distance_terms(z_mm)
+        return axial + (dx ** 2 + dy ** 2) * spread
+
+    def pixel_distance_terms(self, z_mm):
+        """The depth terms of ``pixel_distance_sq``, which is
+        axial + (dx² + dy²)·spread: axial = (z + g)² and
+        spread = (1 + 1/(z/g))². A caller that evaluates many offsets at the
+        same depths builds them once."""
         g = self.gap_mm
-        return (z_mm + g) ** 2 + (dx ** 2 + dy ** 2) * (1.0 + 1.0 / (z_mm / g)) ** 2
+        return (z_mm + g) ** 2, (1.0 + 1.0 / (z_mm / g)) ** 2
 
     def digest(self) -> str:
         blob = json.dumps(

@@ -69,15 +69,17 @@ class ElementalImageSet:
     def pixels_y(self) -> int:
         return self.images.shape[2]
 
-    def padded(self, p, q) -> np.ndarray:
+    def padded(self, p: slice, q: slice) -> np.ndarray:
         """Copies of the images of lenslet rows ``p`` and columns ``q``
-        (index arrays), shape (len(p), len(q), rows + 5, cols + 5), each
-        inside the zero border that ``gather`` reads for a corner outside
-        it. They keep the set's dtype: uint16 codes stay 2 bytes a pixel."""
+        (slices), shape (rows of p, columns of q, pixels_y + 5, pixels_x + 5),
+        each inside the zero border that ``gather`` reads for a corner
+        outside it. They keep the set's dtype: uint16 codes stay 2 bytes a
+        pixel."""
+        images = self.images[p, q]
         rows, cols = self.pixels_y, self.pixels_x
-        out = np.zeros((len(p), len(q), rows + 2 * _BORDER + 1, cols + 2 * _BORDER + 1),
-                       dtype=self.images.dtype)
-        out[..., _BORDER:_BORDER + rows, _BORDER:_BORDER + cols] = self.images[np.ix_(p, q)]
+        out = np.zeros(images.shape[:2] + (rows + 2 * _BORDER + 1, cols + 2 * _BORDER + 1),
+                       dtype=images.dtype)
+        out[..., _BORDER:_BORDER + rows, _BORDER:_BORDER + cols] = images
         return out
 
 
@@ -87,16 +89,17 @@ class ElementalImageSet:
 _BORDER = 2
 
 
-def pixel_index(du, dv, pitch: float, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The elemental-pixel convention: the fractional (row, col) index of
-    display offsets (du, dv) from the image centre, with column 0 at the
-    smallest u and row 0 at the largest v. It is clipped to [-2, size + 1],
+def pixel_index(offset, pitch: float, size: int, axis: str) -> np.ndarray:
+    """The elemental-pixel convention, one axis at a time: the fractional
+    index along ``axis`` of display offsets from the image centre, with
+    column 0 at the smallest u (``"col"``, offsets du) and row 0 at the
+    largest v (``"row"``, offsets dv). It is clipped to [-2, size + 1],
     which moves no corner into the image and keeps a far projection's index
     castable; an offset too far for the float range is such a projection."""
     with np.errstate(over="ignore"):
-        fr = np.clip((rows - 1) / 2.0 - dv / pitch, -_BORDER, rows - 1.0 + _BORDER)
-        fc = np.clip(du / pitch + (cols - 1) / 2.0, -_BORDER, cols - 1.0 + _BORDER)
-    return fr, fc
+        index = ((size - 1) / 2.0 - offset / pitch if axis == "row"
+                 else offset / pitch + (size - 1) / 2.0)
+        return np.clip(index, -_BORDER, size - 1.0 + _BORDER)
 
 
 def pixel_centers(pitch: float, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +114,7 @@ def bilinear_corners(du, dv, pitch: float, rows: int, cols: int):
     offsets (du, dv) from the image centre (``pixel_index``). ``row`` and
     ``col`` are clipped to the image; ``inside`` marks the corners that lie
     in it."""
-    fr, fc = pixel_index(du, dv, pitch, rows, cols)
+    fr, fc = pixel_index(dv, pitch, rows, "row"), pixel_index(du, pitch, cols, "col")
     c0, r0 = np.floor(fc).astype(int), np.floor(fr).astype(int)
     wc, wr = fc - c0, fr - r0
     for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -121,23 +124,33 @@ def bilinear_corners(du, dv, pitch: float, rows: int, cols: int):
                (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc), inside)
 
 
-def gather(padded: np.ndarray, k, du, dv, pitch: float) -> np.ndarray:
-    """Bilinear sample of image ``k`` of a ``padded`` stack (its leading axes
-    flattened) at display offsets (du, dv) from the image centre; ``k``
-    broadcasts against the offsets. A corner outside the image reads the
-    zero border, so it adds an exact 0.0, as a masked sum would."""
+def corner(padded: np.ndarray, offset, pitch: float, axis: str):
+    """One axis of the bilinear corners in the images of a ``padded`` stack
+    around display offsets from the image centre (``pixel_index``):
+    ``(at, w, 1 - w)``, with ``at`` the flat offset within an image of the
+    lower corner along ``axis`` and ``w`` the weight of the upper one."""
     height, width = padded.shape[-2:]
-    fr, fc = pixel_index(du, dv, pitch, height - 2 * _BORDER - 1, width - 2 * _BORDER - 1)
-    r0, c0 = np.floor(fr), np.floor(fc)
-    wr, wc = fr - r0, fc - c0
-    vr, vc = 1.0 - wr, 1.0 - wc
+    size, stride = (height, width) if axis == "row" else (width, 1)
+    index = pixel_index(offset, pitch, size - 2 * _BORDER - 1, axis)
+    lower = np.floor(index)
+    w = index - lower
+    return (lower.astype(np.intp) + _BORDER) * stride, w, 1.0 - w
+
+
+def gather(padded: np.ndarray, k: int, row, col) -> np.ndarray:
+    """Bilinear sample of image ``k`` of a ``padded`` stack (its leading axes
+    flattened) at the corners ``row`` and ``col`` that ``corner`` gives
+    along each axis; the two broadcast against each other. A corner outside
+    the image reads the zero border, so it adds an exact 0.0, as a masked
+    sum would."""
+    height, width = padded.shape[-2:]
+    (r, wr, vr), (c, wc, vc) = row, col
     # flat index of corner (r0, c0) of image k; corners (r0, c0 + 1),
     # (r0 + 1, c0) and (r0 + 1, c0 + 1) are 1, width and width + 1 further on
-    origin = (k * height + _BORDER) * width + _BORDER
-    at = r0.astype(np.intp) * width + c0.astype(np.intp) + origin
+    at = r + c + k * height * width
     flat = padded.reshape(-1)
-    return (vr * vc * flat[at] + vr * wc * flat[1:][at]
-            + wr * vc * flat[width:][at] + wr * wc * flat[width + 1:][at])
+    return (vr * vc * flat.take(at) + vr * wc * flat[1:].take(at)
+            + wr * vc * flat[width:].take(at) + wr * wc * flat[width + 1:].take(at))
 
 
 @dataclass
@@ -195,9 +208,17 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     |g - c| < M (pixels + 1)/2 pixel_pitch per axis. With the grid's largest
     M and one elemental pixel of margin, that bound picks before the loop
     the lenslet rows and columns that reach the plane, and the plane samples
-    each can reach. Every term left out is an exact 0.0, so the sum is the
-    same, bit for bit, as over all lenslets and samples in (p, q) order.
-    The images of those lenslets are copied once into a zero-padded stack
+    each can reach: lenslet (p, q) is evaluated over its own window, the
+    samples row p reaches along x times those column q reaches along y.
+    Every term left out is an exact 0.0, so the sum is the same, bit for
+    bit, as over all lenslets and samples in (p, q) order.
+
+    Each term is built at the dimension it depends on: the plane x of a
+    sample fixes its global x, and its plane y its global y. So the row
+    corners depend on the lenslet column and the sample only, and are built
+    once per column; the column corners once per lenslet row; the depth
+    terms of the pixel distance once per plane. The images of the visited
+    lenslets are copied once into a zero-padded stack
     (``ElementalImageSet.padded``) and sampled with ``gather``.
     """
     cfg = eis.capture_config
@@ -212,23 +233,40 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     y_lo, y_hi = _reach(gy[0, :], cy, m_max * ((eis.pixels_y + 1) / 2.0 + 1.0) * pitch)
     rows = np.flatnonzero(x_hi > x_lo)
     cols = np.flatnonzero(y_hi > y_lo)
-    log.debug("back-projection: %d of %d lenslets reach the plane",
-              rows.size * cols.size, cfg.m * cfg.n)
+    log.debug("back-projection: %d of %d lenslets reach the plane, over %d "
+              "(lenslet, sample) pairs", rows.size * cols.size, cfg.m * cfg.n,
+              int((x_hi - x_lo).sum()) * int((y_hi - y_lo).sum()))
     total = np.zeros_like(X)
     if rows.size and cols.size:
-        q = cols[:, None, None]
-        ys_reach = slice(y_lo[cols].min(), y_hi[cols].max())
-        # the visited images, copied once per call; row i's are i * cols.size + k
-        stack, k = eis.padded(rows, cols), np.arange(cols.size)[:, None, None]
-        for i, p in enumerate(rows):
-            s = (slice(x_lo[p], x_hi[p]), ys_reach)
-            cpx, cpy = cx[p], cy[q]
-            dx, dy, Ms = gx[s] - cpx, gy[s] - cpy, M[s]
-            u, v = cpx - dx / Ms, cpy - dy / Ms
-            denom = cfg.pixel_distance_sq(dx, dy, depth[s])
-            values = gather(stack, i * cols.size + k, u - cpx, v - cpy, pitch)
-            for part in values / denom:  # fixed lexicographic (p, q) order
-                total[s] += part
+        # a lenslet between two visited ones that reaches no sample, as where the
+        # windows are narrower than the sample pitch, is copied but not visited
+        stack = eis.padded(slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        stride = cols[-1] + 1 - cols[0]
+        axial, spread = cfg.pixel_distance_terms(depth)
+        # the plane samples any visited row (x) or column (y) reaches
+        x0, x1 = x_lo[rows[0]], x_hi[rows[-1]]
+        y0, y1 = y_lo[cols[0]], y_hi[cols[-1]]
+        row_corners, dy_sq = [], []
+        for q in cols:
+            ys_q = slice(y_lo[q], y_hi[q])
+            dy = gy[0, ys_q] - cy[q]
+            v = cy[q] - dy / M[x0:x1, ys_q]
+            row_corners.append(corner(stack, v - cy[q], pitch, "row"))
+            dy_sq.append(dy ** 2)
+        for p in rows:
+            xs_p = slice(x_lo[p], x_hi[p])
+            dx = gx[xs_p, 0] - cx[p]
+            u = cx[p] - dx[:, None] / M[xs_p, y0:y1]
+            col_corners = corner(stack, u - cx[p], pitch, "col")
+            dx_sq = dx[:, None] ** 2
+            in_x = slice(x_lo[p] - x0, x_hi[p] - x0)
+            for j, q in enumerate(cols):  # fixed lexicographic (p, q) order
+                s = (xs_p, slice(y_lo[q], y_hi[q]))
+                in_y = slice(y_lo[q] - y0, y_hi[q] - y0)
+                values = gather(stack, (p - rows[0]) * stride + q - cols[0],
+                                [a[in_x] for a in row_corners[j]],
+                                [a[:, in_y] for a in col_corners])
+                total[s] += values / (axial[s] + (dx_sq + dy_sq[j]) * spread[s])
     if not np.any(total):
         warnings.warn("no elemental image sees the reconstruction plane; field is zero")
     field = ScalarField2D(total, xs, ys, plane.grid.sample_pitch_mm)

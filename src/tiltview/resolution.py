@@ -248,7 +248,9 @@ def write_curve_csv(curve: ResolutionCurve, path) -> None:
 
 
 def write_fov_json(fov: FovResult, path) -> None:
-    """The fields of ``fov`` as a JSON object, in their declared order."""
+    """The fields of ``fov`` as a JSON object, in their declared order. It is
+    serialized before the file is opened, so a field that JSON cannot hold
+    raises and leaves no file, and an existing one unchanged."""
+    text = json.dumps(asdict(fov), indent=2, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(asdict(fov), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)

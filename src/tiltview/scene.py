@@ -36,6 +36,12 @@ def _on_texels(f, count: int):
     return (f >= 0) & (f <= count - 1)
 
 
+def _span(on: np.ndarray) -> slice:
+    """The range from the first to the last true entry of a 1D mask."""
+    seen = np.flatnonzero(on)
+    return slice(seen[0], seen[-1] + 1)
+
+
 @dataclass(frozen=True)
 class TexturedPlane:
     """A fronto-parallel textured rectangle at a fixed depth."""
@@ -113,8 +119,8 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     inverse-square distance falloff; textured planes are sampled per display
     pixel through the inverse mapping. Projections that miss the elemental
     image are dropped and counted. Emitters are projected through the whole
-    lenslet grid at once; planes are sampled one lenslet row at a time, over
-    the pixels of the rows and columns whose view lands on the texture.
+    lenslet grid at once; planes are sampled one lenslet at a time, over the
+    pixel rows and columns of that lenslet whose view lands on the texture.
     """
     if pixels_x < 1 or pixels_y < 1:
         raise ValueError("elemental images need at least one pixel per axis")
@@ -156,20 +162,18 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
         # pixel (du, dv) sees the plane point x = cx - du z/g, y = cy - dv z/g
         sx, sy = du * plane.z_mm / g, dv * plane.z_mm / g
         # a pixel sees the texture iff its x lies on the texture's columns and
-        # its y on its rows: each lenslet row is cropped to the pixel columns
-        # whose x does, and the lenslet columns to the pixel rows whose y does
-        # for any of them
+        # its y on its rows: lenslet (p, q) is cropped to the pixel columns
+        # whose x does through lenslet row p, and the pixel rows whose y does
+        # through lenslet column q
         fc, fr = plane._texel(cx[:, None] - sx, cy[:, None] - sy)
         tex_rows, tex_cols = plane.texture.shape
         cols_on, rows_on = _on_texels(fc, tex_cols), _on_texels(fr, tex_rows)
-        seen = np.flatnonzero(rows_on.any(axis=0))
-        if seen.size == 0:
-            continue
-        q, r = np.flatnonzero(rows_on.any(axis=1)), slice(seen[0], seen[-1] + 1)
+        pixel_rows = [(q, _span(rows_on[q])) for q in np.flatnonzero(rows_on.any(axis=1))]
         for p in np.flatnonzero(cols_on.any(axis=1)):
-            seen = np.flatnonzero(cols_on[p])
-            c = slice(seen[0], seen[-1] + 1)
-            images[p, q, r, c] += plane.sample(cx[p] - sx[c], cy[q, None, None] - sy[r, None])
+            c = _span(cols_on[p])
+            x = cx[p] - sx[c]
+            for q, r in pixel_rows:
+                images[p, q, r, c] += plane.sample(x, cy[q] - sy[r, None])
     return eis, report
 
 

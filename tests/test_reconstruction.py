@@ -31,6 +31,7 @@ from tiltview.reconstruction import (
     apply_diffraction,
     backproject_geometric,
     bilinear_corners,
+    corner,
     gather,
     psf_builder,
     reconstruct,
@@ -130,14 +131,21 @@ def test_elemental_sample_at_pixel_centers():
     # pixel (row 3, col 5) center, as an offset from the image centre
     du, dv = (5 - 3.5) * 0.5, (3.5 - 3) * 0.5
     # image (1, 2) is image 1 * 3 + 2 of the stack of rows 0..2 and columns 0..2
-    stack = eis.padded([0, 1, 2], [0, 1, 2])
-    assert gather(stack, 5, du, dv, 0.5) == pytest.approx(images[1, 2, 3, 5], rel=1e-12)
+    stack = eis.padded(slice(0, 3), slice(0, 3))
+    assert sample(stack, 5, du, dv, 0.5) == pytest.approx(images[1, 2, 3, 5], rel=1e-12)
 
 
 def test_elemental_sample_outside_is_zero():
     cfg = small_config()
     eis = ElementalImageSet(np.ones((4, 4, 8, 8)), 0.5, cfg)
-    assert gather(eis.padded([0], [0]), 0, 7.0, 0.0, 0.5) == 0.0
+    assert sample(eis.padded(slice(0, 1), slice(0, 1)), 0, 7.0, 0.0, 0.5) == 0.0
+
+
+def sample(stack, k, du, dv, pitch):
+    """``gather`` of image ``k`` of a padded stack at display offsets
+    (du, dv) from the image centre, with the corners of each axis from
+    ``corner``."""
+    return gather(stack, k, corner(stack, dv, pitch, "row"), corner(stack, du, pitch, "col"))
 
 
 def masked_sample(eis, p, q, u, v):
@@ -217,7 +225,7 @@ def test_padded_gather_matches_masked_scalar_reference(case, p, q):
     rows, cols = images.shape[2:]
     cfg = small_config(m=2, n=2, pitch_x_mm=cols * pitch, pitch_y_mm=rows * pitch)
     eis = ElementalImageSet(images, pitch, cfg)
-    values = gather(eis.padded([0, 1], [0, 1]), 2 * p + q, du, dv, pitch)
+    values = sample(eis.padded(slice(0, 2), slice(0, 2)), 2 * p + q, du, dv, pitch)
     expected = [scalar_bilinear(images[p, q], u, v, pitch)
                 for u, v in zip(du.tolist(), dv.tolist())]
     np.testing.assert_array_equal(values, expected)
@@ -331,26 +339,37 @@ def test_backprojection_matches_per_lenslet_loop():
 
 
 @given(
-    m=st.integers(1, 8), n=st.integers(1, 8), pixels=st.integers(1, 24),
-    fill=st.floats(0.05, 1.0), hw=st.floats(0.5, 40.0), steps=st.integers(1, 20),
-    D=st.floats(60.0, 600.0), tx=st.floats(-45.0, 45.0), ty=st.floats(-45.0, 45.0),
-    seed=st.integers(0, 2**16),
+    m=st.integers(1, 8), n=st.integers(1, 8), pixels_x=st.integers(1, 24),
+    pixels_y=st.integers(1, 24), aspect=st.floats(0.5, 2.0), fill=st.floats(0.05, 1.0),
+    hw=st.floats(0.5, 40.0), steps=st.integers(1, 20), D=st.floats(60.0, 600.0),
+    tx=st.floats(-45.0, 45.0), ty=st.floats(-45.0, 45.0), seed=st.integers(0, 2**16),
 )
 # none reaches: one lenslet at (-5, -5) mm, a 0.5 mm image, a 1 mm plane
-@example(m=1, n=1, pixels=4, fill=0.05, hw=0.5, steps=4, D=60.0, tx=0.0, ty=0.0, seed=0)
+@example(m=1, n=1, pixels_x=4, pixels_y=4, aspect=1.0, fill=0.05, hw=0.5, steps=4, D=60.0,
+         tx=0.0, ty=0.0, seed=0)
 # part reaches: the row at x = -25 mm and the column at y = -20 mm miss the
 # 10 mm plane at 100 mm
-@example(m=5, n=4, pixels=16, fill=1.0, hw=5.0, steps=10, D=100.0, tx=0.0, ty=0.0, seed=1)
+@example(m=5, n=4, pixels_x=16, pixels_y=16, aspect=1.0, fill=1.0, hw=5.0, steps=10, D=100.0,
+         tx=0.0, ty=0.0, seed=1)
+# a gap: the column at y = 0 reaches no sample of the 3.67 mm grid, but the
+# columns at y = -10 and 10 mm on either side of it do
+@example(m=1, n=4, pixels_x=2, pixels_y=2, aspect=1.0, fill=0.0625, hw=11.0, steps=3, D=89.0,
+         tx=0.0, ty=0.0, seed=0)
+# rows and columns of different sizes and pitches, on a tilt about both axes
+@example(m=3, n=5, pixels_x=9, pixels_y=20, aspect=1.5, fill=0.9, hw=6.0, steps=8, D=150.0,
+         tx=20.0, ty=-10.0, seed=2)
 @settings(max_examples=80, deadline=None)
-def test_backprojection_bound_matches_per_lenslet_loop(m, n, pixels, fill, hw, steps, D,
-                                                        tx, ty, seed):
+def test_backprojection_bound_matches_per_lenslet_loop(m, n, pixels_x, pixels_y, aspect, fill,
+                                                        hw, steps, D, tx, ty, seed):
     # every elemental pixel is positive, so a lenslet the bound wrongly
     # skipped would leave its nonzero part out of the field
-    # and so is every 16-bit code of the reloaded set
-    cfg = small_config(m=m, n=n)
+    # and so is every 16-bit code of the reloaded set; the image rows and
+    # columns differ in count and the lens pitches in size, so a swapped
+    # axis cannot pass
+    cfg = small_config(m=m, n=n, pitch_y_mm=10.0 * aspect)
     rng = np.random.default_rng(seed)
-    drawn = ElementalImageSet(rng.random((m, n, pixels, pixels)) + 0.5,
-                              fill * cfg.pitch_x_mm / pixels, cfg)
+    pixel_pitch = fill * min(cfg.pitch_x_mm / pixels_x, cfg.pitch_y_mm / pixels_y)
+    drawn = ElementalImageSet(rng.random((m, n, pixels_y, pixels_x)) + 0.5, pixel_pitch, cfg)
     plane = plane_at(D, tx=tx, ty=ty, hw=hw, pitch=hw / steps)
     for eis in (drawn, reloaded(drawn)):
         expected, reached = _per_lenslet_loop(eis, plane)
@@ -397,7 +416,20 @@ def test_backprojection_logs_lenslets_reached(caplog):
     plane = TiltedPlaneSpec(10.0, 0.0, 300.0, PlaneGrid(12.0, 12.0, 0.25))
     with caplog.at_level(logging.DEBUG, logger="tiltview.reconstruction"):
         backproject_geometric(eis, plane)
-    assert "81 of 256 lenslets reach the plane" in caplog.text
+    # brute force: every (lenslet, sample) pair, each inside the lenslet's
+    # bound on both axes, |g - c| <= M_max ((pixels + 1)/2 + 1) pixel_pitch
+    cfg = eis.capture_config
+    X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
+    gx, gy, depth = tilted_to_global(X, Y, plane)
+    radius = depth.max() / cfg.gap_mm * ((128 + 1) / 2.0 + 1.0) * eis.pixel_pitch_mm
+    cx, cy = cfg.lenslet_centers()
+    gx, gy = gx[:, :, None, None], gy[:, :, None, None]  # axes: sample x, sample y, p, q
+    in_x = (gx >= cx[:, None] - radius) & (gx <= cx[:, None] + radius)
+    in_y = (gy >= cy - radius) & (gy <= cy + radius)
+    pairs = int((in_x & in_y).sum())
+    assert pairs == 358_800
+    assert f"81 of 256 lenslets reach the plane, over {pairs} (lenslet, sample) pairs" \
+        in caplog.text
 
 
 # ---------------------------------------------------------------------------

@@ -544,11 +544,19 @@ def test_curve_csv_format(tmp_path):
 
 
 def test_fov_json_rejects_nan(tmp_path):
-    # a bare NaN is not JSON
+    # a bare NaN is not JSON; the writer raises before it opens the file
     fov = FovResult(threshold_ratio=1.5, min_extent_mm=math.nan,
                     fov_negative_deg=None, fov_positive_deg=None)
+    path = tmp_path / "fov.json"
     with pytest.raises(ValueError):
-        write_fov_json(fov, tmp_path / "fov.json")
+        write_fov_json(fov, path)
+    assert not path.exists()
+    # an existing file keeps its bytes
+    write_fov_json(FovResult(1.5, 0.5, None, 12.5), path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_fov_json(fov, path)
+    assert path.read_bytes() == before
 
 
 def test_fov_json_nulls(tmp_path):
