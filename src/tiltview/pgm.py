@@ -29,7 +29,7 @@ def write_pgm16(path, values: np.ndarray) -> None:
     rows, cols = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n{MAXVAL_16}\n".encode("ascii"))
-        fh.write(arr.astype(">u2").tobytes())
+        fh.write(arr.astype(">u2", order="C"))
 
 
 def _read(path) -> tuple[np.ndarray, int]:
@@ -47,10 +47,13 @@ def _read(path) -> tuple[np.ndarray, int]:
         raise ValueError(f"{path}: invalid maxval {maxval}")
     dtype = ">u2" if maxval > 255 else "u1"
     expected = rows * cols * np.dtype(dtype).itemsize
-    raster = data[head.end():]
+    # one copy of exactly the raster, so bytes past it are ignored; a view at the
+    # header's end would be unaligned for an odd header length, and casting
+    # from it is slower than the copy
+    raster = data[head.end():head.end() + expected]
     if len(raster) < expected:
         raise ValueError(f"{path}: truncated raster ({len(raster)} < {expected} bytes)")
-    arr = np.frombuffer(raster[:expected], dtype=dtype).reshape(rows, cols)
+    arr = np.frombuffer(raster, dtype=dtype).reshape(rows, cols)
     return arr.astype(np.uint16 if maxval > 255 else np.uint8), maxval
 
 

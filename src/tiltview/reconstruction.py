@@ -328,7 +328,12 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
 
     Pupil and phase are even in u and v, so the field is even in x and y:
     the transform runs over u, v >= 0 (a cosine DFT, the u = 0 column
-    weighted once, the others twice) and x, y >= 0, and is mirrored.
+    weighted once, the others twice) and x, y >= 0, and is mirrored. So
+    A = C . diag(weight . chirp) with the real cosine matrix
+    C[i, a] = cos(2 pi x_i u_a / (lambda z_local)), built once per depth and
+    once for both axes on a square pitch, where v is u. The weights and the
+    chirp are folded into the pupil, and its real and imaginary parts go
+    through C on each side as real matrix products: no complex product runs.
 
     A matrix DFT has no wrap-around; what it can miss is energy outside the
     window. ``window_energy`` is the Parseval share of the pupil energy that
@@ -339,6 +344,7 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
     pupil quadrant and its Parseval denominator per pupil pitch du, the
     Gauss-Legendre rule per S and the pixel quadrature per (taps, S). They
     live as long as the builder, so ``apply_diffraction`` makes one per call.
+    The pupil quadrant is kept with its DFT weights folded in.
     """
     if sample_pitch_mm <= 0:
         raise ValueError("sample pitch must be positive")
@@ -350,13 +356,14 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
 
     def pupil_quadrant(du):
         if du not in pupils:
-            # u, v >= 0 reach past the antialiased rim; the u = 0 column is weighted once
+            # u, v >= 0 reach past the antialiased rim; on a square pitch v is u
             u = np.arange(math.ceil(ax / (2.0 * du)) + 2) * du
-            v = np.arange(math.ceil(ay / (2.0 * du)) + 2) * du
+            v = u if ay == ax else np.arange(math.ceil(ay / (2.0 * du)) + 2) * du
+            # the u = 0 column is weighted once, the others twice: folded in without round-off
             wu, wv = np.where(u > 0, 2.0, 1.0), np.where(v > 0, 2.0, 1.0)
             U, V = np.meshgrid(u, v, indexing="ij")
             pupil = _antialiased_pupil(U, V, ax, ay, du)
-            pupils[du] = u, wu, v, wv, pupil, wu @ pupil**2 @ wv
+            pupils[du] = u, v, wu[:, None] * pupil * wv, wu @ pupil**2 @ wv
         return pupils[du]
 
     def pixel_quadrature(taps, sub):
@@ -385,15 +392,16 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
         sub = math.ceil(sample_pitch_mm * 2.0 * a / lz) + 2
         du = min(math.pi / 4.0 / (k * abs(delta) * a / 2.0) if delta else math.inf,
                  lz / (4.0 * half), a / 256.0)
-        u, wu, v, wv, pupil, pupil_energy = pupil_quadrant(du)
+        u, v, pupil, pupil_energy = pupil_quadrant(du)
         x_half, quadrature = pixel_quadrature(taps, sub)
-
-        def cosine_dft(u, weight):
-            chirp = np.exp(0.5j * k * delta * u**2)
-            return weight * chirp * np.cos(2.0 * math.pi / lz * np.outer(x_half, u))
-
-        field = cosine_dft(u, wu) @ pupil @ cosine_dft(v, wv).T
-        quadrant = field.real**2 + field.imag**2
+        cos_u = np.cos(2.0 * math.pi / lz * np.outer(x_half, u))
+        cos_v = cos_u if v is u else np.cos(2.0 * math.pi / lz * np.outer(x_half, v))
+        chirp_u = np.exp(0.5j * k * delta * u**2)
+        chirp_v = chirp_u if v is u else np.exp(0.5j * k * delta * v**2)
+        phased = pupil * np.outer(chirp_u, chirp_v)
+        # cos_u is real: one real product over the interleaved real and imaginary parts
+        left = (cos_u @ phased.view(float)).view(complex)
+        quadrant = (left.real @ cos_v.T) ** 2 + (left.imag @ cos_v.T) ** 2
         intensity = quadrature @ quadrant @ quadrature.T
         # Parseval over one alias period (lambda z / du per side) of the full pupil grid
         window_energy = float(intensity.sum() * (du / lz) ** 2 / pupil_energy)
@@ -421,11 +429,17 @@ def _strip_weights(t: np.ndarray, strip_width_mm: float) -> list[tuple[float, np
 def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
     """Linear convolution of a 2D field with an odd kernel, cropped to the
     field around the kernel centre (scipy's ``mode="same"``). Each axis is
-    zero-padded to a power of two >= the full size, so nothing wraps."""
-    full = [a + b - 1 for a, b in zip(in1.shape, in2.shape)]
-    size = [1 << (s - 1).bit_length() for s in full]
-    out = np.fft.irfft2(np.fft.rfft2(in1, size) * np.fft.rfft2(in2, size), size)
-    (n0, n1), (k0, k1) = in1.shape, in2.shape
+    zero-padded to a power of two >= the full size, so nothing wraps.
+
+    A stack of fields (leading axis) and a stack of as many kernels of one
+    size give the sum of their convolutions: the products of the spectra
+    are summed one pair at a time, and one inverse transform ends it."""
+    (n0, n1), (k0, k1) = in1.shape[-2:], in2.shape[-2:]
+    size = [1 << (n + k - 2).bit_length() for n, k in ((n0, k0), (n1, k1))]
+    spectrum = sum(np.fft.rfft2(field, size) * np.fft.rfft2(kernel, size)
+                   for field, kernel in zip(in1.reshape(-1, n0, n1), in2.reshape(-1, k0, k1),
+                                            strict=True))
+    out = np.fft.irfft2(spectrum, size)
     return out[k0 // 2:k0 // 2 + n0, k1 // 2:k1 // 2 + n1]
 
 
@@ -439,7 +453,8 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
     are blended with a linear cross-fade of one strip overlap. An untilted
     plane, or one strip wider than the plane, is a single strip at depth D.
     The strips' kernels come from one ``psf_builder``, so they share its
-    depth-invariant parts.
+    depth-invariant parts. Each kernel is centred in the widest one, so
+    ``fftconvolve`` sums the strips' spectra and runs one inverse transform.
     """
     X, Y = field.meshgrid()
     t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
@@ -457,14 +472,16 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
         float(field.ys[-1] - field.ys[0]),
     ) / 2.0 + field.sample_pitch_mm
     build_psf = psf_builder(cfg, z_i_mm, field.sample_pitch_mm, half_span)
-    out = np.zeros_like(field.values)
-    for t_center, weight in strips:
-        z_local = plane.axial_offset_mm + t_center
-        psf = build_psf(z_local)
+    psfs = [build_psf(plane.axial_offset_mm + t_center) for t_center, _ in strips]
+    for psf in psfs:
         log.debug("strip z=%.6g mm: %d taps, %d subpixels per pixel, %d pupil samples, "
-                  "window energy %.6f", z_local, psf.taps, psf.subpixels,
+                  "window energy %.6f", psf.defocus_distance_mm, psf.taps, psf.subpixels,
                   psf.pupil_samples, psf.window_energy)
-        out += fftconvolve(field.values * weight, psf.samples)
+    taps = max(psf.taps for psf in psfs)
+    kernels = np.stack([np.pad(psf.samples, (taps - psf.taps) // 2) for psf in psfs])
+    fields = np.stack([weight for _, weight in strips])
+    fields *= field.values
+    out = fftconvolve(fields, kernels)
     return ScalarField2D(np.clip(out, 0.0, None), field.xs, field.ys, field.sample_pitch_mm)
 
 

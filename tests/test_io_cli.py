@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -70,6 +71,22 @@ def test_pgm_truncated_raster(tmp_path):
     path.write_bytes(b"P5\n4 4\n65535\n" + bytes(5))
     with pytest.raises(ValueError, match="truncated"):
         read_pgm(path)
+
+
+def test_pgm_ignores_bytes_past_the_raster(tmp_path):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n2 1\n65535\n" + bytes([1, 2, 3, 4]) + b"trailing")
+    img = read_pgm(path)
+    np.testing.assert_array_equal(img, [[0x0102, 0x0304]])
+    img[0, 0] = 0  # a copy, not a view of the file's bytes
+
+
+def test_pgm_writes_any_memory_layout(tmp_path):
+    # the CLI writes a transposed, flipped view of the field
+    data = np.arange(12, dtype=np.uint16).reshape(3, 4) * 5000
+    for view in (data.T, data.T[::-1], np.asfortranarray(data)):
+        write_pgm16(tmp_path / "v.pgm", view)
+        np.testing.assert_array_equal(read_pgm(tmp_path / "v.pgm"), view)
 
 
 def test_pgm_rejects_out_of_range():
@@ -764,6 +781,43 @@ def test_cli_analyze_matches_reference_curve(tmp_path, config):
              if config == "real_virtual_fov" else golden / "curve.csv")
     assert (out / "curve.csv").read_bytes() == curve.read_bytes()
     assert (out / "fov.json").read_bytes() == (golden / "fov.json").read_bytes()
+
+
+def _assert_within_golden(image, golden):
+    """A reconstruct output against its golden file: at most one code apart
+    per pixel, the sidecar equal but for ``normalization_max``, which must
+    agree within 1e-12 relative (round-off may differ between hosts)."""
+    ours, gold = read_pgm(image), read_pgm(golden)
+    assert ours.shape == gold.shape
+    assert np.abs(ours.astype(int) - gold.astype(int)).max() <= 1, image.name
+    sidecar = json.loads(image.with_suffix(".json").read_text())
+    expected = json.loads(golden.with_suffix(".json").read_text())
+    peak, golden_peak = sidecar.pop("normalization_max"), expected.pop("normalization_max")
+    assert sidecar == expected
+    assert peak == pytest.approx(golden_peak, rel=1e-12, abs=0.0), image.name
+
+
+def test_diffraction_reconstructs_match_golden_outputs(tmp_path, monkeypatch):
+    # the six planes of scripts/run_tilt_sweep.py in diffraction mode, and the
+    # 45 degree plane through the 360 mm beam focus in 1 mm strips on its capture
+    out = tmp_path / "sweep"
+    monkeypatch.setattr(sys, "argv", ["run_tilt_sweep.py", "--mode", "diffraction",
+                                      "--out", str(out)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(ROOT / "scripts" / "run_tilt_sweep.py"), run_name="__main__")
+    assert done.value.code == 0
+    golden = ROOT / "tests" / "golden"
+    images = sorted((golden / "tilt_sweep_diffraction").glob("*.pgm"))
+    assert [p.name for p in images] == sorted(p.name for p in out.glob("*.pgm"))
+    assert len(images) == 6
+    for image in images:
+        _assert_within_golden(out / image.name, image)
+    steep = tmp_path / "recon_steep.pgm"
+    assert main(["reconstruct", "--config", str(ROOT / "configs" / "textured_recon.json"),
+                 "--manifest", str(out / "capture" / "manifest.json"), "--mode", "diffraction",
+                 "--theta-x-deg", "45", "--D-mm", "360", "--strip-width-mm", "1",
+                 "--out", str(steep)]) == 0
+    _assert_within_golden(steep, golden / "recon_steep" / "recon_steep.pgm")
 
 
 def test_cli_imports_without_scipy():

@@ -608,6 +608,56 @@ def test_defocus_psf_leaves_no_reference_cycle():
     assert unreachable == 0
 
 
+def _complex_psf(cfg, z_i_mm, sample_pitch_mm, max_half_width_mm, z):
+    """Oracle: the defocus PSF in complex form, (unit-sum samples, window
+    energy). The sampling follows psf_builder's closed forms; the field at
+    |x| of every Gauss-Legendre sub-pixel is A_u @ pupil @ A_v^T with the
+    complex A[i, a] = w_a chirp(u_a) cos(2 pi |x_i| u_a / (lambda z)), and its
+    squared modulus is integrated over each pixel."""
+    ax, ay = cfg.pitch_x_mm, cfg.pitch_y_mm
+    a, lz = max(ax, ay), cfg.wavelength_mm * z
+    k = 2.0 * math.pi / cfg.wavelength_mm
+    delta = 1.0 / z - (1.0 / z_i_mm if math.isfinite(z_i_mm) else 0.0)
+    half = a / 2.0 * abs(delta) * z + 15 * 1.22 * lz / min(ax, ay)
+    taps = 2 * max(1, math.ceil(min(half, max_half_width_mm) / sample_pitch_mm)) + 1
+    sub = math.ceil(sample_pitch_mm * 2.0 * a / lz) + 2
+    du = min(math.pi / 4.0 / (k * abs(delta) * a / 2.0) if delta else math.inf,
+             lz / (4.0 * half), a / 256.0)
+    u = np.arange(math.ceil(ax / (2.0 * du)) + 2) * du
+    v = np.arange(math.ceil(ay / (2.0 * du)) + 2) * du
+    wu, wv = np.where(u > 0, 2.0, 1.0), np.where(v > 0, 2.0, 1.0)
+    pupil = _antialiased_pupil(*np.meshgrid(u, v, indexing="ij"), ax, ay, du)
+    nodes, weights = np.polynomial.legendre.leggauss(sub)
+    x = np.abs(((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel()) * sample_pitch_mm
+
+    def cosine_dft(u, w):
+        return w * np.exp(0.5j * k * delta * u**2) * np.cos(2.0 * math.pi / lz * np.outer(x, u))
+
+    field = cosine_dft(u, wu) @ pupil @ cosine_dft(v, wv).T
+    pixel = np.kron(np.eye(taps), weights) * sample_pitch_mm / 2.0
+    intensity = pixel @ np.abs(field) ** 2 @ pixel.T
+    window_energy = intensity.sum() * (du / lz) ** 2 / (wu @ pupil**2 @ wv)
+    return intensity / intensity.sum(), window_energy
+
+
+@pytest.mark.parametrize("pitch_y, z_i, z", [
+    (10.0, 360.0, 351.6), (10.0, 360.0, 360.0), (10.0, 360.0, 368.4),  # steep strips
+    (10.0, 360.0, 300.0),  # the sweep depth
+    (10.0, None, 200.0),  # far from the 116.7 mm focus of no override
+    (15.0, 360.0, 330.0),  # rectangular pitch: u and v differ
+    (10.0, math.inf, 360.0),  # collimated
+])
+def test_psf_builder_matches_complex_form(pitch_y, z_i, z):
+    # the real cosine products reorder the complex products' round-off only
+    cfg = small_config(m=16, n=16, pitch_y_mm=pitch_y)
+    z_i = cfg.focus_mm() if z_i is None else z_i
+    psf = psf_builder(cfg, z_i, 0.25, 12.25)(z)
+    samples, window_energy = _complex_psf(cfg, z_i, 0.25, 12.25, z)
+    assert psf.samples.shape == samples.shape
+    assert np.abs(psf.samples - samples).max() <= 1e-12 * samples.max()
+    assert psf.window_energy == pytest.approx(window_energy, rel=0.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # spatially varying convolution
 
@@ -705,18 +755,44 @@ def test_geometric_reconstruct_rejects_strip_width(width):
         reconstruct(eis, plane_at(200.0), mode="geometric", strip_width_mm=width)
 
 
+def _half_span(field):
+    """The kernel crop of apply_diffraction: the field half-span plus one pitch."""
+    return max(float(field.xs[-1] - field.xs[0]),
+               float(field.ys[-1] - field.ys[0])) / 2.0 + field.sample_pitch_mm
+
+
 def _strip_oracle(field, plane, cfg, z_i_mm, strip_width_mm):
-    """apply_diffraction written out with a fresh psf_builder for every strip."""
+    """apply_diffraction written out with a fresh psf_builder for every strip:
+    each kernel centred in the widest, and the strips' spectra summed by
+    fftconvolve."""
     X, Y = field.meshgrid()
     t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
-    half_span = max(float(field.xs[-1] - field.xs[0]),
-                    float(field.ys[-1] - field.ys[0])) / 2.0 + field.sample_pitch_mm
-    out = np.zeros_like(field.values)
-    for t_center, weight in _strip_weights(t, strip_width_mm):
-        build_psf = psf_builder(cfg, z_i_mm, field.sample_pitch_mm, half_span)
-        psf = build_psf(plane.axial_offset_mm + t_center)
-        out += reconstruction.fftconvolve(field.values * weight, psf.samples)
-    return np.clip(out, 0.0, None)
+    strips = _strip_weights(t, strip_width_mm)
+    kernels = [psf_builder(cfg, z_i_mm, field.sample_pitch_mm, _half_span(field))(
+        plane.axial_offset_mm + t_center).samples for t_center, _ in strips]
+    taps = max(len(kernel) for kernel in kernels)
+    kernels = np.stack([np.pad(kernel, (taps - len(kernel)) // 2) for kernel in kernels])
+    fields = np.stack([field.values * weight for _, weight in strips])
+    return np.clip(reconstruction.fftconvolve(fields, kernels), 0.0, None)
+
+
+def test_spectral_strip_sum_matches_scipy_per_strip():
+    # 45 degrees through the 360 mm focus in 1 mm strips on a 0.1 mm grid:
+    # the defocus widens the kernels from 9 taps at the focus to 11 at its ends
+    cfg = small_config(m=16, n=16)
+    plane = plane_at(360.0, tx=45.0, hw=5.0, pitch=0.1)
+    field = _random_field(plane)
+    out = apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=1.0).values
+    X, Y = field.meshgrid()
+    t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
+    build_psf = psf_builder(cfg, 360.0, field.sample_pitch_mm, _half_span(field))
+    ref, taps = 0.0, set()
+    for t_center, weight in _strip_weights(t, 1.0):
+        psf = build_psf(360.0 + t_center)
+        taps.add(psf.taps)
+        ref = ref + scipy_fftconvolve(field.values * weight, psf.samples, mode="same")
+    assert taps == {9, 11}
+    assert np.abs(out - np.clip(ref, 0.0, None)).max() <= 1e-12 * ref.max()
 
 
 def _pupil_counter(monkeypatch):
