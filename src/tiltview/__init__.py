@@ -7,11 +7,7 @@ from .optics import (
     PlaneGrid,
     ScalarField2D,
     TiltedPlaneSpec,
-    beam_width,
-    image_distance,
-    rayleigh_range,
     tilted_to_global,
-    waist_at_focus,
 )
 from .reconstruction import (
     ElementalImageSet,
@@ -45,18 +41,14 @@ __all__ = [
     "TiltedPlaneSpec",
     "apply_diffraction",
     "backproject_geometric",
-    "beam_width",
     "capture",
     "extract_fov",
-    "image_distance",
     "point_source_scene",
     "radial_extent",
-    "rayleigh_range",
     "reconstruct",
     "scan_resolution",
     "spot_extents",
     "tilted_to_global",
-    "waist_at_focus",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import manifest as manifest_io
 from .optics import (ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, build,
-                     read_block)
+                     path_string, read_block)
 from .pgm import read_pgm, to_codes, write_pgm16
 from .reconstruction import reconstruct
 from .resolution import (check_scan, check_threshold_ratio, extract_fov, scan_resolution,
@@ -34,7 +34,7 @@ OPTICAL_SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(OpticalSystemConf
 #: The optical-system keys without a default.
 REQUIRED_OPTICAL_SYSTEM_KEYS = tuple(f.name for f in dataclasses.fields(OpticalSystemConfig)
                                      if f.default is dataclasses.MISSING)
-GRID_KEYS = ("half_width_x_mm", "half_width_y_mm", "sample_pitch_mm")
+GRID_KEYS = tuple(f.name for f in dataclasses.fields(PlaneGrid))
 
 
 @dataclass
@@ -87,6 +87,8 @@ class RunConfig:
                             optional=[f.name for f in dataclasses.fields(ScanConfig)])
             scan = build(ScanConfig, path, "the scan block", **sc)
         io_block = read_block(doc.get("io", {}), path, "the io block", optional=("out_dir",))
+        if "out_dir" in io_block:
+            path_string(io_block["out_dir"], path, "the io block", "out_dir")
         return cls(optical_system=cfg, z_i_override_mm=z_i_override,
                    plane=plane, scan=scan, out_dir=io_block.get("out_dir"))
 
@@ -106,7 +108,8 @@ def load_scene(path) -> Scene:
         block = f"scene plane {i}"
         entry = read_block(entry, path, block, optional=("intensity_scale",), required=(
             "z_mm", "half_width_x_mm", "half_width_y_mm", "texture_file"))
-        texture = read_pgm(base / entry.pop("texture_file"))
+        texture = read_pgm(base / path_string(entry.pop("texture_file"), path, block,
+                                              "texture_file"))
         planes.append(build(TexturedPlane, path, block, texture=texture, **entry))
     return Scene(points=points, planes=planes)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .optics import FOCUS_BAND, ConfigError, OpticalSystemConfig, build, read_block
+from .optics import FOCUS_BAND, ConfigError, OpticalSystemConfig, build, path_string, read_block
 from .pgm import read_pgm16, to_codes, write_pgm16
 from .reconstruction import ElementalImageSet
 
@@ -79,7 +79,7 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
                              f"of the {cfg.m} x {cfg.n} array")
         if (p, q) in seen:
             raise ValueError(f"{path}: image entry (p={p}, q={q}) is listed more than once")
-        img = read_pgm16(path.parent / entry["file"])
+        img = read_pgm16(path.parent / path_string(entry["file"], path, "an image entry", "file"))
         if img.shape != shape:
             raise ValueError(
                 f"{entry['file']}: image shape {img.shape} does not match manifest {shape}"

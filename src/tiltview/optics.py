@@ -1,4 +1,4 @@
-"""System geometry and Gaussian-beam primitives for lenslet-array imaging.
+"""System geometry and the Gaussian-beam model of lenslet-array imaging.
 
 All lengths are millimetres and all interface angles are degrees; trig is
 done in radians internally. The one deliberate unit exception is the config
@@ -17,14 +17,8 @@ import numpy as np
 
 NM_PER_MM = 1e6
 
-#: Sentinel for a collimated (focused-mode) beam whose focus is at infinity.
-INFINITE_FOCUS = math.inf
 #: Width of the focused-mode band around g = f, relative to 1/f.
 FOCUS_BAND = 1e-6
-
-
-class FocusedModeError(ValueError):
-    """Raised when a finite-focus formula is evaluated on a collimated beam."""
 
 
 class OutOfHalfSpaceError(ValueError):
@@ -56,6 +50,13 @@ def read_block(doc, path, block: str, required=(), optional=()) -> dict:
     return dict(doc)
 
 
+def path_string(value, path, block: str, key: str) -> str:
+    """The file path ``value`` of ``key``, or a ConfigError naming the file and the block."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: {block}: {key} must be a path string, got {value!r}")
+    return value
+
+
 def build(cls, path, block: str, **values):
     """``cls(**values)`` for a class or any other callable, with a rejected value
     reported as a ``ConfigError`` naming the file and the block."""
@@ -63,56 +64,6 @@ def build(cls, path, block: str, **values):
         return cls(**values)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {block}: {exc}") from exc
-
-
-def image_distance(f_mm: float, g_mm: float) -> float:
-    """Conjugate distance from the lens law 1/z = 1/f - 1/g.
-
-    Returns ``INFINITE_FOCUS`` when g is within ``FOCUS_BAND`` (relative to
-    1/f) of the focal length, and a negative value (virtual focus) when
-    g < f outside that band.
-    """
-    if f_mm <= 0 or g_mm <= 0:
-        raise ValueError(f"focal length and gap must be positive, got f={f_mm}, g={g_mm}")
-    inv = 1.0 / f_mm - 1.0 / g_mm
-    if abs(inv) < FOCUS_BAND / f_mm:
-        return INFINITE_FOCUS
-    return 1.0 / inv
-
-
-def waist_at_focus(wavelength_mm: float, z_i_mm: float, pitch_mm: float) -> float:
-    """Diffraction-limited beam waist of a lenslet of the given pitch.
-
-    Airy-scaled: w0 = 2.44 * lambda * z_i / pitch. A virtual (negative)
-    focus distance gives the same waist magnitude.
-    """
-    if wavelength_mm <= 0 or pitch_mm <= 0:
-        raise ValueError("wavelength and pitch must be positive")
-    if not math.isfinite(z_i_mm):
-        raise FocusedModeError(
-            "waist is undefined for a collimated beam; use the pitch/2 fallback width"
-        )
-    if z_i_mm == 0:
-        raise ValueError("focus distance must be nonzero")
-    return 2.44 * wavelength_mm * abs(z_i_mm) / pitch_mm
-
-
-def rayleigh_range(waist_mm: float, wavelength_mm: float) -> float:
-    """Rayleigh range b = pi * w0^2 / (2 * lambda)."""
-    if waist_mm <= 0 or wavelength_mm <= 0:
-        raise ValueError("waist and wavelength must be positive")
-    return math.pi * waist_mm**2 / (2.0 * wavelength_mm)
-
-
-def beam_width(z_mm, z_focus_mm: float, waist_mm: float, rayleigh_mm: float):
-    """Gaussian half-width w(z) = w0 * sqrt(1 + 4 ((z - z_focus)/b)^2).
-
-    For a collimated beam (infinite focus) the width is the constant
-    ``waist_mm`` fallback. Accepts scalars or arrays for ``z_mm``.
-    """
-    if not math.isfinite(z_focus_mm):
-        return waist_mm * np.ones_like(np.asarray(z_mm, dtype=float)) if np.ndim(z_mm) else waist_mm
-    return waist_mm * np.sqrt(1.0 + 4.0 * ((np.asarray(z_mm, dtype=float) - z_focus_mm) / rayleigh_mm) ** 2)
 
 
 @dataclass(frozen=True)
@@ -146,13 +97,15 @@ class OpticalSystemConfig:
         return self.wavelength_nm / NM_PER_MM
 
     def focus_mm(self, z_i_override_mm: float | None = None) -> float:
-        """Beam focus distance: the lens-law one, or the override when given.
-
-        An infinite value of either sign is the collimated, focused-mode case
-        and a negative one a virtual focus; a NaN or zero override raises.
+        """Beam focus distance z_i: the override when given, else the lens law
+        1/z_i = 1/f - 1/g, which gives ``math.inf`` when g is within
+        ``FOCUS_BAND`` (relative to 1/f) of f. An infinite value of either sign
+        is the collimated, focused-mode case and a negative one a virtual
+        focus; a NaN or zero override raises.
         """
         if z_i_override_mm is None:
-            return image_distance(self.focal_length_mm, self.gap_mm)
+            inv = 1.0 / self.focal_length_mm - 1.0 / self.gap_mm
+            return math.inf if abs(inv) < FOCUS_BAND / self.focal_length_mm else 1.0 / inv
         z_i = float(z_i_override_mm)
         if math.isnan(z_i) or z_i == 0:
             raise ValueError(f"z_i_override_mm must be nonzero and not NaN, got {z_i!r}; "
@@ -192,10 +145,12 @@ class OpticalSystemConfig:
 
 @dataclass(frozen=True)
 class BeamParameters:
-    """Per-lenslet Gaussian-beam constants.
+    """Per-lenslet Gaussian-beam constants and the half-width w(z).
 
-    In focused mode ``z_focus_mm`` is infinite, the Rayleigh ranges are
-    infinite and the waists hold the collimated pitch/2 fallback width.
+    With a finite focus z_i: waist w0 = 2.44 lambda |z_i| / pitch, Rayleigh
+    range b = pi w0^2 / (2 lambda), w(z) = w0 sqrt(1 + 4 ((z - z_i) / b)^2). In
+    focused mode ``z_focus_mm`` and the Rayleigh ranges are infinite, and w(z)
+    is the collimated pitch/2 fallback held in the waists, at every depth.
     """
 
     z_focus_mm: float
@@ -218,29 +173,28 @@ class BeamParameters:
         if not math.isfinite(z_i):
             # Focused mode: each pixel maps to a collimated bundle as wide as
             # the lenslet pupil, modelled as a constant pitch/2 half-width.
-            return cls(
-                z_focus_mm=INFINITE_FOCUS,
-                waist_x_mm=cfg.pitch_x_mm / 2.0,
-                waist_y_mm=cfg.pitch_y_mm / 2.0,
-                rayleigh_x_mm=math.inf,
-                rayleigh_y_mm=math.inf,
-            )
+            return cls(z_focus_mm=math.inf, waist_x_mm=cfg.pitch_x_mm / 2.0,
+                       waist_y_mm=cfg.pitch_y_mm / 2.0, rayleigh_x_mm=math.inf,
+                       rayleigh_y_mm=math.inf)
         lam = cfg.wavelength_mm
-        w0x = waist_at_focus(lam, z_i, cfg.pitch_x_mm)
-        w0y = waist_at_focus(lam, z_i, cfg.pitch_y_mm)
-        return cls(
-            z_focus_mm=z_i,
-            waist_x_mm=w0x,
-            waist_y_mm=w0y,
-            rayleigh_x_mm=rayleigh_range(w0x, lam),
-            rayleigh_y_mm=rayleigh_range(w0y, lam),
-        )
+        w0x = 2.44 * lam * abs(z_i) / cfg.pitch_x_mm
+        w0y = 2.44 * lam * abs(z_i) / cfg.pitch_y_mm
+        return cls(z_focus_mm=z_i, waist_x_mm=w0x, waist_y_mm=w0y,
+                   rayleigh_x_mm=math.pi * w0x**2 / (2.0 * lam),
+                   rayleigh_y_mm=math.pi * w0y**2 / (2.0 * lam))
+
+    def _width(self, z_mm, waist_mm: float, rayleigh_mm: float):
+        """w(z) of one axis, for a scalar or an array ``z_mm``."""
+        z = np.asarray(z_mm, dtype=float)
+        if not math.isfinite(self.z_focus_mm):
+            return waist_mm * np.ones_like(z) if z.ndim else waist_mm
+        return waist_mm * np.sqrt(1.0 + 4.0 * ((z - self.z_focus_mm) / rayleigh_mm) ** 2)
 
     def width_x(self, z_mm):
-        return beam_width(z_mm, self.z_focus_mm, self.waist_x_mm, self.rayleigh_x_mm)
+        return self._width(z_mm, self.waist_x_mm, self.rayleigh_x_mm)
 
     def width_y(self, z_mm):
-        return beam_width(z_mm, self.z_focus_mm, self.waist_y_mm, self.rayleigh_y_mm)
+        return self._width(z_mm, self.waist_y_mm, self.rayleigh_y_mm)
 
 
 @dataclass(frozen=True)

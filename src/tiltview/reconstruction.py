@@ -273,8 +273,12 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     return Reconstruction(plane=plane, field=field, mode="geometric")
 
 
+#: Sub-samples per axis of each pupil sample on the ellipse's rim.
+_PUPIL_SUBSAMPLES = 8
+
+
 def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
-                       du: float, subsamples: int = 8) -> np.ndarray:
+                       du: float) -> np.ndarray:
     """Transmission of the ellipse inscribed in the lens pitches, with
     area-weighted rim samples.
 
@@ -290,7 +294,7 @@ def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
     r = np.sqrt((U / (ax / 2.0)) ** 2 + (V / (ay / 2.0)) ** 2)
     band = np.abs(r - 1.0) < 2.0 * du / min(ax, ay)
     if np.any(band):
-        off = ((np.arange(subsamples) + 0.5) / subsamples - 0.5) * du
+        off = ((np.arange(_PUPIL_SUBSAMPLES) + 0.5) / _PUPIL_SUBSAMPLES - 0.5) * du
         ou, ov = np.meshgrid(off, off, indexing="ij")
         ub = U[band][:, None] + ou.ravel()[None, :]
         vb = V[band][:, None] + ov.ravel()[None, :]
@@ -350,7 +354,7 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
         raise ValueError("sample pitch must be positive")
     ax, ay = cfg.pitch_x_mm, cfg.pitch_y_mm
     a = max(ax, ay)
-    inv_zi = 0.0 if not math.isfinite(z_i_mm) else 1.0 / z_i_mm
+    inv_zi = 1.0 / z_i_mm
     k = 2.0 * math.pi / cfg.wavelength_mm
     pupils, rules, quadratures = {}, {}, {}
 

@@ -25,10 +25,15 @@ class PointEmitter:
     intensity: float = 1.0
 
     def __post_init__(self):
-        if self.z_mm <= 0:
-            raise ValueError("emitters must sit in front of the lens array (z > 0)")
-        if self.intensity < 0:
-            raise ValueError("emitter intensity must be nonnegative")
+        if not 0 < self.z_mm < math.inf:
+            raise ValueError("emitters must sit in front of the lens array at a finite depth "
+                             f"(0 < z_mm < inf), got {self.z_mm!r}")
+        if not (math.isfinite(self.x_mm) and math.isfinite(self.y_mm)):
+            raise ValueError("emitter x_mm and y_mm must be finite, "
+                             f"got {self.x_mm!r} and {self.y_mm!r}")
+        if not 0 <= self.intensity < math.inf:
+            raise ValueError("emitter intensity must be nonnegative and finite, "
+                             f"got {self.intensity!r}")
 
 
 def _on_texels(f, count: int):
@@ -53,17 +58,22 @@ class TexturedPlane:
     intensity_scale: float = 1.0
 
     def __post_init__(self):
-        if self.z_mm <= 0:
-            raise ValueError("plane must sit in front of the lens array (z > 0)")
-        if self.half_width_x_mm <= 0 or self.half_width_y_mm <= 0:
-            raise ValueError("plane half widths must be positive")
+        if not 0 < self.z_mm < math.inf:
+            raise ValueError("plane must sit in front of the lens array at a finite depth "
+                             f"(0 < z_mm < inf), got {self.z_mm!r}")
+        if not (0 < self.half_width_x_mm < math.inf and 0 < self.half_width_y_mm < math.inf):
+            raise ValueError("plane half widths must be positive and finite, "
+                             f"got {self.half_width_x_mm!r} and {self.half_width_y_mm!r}")
+        if not 0 <= self.intensity_scale < math.inf:
+            raise ValueError("intensity_scale must be nonnegative and finite, "
+                             f"got {self.intensity_scale!r}")
         object.__setattr__(self, "texture", np.asarray(self.texture, dtype=float))
         if self.texture.ndim != 2 or min(self.texture.shape) < 2:
             # one texel per axis would give the bilinear lookup no edge on that axis
             raise ValueError(f"texture must be a 2D array of at least 2 x 2 texels, "
                              f"got shape {self.texture.shape}")
-        if np.any(self.texture < 0) or self.intensity_scale < 0:
-            raise ValueError("texture intensities must be nonnegative")
+        if not np.all((self.texture >= 0) & (self.texture < math.inf)):
+            raise ValueError("texture intensities must be nonnegative and finite")
 
     def _texel(self, x, y):
         """Fractional texel column and row of scene coordinates."""

@@ -649,6 +649,11 @@ READER_CASES = [
                  id="z_i_override_mm-zero"),
     pytest.param("config", ["scan", "threshold_ratio"], 0.5, "the scan block",
                  id="threshold_ratio"),
+    # a path that is not a string had failed in the / of pathlib or in open
+    pytest.param("scene", ["planes", 0, "texture_file"], 5, "scene plane 0",
+                 id="texture_file-int"),
+    pytest.param("manifest", ["images", 0, "file"], 5, "an image entry", id="file-int"),
+    pytest.param("config", ["io"], {"out_dir": 5}, "the io block", id="out_dir-int"),
 ]
 
 
@@ -677,6 +682,28 @@ def test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, key
     assert not out.exists()
     [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert error.startswith(f"{path}: {block}")
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("plane", "intensity_scale", math.nan), ("point", "x_mm", math.nan),
+    ("point", "y_mm", -math.inf), ("point", "z_mm", math.inf), ("point", "intensity", math.inf),
+    ("plane", "z_mm", math.inf), ("plane", "half_width_x_mm", math.inf)])
+def test_cli_synth_rejects_non_finite_scene_value(tmp_path, caplog, block, key, value):
+    # each had written a manifest of NaN-cast, vignetted or blank images with exit 0
+    write_pgm16(tmp_path / "tex.pgm", np.full((4, 4), 100, dtype=np.uint16))
+    point = {"x_mm": 1.0, "y_mm": 0.0, "z_mm": 200.0, "intensity": 1.0}
+    plane = {"z_mm": 200.0, "half_width_x_mm": 5.0, "half_width_y_mm": 5.0,
+             "intensity_scale": 1.0, "texture_file": "tex.pgm"}
+    {"point": point, "plane": plane}[block][key] = value
+    scene = write_scene(tmp_path, {"points": [point], "planes": [plane]})
+    out = tmp_path / "cap"
+    rc = main(["synth", "--config", str(write_config(tmp_path)), "--scene", str(scene),
+               "--out", str(out), "--pixels-x", "8", "--pixels-y", "8"])
+    assert rc == 1
+    assert not out.exists()
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{scene}: scene {block} 0: ")
+    assert "finite" in error
 
 
 @pytest.mark.parametrize("m", [2.5, True])

@@ -9,50 +9,57 @@ from hypothesis import strategies as st
 
 from tiltview.optics import (
     FOCUS_BAND,
-    INFINITE_FOCUS,
     BeamParameters,
-    FocusedModeError,
     OpticalSystemConfig,
     PlaneGrid,
     ScalarField2D,
     TiltedPlaneSpec,
-    beam_width,
-    image_distance,
-    rayleigh_range,
     tilted_to_global,
-    waist_at_focus,
 )
 from tiltview.reconstruction import psf_builder
 
 LAMBDA_MM = 550e-6
 
 
+def _cfg(**kw):
+    base = dict(m=16, n=16, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0, focal_length_mm=35.0)
+    base.update(kw)
+    return OpticalSystemConfig(**base)
+
+
+def _beam(z_i, pitch_x=10.0, pitch_y=10.0):
+    """The beam of the 16 x 16 config focused at ``z_i`` by the override."""
+    return BeamParameters.from_config(_cfg(pitch_x_mm=pitch_x, pitch_y_mm=pitch_y),
+                                      z_i_override_mm=z_i)
+
+
 # ---------------------------------------------------------------------------
-# image_distance
+# image distance: the lens law of OpticalSystemConfig.focus_mm
 
 
 def test_image_distance_symmetric_conjugate():
     # 2f-2f imaging: g = 2f gives z = 2f
-    assert image_distance(35.0, 70.0) == pytest.approx(70.0, rel=1e-12)
+    assert _cfg(gap_mm=70.0).focus_mm() == pytest.approx(70.0, rel=1e-12)
 
 
 def test_image_distance_real_virtual_example():
     # 1/z = 1/35 - 1/50 = 3/350
-    assert image_distance(35.0, 50.0) == pytest.approx(350.0 / 3.0, rel=1e-12)
+    assert _cfg(gap_mm=50.0).focus_mm() == pytest.approx(350.0 / 3.0, rel=1e-12)
 
 
 def test_image_distance_focused_sentinel():
-    assert image_distance(35.0, 35.0) == INFINITE_FOCUS
+    assert _cfg(gap_mm=35.0).focus_mm() == math.inf
 
 
 def test_image_distance_virtual_focus_negative():
-    assert image_distance(35.0, 20.0) < 0
+    assert _cfg(gap_mm=20.0).focus_mm() < 0
 
 
 @pytest.mark.parametrize("f,g", [(0.0, 50.0), (-1.0, 50.0), (35.0, 0.0), (35.0, -2.0)])
 def test_image_distance_rejects_nonpositive(f, g):
-    with pytest.raises(ValueError):
-        image_distance(f, g)
+    # the lens law never sees a nonpositive f or g: the config rejects them
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        _cfg(focal_length_mm=f, gap_mm=g)
 
 
 @given(
@@ -62,16 +69,18 @@ def test_image_distance_rejects_nonpositive(f, g):
 def test_mode_classification_stable_near_focus(f, delta):
     # perturbing g by less than FOCUS_BAND * f / 2 never flips focused mode
     g = f * (1.0 + delta * FOCUS_BAND)
-    assert image_distance(f, g) == INFINITE_FOCUS
+    assert _cfg(focal_length_mm=f, gap_mm=g).focus_mm() == math.inf
 
 
 # ---------------------------------------------------------------------------
-# waist / Rayleigh range / beam width
+# waist / Rayleigh range / beam width: BeamParameters
 
 
 def test_waist_at_focus_values():
-    assert waist_at_focus(LAMBDA_MM, 360.0, 10.0) == pytest.approx(0.0483120, abs=1e-7)
-    assert waist_at_focus(LAMBDA_MM, 350.0 / 3.0, 10.0) == pytest.approx(0.0156567, abs=1e-7)
+    assert _beam(360.0).waist_x_mm == pytest.approx(0.0483120, abs=1e-7)
+    assert _beam(350.0 / 3.0).waist_x_mm == pytest.approx(0.0156567, abs=1e-7)
+    # a virtual focus gives the same waist magnitude
+    assert _beam(-360.0).waist_x_mm == _beam(360.0).waist_x_mm
 
 
 @given(
@@ -79,56 +88,53 @@ def test_waist_at_focus_values():
     pitch=st.floats(min_value=0.5, max_value=50.0),
 )
 def test_waist_halves_when_pitch_doubles(z_i, pitch):
-    w1 = waist_at_focus(LAMBDA_MM, z_i, pitch)
-    w2 = waist_at_focus(LAMBDA_MM, z_i, 2.0 * pitch)
-    assert w2 == pytest.approx(w1 / 2.0, rel=1e-12)
-
-
-def test_waist_rejects_collimated():
-    with pytest.raises(FocusedModeError):
-        waist_at_focus(LAMBDA_MM, INFINITE_FOCUS, 10.0)
+    beam = _beam(z_i, pitch_x=pitch, pitch_y=2.0 * pitch)
+    assert beam.waist_y_mm == pytest.approx(beam.waist_x_mm / 2.0, rel=1e-12)
 
 
 def test_rayleigh_range_value():
     # b = pi w0^2 / (2 lambda) for the 360 mm waist
-    w0 = waist_at_focus(LAMBDA_MM, 360.0, 10.0)
-    assert rayleigh_range(w0, LAMBDA_MM) == pytest.approx(6.666029, abs=1e-5)
+    assert _beam(360.0).rayleigh_x_mm == pytest.approx(6.666029, abs=1e-5)
 
 
-@given(w0=st.floats(min_value=1e-3, max_value=10.0))
-def test_rayleigh_range_quadratic(w0):
-    assert rayleigh_range(2.0 * w0, LAMBDA_MM) == pytest.approx(
-        4.0 * rayleigh_range(w0, LAMBDA_MM), rel=1e-12
-    )
+@given(z_i=st.floats(min_value=10.0, max_value=5000.0))
+def test_rayleigh_range_quadratic(z_i):
+    # halving the pitch doubles the waist and quadruples the Rayleigh range
+    beam = _beam(z_i, pitch_x=10.0, pitch_y=5.0)
+    assert beam.waist_y_mm == pytest.approx(2.0 * beam.waist_x_mm, rel=1e-12)
+    assert beam.rayleigh_y_mm == pytest.approx(4.0 * beam.rayleigh_x_mm, rel=1e-12)
 
 
 def test_beam_width_landmarks():
     w0, b, z_i = 0.05, 7.0, 360.0
-    assert beam_width(z_i, z_i, w0, b) == pytest.approx(w0, rel=1e-12)
-    assert beam_width(z_i + b / 2.0, z_i, w0, b) == pytest.approx(w0 * math.sqrt(2.0), rel=1e-12)
-    assert beam_width(z_i + 5.0 * b, z_i, w0, b) == pytest.approx(w0 * math.sqrt(101.0), rel=1e-12)
+    beam = BeamParameters(z_i, w0, w0, b, b)
+    assert beam.width_x(z_i) == pytest.approx(w0, rel=1e-12)
+    assert beam.width_x(z_i + b / 2.0) == pytest.approx(w0 * math.sqrt(2.0), rel=1e-12)
+    assert beam.width_y(z_i + 5.0 * b) == pytest.approx(w0 * math.sqrt(101.0), rel=1e-12)
 
 
 def test_beam_width_at_one_rayleigh_range():
     # with the factor-4 convention, w(z_i +/- b) = w0 * sqrt(5)
-    lam = LAMBDA_MM
-    w0 = waist_at_focus(lam, 360.0, 10.0)
-    b = rayleigh_range(w0, lam)
-    assert beam_width(360.0 + b, 360.0, w0, b) == pytest.approx(w0 * math.sqrt(5.0), rel=1e-12)
-    assert beam_width(360.0 - b, 360.0, w0, b) == pytest.approx(w0 * math.sqrt(5.0), rel=1e-12)
+    beam = _beam(360.0)
+    w0, b = beam.waist_x_mm, beam.rayleigh_x_mm
+    assert beam.width_x(360.0 + b) == pytest.approx(w0 * math.sqrt(5.0), rel=1e-12)
+    assert beam.width_x(360.0 - b) == pytest.approx(w0 * math.sqrt(5.0), rel=1e-12)
 
 
 @given(delta=st.floats(min_value=0.0, max_value=100.0))
 def test_beam_width_symmetric_about_focus(delta):
     w0, b, z_i = 0.0483, 6.67, 360.0
-    assert beam_width(z_i + delta, z_i, w0, b) == beam_width(z_i - delta, z_i, w0, b)
-    assert beam_width(z_i + delta, z_i, w0, b) >= w0
+    beam = BeamParameters(z_i, w0, w0, b, b)
+    assert beam.width_x(z_i + delta) == beam.width_x(z_i - delta)
+    assert beam.width_x(z_i + delta) >= w0
 
 
 def test_beam_width_collimated_fallback_constant():
-    assert beam_width(123.0, INFINITE_FOCUS, 5.0, math.inf) == 5.0
-    widths = beam_width(np.array([1.0, 10.0, 1e4]), INFINITE_FOCUS, 5.0, math.inf)
-    assert np.all(widths == 5.0)
+    beam = BeamParameters(math.inf, 5.0, 3.0, math.inf, math.inf)
+    assert beam.width_x(123.0) == 5.0
+    assert beam.width_y(123.0) == 3.0
+    widths = beam.width_x(np.array([1.0, 10.0, 1e4]))
+    assert widths.shape == (3,) and np.all(widths == 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +212,6 @@ def test_plane_grid_rejects_non_finite_half_width(hw):
 # config and lenslet centers
 
 
-def _cfg(**kw):
-    base = dict(m=16, n=16, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0, focal_length_mm=35.0)
-    base.update(kw)
-    return OpticalSystemConfig(**base)
-
-
 def test_lenslet_center_values():
     cx, cy = _cfg().lenslet_centers()
     assert (cx[8], cy[8]) == (0.0, 0.0)
@@ -271,7 +271,7 @@ def test_pixel_distance_sq_matches_capture_distance(D):
 
 def test_mode_property():
     assert _cfg().focus_mm() == pytest.approx(350.0 / 3.0, rel=1e-12)
-    assert _cfg(gap_mm=35.0).focus_mm() == INFINITE_FOCUS
+    assert _cfg(gap_mm=35.0).focus_mm() == math.inf
 
 
 @pytest.mark.parametrize("override", [360.0, -120.0, math.inf, -math.inf])

@@ -65,6 +65,14 @@ def test_textured_plane_validation():
         TexturedPlane(100.0, 5.0, 5.0, -np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_textured_plane_rejects_non_finite_texel(value):
+    tex = np.ones((4, 4))
+    tex[1, 2] = value
+    with pytest.raises(ValueError, match="texture intensities must be nonnegative and finite"):
+        TexturedPlane(100.0, 5.0, 5.0, tex)
+
+
 @pytest.mark.parametrize("shape", [(4, 1), (1, 4), (1, 1), (0, 0), (0, 4)])
 def test_textured_plane_rejects_texture_under_two_texels_per_axis(shape):
     # with one column, (cols - 1) = 0 put every x inside, so sample(1e6, 0) was 1;
