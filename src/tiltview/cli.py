@@ -151,6 +151,9 @@ def cmd_reconstruct(args) -> int:
         raise UsageError("--strip-width-mm sets the strips of the defocus blur; "
                          "it needs --mode diffraction")
     run = RunConfig.from_file(args.config)
+    plane = run.plane
+    if plane is None:
+        raise ConfigError("reconstruct needs a plane block in the config")
     eis = manifest_io.load_elemental_set(args.manifest)
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
               f"config {getattr(run.optical_system, key)!r})"
@@ -159,9 +162,6 @@ def cmd_reconstruct(args) -> int:
     if differ:
         raise ConfigError(f"the config's optical_system differs from the capture's: "
                           f"{'; '.join(differ)}; pass the config the capture was made with")
-    plane = run.plane
-    if plane is None:
-        raise ConfigError("reconstruct needs a plane block in the config")
     theta_x = args.theta_x_deg if args.theta_x_deg is not None else plane.theta_x_deg
     theta_y = args.theta_y_deg if args.theta_y_deg is not None else plane.theta_y_deg
     D = args.D_mm if args.D_mm is not None else plane.axial_offset_mm

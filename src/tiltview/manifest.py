@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,7 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
         raise ConfigError(f"{path}: the manifest: pixels_x and pixels_y must be integers "
                           f">= 1, got {man['pixels_x']!r} and {man['pixels_y']!r}")
     images = np.zeros((cfg.m, cfg.n) + shape, dtype=np.uint16)
-    seen = set()
+    folder, seen = os.path.dirname(path), set()
     for entry in man["images"]:
         entry = read_block(entry, path, "an image entry", required=("p", "q", "file"))
         p, q = entry["p"], entry["q"]
@@ -79,12 +80,12 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
                              f"of the {cfg.m} x {cfg.n} array")
         if (p, q) in seen:
             raise ValueError(f"{path}: image entry (p={p}, q={q}) is listed more than once")
-        img = read_pgm16(path.parent / path_string(entry["file"], path, "an image entry", "file"))
-        if img.shape != shape:
-            raise ValueError(
-                f"{entry['file']}: image shape {img.shape} does not match manifest {shape}"
-            )
-        images[p, q] = img
+        name = path_string(entry["file"], path, "an image entry", "file")
+        codes = read_pgm16(os.path.join(folder, name))
+        if codes.shape != shape:
+            raise ValueError(f"{path}: image entry (p={p}, q={q}, file={name!r}) has shape "
+                             f"{codes.shape}, but pixels_y x pixels_x is {shape}")
+        images[p, q] = codes
         seen.add((p, q))
     missing = {(p, q) for p in range(cfg.m) for q in range(cfg.n)} - seen
     if missing:

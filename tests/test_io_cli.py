@@ -285,6 +285,74 @@ def test_manifest_rejects_image_that_is_not_16bit(tmp_path, maxval):
     assert str(err.value).startswith(f"{image}: maxval {maxval}, but a 16-bit PGM")
 
 
+def _saved_2x2(tmp_path, images):
+    cfg = OpticalSystemConfig(m=2, n=2, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0,
+                              focal_length_mm=35.0)
+    return manifest_io.save_elemental_set(ElementalImageSet(images, 0.5, cfg), tmp_path)
+
+
+def test_manifest_rejects_image_of_another_shape(tmp_path):
+    path = _saved_2x2(tmp_path, np.ones((2, 2, 8, 8)))
+    doc = json.loads(path.read_text())
+    doc["pixels_x"] = 9
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        manifest_io.load_elemental_set(path)
+    assert str(err.value) == (f"{path}: image entry (p=0, q=0, file='e_00_00.pgm') has shape "
+                              "(8, 8), but pixels_y x pixels_x is (8, 9)")
+
+
+def test_manifest_round_trips_full_code_range(tmp_path):
+    # 0x00FF and 0xFF00 trade places if a byte swap is lost or doubled
+    codes = np.random.default_rng(5).integers(0, 65536, size=(2, 2, 6, 7), dtype=np.uint16)
+    codes[0, 0, 0, :4] = [0, 0x00FF, 0xFF00, MAXVAL_16]
+    back = manifest_io.load_elemental_set(_saved_2x2(tmp_path, codes))
+    assert back.images.dtype == np.uint16
+    np.testing.assert_array_equal(back.images, codes)
+
+
+def test_manifest_loads_commented_headers_and_ignores_bytes_past_the_raster(tmp_path):
+    codes = np.random.default_rng(6).integers(0, 65536, size=(2, 2, 5, 3), dtype=np.uint16)
+    codes[1, 1, 0, :3] = [0x00FF, 0xFF00, MAXVAL_16]  # the peak keeps the codes
+    path = _saved_2x2(tmp_path, codes)
+    # comments of 1 to 4 bytes make the headers odd and even in length, so the
+    # raster starts at both parities; every image also carries trailing bytes
+    lengths = set()
+    for k, image in enumerate(sorted(tmp_path.glob("e_*.pgm"))):
+        header = b"P5\n#" + b"c" * k + b"\n3 5\n65535\n"
+        lengths.add(len(header) % 2)
+        image.write_bytes(header + image.read_bytes()[len(b"P5\n3 5\n65535\n"):] + b"tail")
+    assert lengths == {0, 1}
+    np.testing.assert_array_equal(manifest_io.load_elemental_set(path).images, codes)
+
+
+def test_manifest_truncated_image_names_the_file(tmp_path):
+    path = _saved_2x2(tmp_path, np.ones((2, 2, 8, 8)))
+    image = tmp_path / "e_01_00.pgm"
+    image.write_bytes(image.read_bytes()[:-1])
+    with pytest.raises(ValueError) as err:
+        manifest_io.load_elemental_set(path)
+    assert str(err.value) == f"{image}: truncated raster (127 < 128 bytes)"
+
+
+def test_manifest_load_opens_each_file_once(tmp_path, monkeypatch):
+    # the manifest and the 16 images, each read once
+    path = manifest_io.save_elemental_set(
+        capture(point_source_scene(200.0), cfg4(), 8, 8, pixel_pitch_mm=1.0), tmp_path)
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    manifest_io.load_elemental_set(path)
+    monkeypatch.undo()
+    assert len(opened) == 17
+    assert sorted(opened) == sorted(str(p) for p in tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # run config / scene files
 
@@ -966,6 +1034,18 @@ def test_cli_bad_config_returns_nonzero(tmp_path):
     path.write_text(json.dumps({"optical_system": {"m": 4}}))
     rc = main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
+
+
+def test_cli_reconstruct_without_plane_fails_before_loading(tmp_path, caplog):
+    # the manifest does not exist: the missing plane block is reported first
+    config = write_config(tmp_path)
+    img = tmp_path / "r.pgm"
+    rc = main(["reconstruct", "--config", str(config),
+               "--manifest", str(tmp_path / "absent" / "manifest.json"), "--out", str(img)])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "reconstruct needs a plane block in the config"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_cli_corrupt_pgm_fails_reconstruct(tmp_path):
