@@ -19,11 +19,11 @@ from pathlib import Path
 
 from . import manifest as manifest_io
 from .optics import (ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, build,
-                     path_string, read_block)
+                     path_string, read_block, write_json)
 from .pgm import read_pgm, to_codes, write_pgm16
 from .reconstruction import reconstruct
 from .resolution import (check_scan, check_threshold_ratio, extract_fov, scan_resolution,
-                         write_curve_csv, write_fov_json)
+                         write_curve_csv)
 from .scene import PointEmitter, Scene, TexturedPlane, capture_with_report
 
 log = logging.getLogger("tiltview")
@@ -117,13 +117,13 @@ def load_scene(path) -> Scene:
 def cmd_synth(args) -> int:
     run = RunConfig.from_file(args.config)
     scene = load_scene(args.scene)
-    eis, report = capture_with_report(
+    eis, vignetted = capture_with_report(
         scene, run.optical_system, args.pixels_x, args.pixels_y,
         pixel_pitch_mm=args.pixel_pitch_mm)
     out = Path(args.out or run.out_dir or ".")
     path = manifest_io.save_elemental_set(eis, out)
     log.info("wrote %s (%d images, %d point projections vignetted)",
-             path, run.optical_system.m * run.optical_system.n, report.vignetted)
+             path, run.optical_system.m * run.optical_system.n, vignetted)
     return 0
 
 
@@ -141,7 +141,7 @@ def cmd_analyze(args) -> int:
     out = Path(args.out or run.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out / "curve.csv")
-    write_fov_json(fov, out / "fov.json")
+    write_json(dataclasses.asdict(fov), out / "fov.json")
     log.info("wrote %s and %s", out / "curve.csv", out / "fov.json")
     return 0
 
@@ -182,9 +182,7 @@ def cmd_reconstruct(args) -> int:
         "mode": recon.mode,
         "normalization_max": peak,
     }
-    with open(out.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    write_json(sidecar, out.with_suffix(".json"))
     log.info("wrote %s", out)
     return 0
 

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .optics import FOCUS_BAND, ConfigError, OpticalSystemConfig, build, path_string, read_block
+from .optics import (FOCUS_BAND, ConfigError, OpticalSystemConfig, build, path_string,
+                     read_block, write_json)
 from .pgm import read_pgm16, to_codes, write_pgm16
 from .reconstruction import ElementalImageSet
 
@@ -44,9 +45,7 @@ def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
     manifest.update(pixel_pitch_mm=eis.pixel_pitch_mm, pixels_x=eis.pixels_x,
                     pixels_y=eis.pixels_y, images=entries)
     path = out / MANIFEST_NAME
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(manifest, path)
     return path
 
 

@@ -50,6 +50,17 @@ def read_block(doc, path, block: str, required=(), optional=()) -> dict:
     return dict(doc)
 
 
+def write_json(doc, path) -> None:
+    """Write ``doc`` as JSON with two-space indents and a trailing newline:
+    the one writer of the manifest, the ``fov.json`` and the ``reconstruct``
+    sidecar. The text is built before the file is opened, so a value that
+    JSON cannot hold (NaN, an infinity) raises and leaves no file, and an
+    existing one unchanged."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def path_string(value, path, block: str, key: str) -> str:
     """The file path ``value`` of ``key``, or a ConfigError naming the file and the block."""
     if not isinstance(value, str):

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import (  # noqa: F401 - OutOfHalfSpaceError is re-exported
+from .optics import (
     OpticalSystemConfig,
-    OutOfHalfSpaceError,
     ScalarField2D,
     TiltedPlaneSpec,
     tilted_to_global,
@@ -89,60 +88,40 @@ class ElementalImageSet:
 _BORDER = 2
 
 
-def pixel_index(offset, pitch: float, size: int, axis: str) -> np.ndarray:
-    """The elemental-pixel convention, one axis at a time: the fractional
-    index along ``axis`` of display offsets from the image centre, with
-    column 0 at the smallest u (``"col"``, offsets du) and row 0 at the
-    largest v (``"row"``, offsets dv). It is clipped to [-2, size + 1],
-    which moves no corner into the image and keeps a far projection's index
-    castable; an offset too far for the float range is such a projection."""
-    with np.errstate(over="ignore"):
-        index = ((size - 1) / 2.0 - offset / pitch if axis == "row"
-                 else offset / pitch + (size - 1) / 2.0)
-        return np.clip(index, -_BORDER, size - 1.0 + _BORDER)
-
-
 def pixel_centers(pitch: float, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Display offsets from the image centre of the pixel centres, (du of each
-    column, dv of each row): the inverse of ``pixel_index``."""
+    column, dv of each row): the inverse of ``corner``'s fractional index."""
     return ((np.arange(cols) - (cols - 1) / 2.0) * pitch,
             ((rows - 1) / 2.0 - np.arange(rows)) * pitch)
 
 
-def bilinear_corners(du, dv, pitch: float, rows: int, cols: int):
-    """Yields ``(row, col, weight, inside)`` for the 4 pixels around display
-    offsets (du, dv) from the image centre (``pixel_index``). ``row`` and
-    ``col`` are clipped to the image; ``inside`` marks the corners that lie
-    in it."""
-    fr, fc = pixel_index(dv, pitch, rows, "row"), pixel_index(du, pitch, cols, "col")
-    c0, r0 = np.floor(fc).astype(int), np.floor(fr).astype(int)
-    wc, wr = fc - c0, fr - r0
-    for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        rr, cc = r0 + dr, c0 + dc
-        inside = (rr >= 0) & (rr < rows) & (cc >= 0) & (cc < cols)
-        yield (np.clip(rr, 0, rows - 1), np.clip(cc, 0, cols - 1),
-               (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc), inside)
-
-
-def corner(padded: np.ndarray, offset, pitch: float, axis: str):
-    """One axis of the bilinear corners in the images of a ``padded`` stack
-    around display offsets from the image centre (``pixel_index``):
-    ``(at, w, 1 - w)``, with ``at`` the flat offset within an image of the
-    lower corner along ``axis`` and ``w`` the weight of the upper one."""
-    height, width = padded.shape[-2:]
-    size, stride = (height, width) if axis == "row" else (width, 1)
-    index = pixel_index(offset, pitch, size - 2 * _BORDER - 1, axis)
+def corner(offset, pitch: float, size: int, axis: str):
+    """The elemental-pixel convention, one axis at a time: the bilinear
+    corners along ``axis`` around display offsets from the image centre,
+    ``(lower, w, 1 - w)``, with ``lower`` the integer index of the lower
+    corner and ``w`` the weight of the upper one. Column 0 lies at the
+    smallest u (``"col"``, offsets du) and row 0 at the largest v
+    (``"row"``, offsets dv). The fractional index is clipped to
+    [-2, size + 1], which moves no corner into the image and keeps a far
+    projection's index castable; an offset too far for the float range is
+    such a projection."""
+    with np.errstate(over="ignore"):
+        index = ((size - 1) / 2.0 - offset / pitch if axis == "row"
+                 else offset / pitch + (size - 1) / 2.0)
+        index = np.clip(index, -_BORDER, size - 1.0 + _BORDER)
     lower = np.floor(index)
     w = index - lower
-    return (lower.astype(np.intp) + _BORDER) * stride, w, 1.0 - w
+    return lower.astype(np.intp), w, 1.0 - w
 
 
 def gather(padded: np.ndarray, k: int, row, col) -> np.ndarray:
     """Bilinear sample of image ``k`` of a ``padded`` stack (its leading axes
-    flattened) at the corners ``row`` and ``col`` that ``corner`` gives
-    along each axis; the two broadcast against each other. A corner outside
-    the image reads the zero border, so it adds an exact 0.0, as a masked
-    sum would."""
+    flattened) at the corners ``row`` and ``col`` of ``corner`` along each
+    axis, each lower index moved into the border and scaled to a flat offset
+    within an image: ``((lower + _BORDER) * width, w, 1 - w)`` for rows and
+    ``(lower + _BORDER, w, 1 - w)`` for columns. The two broadcast against
+    each other. A corner outside the image reads the zero border, so it adds
+    an exact 0.0, as a masked sum would."""
     height, width = padded.shape[-2:]
     (r, wr, vr), (c, wc, vc) = row, col
     # flat index of corner (r0, c0) of image k; corners (r0, c0 + 1),
@@ -241,7 +220,7 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
         # a lenslet between two visited ones that reaches no sample, as where the
         # windows are narrower than the sample pitch, is copied but not visited
         stack = eis.padded(slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-        stride = cols[-1] + 1 - cols[0]
+        stride, width = cols[-1] + 1 - cols[0], stack.shape[-1]
         axial, spread = cfg.pixel_distance_terms(depth)
         # the plane samples any visited row (x) or column (y) reaches
         x0, x1 = x_lo[rows[0]], x_hi[rows[-1]]
@@ -251,13 +230,20 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
             ys_q = slice(y_lo[q], y_hi[q])
             dy = gy[0, ys_q] - cy[q]
             v = cy[q] - dy / M[x0:x1, ys_q]
-            row_corners.append(corner(stack, v - cy[q], pitch, "row"))
+            # the lower corner's flat offset within a padded image, formed in
+            # place: a temporary per column raised the sweep's peak RSS ~0.3 MB
+            at, *weights = corner(v - cy[q], pitch, eis.pixels_y, "row")
+            at += _BORDER
+            at *= width
+            row_corners.append((at, *weights))
             dy_sq.append(dy ** 2)
         for p in rows:
             xs_p = slice(x_lo[p], x_hi[p])
             dx = gx[xs_p, 0] - cx[p]
             u = cx[p] - dx[:, None] / M[xs_p, y0:y1]
-            col_corners = corner(stack, u - cx[p], pitch, "col")
+            at, *weights = corner(u - cx[p], pitch, eis.pixels_x, "col")
+            at += _BORDER
+            col_corners = (at, *weights)
             dx_sq = dx[:, None] ** 2
             in_x = slice(x_lo[p] - x0, x_hi[p] - x0)
             for j, q in enumerate(cols):  # fixed lexicographic (p, q) order
@@ -345,8 +331,8 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
 
     The parts that do not depend on the depth are built once per value of
     what they do depend on and shared by the builder's later calls: the
-    pupil quadrant and its Parseval denominator per pupil pitch du, the
-    Gauss-Legendre rule per S and the pixel quadrature per (taps, S). They
+    pupil quadrant and its Parseval denominator per pupil pitch du, and the
+    pixel quadrature, with its Gauss-Legendre rule, per (taps, S). They
     live as long as the builder, so ``apply_diffraction`` makes one per call.
     The pupil quadrant is kept with its DFT weights folded in.
     """
@@ -356,7 +342,7 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
     a = max(ax, ay)
     inv_zi = 1.0 / z_i_mm
     k = 2.0 * math.pi / cfg.wavelength_mm
-    pupils, rules, quadratures = {}, {}, {}
+    pupils, quadratures = {}, {}
 
     def pupil_quadrant(du):
         if du not in pupils:
@@ -372,9 +358,7 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
 
     def pixel_quadrature(taps, sub):
         if (taps, sub) not in quadratures:
-            if sub not in rules:
-                rules[sub] = np.polynomial.legendre.leggauss(sub)
-            nodes, weights = rules[sub]
+            nodes, weights = np.polynomial.legendre.leggauss(sub)
             x = ((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel() * sample_pitch_mm
             x_half = x[x.size // 2:]  # x >= 0: from 0 if x.size is odd
             # pixel i integrates sub-pixel n, whose field is at |x_n| = x_half[mirror[n]]

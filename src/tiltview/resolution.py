@@ -9,9 +9,8 @@ over which the spot stays below ``threshold_ratio`` times its minimum.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ class ResolutionCurve:
     """Radial spot extent versus tilt angle for one optical configuration."""
 
     samples: tuple[tuple[float, float, float], ...]  # (theta_x_deg, theta_y_deg, extent_mm)
-    config_digest: str
 
     def swept_angles(self) -> np.ndarray:
         tx = np.array([s[0] for s in self.samples])
@@ -182,7 +180,7 @@ def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,
     ty = thetas if axis in ("y", "diagonal") else untilted
     extents = spot_extents(cfg, D_mm, beam, tx, ty)
     samples = tuple((float(a), float(b), e) for a, b, e in zip(tx, ty, extents))
-    return ResolutionCurve(samples=samples, config_digest=cfg.digest())
+    return ResolutionCurve(samples=samples)
 
 
 def check_scan(axis: str, theta_min_deg: float, theta_max_deg: float, steps: int) -> None:
@@ -245,12 +243,3 @@ def write_curve_csv(curve: ResolutionCurve, path) -> None:
         writer.writerow(["theta_x_deg", "theta_y_deg", "radial_extent_mm"])
         for tx, ty, ext in curve.samples:
             writer.writerow([f"{tx:.9e}", f"{ty:.9e}", f"{ext:.9e}"])
-
-
-def write_fov_json(fov: FovResult, path) -> None:
-    """The fields of ``fov`` as a JSON object, in their declared order. It is
-    serialized before the file is opened, so a field that JSON cannot hold
-    raises and leaves no file, and an existing one unchanged."""
-    text = json.dumps(asdict(fov), indent=2, allow_nan=False) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optics import OpticalSystemConfig
-from .reconstruction import ElementalImageSet, bilinear_corners, pixel_centers
+from .reconstruction import ElementalImageSet, corner, pixel_centers
 
 
 @dataclass(frozen=True)
@@ -110,19 +110,11 @@ def point_source_scene(D_mm: float) -> Scene:
     return Scene(points=[PointEmitter(0.0, 0.0, D_mm, 1.0)])
 
 
-@dataclass
-class CaptureReport:
-    """Bookkeeping from one capture run."""
-
-    splatted: int = 0
-    vignetted: int = 0
-
-
 def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
                         pixels_x: int, pixels_y: int,
-                        pixel_pitch_mm: float | None = None
-                        ) -> tuple[ElementalImageSet, CaptureReport]:
-    """Pinhole capture of a scene into an m x n elemental-image grid.
+                        pixel_pitch_mm: float | None = None) -> tuple[ElementalImageSet, int]:
+    """Pinhole capture of a scene into an m x n elemental-image grid, and the
+    number of point projections vignetted.
 
     Point emitters are projected through each lenslet center onto the
     display plane (with image inversion), splatted bilinearly with
@@ -138,7 +130,7 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
         pixel_pitch_mm = min(cfg.pitch_x_mm / pixels_x, cfg.pitch_y_mm / pixels_y)
     eis = ElementalImageSet(images=np.zeros((cfg.m, cfg.n, pixels_y, pixels_x)),
                             pixel_pitch_mm=pixel_pitch_mm, capture_config=cfg)
-    images, report, g = eis.images, CaptureReport(), cfg.gap_mm
+    images, vignetted, g = eis.images, 0, cfg.gap_mm
     cx, cy = cfg.lenslet_centers()
     P, Q = np.ogrid[:cfg.m, :cfg.n]
     for pt in scene.points:
@@ -156,17 +148,20 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
                              "lens array")
         value = pt.intensity / dist_sq
         # so near the array a projection can leave the float range: the infinite
-        # offset is a miss, which bilinear_corners clips
+        # offset is a miss, which corner clips
         with np.errstate(over="ignore"):
             u, v = cx[P] - dx * g / pt.z_mm, cy[Q] - dy * g / pt.z_mm
-            corners = list(bilinear_corners(u - cx[P], v - cy[Q], pixel_pitch_mm,
-                                            pixels_y, pixels_x))
+            r0, wr, vr = corner(v - cy[Q], pixel_pitch_mm, pixels_y, "row")  # (1, n)
+            c0, wc, vc = corner(u - cx[P], pixel_pitch_mm, pixels_x, "col")  # (m, 1)
         hit = np.zeros((cfg.m, cfg.n), dtype=bool)
-        for row, col, w, inside in corners:
-            np.add.at(images, (P, Q, row, col), np.where(inside, value * w, 0.0))
-            hit |= inside
-        report.splatted += int(hit.sum())
-        report.vignetted += hit.size - int(hit.sum())
+        for row, row_w in ((r0, vr), (r0 + 1, wr)):
+            for col, col_w in ((c0, vc), (c0 + 1, wc)):
+                inside = (row >= 0) & (row < pixels_y) & (col >= 0) & (col < pixels_x)
+                np.add.at(images, (P, Q, np.clip(row, 0, pixels_y - 1),
+                                   np.clip(col, 0, pixels_x - 1)),
+                          np.where(inside, value * (row_w * col_w), 0.0))
+                hit |= inside
+        vignetted += hit.size - int(hit.sum())
     du, dv = pixel_centers(pixel_pitch_mm, pixels_y, pixels_x)
     for plane in scene.planes:
         # pixel (du, dv) sees the plane point x = cx - du z/g, y = cy - dv z/g
@@ -184,7 +179,7 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
             x = cx[p] - sx[c]
             for q, r in pixel_rows:
                 images[p, q, r, c] += plane.sample(x, cy[q] - sy[r, None])
-    return eis, report
+    return eis, vignetted
 
 
 def capture(scene: Scene, cfg: OpticalSystemConfig, pixels_x: int, pixels_y: int,

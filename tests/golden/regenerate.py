@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Rewrite every file under tests/golden/ with the commands that
+tests/golden/README.md lists.
+
+    python tests/golden/regenerate.py
+
+The library is taken from ``src/`` of this checkout. The real/virtual
+``curve.csv`` is not written: its reference is
+``perfbench/ref/real_virtual_fov_curve.csv``, which belongs to the
+benchmark. Run it only for a change that moves outputs on purpose, and
+say in ``CHANGES.md`` which files moved and why.
+"""
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = ROOT / "tests" / "golden"
+CONFIGS = ROOT / "configs"
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def sha256_listing(directory: Path) -> str:
+    """One ``sha256sum`` line per file of ``directory``, in name order."""
+    return "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+                   for path in sorted(directory.iterdir()))
+
+
+def run(*argv) -> None:
+    subprocess.run([sys.executable, *map(str, argv)], env=ENV, check=True)
+
+
+def tiltview(*argv) -> None:
+    run("-m", "tiltview.cli", *argv)
+
+
+def replace(directory: Path, files) -> None:
+    """Make ``directory`` hold copies of ``files`` and nothing else."""
+    shutil.rmtree(directory, ignore_errors=True)
+    directory.mkdir(parents=True)
+    for path in files:
+        shutil.copyfile(path, directory / path.name)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for config in ("focused_2m", "focused_6m", "real_virtual_fov"):
+            out = work / config
+            tiltview("analyze", "--config", CONFIGS / f"{config}.json", "--out", out)
+            names = ["fov.json"] if config == "real_virtual_fov" else ["curve.csv", "fov.json"]
+            replace(GOLDEN / config, [out / name for name in names])
+        for mode in ("geometric", "diffraction"):
+            out = work / f"tilt_sweep_{mode}"
+            run(ROOT / "scripts" / "run_tilt_sweep.py", "--mode", mode, "--out", out)
+            replace(GOLDEN / out.name, sorted([*out.glob("*.pgm"), *out.glob("*.json")]))
+        capture = work / "tilt_sweep_diffraction" / "capture"
+        (GOLDEN / "tilt_sweep_capture.sha256").write_text(sha256_listing(capture))
+        steep = work / "recon_steep" / "recon_steep.pgm"
+        tiltview("reconstruct", "--config", CONFIGS / "textured_recon.json",
+                 "--manifest", capture / "manifest.json", "--mode", "diffraction",
+                 "--theta-x-deg", "45", "--D-mm", "360", "--strip-width-mm", "1",
+                 "--out", steep)
+        replace(GOLDEN / "recon_steep", [steep, steep.with_suffix(".json")])
+        synth = work / "synth_point_360mm"
+        tiltview("synth", "--config", CONFIGS / "real_virtual_fov.json",
+                 "--scene", CONFIGS / "scenes" / "point_360mm.json",
+                 "--pixels-x", "64", "--pixels-y", "64", "--out", synth)
+        (GOLDEN / "synth_point_360mm.sha256").write_text(sha256_listing(synth))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

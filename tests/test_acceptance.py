@@ -38,7 +38,7 @@ from tiltview.optics import (
     TiltedPlaneSpec,
 )
 from tiltview import reconstruction
-from tiltview.reconstruction import PSFKernel, bilinear_corners, psf_builder, reconstruct
+from tiltview.reconstruction import PSFKernel, psf_builder, reconstruct
 from tiltview.resolution import extract_fov, radial_extent, scan_resolution
 from tiltview.scene import Scene, TexturedPlane, capture, point_source_scene
 
@@ -285,19 +285,27 @@ def test_criterion_8_reductions_and_determinism(monkeypatch):
 
     # the normal-view per-lenslet sum (one magnification D/g) in
     # lexicographic (p, q) order, written out here, each lenslet's bilinear
-    # sample with the corners outside its image masked to 0.0
+    # sample with the corners outside its image masked to 0.0: column 0 at
+    # the smallest u, row 0 at the largest v
     X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     M = 200.0 / cfg.gap_mm
+    rows, cols, pitch = eis.pixels_y, eis.pixels_x, eis.pixel_pitch_mm
     loop = np.zeros_like(X)
     centers_x, centers_y = cfg.lenslet_centers()
     for p in range(cfg.m):
         for q in range(cfg.n):
             cx, cy = centers_x[p], centers_y[q]
             du, dv = cx - (X - cx) / M - cx, cy - (Y - cy) / M - cy
+            fr, fc = (rows - 1) / 2.0 - dv / pitch, du / pitch + (cols - 1) / 2.0
+            r0, c0 = np.floor(fr).astype(int), np.floor(fc).astype(int)
+            wr, wc = fr - r0, fc - c0
             vals = np.zeros_like(X)
-            for row, col, w, inside in bilinear_corners(du, dv, eis.pixel_pitch_mm,
-                                                        eis.pixels_y, eis.pixels_x):
-                vals += np.where(inside, w * eis.images[p, q, row, col], 0.0)
+            for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                r, c = r0 + dr, c0 + dc
+                inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+                w = (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc)
+                pixel = eis.images[p, q, np.clip(r, 0, rows - 1), np.clip(c, 0, cols - 1)]
+                vals += np.where(inside, w * pixel, 0.0)
             loop += vals / ((200.0 + cfg.gap_mm) ** 2
                             + ((X - cx) ** 2 + (Y - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
 

@@ -892,16 +892,49 @@ def _assert_within_golden(image, golden):
     assert peak == pytest.approx(golden_peak, rel=1e-12, abs=0.0), image.name
 
 
+#: The digest that ``tests/golden/regenerate.py`` writes the digest goldens with.
+sha256_listing = runpy.run_path(str(ROOT / "tests" / "golden" / "regenerate.py"))[
+    "sha256_listing"]
+
+
+def run_tilt_sweep(monkeypatch, mode, out):
+    monkeypatch.setattr(sys, "argv", ["run_tilt_sweep.py", "--mode", mode, "--out", str(out)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(ROOT / "scripts" / "run_tilt_sweep.py"), run_name="__main__")
+    assert done.value.code == 0
+
+
+def test_geometric_sweep_matches_golden_outputs(tmp_path, monkeypatch):
+    # the six planes of scripts/run_tilt_sweep.py in geometric mode: no FFT or
+    # BLAS runs, so every PGM and sidecar keeps its bytes
+    out = tmp_path / "sweep"
+    run_tilt_sweep(monkeypatch, "geometric", out)
+    golden = ROOT / "tests" / "golden" / "tilt_sweep_geometric"
+    names = sorted(p.name for p in golden.iterdir())
+    assert names == sorted(p.name for p in out.iterdir() if p.is_file())
+    assert len(names) == 12
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_synth_point_matches_golden_digest(tmp_path):
+    # the one golden that runs the point splat: every file keeps its bytes
+    out = tmp_path / "synth"
+    assert main(["synth", "--config", str(ROOT / "configs" / "real_virtual_fov.json"),
+                 "--scene", str(ROOT / "configs" / "scenes" / "point_360mm.json"),
+                 "--pixels-x", "64", "--pixels-y", "64", "--out", str(out)]) == 0
+    golden = ROOT / "tests" / "golden" / "synth_point_360mm.sha256"
+    assert sha256_listing(out) == golden.read_text()
+
+
 def test_diffraction_reconstructs_match_golden_outputs(tmp_path, monkeypatch):
     # the six planes of scripts/run_tilt_sweep.py in diffraction mode, and the
     # 45 degree plane through the 360 mm beam focus in 1 mm strips on its capture
     out = tmp_path / "sweep"
-    monkeypatch.setattr(sys, "argv", ["run_tilt_sweep.py", "--mode", "diffraction",
-                                      "--out", str(out)])
-    with pytest.raises(SystemExit) as done:
-        runpy.run_path(str(ROOT / "scripts" / "run_tilt_sweep.py"), run_name="__main__")
-    assert done.value.code == 0
+    run_tilt_sweep(monkeypatch, "diffraction", out)
     golden = ROOT / "tests" / "golden"
+    # the capture runs no FFT or BLAS: every file keeps its bytes
+    assert sha256_listing(out / "capture") == (golden / "tilt_sweep_capture.sha256").read_text()
     images = sorted((golden / "tilt_sweep_diffraction").glob("*.pgm"))
     assert [p.name for p in images] == sorted(p.name for p in out.glob("*.pgm"))
     assert len(images) == 6

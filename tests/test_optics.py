@@ -15,6 +15,7 @@ from tiltview.optics import (
     ScalarField2D,
     TiltedPlaneSpec,
     tilted_to_global,
+    write_json,
 )
 from tiltview.reconstruction import psf_builder
 
@@ -327,6 +328,19 @@ def test_collimated_inputs_stay_accepted():
 def test_config_digest_distinguishes_configs():
     assert _cfg().digest() != _cfg(gap_mm=51.0).digest()
     assert _cfg().digest() == _cfg().digest()
+
+
+def test_write_json_rejects_nan_and_keeps_an_existing_file(tmp_path):
+    # json.dump into the open file had written a bare NaN, which is no JSON,
+    # and a value it could not serialize had left a truncated file
+    path = tmp_path / "out.json"
+    write_json({"mode": "geometric", "images": [{"p": 0}]}, path)
+    before = path.read_bytes()
+    assert before == (b'{\n  "mode": "geometric",\n  "images": [\n    {\n      "p": 0\n'
+                      b'    }\n  ]\n}\n')
+    with pytest.raises(ValueError):
+        write_json({"mode": "geometric", "images": [{"p": math.nan}]}, path)
+    assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

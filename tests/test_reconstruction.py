@@ -15,6 +15,7 @@ from scipy.special import j1
 
 from tiltview.optics import (
     OpticalSystemConfig,
+    OutOfHalfSpaceError,
     PlaneGrid,
     ScalarField2D,
     TiltedPlaneSpec,
@@ -23,14 +24,13 @@ from tiltview.optics import (
 from tiltview import optics, reconstruction
 from tiltview.manifest import load_elemental_set, save_elemental_set
 from tiltview.reconstruction import (
+    _BORDER,
     ElementalImageSet,
-    OutOfHalfSpaceError,
     PSFKernel,
     _antialiased_pupil,
     _strip_weights,
     apply_diffraction,
     backproject_geometric,
-    bilinear_corners,
     corner,
     gather,
     psf_builder,
@@ -81,7 +81,6 @@ def test_magnification_behind_array_rejected():
     with pytest.raises(OutOfHalfSpaceError):
         magnification(-300.0, 0.0, plane_at(100.0, tx=30.0), 50.0)
     # the check lives in tilted_to_global, the one depth expression
-    assert OutOfHalfSpaceError is optics.OutOfHalfSpaceError
     with pytest.raises(OutOfHalfSpaceError):
         optics.tilted_to_global(-300.0, 0.0, plane_at(100.0, tx=30.0))
 
@@ -144,24 +143,36 @@ def test_elemental_sample_outside_is_zero():
 def sample(stack, k, du, dv, pitch):
     """``gather`` of image ``k`` of a padded stack at display offsets
     (du, dv) from the image centre, with the corners of each axis from
-    ``corner``."""
-    return gather(stack, k, corner(stack, dv, pitch, "row"), corner(stack, du, pitch, "col"))
+    ``corner`` moved into the border, as the back-projection moves them."""
+    height, width = stack.shape[-2:]
+    r, wr, vr = corner(dv, pitch, height - 2 * _BORDER - 1, "row")
+    c, wc, vc = corner(du, pitch, width - 2 * _BORDER - 1, "col")
+    return gather(stack, k, ((r + _BORDER) * width, wr, vr), (c + _BORDER, wc, vc))
 
 
 def masked_sample(eis, p, q, u, v):
     """Reference bilinear sample of image (p, q) at global display
-    coordinates: the four corners of ``bilinear_corners`` summed in order,
-    each corner outside the image masked to 0.0. An index array ``q``
-    broadcasts against the coordinates."""
+    coordinates, written out here: column 0 at the smallest u, row 0 at the
+    largest v, the four corners summed in order and each corner outside the
+    image masked to 0.0. An index array ``q`` broadcasts against the
+    coordinates. The offsets of these tests stay within a few images, so
+    the index needs no clip before its cast."""
     centers_x, centers_y = eis.capture_config.lenslet_centers()
     cx, cy = centers_x[p], centers_y[q]
     du = np.asarray(u, dtype=float) - cx
     dv = np.asarray(v, dtype=float) - cy
+    rows, cols = eis.pixels_y, eis.pixels_x
+    fr = (rows - 1) / 2.0 - dv / eis.pixel_pitch_mm
+    fc = du / eis.pixel_pitch_mm + (cols - 1) / 2.0
+    r0, c0 = np.floor(fr).astype(int), np.floor(fc).astype(int)
+    wr, wc = fr - r0, fc - c0
     img = eis.images[p].astype(float)
     out = np.zeros(np.broadcast(du, dv).shape)
-    for row, col, w, inside in bilinear_corners(du, dv, eis.pixel_pitch_mm,
-                                                eis.pixels_y, eis.pixels_x):
-        out += np.where(inside, w * img[q, row, col], 0.0)
+    for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        r, c = r0 + dr, c0 + dc
+        inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
+        w = (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc)
+        out += np.where(inside, w * img[q, np.clip(r, 0, rows - 1), np.clip(c, 0, cols - 1)], 0.0)
     return out
 
 

@@ -1,7 +1,9 @@
 """Tests for the spot-profile / radial-extent / field-of-view analyzer."""
 
+import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from tiltview.optics import (
     PlaneGrid,
     ScalarField2D,
     TiltedPlaneSpec,
+    write_json,
 )
 from tiltview.resolution import (
     DegenerateFieldError,
@@ -24,7 +27,6 @@ from tiltview.resolution import (
     scan_resolution,
     spot_extents,
     write_curve_csv,
-    write_fov_json,
 )
 
 
@@ -483,7 +485,7 @@ def test_off_focus_scan_is_fast():
 
 
 def _curve(samples):
-    return ResolutionCurve(samples=tuple(samples), config_digest="test")
+    return ResolutionCurve(samples=tuple(samples))
 
 
 def test_fov_linear_interpolation_example():
@@ -549,23 +551,21 @@ def test_fov_json_rejects_nan(tmp_path):
                     fov_negative_deg=None, fov_positive_deg=None)
     path = tmp_path / "fov.json"
     with pytest.raises(ValueError):
-        write_fov_json(fov, path)
+        write_json(asdict(fov), path)
     assert not path.exists()
     # an existing file keeps its bytes
-    write_fov_json(FovResult(1.5, 0.5, None, 12.5), path)
+    write_json(asdict(FovResult(1.5, 0.5, None, 12.5)), path)
     before = path.read_bytes()
     with pytest.raises(ValueError):
-        write_fov_json(fov, path)
+        write_json(asdict(fov), path)
     assert path.read_bytes() == before
 
 
 def test_fov_json_nulls(tmp_path):
-    import json
-
     fov = FovResult(threshold_ratio=1.5, min_extent_mm=0.5,
                     fov_negative_deg=None, fov_positive_deg=12.5)
     path = tmp_path / "fov.json"
-    write_fov_json(fov, path)
+    write_json(asdict(fov), path)
     doc = json.loads(path.read_text())
     assert doc == {
         "threshold_ratio": 1.5,
