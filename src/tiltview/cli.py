@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import manifest as manifest_io
 from .optics import (ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, build,
-                     path_string, read_block, write_json)
+                     path_string, read_block, read_json, write_json)
 from .pgm import read_pgm, to_codes, write_pgm16
 from .reconstruction import reconstruct
 from .resolution import (check_scan, check_threshold_ratio, extract_fov, scan_resolution,
@@ -60,9 +59,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            doc = read_block(json.load(fh), path, "the config", required=("optical_system",),
-                             optional=("plane", "scan", "io"))
+        doc = read_block(read_json(path), path, "the config", required=("optical_system",),
+                         optional=("plane", "scan", "io"))
         block = "the optical_system block"
         opt = read_block(doc["optical_system"], path, block,
                          required=REQUIRED_OPTICAL_SYSTEM_KEYS,
@@ -95,8 +93,7 @@ class RunConfig:
 
 def load_scene(path) -> Scene:
     base = Path(path).parent
-    with open(path) as fh:
-        doc = read_block(json.load(fh), path, "the scene", optional=("points", "planes"))
+    doc = read_block(read_json(path), path, "the scene", optional=("points", "planes"))
     points = []
     for i, entry in enumerate(doc.get("points", [])):
         block = f"scene point {i}"
@@ -163,9 +160,8 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError(f"the config's optical_system differs from the capture's: "
                           f"{'; '.join(differ)}; pass the config the capture was made with")
     theta_x = args.theta_x_deg if args.theta_x_deg is not None else plane.theta_x_deg
-    theta_y = args.theta_y_deg if args.theta_y_deg is not None else plane.theta_y_deg
     D = args.D_mm if args.D_mm is not None else plane.axial_offset_mm
-    plane = TiltedPlaneSpec(theta_x, theta_y, D, plane.grid)
+    plane = TiltedPlaneSpec(theta_x, plane.theta_y_deg, D, plane.grid)
     recon = reconstruct(
         eis, plane, mode=args.mode, strip_width_mm=args.strip_width_mm,
         z_i_override_mm=run.z_i_override_mm)
@@ -219,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     recon.add_argument("--manifest", required=True)
     recon.add_argument("--mode", choices=("geometric", "diffraction"), default="geometric")
     recon.add_argument("--theta-x-deg", dest="theta_x_deg", type=float, default=None)
-    recon.add_argument("--theta-y-deg", dest="theta_y_deg", type=float, default=None)
     recon.add_argument("--D-mm", dest="D_mm", type=float, default=None)
     recon.add_argument("--out", required=True)
     recon.add_argument("--strip-width-mm", type=float, default=None,

@@ -8,14 +8,13 @@ relative intensities survive quantization.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from pathlib import Path
 
 import numpy as np
 
 from .optics import (FOCUS_BAND, ConfigError, OpticalSystemConfig, build, path_string,
-                     read_block, write_json)
+                     read_block, read_json, write_json)
 from .pgm import read_pgm16, to_codes, write_pgm16
 from .reconstruction import ElementalImageSet
 
@@ -55,9 +54,8 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
     Every image must be a 16-bit PGM with maxval 65535, the scale the set
     was saved on."""
     path = Path(manifest_path)
-    with open(path) as fh:
-        man = read_block(json.load(fh), path, "the manifest", required=REQUIRED_KEYS,
-                         optional=FIXED_KEYS)
+    man = read_block(read_json(path), path, "the manifest", required=REQUIRED_KEYS,
+                     optional=FIXED_KEYS)
     for key, value in FIXED_KEYS.items():
         if man.get(key, value) != value:
             raise ConfigError(f"{path}: the manifest's {key} is {man[key]!r}, but only "

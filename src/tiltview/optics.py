@@ -9,8 +9,10 @@ are quoted.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,28 @@ def read_block(doc, path, block: str, required=(), optional=()) -> dict:
     return dict(doc)
 
 
+def read_json(path):
+    """The JSON document in the file ``path``: the one reader of the config,
+    the scene and the manifest. Raises ``ConfigError`` naming the file for a
+    syntax error, with its line and column, and for a key given twice in one
+    object, which JSON would read as its last value."""
+
+    def unique(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            twice = next(key for key in keys if keys.count(key) > 1)
+            raise ConfigError(f"{path}: key {twice!r} is given more than once in one object")
+        return doc
+
+    with open(path) as fh:
+        try:
+            return json.load(fh, object_pairs_hook=unique)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc.msg} at line {exc.lineno}, "
+                              f"column {exc.colno}") from exc
+
+
 def write_json(doc, path) -> None:
     """Write ``doc`` as JSON with two-space indents and a trailing newline:
     the one writer of the manifest, the ``fov.json`` and the ``reconstruct``
@@ -70,7 +94,16 @@ def path_string(value, path, block: str, key: str) -> str:
 
 def build(cls, path, block: str, **values):
     """``cls(**values)`` for a class or any other callable, with a rejected value
-    reported as a ``ConfigError`` naming the file and the block."""
+    reported as a ``ConfigError`` naming the file and the block. A JSON
+    ``true`` or ``false`` for a parameter annotated ``float`` is rejected too:
+    a bool is an int, which would pass as 1 or 0."""
+    for key, value in values.items():
+        if isinstance(value, bool):
+            param = inspect.signature(cls, eval_str=True).parameters.get(key)
+            hint = param.annotation if param else None
+            if float in (hint, *typing.get_args(hint)):
+                raise ConfigError(f"{path}: {block}: {key} must be a number, "
+                                  f"got {json.dumps(value)}")
     try:
         return cls(**values)
     except (ValueError, TypeError) as exc:
@@ -198,7 +231,7 @@ class BeamParameters:
         """w(z) of one axis, for a scalar or an array ``z_mm``."""
         z = np.asarray(z_mm, dtype=float)
         if not math.isfinite(self.z_focus_mm):
-            return waist_mm * np.ones_like(z) if z.ndim else waist_mm
+            return waist_mm * np.ones_like(z)
         return waist_mm * np.sqrt(1.0 + 4.0 * ((z - self.z_focus_mm) / rayleigh_mm) ** 2)
 
     def width_x(self, z_mm):
@@ -275,8 +308,6 @@ def tilted_to_global(x_t, y_t, plane: TiltedPlaneSpec):
     z = plane.axial_offset_mm + x_t * math.sin(tx) + y_t * math.sin(ty)
     if np.any(z <= 0):
         raise OutOfHalfSpaceError("plane reaches at or behind the lens array (depth <= 0)")
-    if x.ndim == 0:
-        return float(x), float(y), float(z)
     return x, y, z
 
 

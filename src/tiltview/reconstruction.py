@@ -3,6 +3,7 @@ diffraction/defocus blur from the lenslet-pupil point-spread function."""
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -117,16 +118,16 @@ def corner(offset, pitch: float, size: int, axis: str):
 def gather(padded: np.ndarray, k: int, row, col) -> np.ndarray:
     """Bilinear sample of image ``k`` of a ``padded`` stack (its leading axes
     flattened) at the corners ``row`` and ``col`` of ``corner`` along each
-    axis, each lower index moved into the border and scaled to a flat offset
-    within an image: ``((lower + _BORDER) * width, w, 1 - w)`` for rows and
-    ``(lower + _BORDER, w, 1 - w)`` for columns. The two broadcast against
-    each other. A corner outside the image reads the zero border, so it adds
-    an exact 0.0, as a masked sum would."""
+    axis, the rows' lower index scaled by the padded width:
+    ``(lower * width, w, 1 - w)`` for rows and ``corner``'s own
+    ``(lower, w, 1 - w)`` for columns. The two broadcast against each other.
+    A corner outside the image reads the zero border, so it adds an exact
+    0.0, as a masked sum would."""
     height, width = padded.shape[-2:]
     (r, wr, vr), (c, wc, vc) = row, col
-    # flat index of corner (r0, c0) of image k; corners (r0, c0 + 1),
-    # (r0 + 1, c0) and (r0 + 1, c0 + 1) are 1, width and width + 1 further on
-    at = r + c + k * height * width
+    # flat index of corner (r0, c0) of image k, its pixel (0, 0) _BORDER rows and columns in;
+    # corners (r0, c0 + 1), (r0 + 1, c0) and (r0 + 1, c0 + 1) are 1, width and width + 1 on
+    at = r + c + (k * height * width + _BORDER * (width + 1))
     flat = padded.reshape(-1)
     return (vr * vc * flat.take(at) + vr * wc * flat[1:].take(at)
             + wr * vc * flat[width:].take(at) + wr * wc * flat[width + 1:].take(at))
@@ -168,7 +169,6 @@ class PSFKernel:
 class Reconstruction:
     """Back-projected image on a tilted plane."""
 
-    plane: TiltedPlaneSpec
     field: ScalarField2D
     mode: str
 
@@ -230,10 +230,9 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
             ys_q = slice(y_lo[q], y_hi[q])
             dy = gy[0, ys_q] - cy[q]
             v = cy[q] - dy / M[x0:x1, ys_q]
-            # the lower corner's flat offset within a padded image, formed in
+            # the lower corner's row offset within a padded image, scaled in
             # place: a temporary per column raised the sweep's peak RSS ~0.3 MB
             at, *weights = corner(v - cy[q], pitch, eis.pixels_y, "row")
-            at += _BORDER
             at *= width
             row_corners.append((at, *weights))
             dy_sq.append(dy ** 2)
@@ -241,9 +240,7 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
             xs_p = slice(x_lo[p], x_hi[p])
             dx = gx[xs_p, 0] - cx[p]
             u = cx[p] - dx[:, None] / M[xs_p, y0:y1]
-            at, *weights = corner(u - cx[p], pitch, eis.pixels_x, "col")
-            at += _BORDER
-            col_corners = (at, *weights)
+            col_corners = corner(u - cx[p], pitch, eis.pixels_x, "col")
             dx_sq = dx[:, None] ** 2
             in_x = slice(x_lo[p] - x0, x_hi[p] - x0)
             for j, q in enumerate(cols):  # fixed lexicographic (p, q) order
@@ -256,7 +253,7 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     if not np.any(total):
         warnings.warn("no elemental image sees the reconstruction plane; field is zero")
     field = ScalarField2D(total, xs, ys, plane.grid.sample_pitch_mm)
-    return Reconstruction(plane=plane, field=field, mode="geometric")
+    return Reconstruction(field=field, mode="geometric")
 
 
 #: Sub-samples per axis of each pupil sample on the ellipse's rim.
@@ -278,13 +275,13 @@ def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
 
     pupil = inside(U, V).astype(float)
     r = np.sqrt((U / (ax / 2.0)) ** 2 + (V / (ay / 2.0)) ** 2)
+    # never empty: du <= a/256, and the grid reaches past the rim
     band = np.abs(r - 1.0) < 2.0 * du / min(ax, ay)
-    if np.any(band):
-        off = ((np.arange(_PUPIL_SUBSAMPLES) + 0.5) / _PUPIL_SUBSAMPLES - 0.5) * du
-        ou, ov = np.meshgrid(off, off, indexing="ij")
-        ub = U[band][:, None] + ou.ravel()[None, :]
-        vb = V[band][:, None] + ov.ravel()[None, :]
-        pupil[band] = inside(ub, vb).mean(axis=1)
+    off = ((np.arange(_PUPIL_SUBSAMPLES) + 0.5) / _PUPIL_SUBSAMPLES - 0.5) * du
+    ou, ov = np.meshgrid(off, off, indexing="ij")
+    ub = U[band][:, None] + ou.ravel()[None, :]
+    vb = V[band][:, None] + ov.ravel()[None, :]
+    pupil[band] = inside(ub, vb).mean(axis=1)
     return pupil
 
 
@@ -329,12 +326,12 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
     window. ``window_energy`` is the Parseval share of the pupil energy that
     the window holds, and an uncropped window must hold at least 0.99 of it.
 
-    The parts that do not depend on the depth are built once per value of
-    what they do depend on and shared by the builder's later calls: the
-    pupil quadrant and its Parseval denominator per pupil pitch du, and the
-    pixel quadrature, with its Gauss-Legendre rule, per (taps, S). They
-    live as long as the builder, so ``apply_diffraction`` makes one per call.
-    The pupil quadrant is kept with its DFT weights folded in.
+    The parts that do not depend on the depth are cached (``functools.cache``)
+    per value of what they do depend on: the pupil quadrant, with its DFT
+    weights folded in, and its Parseval denominator per pupil pitch du, and
+    the pixel quadrature, with its Gauss-Legendre rule, per (taps, S). The
+    caches live as long as the builder, so ``apply_diffraction`` makes one
+    per call.
     """
     if sample_pitch_mm <= 0:
         raise ValueError("sample pitch must be positive")
@@ -342,32 +339,29 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
     a = max(ax, ay)
     inv_zi = 1.0 / z_i_mm
     k = 2.0 * math.pi / cfg.wavelength_mm
-    pupils, quadratures = {}, {}
 
+    @functools.cache
     def pupil_quadrant(du):
-        if du not in pupils:
-            # u, v >= 0 reach past the antialiased rim; on a square pitch v is u
-            u = np.arange(math.ceil(ax / (2.0 * du)) + 2) * du
-            v = u if ay == ax else np.arange(math.ceil(ay / (2.0 * du)) + 2) * du
-            # the u = 0 column is weighted once, the others twice: folded in without round-off
-            wu, wv = np.where(u > 0, 2.0, 1.0), np.where(v > 0, 2.0, 1.0)
-            U, V = np.meshgrid(u, v, indexing="ij")
-            pupil = _antialiased_pupil(U, V, ax, ay, du)
-            pupils[du] = u, v, wu[:, None] * pupil * wv, wu @ pupil**2 @ wv
-        return pupils[du]
+        # u, v >= 0 reach past the antialiased rim; on a square pitch v is u
+        u = np.arange(math.ceil(ax / (2.0 * du)) + 2) * du
+        v = u if ay == ax else np.arange(math.ceil(ay / (2.0 * du)) + 2) * du
+        # the u = 0 column is weighted once, the others twice: folded in without round-off
+        wu, wv = np.where(u > 0, 2.0, 1.0), np.where(v > 0, 2.0, 1.0)
+        U, V = np.meshgrid(u, v, indexing="ij")
+        pupil = _antialiased_pupil(U, V, ax, ay, du)
+        return u, v, wu[:, None] * pupil * wv, wu @ pupil**2 @ wv
 
+    @functools.cache
     def pixel_quadrature(taps, sub):
-        if (taps, sub) not in quadratures:
-            nodes, weights = np.polynomial.legendre.leggauss(sub)
-            x = ((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel() * sample_pitch_mm
-            x_half = x[x.size // 2:]  # x >= 0: from 0 if x.size is odd
-            # pixel i integrates sub-pixel n, whose field is at |x_n| = x_half[mirror[n]]
-            mirror = np.abs(2 * np.arange(x.size) - (x.size - 1)) // 2
-            quadrature = np.zeros((taps, x_half.size))
-            np.add.at(quadrature, (np.arange(x.size) // sub, mirror),
-                      np.tile(weights, taps) * sample_pitch_mm / 2.0)
-            quadratures[taps, sub] = x_half, quadrature
-        return quadratures[taps, sub]
+        nodes, weights = np.polynomial.legendre.leggauss(sub)
+        x = ((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel() * sample_pitch_mm
+        x_half = x[x.size // 2:]  # x >= 0: from 0 if x.size is odd
+        # pixel i integrates sub-pixel n, whose field is at |x_n| = x_half[mirror[n]]
+        mirror = np.abs(2 * np.arange(x.size) - (x.size - 1)) // 2
+        quadrature = np.zeros((taps, x_half.size))
+        np.add.at(quadrature, (np.arange(x.size) // sub, mirror),
+                  np.tile(weights, taps) * sample_pitch_mm / 2.0)
+        return x_half, quadrature
 
     def build(z_local_mm: float) -> PSFKernel:
         if z_local_mm <= 0:
@@ -448,9 +442,9 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
     t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
     grad = abs(math.sin(plane.theta_x_rad)) + abs(math.sin(plane.theta_y_rad))
     if strip_width_mm is None:
-        # keep the depth variation below 2% per strip
+        # a width in depth t: a strip spans up to 0.02/sin(theta) of D (2.8% at 45 deg)
         strip_width_mm = (0.02 * plane.axial_offset_mm / grad) if grad > 0 else math.inf
-    elif not strip_width_mm >= field.sample_pitch_mm:  # NaN fails too
+    elif not strip_width_mm >= field.sample_pitch_mm:  # a depth vs the lateral pitch; NaN too
         raise ValueError(f"strip width must be at least the plane sample pitch "
                          f"({field.sample_pitch_mm!r} mm), got {strip_width_mm!r}")
     strips = _strip_weights(t, strip_width_mm)
@@ -493,4 +487,4 @@ def reconstruct(eis: ElementalImageSet, plane: TiltedPlaneSpec, mode: str = "geo
     cfg = eis.capture_config
     z_i = cfg.focus_mm(z_i_override_mm)
     blurred = apply_diffraction(recon.field, plane, cfg, z_i, strip_width_mm=strip_width_mm)
-    return Reconstruction(plane=plane, field=blurred, mode="diffraction")
+    return Reconstruction(field=blurred, mode="diffraction")

@@ -12,7 +12,9 @@ say in ``CHANGES.md`` which files moved and why.
 """
 
 import hashlib
+import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -48,6 +50,30 @@ def replace(directory: Path, files) -> None:
         shutil.copyfile(path, directory / path.name)
 
 
+def focused_series(out: Path) -> None:
+    """The focused-mode series in ``out``: the seeded texture of
+    ``scripts/run_tilt_sweep.py`` as a 16-bit PGM, a scene document that
+    places it at 2000 mm, and the diffraction reconstructs of its ``synth``
+    capture with ``configs/focused_2m.json`` at 0, 20 and 40 degrees about
+    x on that config's plane grid."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from tiltview.pgm import to_codes, write_pgm16
+
+    out.mkdir(parents=True)
+    texture = runpy.run_path(str(ROOT / "scripts" / "run_tilt_sweep.py"))["smooth_texture"]()
+    write_pgm16(out / "texture.pgm", to_codes(texture, float(texture.max())))
+    scene = {"planes": [{"z_mm": 2000.0, "half_width_x_mm": 30.0, "half_width_y_mm": 30.0,
+                         "texture_file": "texture.pgm"}]}
+    (out / "scene.json").write_text(json.dumps(scene, indent=2) + "\n")
+    config, capture = CONFIGS / "focused_2m.json", out / "capture"
+    tiltview("synth", "--config", config, "--scene", out / "scene.json",
+             "--pixels-x", "128", "--pixels-y", "128", "--out", capture)
+    for theta in (0.0, 20.0, 40.0):
+        tiltview("reconstruct", "--config", config, "--manifest", capture / "manifest.json",
+                 "--mode", "diffraction", "--theta-x-deg", str(theta),
+                 "--out", out / f"recon_theta_{theta:04.1f}.pgm")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -73,6 +99,9 @@ def main() -> int:
                  "--scene", CONFIGS / "scenes" / "point_360mm.json",
                  "--pixels-x", "64", "--pixels-y", "64", "--out", synth)
         (GOLDEN / "synth_point_360mm.sha256").write_text(sha256_listing(synth))
+        series = work / "focused_2m_series"
+        focused_series(series)
+        replace(GOLDEN / series.name, sorted(p for p in series.iterdir() if p.is_file()))
     return 0
 
 

@@ -1,9 +1,11 @@
 """Tests for PGM I/O, the manifest format and the command-line surface."""
 
+import argparse
 import dataclasses
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltview import manifest as manifest_io
-from tiltview.cli import ConfigError, RunConfig, load_scene, main
+from tiltview.cli import ConfigError, RunConfig, build_parser, load_scene, main
 from tiltview.optics import OpticalSystemConfig
 from tiltview.pgm import MAXVAL_16, read_pgm, to_codes, write_pgm16
 from tiltview.reconstruction import ElementalImageSet
@@ -752,6 +754,60 @@ def test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, key
     assert error.startswith(f"{path}: {block}")
 
 
+@pytest.mark.parametrize("document, keys, value, block, key", [
+    ("config", ["optical_system", "gap_mm"], True, "the optical_system block", "gap_mm"),
+    ("config", ["optical_system", "z_i_override_mm"], True, "the optical_system block",
+     "z_i_override_mm"),
+    # the plane block builds the plane's axial_offset_mm from D_mm
+    ("config", ["plane", "D_mm"], True, "the plane block", "axial_offset_mm"),
+    ("config", ["plane", "grid", "sample_pitch_mm"], False, "the plane.grid block",
+     "sample_pitch_mm"),
+    ("config", ["scan", "theta_min_deg"], True, "the scan block", "theta_min_deg"),
+    ("scene", ["points"], [{"z_mm": 200.0, "intensity": True}], "scene point 0", "intensity"),
+    ("scene", ["planes", 0, "intensity_scale"], True, "scene plane 0", "intensity_scale"),
+    ("manifest", ["pixel_pitch_mm"], True, "the manifest", "pixel_pitch_mm"),
+], ids=["gap_mm", "z_i_override_mm", "D_mm", "sample_pitch_mm", "theta_min_deg",
+        "point-intensity", "intensity_scale", "pixel_pitch_mm"])
+def test_cli_rejects_json_bool_for_a_real_value(tmp_path, caplog, document, keys, value,
+                                                block, key):
+    # a bool is an int: "D_mm": true had been read as a 1 mm depth, and
+    # "theta_min_deg": true as 1 degree
+    test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, keys, value, block)
+    bool_text = "false" if value is False else "true"
+    assert f": {block}: {key} must be a number, got {bool_text}" in caplog.text
+
+
+@pytest.mark.parametrize("document, edit, message", [
+    ("config", lambda text: text[:20], "not valid JSON: Expecting property name enclosed in "
+     "double quotes at line 1, column 21"),
+    ("config", lambda text: text.replace('"gap_mm": 50.0', '"gap_mm": 50, "gap_mm": 35'),
+     "key 'gap_mm' is given more than once in one object"),
+    ("scene", lambda text: text[:-1], "not valid JSON: Expecting ',' delimiter at line 1"),
+    ("manifest", lambda text: text.replace('"m": 4', '"m": 4, "m": 4'),
+     "key 'm' is given more than once in one object"),
+], ids=["config-truncated", "config-duplicate", "scene-truncated", "manifest-duplicate"])
+def test_cli_malformed_json_names_the_file(tmp_path, caplog, document, edit, message):
+    # a syntax error had been logged without the file, and a key given twice
+    # had been read as its last value
+    config, manifest, _ = _synth_point_capture(tmp_path)
+    write_pgm16(tmp_path / "tex.pgm", np.full((4, 4), 100, dtype=np.uint16))
+    scene = write_scene(tmp_path, {"planes": [{"z_mm": 200.0, "half_width_x_mm": 5.0,
+                                               "half_width_y_mm": 5.0,
+                                               "texture_file": "tex.pgm"}]})
+    path = {"config": config, "scene": scene, "manifest": manifest}[document]
+    path.write_text(edit(path.read_text()))
+    out = tmp_path / "out"
+    argv = {"config": ["analyze", "--config", str(config), "--out", str(out)],
+            "scene": ["synth", "--config", str(config), "--scene", str(scene),
+                      "--out", str(out)],
+            "manifest": ["reconstruct", "--config", str(config), "--manifest", str(manifest),
+                         "--out", str(out / "r.pgm")]}[document]
+    assert main(argv) == 1
+    assert not out.exists()
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{path}: {message}")
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("plane", "intensity_scale", math.nan), ("point", "x_mm", math.nan),
     ("point", "y_mm", -math.inf), ("point", "z_mm", math.inf), ("point", "intensity", math.inf),
@@ -948,6 +1004,24 @@ def test_diffraction_reconstructs_match_golden_outputs(tmp_path, monkeypatch):
     _assert_within_golden(steep, golden / "recon_steep" / "recon_steep.pgm")
 
 
+def test_focused_series_matches_golden_outputs(tmp_path):
+    # the focused (g = f) system: a textured plane at 2000 mm read through a
+    # scene document, captured by synth and reconstructed with the defocus PSF
+    golden = ROOT / "tests" / "golden" / "focused_2m_series"
+    config, capture = str(ROOT / "configs" / "focused_2m.json"), tmp_path / "capture"
+    assert main(["synth", "--config", config, "--scene", str(golden / "scene.json"),
+                 "--pixels-x", "128", "--pixels-y", "128", "--out", str(capture)]) == 0
+    images = sorted(golden.glob("recon_theta_*.pgm"))
+    assert [p.name for p in images] == ["recon_theta_00.0.pgm", "recon_theta_20.0.pgm",
+                                        "recon_theta_40.0.pgm"]
+    for theta, image in zip(("0", "20", "40"), images, strict=True):
+        out = tmp_path / image.name
+        assert main(["reconstruct", "--config", config,
+                     "--manifest", str(capture / "manifest.json"), "--mode", "diffraction",
+                     "--theta-x-deg", theta, "--out", str(out)]) == 0
+        _assert_within_golden(out, image)
+
+
 def test_cli_imports_without_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone
     env = dict(os.environ)
@@ -964,6 +1038,18 @@ def test_package_exports_resolve():
 
     assert len(tiltview.__all__) == len(set(tiltview.__all__))
     missing = [name for name in tiltview.__all__ if not hasattr(tiltview, name)]
+    assert missing == []
+
+
+def test_readme_names_every_cli_flag():
+    # a flag that README never names is undocumented, or passed by nothing
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    readme = (ROOT / "README.md").read_text()
+    missing = [f"{name} {option}" for name, command in commands.choices.items()
+               for action in command._actions for option in action.option_strings
+               if option not in ("-h", "--help")
+               and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)]
     assert missing == []
 
 

@@ -143,11 +143,12 @@ def test_elemental_sample_outside_is_zero():
 def sample(stack, k, du, dv, pitch):
     """``gather`` of image ``k`` of a padded stack at display offsets
     (du, dv) from the image centre, with the corners of each axis from
-    ``corner`` moved into the border, as the back-projection moves them."""
+    ``corner``, the rows' lower index scaled by the padded width, as the
+    back-projection passes them."""
     height, width = stack.shape[-2:]
     r, wr, vr = corner(dv, pitch, height - 2 * _BORDER - 1, "row")
     c, wc, vc = corner(du, pitch, width - 2 * _BORDER - 1, "col")
-    return gather(stack, k, ((r + _BORDER) * width, wr, vr), (c + _BORDER, wc, vc))
+    return gather(stack, k, (r * width, wr, vr), (c, wc, vc))
 
 
 def masked_sample(eis, p, q, u, v):
