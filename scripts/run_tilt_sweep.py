@@ -14,6 +14,7 @@ import numpy as np
 
 from tiltview.cli import RunConfig, main as tiltview_main
 from tiltview.manifest import save_elemental_set
+from tiltview.optics import read_json
 from tiltview.scene import Scene, TexturedPlane, capture
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "textured_recon.json"
@@ -46,7 +47,9 @@ def main() -> int:
     eis = capture(Scene(planes=[plane]), cfg, PIXELS, PIXELS,
                   pixel_pitch_mm=cfg.pitch_x_mm / PIXELS)
     manifest = save_elemental_set(eis, out / "capture")
-    print(f"captured {cfg.m}x{cfg.n} elemental images -> {manifest}")
+    zero = len(read_json(manifest)["zero_images"])
+    print(f"captured {cfg.m}x{cfg.n} elemental images, {cfg.m * cfg.n - zero} stored "
+          f"and {zero} all-zero -> {manifest}")
 
     for theta in ANGLES_DEG:
         image = out / f"recon_theta_{theta:04.1f}.pgm"

@@ -119,8 +119,9 @@ def cmd_synth(args) -> int:
         pixel_pitch_mm=args.pixel_pitch_mm)
     out = Path(args.out or run.out_dir or ".")
     path = manifest_io.save_elemental_set(eis, out)
-    log.info("wrote %s (%d images, %d point projections vignetted)",
-             path, run.optical_system.m * run.optical_system.n, vignetted)
+    zero = len(read_json(path)["zero_images"])
+    log.info("wrote %s (%d images stored, %d all-zero, %d point projections vignetted)",
+             path, run.optical_system.m * run.optical_system.n - zero, zero, vignetted)
     return 0
 
 

@@ -1,8 +1,10 @@
 """Manifest-based storage of elemental-image sets.
 
-A set is saved as ``manifest.json`` plus one 16-bit PGM per lenslet,
-``e_{p:02d}_{q:02d}.pgm``, all normalized by the set-wide maximum so
-relative intensities survive quantization.
+A set is saved as ``manifest.json`` plus one 16-bit PGM,
+``e_{p:02d}_{q:02d}.pgm``, per lenslet whose codes are not all zero, all
+normalized by the set-wide maximum so relative intensities survive
+quantization. The manifest lists each other lenslet under ``zero_images``
+as a ``[p, q]`` pair, and it loads as zeros without a file.
 """
 
 from __future__ import annotations
@@ -29,20 +31,25 @@ FIXED_KEYS = {"aperture_shape": "ellipse", "focus_epsilon": FOCUS_BAND}
 
 
 def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
-    """Write the manifest and PGM files; returns the manifest path."""
+    """Write the manifest and the PGM of each image that holds a nonzero code;
+    returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = eis.capture_config
-    peak = float(eis.images.max())
+    maxima = eis.images.max(axis=(2, 3))
+    peak = float(maxima.max())
+    # scaling and rounding are monotone: an image's codes are all zero exactly
+    # when the code of its maximum is
+    stored = to_codes(maxima, peak) > 0
     entries = []
-    for p in range(cfg.m):
-        for q in range(cfg.n):
-            name = f"e_{p:02d}_{q:02d}.pgm"
-            write_pgm16(out / name, to_codes(eis.images[p, q], peak))
-            entries.append({"p": p, "q": q, "file": name})
+    for p, q in np.argwhere(stored).tolist():
+        name = f"e_{p:02d}_{q:02d}.pgm"
+        write_pgm16(out / name, to_codes(eis.images[p, q], peak))
+        entries.append({"p": p, "q": q, "file": name})
     manifest = {key: getattr(cfg, name) for name, key in GEOMETRY_KEYS.items()}
     manifest.update(pixel_pitch_mm=eis.pixel_pitch_mm, pixels_x=eis.pixels_x,
-                    pixels_y=eis.pixels_y, images=entries)
+                    pixels_y=eis.pixels_y, images=entries,
+                    zero_images=np.argwhere(~stored).tolist())
     path = out / MANIFEST_NAME
     write_json(manifest, path)
     return path
@@ -52,10 +59,11 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
     """Load a saved set; intensities come back as its uint16 codes (0..65535).
 
     Every image must be a 16-bit PGM with maxval 65535, the scale the set
-    was saved on."""
+    was saved on. Each lenslet is listed once, in ``images`` or, all zero and
+    without a file, in ``zero_images``, which a manifest may lack."""
     path = Path(manifest_path)
     man = read_block(read_json(path), path, "the manifest", required=REQUIRED_KEYS,
-                     optional=FIXED_KEYS)
+                     optional=(*FIXED_KEYS, "zero_images"))
     for key, value in FIXED_KEYS.items():
         if man.get(key, value) != value:
             raise ConfigError(f"{path}: the manifest's {key} is {man[key]!r}, but only "
@@ -68,6 +76,17 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
                           f">= 1, got {man['pixels_x']!r} and {man['pixels_y']!r}")
     images = np.zeros((cfg.m, cfg.n) + shape, dtype=np.uint16)
     folder, seen = os.path.dirname(path), set()
+    for key in ("images", "zero_images"):
+        if type(man.get(key, [])) is not list:
+            raise ConfigError(f"{path}: the manifest: {key} must be a list, got {man[key]!r}")
+    for pair in man.get("zero_images", []):
+        if not (type(pair) is list and len(pair) == 2 and all(type(i) is int for i in pair)
+                and 0 <= pair[0] < cfg.m and 0 <= pair[1] < cfg.n):
+            raise ValueError(f"{path}: zero_images entry {pair!r} is not a [p, q] lenslet "
+                             f"of the {cfg.m} x {cfg.n} array")
+        if tuple(pair) in seen:
+            raise ValueError(f"{path}: zero_images entry {pair} is listed more than once")
+        seen.add(tuple(pair))
     for entry in man["images"]:
         entry = read_block(entry, path, "an image entry", required=("p", "q", "file"))
         p, q = entry["p"], entry["q"]

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import os
 import re
@@ -185,9 +186,15 @@ def test_manifest_schema_fields(tmp_path):
     path = manifest_io.save_elemental_set(eis, tmp_path)
     doc = json.loads(path.read_text())
     assert set(doc) == {"m", "n", "pitch_x_mm", "pitch_y_mm", "g_mm", "f_mm",
-                        "wavelength_nm", "pixel_pitch_mm", "pixels_x", "pixels_y", "images"}
-    assert len(doc["images"]) == 16
-    assert set(doc["images"][0]) == {"p", "q", "file"}
+                        "wavelength_nm", "pixel_pitch_mm", "pixels_x", "pixels_y", "images",
+                        "zero_images"}
+    # the point reaches 9 of the 16 images; the row and column at p = 0 and q = 0 stay dark
+    dark = [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [2, 0], [3, 0]]
+    assert doc["zero_images"] == dark
+    assert [[e["p"], e["q"]] for e in doc["images"]] == [
+        [p, q] for p in range(4) for q in range(4) if [p, q] not in dark]
+    assert all(set(e) == {"p", "q", "file"} for e in doc["images"])
+    assert doc["images"][0]["file"] == "e_01_01.pgm"
 
 
 def test_manifest_round_trips_capture_config(tmp_path):
@@ -268,7 +275,9 @@ def test_manifest_resave_of_loaded_set_is_byte_identical(tmp_path):
     assert loaded.images.dtype == np.uint16 and loaded.images.itemsize == 2
     manifest_io.save_elemental_set(loaded, tmp_path / "b")
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert len(names) == 17 and names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    # the manifest and the 12 images the points reach; q = 0 stays dark
+    assert json.loads(first.read_text())["zero_images"] == [[0, 0], [1, 0], [2, 0], [3, 0]]
+    assert len(names) == 13 and names == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in names:
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
@@ -338,7 +347,7 @@ def test_manifest_truncated_image_names_the_file(tmp_path):
 
 
 def test_manifest_load_opens_each_file_once(tmp_path, monkeypatch):
-    # the manifest and the 16 images, each read once
+    # the manifest and the 9 images the point reaches, each read once
     path = manifest_io.save_elemental_set(
         capture(point_source_scene(200.0), cfg4(), 8, 8, pixel_pitch_mm=1.0), tmp_path)
     opened = []
@@ -351,8 +360,144 @@ def test_manifest_load_opens_each_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr("builtins.open", counting_open)
     manifest_io.load_elemental_set(path)
     monkeypatch.undo()
-    assert len(opened) == 17
+    assert len(opened) == 10
     assert sorted(opened) == sorted(str(p) for p in tmp_path.iterdir())
+
+
+def _read_listed_images(path):
+    """The codes of a stored set, read as the benchmark's reader does: every
+    ``images`` entry into a zero-filled array, and no other key."""
+    doc = json.loads(path.read_text())
+    codes = np.zeros((doc["m"], doc["n"], doc["pixels_y"], doc["pixels_x"]), dtype=np.uint16)
+    for entry in doc["images"]:
+        codes[entry["p"], entry["q"]] = read_pgm(path.parent / entry["file"])
+    return codes
+
+
+def _write_dense_manifest(out, codes):
+    """A manifest in the layout written before ``zero_images``: one PGM per
+    lenslet of the 2 x 2 array of ``_saved_2x2``, zero or not."""
+    out.mkdir()
+    entries = []
+    for p in range(2):
+        for q in range(2):
+            write_pgm16(out / f"e_{p:02d}_{q:02d}.pgm", codes[p, q])
+            entries.append({"p": p, "q": q, "file": f"e_{p:02d}_{q:02d}.pgm"})
+    doc = {"m": 2, "n": 2, "pitch_x_mm": 10.0, "pitch_y_mm": 10.0, "g_mm": 50.0,
+           "f_mm": 35.0, "wavelength_nm": 550.0, "pixel_pitch_mm": 0.5,
+           "pixels_x": codes.shape[3], "pixels_y": codes.shape[2], "images": entries}
+    (out / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+    return out / "manifest.json"
+
+
+def test_manifest_stores_only_images_that_hold_light(tmp_path):
+    eis = capture(point_source_scene(200.0), cfg4(), 8, 8, pixel_pitch_mm=1.0)
+    dense = to_codes(eis.images, float(eis.images.max()))
+    nonzero = int((dense.max(axis=(2, 3)) > 0).sum())
+    assert nonzero == 9
+    path = manifest_io.save_elemental_set(eis, tmp_path / "set")
+    assert len(list(path.parent.iterdir())) == nonzero + 1
+    np.testing.assert_array_equal(manifest_io.load_elemental_set(path).images, dense)
+    np.testing.assert_array_equal(_read_listed_images(path), dense)
+    # each stored file holds the bytes that one PGM per lenslet had
+    (tmp_path / "dense").mkdir()
+    for entry in json.loads(path.read_text())["images"]:
+        expected = tmp_path / "dense" / entry["file"]
+        write_pgm16(expected, dense[entry["p"], entry["q"]])
+        assert (path.parent / entry["file"]).read_bytes() == expected.read_bytes()
+
+
+def test_manifest_omits_image_whose_codes_round_to_zero(tmp_path):
+    # peak 65535 keeps the intensities as codes: 0.4 rounds to 0, 0.6 to 1
+    images = np.zeros((2, 2, 3, 4))
+    images[0, 0] = 65535.0
+    images[0, 1] = 0.4
+    images[1, 0, 2, 3] = 0.6
+    path = _saved_2x2(tmp_path, images)
+    doc = json.loads(path.read_text())
+    assert [[e["p"], e["q"]] for e in doc["images"]] == [[0, 0], [1, 0]]
+    assert doc["zero_images"] == [[0, 1], [1, 1]]
+    assert sorted(p.name for p in tmp_path.glob("e_*.pgm")) == ["e_00_00.pgm", "e_01_00.pgm"]
+    np.testing.assert_array_equal(manifest_io.load_elemental_set(path).images,
+                                  to_codes(images, 65535.0))
+
+
+def test_manifest_of_all_zero_set_has_no_image_file(tmp_path):
+    path = _saved_2x2(tmp_path, np.zeros((2, 2, 3, 4)))
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    doc = json.loads(path.read_text())
+    assert doc["images"] == [] and doc["zero_images"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    back = manifest_io.load_elemental_set(path)
+    assert back.images.dtype == np.uint16
+    np.testing.assert_array_equal(back.images, np.zeros((2, 2, 3, 4)))
+
+
+def test_manifest_ignores_stale_image_of_earlier_save(tmp_path):
+    _saved_2x2(tmp_path, np.ones((2, 2, 3, 4)))
+    images = np.ones((2, 2, 3, 4))
+    images[1, 0] = 0.0
+    path = _saved_2x2(tmp_path, images)
+    assert (tmp_path / "e_01_00.pgm").exists()  # the earlier save's, with codes 65535
+    assert json.loads(path.read_text())["zero_images"] == [[1, 0]]
+    np.testing.assert_array_equal(manifest_io.load_elemental_set(path).images,
+                                  to_codes(images, 1.0))
+
+
+def test_manifest_without_zero_images_key_loads(tmp_path):
+    codes = np.random.default_rng(7).integers(0, 65536, size=(2, 2, 5, 3), dtype=np.uint16)
+    codes[0, 1] = 0  # stored as a file, as every image was
+    path = _write_dense_manifest(tmp_path / "dense", codes)
+    back = manifest_io.load_elemental_set(path)
+    np.testing.assert_array_equal(back.images, codes)
+    assert back.capture_config == OpticalSystemConfig(
+        m=2, n=2, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0, focal_length_mm=35.0)
+
+
+BAD_ZERO_IMAGES = [
+    pytest.param([[True, 0]], "zero_images entry [True, 0] is not a [p, q] lenslet of the "
+                 "4 x 4 array", id="bool"),
+    pytest.param([[0, 1.0]], "zero_images entry [0, 1.0] is not a [p, q] lenslet of the "
+                 "4 x 4 array", id="float"),
+    pytest.param([[0]], "zero_images entry [0] is not a [p, q] lenslet of the 4 x 4 array",
+                 id="one-index"),
+    pytest.param([[0, 0, 0]], "zero_images entry [0, 0, 0] is not a [p, q] lenslet of the "
+                 "4 x 4 array", id="three-indices"),
+    pytest.param([{"p": 0, "q": 0}], "zero_images entry {'p': 0, 'q': 0} is not a [p, q] "
+                 "lenslet of the 4 x 4 array", id="object"),
+    pytest.param([[4, 0]], "zero_images entry [4, 0] is not a [p, q] lenslet of the "
+                 "4 x 4 array", id="p=m"),
+    pytest.param([[0, -1]], "zero_images entry [0, -1] is not a [p, q] lenslet of the "
+                 "4 x 4 array", id="q=-1"),
+    pytest.param([[0, 0]], "zero_images entry [0, 0] is listed more than once",
+                 id="repeated"),
+    pytest.param([[1, 2]], "image entry (p=1, q=2) is listed more than once",
+                 id="also-an-image"),
+]
+
+
+@pytest.mark.parametrize("extra, message", BAD_ZERO_IMAGES)
+def test_manifest_rejects_bad_zero_images_entry(tmp_path, extra, message):
+    # the point capture's 7 dark lenslets plus one entry that is not a new one
+    path = manifest_io.save_elemental_set(
+        capture(point_source_scene(200.0), cfg4(), 8, 8, pixel_pitch_mm=1.0), tmp_path)
+    doc = json.loads(path.read_text())
+    doc["zero_images"] += extra
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        manifest_io.load_elemental_set(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("key", ["images", "zero_images"])
+def test_manifest_rejects_image_list_that_is_not_a_list(tmp_path, key):
+    # an integer had raised a bare TypeError that named no file
+    path = _saved_2x2(tmp_path, np.ones((2, 2, 3, 4)))
+    doc = json.loads(path.read_text())
+    doc[key] = 5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        manifest_io.load_elemental_set(path)
+    assert str(err.value) == f"{path}: the manifest: {key} must be a list, got 5"
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +641,7 @@ def test_cli_synth_rejects_zero_pixel_pitch(tmp_path, caplog):
 # CLI end to end
 
 
-def test_cli_synth_analyze_reconstruct(tmp_path):
+def test_cli_synth_analyze_reconstruct(tmp_path, caplog):
     config = write_config(
         tmp_path,
         plane={"theta_x_deg": 0.0, "D_mm": 200.0,
@@ -506,12 +651,15 @@ def test_cli_synth_analyze_reconstruct(tmp_path):
     )
     scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}]})
     out = tmp_path / "cap"
+    caplog.set_level(logging.INFO, logger="tiltview")
     rc = main(["synth", "--config", str(config), "--scene", str(scene),
                "--out", str(out), "--pixels-x", "64", "--pixels-y", "64",
                "--pixel-pitch-mm", "0.15"])
     assert rc == 0
-    assert (out / "manifest.json").exists()
-    assert len(list(out.glob("e_*.pgm"))) == 16
+    # the point reaches 9 of the 16 images; the other 7 are listed, without a file
+    assert len(list(out.glob("e_*.pgm"))) == 9
+    assert len(json.loads((out / "manifest.json").read_text())["zero_images"]) == 7
+    assert f"wrote {out / 'manifest.json'} (9 images stored, 7 all-zero, " in caplog.text
 
     scan_out = tmp_path / "scan"
     rc = main(["analyze", "--config", str(config), "--out", str(scan_out)])
@@ -960,11 +1108,13 @@ def run_tilt_sweep(monkeypatch, mode, out):
     assert done.value.code == 0
 
 
-def test_geometric_sweep_matches_golden_outputs(tmp_path, monkeypatch):
+def test_geometric_sweep_matches_golden_outputs(tmp_path, monkeypatch, capsys):
     # the six planes of scripts/run_tilt_sweep.py in geometric mode: no FFT or
     # BLAS runs, so every PGM and sidecar keeps its bytes
     out = tmp_path / "sweep"
     run_tilt_sweep(monkeypatch, "geometric", out)
+    assert ("captured 16x16 elemental images, 81 stored and 175 all-zero -> "
+            f"{out / 'capture' / 'manifest.json'}\n") in capsys.readouterr().out
     golden = ROOT / "tests" / "golden" / "tilt_sweep_geometric"
     names = sorted(p.name for p in golden.iterdir())
     assert names == sorted(p.name for p in out.iterdir() if p.is_file())
@@ -1062,7 +1212,8 @@ def test_cli_synth_is_byte_deterministic(tmp_path):
         assert main(["synth", "--config", str(config), "--scene", str(scene),
                      "--out", str(out), "--pixel-pitch-mm", "0.15"]) == 0
         files = sorted(out.glob("e_*.pgm"))
-        assert len(files) == 16
+        assert len(files) == 9  # the images the point reaches
+        files.append(out / "manifest.json")
         outs.append(b"".join(p.read_bytes() for p in files))
     assert outs[0] == outs[1]
 
