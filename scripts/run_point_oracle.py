@@ -5,10 +5,14 @@ A point source at the 360 mm beam focus is pinhole-captured with a 4x4
 array, reconstructed in diffraction mode at the same depth, and the radial
 extent of the reconstructed spot is compared with the analyzer's
 prediction at normal view. The two should agree within tens of percent;
-the residual is the back-projected display-pixel footprint.
+the residual is the back-projected display-pixel footprint. It also prints
+the capture's lit pixels and the process's peak resident memory.
 """
 
 import argparse
+import resource
+
+import numpy as np
 
 from tiltview.optics import OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec
 from tiltview.reconstruction import reconstruct
@@ -38,6 +42,12 @@ def main() -> int:
     print(f"reconstructed spot extent: {measured * 1e3:8.2f} um")
     print(f"analyzer prediction:       {predicted * 1e3:8.2f} um")
     print(f"ratio:                     {measured / predicted:8.3f}")
+    lit = sum(int(np.count_nonzero(block)) for block in eis.blocks.values())
+    print(f"lit elemental pixels:      {lit:8d} (in {len(eis.blocks)} windows of "
+          f"{cfg.m * cfg.n} images of {args.pixels}^2)")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS:                  "
+          f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:8.1f} MiB")
     return 0
 
 

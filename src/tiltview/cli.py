@@ -74,7 +74,7 @@ class RunConfig:
             pl = read_block(doc["plane"], path, block, required=("D_mm", "grid"),
                             optional=("theta_x_deg", "theta_y_deg"))
             grid = read_block(pl["grid"], path, "the plane.grid block", required=GRID_KEYS)
-            plane = build(TiltedPlaneSpec, path, block,
+            plane = build(TiltedPlaneSpec, path, block, {"axial_offset_mm": "D_mm"},
                           theta_x_deg=pl.get("theta_x_deg", 0.0),
                           theta_y_deg=pl.get("theta_y_deg", 0.0),
                           axial_offset_mm=pl["D_mm"],

@@ -32,31 +32,37 @@ FIXED_KEYS = {"aperture_shape": "ellipse", "focus_epsilon": FOCUS_BAND}
 
 def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
     """Write the manifest and the PGM of each image that holds a nonzero code;
-    returns the manifest path."""
+    returns the manifest path. Each PGM is a whole image: its block's codes
+    at the block's window, and zeros around it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = eis.capture_config
-    maxima = eis.images.max(axis=(2, 3))
-    peak = float(maxima.max())
+    maxima = {lenslet: block.max(initial=0) for lenslet, block in eis.blocks.items()}
+    peak = float(max(maxima.values(), default=0.0))
     # scaling and rounding are monotone: an image's codes are all zero exactly
     # when the code of its maximum is
-    stored = to_codes(maxima, peak) > 0
-    entries = []
-    for p, q in np.argwhere(stored).tolist():
+    stored = sorted(lenslet for lenslet, top in maxima.items() if to_codes(top, peak) > 0)
+    entries, kept = [], set(stored)
+    for p, q in stored:
         name = f"e_{p:02d}_{q:02d}.pgm"
-        write_pgm16(out / name, to_codes(eis.images[p, q], peak))
+        (r0, r1), (c0, c1) = eis.row_spans[q], eis.col_spans[p]
+        codes = np.zeros((eis.pixels_y, eis.pixels_x), dtype=np.uint16)
+        codes[r0:r1, c0:c1] = to_codes(eis.blocks[p, q], peak)
+        write_pgm16(out / name, codes)
         entries.append({"p": p, "q": q, "file": name})
     manifest = {key: getattr(cfg, name) for name, key in GEOMETRY_KEYS.items()}
     manifest.update(pixel_pitch_mm=eis.pixel_pitch_mm, pixels_x=eis.pixels_x,
                     pixels_y=eis.pixels_y, images=entries,
-                    zero_images=np.argwhere(~stored).tolist())
+                    zero_images=[[p, q] for p in range(cfg.m) for q in range(cfg.n)
+                                 if (p, q) not in kept])
     path = out / MANIFEST_NAME
     write_json(manifest, path)
     return path
 
 
 def load_elemental_set(manifest_path) -> ElementalImageSet:
-    """Load a saved set; intensities come back as its uint16 codes (0..65535).
+    """Load a saved set; intensities come back as its uint16 codes (0..65535),
+    each stored image one whole block and each other lenslet without one.
 
     Every image must be a 16-bit PGM with maxval 65535, the scale the set
     was saved on. Each lenslet is listed once, in ``images`` or, all zero and
@@ -68,14 +74,13 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
         if man.get(key, value) != value:
             raise ConfigError(f"{path}: the manifest's {key} is {man[key]!r}, but only "
                               f"{value!r} can be reconstructed")
-    cfg = build(OpticalSystemConfig, path, "the manifest",
+    cfg = build(OpticalSystemConfig, path, "the manifest", GEOMETRY_KEYS,
                 **{name: man[key] for name, key in GEOMETRY_KEYS.items()})
     shape = (man["pixels_y"], man["pixels_x"])
     if not all(type(size) is int and size >= 1 for size in shape):
         raise ConfigError(f"{path}: the manifest: pixels_x and pixels_y must be integers "
                           f">= 1, got {man['pixels_x']!r} and {man['pixels_y']!r}")
-    images = np.zeros((cfg.m, cfg.n) + shape, dtype=np.uint16)
-    folder, seen = os.path.dirname(path), set()
+    blocks, folder, seen = {}, os.path.dirname(path), set()
     for key in ("images", "zero_images"):
         if type(man.get(key, [])) is not list:
             raise ConfigError(f"{path}: the manifest: {key} must be a list, got {man[key]!r}")
@@ -87,7 +92,11 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
         if tuple(pair) in seen:
             raise ValueError(f"{path}: zero_images entry {pair} is listed more than once")
         seen.add(tuple(pair))
-    for entry in man["images"]:
+    # one buffer holds the stored images in native byte order, each a block of
+    # it: an array per image made a load of 256 images ~2x slower (5.5 -> 11 ms
+    # in-process on a 2-core x86_64 host)
+    stored = np.empty((len(man["images"]),) + shape, dtype=np.uint16)
+    for entry, block in zip(man["images"], stored):
         entry = read_block(entry, path, "an image entry", required=("p", "q", "file"))
         p, q = entry["p"], entry["q"]
         # bool is an int subclass, and numpy reads a bool index as a mask, not a position
@@ -101,11 +110,12 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
         if codes.shape != shape:
             raise ValueError(f"{path}: image entry (p={p}, q={q}, file={name!r}) has shape "
                              f"{codes.shape}, but pixels_y x pixels_x is {shape}")
-        images[p, q] = codes
+        block[...] = codes
+        blocks[p, q] = block
         seen.add((p, q))
     missing = {(p, q) for p in range(cfg.m) for q in range(cfg.n)} - seen
     if missing:
         raise ValueError(f"{path}: the manifest is missing {len(missing)} elemental images, "
                          f"e.g. {sorted(missing)[0]}")
-    return build(ElementalImageSet, path, "the manifest", images=images,
-                 pixel_pitch_mm=man["pixel_pitch_mm"], capture_config=cfg)
+    return build(ElementalImageSet, path, "the manifest", blocks=blocks, pixels_y=shape[0],
+                 pixels_x=shape[1], pixel_pitch_mm=man["pixel_pitch_mm"], capture_config=cfg)

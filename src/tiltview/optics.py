@@ -12,6 +12,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import typing
 from dataclasses import dataclass
 
@@ -92,22 +93,28 @@ def path_string(value, path, block: str, key: str) -> str:
     return value
 
 
-def build(cls, path, block: str, **values):
+def build(cls, path, block: str, keys: dict[str, str] | None = None, /, **values):
     """``cls(**values)`` for a class or any other callable, with a rejected value
     reported as a ``ConfigError`` naming the file and the block. A JSON
     ``true`` or ``false`` for a parameter annotated ``float`` is rejected too:
-    a bool is an int, which would pass as 1 or 0."""
-    for key, value in values.items():
+    a bool is an int, which would pass as 1 or 0. ``keys`` maps a parameter
+    to the document's key for it where the two differ, and the message
+    names the key."""
+    keys = keys or {}
+    for name, value in values.items():
         if isinstance(value, bool):
-            param = inspect.signature(cls, eval_str=True).parameters.get(key)
+            param = inspect.signature(cls, eval_str=True).parameters.get(name)
             hint = param.annotation if param else None
             if float in (hint, *typing.get_args(hint)):
-                raise ConfigError(f"{path}: {block}: {key} must be a number, "
+                raise ConfigError(f"{path}: {block}: {keys.get(name, name)} must be a number, "
                                   f"got {json.dumps(value)}")
     try:
         return cls(**values)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {block}: {exc}") from exc
+        message = str(exc)
+        for name, key in keys.items():
+            message = re.sub(rf"\b{name}\b", key, message)
+        raise ConfigError(f"{path}: {block}: {message}") from exc
 
 
 @dataclass(frozen=True)
@@ -282,8 +289,8 @@ class TiltedPlaneSpec:
         if not (abs(self.theta_x_deg) < 90.0 and abs(self.theta_y_deg) < 90.0):
             raise ValueError("tilt angles must satisfy |theta| < 90 degrees")
         if not 0 < self.axial_offset_mm < math.inf:
-            raise ValueError(
-                f"axial offset must be positive and finite, got {self.axial_offset_mm!r}")
+            raise ValueError(f"axial offset must be positive and finite, "
+                             f"got axial_offset_mm={self.axial_offset_mm!r}")
 
     @property
     def theta_x_rad(self) -> float:

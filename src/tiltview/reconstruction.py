@@ -22,64 +22,112 @@ from .optics import (
 log = logging.getLogger(__name__)
 
 
+def raster_pitch(cfg: OpticalSystemConfig, pixels_y: int, pixels_x: int,
+                 pixel_pitch_mm: float | None = None) -> float:
+    """The pixel pitch of elemental images of ``pixels_y`` x ``pixels_x``
+    pixels behind the lenslets of ``cfg``: ``pixel_pitch_mm``, or when it is
+    None the largest that fits both lens pitches. Raises ``ValueError`` for
+    an image with no pixel, a pitch that is not positive and finite, or an
+    image wider than the lens pitch."""
+    if pixels_x < 1 or pixels_y < 1:
+        raise ValueError("elemental images need at least one pixel per axis")
+    if pixel_pitch_mm is None:
+        pixel_pitch_mm = min(cfg.pitch_x_mm / pixels_x, cfg.pitch_y_mm / pixels_y)
+    if not (math.isfinite(pixel_pitch_mm) and pixel_pitch_mm > 0):
+        raise ValueError(f"pixel pitch must be positive and finite, got {pixel_pitch_mm!r}")
+    if pixels_x * pixel_pitch_mm > cfg.pitch_x_mm * (1 + 1e-12):
+        raise ValueError("elemental image wider than the lens pitch in x")
+    if pixels_y * pixel_pitch_mm > cfg.pitch_y_mm * (1 + 1e-12):
+        raise ValueError("elemental image wider than the lens pitch in y")
+    return pixel_pitch_mm
+
+
 @dataclass
 class ElementalImageSet:
-    """m x n grid of elemental images with a shared physical pixel pitch.
+    """m x n grid of elemental images of ``pixels_y`` x ``pixels_x`` pixels
+    with a shared physical pixel pitch, held as separable windows.
 
-    ``images[p][q]`` is a 2D array indexed ``[row, col]``; row 0 is the top
-    of the image (largest y) and columns run along +x. A set loaded from a
-    manifest holds its 16-bit codes as ``uint16`` (2 bytes per pixel); any
-    other input, such as a capture, is held as float64. The back-projection
-    copies only the images of the lenslets it visits (``padded``) and
-    converts to float only the pixels it reads from them (``gather``).
+    Row 0 of an image is its top (largest y) and columns run along +x.
+    ``row_spans[q]`` is the [start, stop) range of pixel rows of the images
+    of lenslet column q, and ``col_spans[p]`` that of pixel columns of
+    lenslet row p; without them every image is whole. ``blocks[p, q]`` holds
+    the pixels of image (p, q) inside its rows and columns, shape
+    (rows of q, columns of p), and every pixel outside them is 0; a lenslet
+    without a block is all zero. The windows are separable because a
+    projection's pixel row depends on the lenslet column only and its pixel
+    column on the lenslet row. A set loaded from a manifest holds each
+    stored image whole as its 16-bit codes in ``uint16`` (2 bytes per
+    pixel); any other block, such as a capture's, is held as float64. The
+    back-projection copies only the blocks of the lenslets it visits
+    (``padded``) and converts to float only the pixels it reads from them
+    (``gather``).
     """
 
-    images: np.ndarray  # shape (m, n, pixels_y, pixels_x)
+    blocks: dict[tuple[int, int], np.ndarray]
+    pixels_y: int
+    pixels_x: int
     pixel_pitch_mm: float
     capture_config: OpticalSystemConfig
+    row_spans: np.ndarray | None = None  # shape (n, 2)
+    col_spans: np.ndarray | None = None  # shape (m, 2)
 
     def __post_init__(self):
-        images = np.asarray(self.images)
-        self.images = images if images.dtype == np.uint16 else images.astype(float, copy=False)
         cfg = self.capture_config
-        if self.images.ndim != 4 or self.images.shape[:2] != (cfg.m, cfg.n):
-            raise ValueError(
-                f"expected images of shape ({cfg.m}, {cfg.n}, pixels_y, pixels_x), "
-                f"got {self.images.shape}"
-            )
-        if not (math.isfinite(self.pixel_pitch_mm) and self.pixel_pitch_mm > 0):
-            raise ValueError(f"pixel pitch must be positive and finite, "
-                             f"got {self.pixel_pitch_mm!r}")
-        if self.images.dtype != np.uint16:  # codes are finite and nonnegative
-            # NaN fails both comparisons: min and max propagate it
-            lo, hi = self.images.min(), self.images.max()
-            if not (lo >= 0 and hi < math.inf):
-                raise ValueError(f"elemental intensities must be finite and nonnegative, "
-                                 f"got values from {float(lo)} to {float(hi)}")
-        if self.pixels_x * self.pixel_pitch_mm > cfg.pitch_x_mm * (1 + 1e-12):
-            raise ValueError("elemental image wider than the lens pitch in x")
-        if self.pixels_y * self.pixel_pitch_mm > cfg.pitch_y_mm * (1 + 1e-12):
-            raise ValueError("elemental image wider than the lens pitch in y")
-
-    @property
-    def pixels_x(self) -> int:
-        return self.images.shape[3]
-
-    @property
-    def pixels_y(self) -> int:
-        return self.images.shape[2]
+        raster_pitch(cfg, self.pixels_y, self.pixels_x, self.pixel_pitch_mm)
+        spans = {}
+        for name, count, size in (("row_spans", cfg.n, self.pixels_y),
+                                  ("col_spans", cfg.m, self.pixels_x)):
+            given = getattr(self, name)
+            span = np.tile([0, size], (count, 1)) if given is None else np.asarray(given)
+            if (span.shape != (count, 2) or span.dtype.kind not in "iu"
+                    or not np.all((0 <= span[:, 0]) & (span[:, 0] <= span[:, 1])
+                                  & (span[:, 1] <= size))):
+                raise ValueError(f"{name} must hold a [start, stop) range of the {size} "
+                                 f"pixels for each of the {count} lenslets, got {given!r}")
+            spans[name] = span.astype(np.intp, copy=False)
+        self.row_spans, self.col_spans = spans["row_spans"], spans["col_spans"]
+        blocks, rows, cols = {}, self.row_spans.tolist(), self.col_spans.tolist()
+        for lenslet, block in self.blocks.items():
+            if not (type(lenslet) is tuple and len(lenslet) == 2
+                    and type(lenslet[0]) is int and type(lenslet[1]) is int
+                    and 0 <= lenslet[0] < cfg.m and 0 <= lenslet[1] < cfg.n):
+                raise ValueError(f"block key {lenslet!r} is not a (p, q) lenslet of the "
+                                 f"{cfg.m} x {cfg.n} array")
+            p, q = lenslet
+            block = np.asarray(block)
+            (r0, r1), (c0, c1) = rows[q], cols[p]
+            if block.shape != (r1 - r0, c1 - c0):
+                raise ValueError(f"block {lenslet} has shape {block.shape}, but its window "
+                                 f"is {r1 - r0} x {c1 - c0} pixels")
+            if block.dtype != np.uint16:  # codes are finite and nonnegative
+                block = block.astype(float, copy=False)
+                # NaN fails both comparisons: min and max propagate it
+                lo, hi = block.min(initial=0.0), block.max(initial=0.0)
+                if not (lo >= 0 and hi < math.inf):
+                    raise ValueError(f"elemental intensities must be finite and nonnegative, "
+                                     f"got values from {float(lo)} to {float(hi)}")
+            blocks[lenslet] = block
+        self.blocks = blocks
 
     def padded(self, p: slice, q: slice) -> np.ndarray:
-        """Copies of the images of lenslet rows ``p`` and columns ``q``
-        (slices), shape (rows of p, columns of q, pixels_y + 5, pixels_x + 5),
-        each inside the zero border that ``gather`` reads for a corner
-        outside it. They keep the set's dtype: uint16 codes stay 2 bytes a
-        pixel."""
-        images = self.images[p, q]
-        rows, cols = self.pixels_y, self.pixels_x
-        out = np.zeros(images.shape[:2] + (rows + 2 * _BORDER + 1, cols + 2 * _BORDER + 1),
-                       dtype=images.dtype)
-        out[..., _BORDER:_BORDER + rows, _BORDER:_BORDER + cols] = images
+        """The blocks of lenslet rows ``p`` and columns ``q`` (slices), shape
+        (rows of p, columns of q, H + 5, W + 5), with H the most pixel rows
+        of the columns of q and W the most pixel columns of the rows of p.
+        Each block sits at its own window's offset 0, inside the zero border
+        that ``gather`` reads for a corner outside it; a lenslet without a
+        block is all zero. They keep the blocks' dtype: uint16 codes stay 2
+        bytes a pixel."""
+        p, q = range(self.capture_config.m)[p], range(self.capture_config.n)[q]
+        rows, cols = self.row_spans[q.start:q.stop], self.col_spans[p.start:p.stop]
+        height = int((rows[:, 1] - rows[:, 0]).max())
+        width = int((cols[:, 1] - cols[:, 0]).max())
+        chosen = {(i, j): block for (i, j), block in self.blocks.items() if i in p and j in q}
+        dtype = np.result_type(*chosen.values()) if chosen else np.float64
+        out = np.zeros((len(p), len(q), height + 2 * _BORDER + 1, width + 2 * _BORDER + 1),
+                       dtype=dtype)
+        for (i, j), block in chosen.items():
+            out[i - p.start, j - q.start, _BORDER:_BORDER + block.shape[0],
+                _BORDER:_BORDER + block.shape[1]] = block
         return out
 
 
@@ -131,6 +179,17 @@ def gather(padded: np.ndarray, k: int, row, col) -> np.ndarray:
     flat = padded.reshape(-1)
     return (vr * vc * flat.take(at) + vr * wc * flat[1:].take(at)
             + wr * vc * flat[width:].take(at) + wr * wc * flat[width + 1:].take(at))
+
+
+def into_window(lower: np.ndarray, start: int, size: int) -> np.ndarray:
+    """``corner``'s lower indices along one axis of an image, moved in place
+    to a window of that axis that starts at pixel ``start``, in a ``padded``
+    stack of ``size`` pixels along it. An index past the zero border around
+    the window is clipped into it: both its corners lie outside the window,
+    where the image is 0, and both still read 0.0."""
+    lower -= start
+    np.maximum(lower, -_BORDER, out=lower)  # two ufuncs take half np.clip's time
+    return np.minimum(lower, size - _BORDER - 2, out=lower)
 
 
 @dataclass
@@ -196,9 +255,11 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     sample fixes its global x, and its plane y its global y. So the row
     corners depend on the lenslet column and the sample only, and are built
     once per column; the column corners once per lenslet row; the depth
-    terms of the pixel distance once per plane. The images of the visited
+    terms of the pixel distance once per plane. The blocks of the visited
     lenslets are copied once into a zero-padded stack
-    (``ElementalImageSet.padded``) and sampled with ``gather``.
+    (``ElementalImageSet.padded``) and sampled with ``gather``, each corner's
+    lower index moved from the image to the window of its column or row
+    (``into_window``).
     """
     cfg = eis.capture_config
     g = cfg.gap_mm
@@ -220,7 +281,7 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
         # a lenslet between two visited ones that reaches no sample, as where the
         # windows are narrower than the sample pitch, is copied but not visited
         stack = eis.padded(slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-        stride, width = cols[-1] + 1 - cols[0], stack.shape[-1]
+        stride, (height, width) = cols[-1] + 1 - cols[0], stack.shape[-2:]
         axial, spread = cfg.pixel_distance_terms(depth)
         # the plane samples any visited row (x) or column (y) reaches
         x0, x1 = x_lo[rows[0]], x_hi[rows[-1]]
@@ -230,9 +291,11 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
             ys_q = slice(y_lo[q], y_hi[q])
             dy = gy[0, ys_q] - cy[q]
             v = cy[q] - dy / M[x0:x1, ys_q]
-            # the lower corner's row offset within a padded image, scaled in
-            # place: a temporary per column raised the sweep's peak RSS ~0.3 MB
+            # the lower corner's row offset within the column's window in a padded
+            # image, moved and scaled in place: a temporary per column raised the
+            # sweep's peak RSS ~0.3 MB
             at, *weights = corner(v - cy[q], pitch, eis.pixels_y, "row")
+            into_window(at, eis.row_spans[q, 0], height)
             at *= width
             row_corners.append((at, *weights))
             dy_sq.append(dy ** 2)
@@ -241,6 +304,7 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
             dx = gx[xs_p, 0] - cx[p]
             u = cx[p] - dx[:, None] / M[xs_p, y0:y1]
             col_corners = corner(u - cx[p], pitch, eis.pixels_x, "col")
+            into_window(col_corners[0], eis.col_spans[p, 0], width)
             dx_sq = dx[:, None] ** 2
             in_x = slice(x_lo[p] - x0, x_hi[p] - x0)
             for j, q in enumerate(cols):  # fixed lexicographic (p, q) order

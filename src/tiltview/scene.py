@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optics import OpticalSystemConfig
-from .reconstruction import ElementalImageSet, corner, pixel_centers
+from .reconstruction import ElementalImageSet, corner, pixel_centers, raster_pitch
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,6 @@ class PointEmitter:
 def _on_texels(f, count: int):
     """Whether fractional texel indices ``f`` lie on an axis of ``count`` texels."""
     return (f >= 0) & (f <= count - 1)
-
-
-def _span(on: np.ndarray) -> slice:
-    """The range from the first to the last true entry of a 1D mask."""
-    seen = np.flatnonzero(on)
-    return slice(seen[0], seen[-1] + 1)
 
 
 @dataclass(frozen=True)
@@ -110,6 +104,22 @@ def point_source_scene(D_mm: float) -> Scene:
     return Scene(points=[PointEmitter(0.0, 0.0, D_mm, 1.0)])
 
 
+def _windows(on: np.ndarray) -> np.ndarray:
+    """The [start, stop) range from the first to the last true entry of each
+    row of a 2D mask, [0, 0) for a row with none."""
+    seen = on.any(axis=1)
+    start = np.where(seen, on.argmax(axis=1), 0)
+    stop = np.where(seen, on.shape[1] - on[:, ::-1].argmax(axis=1), 0)
+    return np.stack([start, stop], axis=1)
+
+
+def _ranges(on: np.ndarray) -> list[tuple[int, slice]]:
+    """Each row of a 2D mask that holds a true entry, and the range from its
+    first to its last one."""
+    return [(i, slice(start, stop)) for i, (start, stop) in enumerate(_windows(on).tolist())
+            if stop > start]
+
+
 def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
                         pixels_x: int, pixels_y: int,
                         pixel_pitch_mm: float | None = None) -> tuple[ElementalImageSet, int]:
@@ -123,16 +133,25 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     image are dropped and counted. Emitters are projected through the whole
     lenslet grid at once; planes are sampled one lenslet at a time, over the
     pixel rows and columns of that lenslet whose view lands on the texture.
+
+    Every projection is found before a pixel is stored, and the set holds
+    only the windows they reach (``ElementalImageSet``): for each lenslet
+    that receives a deposit or sees a plane, the pixel rows that its
+    lenslet column reaches times the pixel columns that its lenslet row
+    reaches. The deposits go into those blocks emitter by emitter and
+    corner by corner, and the plane samples after them, so every pixel gets
+    the additions, in the order, that a whole image would.
     """
-    if pixels_x < 1 or pixels_y < 1:
-        raise ValueError("elemental images need at least one pixel per axis")
-    if pixel_pitch_mm is None:
-        pixel_pitch_mm = min(cfg.pitch_x_mm / pixels_x, cfg.pitch_y_mm / pixels_y)
-    eis = ElementalImageSet(images=np.zeros((cfg.m, cfg.n, pixels_y, pixels_x)),
-                            pixel_pitch_mm=pixel_pitch_mm, capture_config=cfg)
-    images, vignetted, g = eis.images, 0, cfg.gap_mm
+    pixel_pitch_mm = raster_pitch(cfg, pixels_y, pixels_x, pixel_pitch_mm)
+    vignetted, g = 0, cfg.gap_mm
     cx, cy = cfg.lenslet_centers()
     P, Q = np.ogrid[:cfg.m, :cfg.n]
+    # the pixel rows of each lenslet column and the pixel columns of each
+    # lenslet row that a deposit or a plane sample reaches, and the lenslets
+    rows_reached = np.zeros((cfg.n, pixels_y), dtype=bool)
+    cols_reached = np.zeros((cfg.m, pixels_x), dtype=bool)
+    lit = np.zeros((cfg.m, cfg.n), dtype=bool)
+    deposits = []
     for pt in scene.points:
         dx, dy = pt.x_mm - cx[P], pt.y_mm - cy[Q]
         # float_power squares with C pow, as ** on Python floats does (numpy's **
@@ -157,12 +176,16 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
         for row, row_w in ((r0, vr), (r0 + 1, wr)):
             for col, col_w in ((c0, vc), (c0 + 1, wc)):
                 inside = (row >= 0) & (row < pixels_y) & (col >= 0) & (col < pixels_x)
-                np.add.at(images, (P, Q, np.clip(row, 0, pixels_y - 1),
-                                   np.clip(col, 0, pixels_x - 1)),
-                          np.where(inside, value * (row_w * col_w), 0.0))
+                # the lenslet columns and rows this corner lands in
+                qs, ps = (np.flatnonzero(inside.any(axis=axis)) for axis in (0, 1))
+                rows_reached[qs, row[0, qs]] = True
+                cols_reached[ps, col[ps, 0]] = True
+                deposits.append((row, col, inside, value * (row_w * col_w)))
                 hit |= inside
         vignetted += hit.size - int(hit.sum())
+        lit |= hit
     du, dv = pixel_centers(pixel_pitch_mm, pixels_y, pixels_x)
+    views = []
     for plane in scene.planes:
         # pixel (du, dv) sees the plane point x = cx - du z/g, y = cy - dv z/g
         sx, sy = du * plane.z_mm / g, dv * plane.z_mm / g
@@ -173,12 +196,33 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
         fc, fr = plane._texel(cx[:, None] - sx, cy[:, None] - sy)
         tex_rows, tex_cols = plane.texture.shape
         cols_on, rows_on = _on_texels(fc, tex_cols), _on_texels(fr, tex_rows)
-        pixel_rows = [(q, _span(rows_on[q])) for q in np.flatnonzero(rows_on.any(axis=1))]
-        for p in np.flatnonzero(cols_on.any(axis=1)):
-            c = _span(cols_on[p])
+        pixel_rows, pixel_cols = _ranges(rows_on), _ranges(cols_on)
+        if pixel_rows and pixel_cols:
+            rows_reached |= rows_on
+            cols_reached |= cols_on
+            lit |= cols_on.any(axis=1)[:, None] & rows_on.any(axis=1)
+            views.append((plane, sx, sy, pixel_rows, pixel_cols))
+    # one buffer holds the blocks of the lit lenslets, each (rows of q) x (columns of p)
+    row_spans, col_spans = _windows(rows_reached), _windows(cols_reached)
+    heights, widths = np.diff(row_spans)[:, 0], np.diff(col_spans)[:, 0]
+    sizes = np.where(lit, widths[P] * heights[Q], 0)
+    offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    buffer = np.zeros(int(sizes.sum()))
+    blocks = {(p, q): buffer[offsets[p, q]:offsets[p, q] + sizes[p, q]].reshape(
+        heights[q], widths[p]) for p, q in np.argwhere(lit).tolist()}
+    for row, col, inside, deposit in deposits:
+        at = offsets + (row - row_spans[Q, 0]) * widths[P] + (col - col_spans[P, 0])
+        buffer[at[inside]] += deposit[inside]
+    for plane, sx, sy, pixel_rows, pixel_cols in views:
+        for p, c in pixel_cols:
             x = cx[p] - sx[c]
+            c0 = col_spans[p, 0]
             for q, r in pixel_rows:
-                images[p, q, r, c] += plane.sample(x, cy[q] - sy[r, None])
+                r0 = row_spans[q, 0]
+                blocks[p, q][r.start - r0:r.stop - r0, c.start - c0:c.stop - c0] += \
+                    plane.sample(x, cy[q] - sy[r, None])
+    eis = ElementalImageSet(blocks, pixels_y, pixels_x, pixel_pitch_mm, cfg,
+                            row_spans=row_spans, col_spans=col_spans)
     return eis, vignetted
 
 

@@ -42,6 +42,8 @@ from tiltview.reconstruction import PSFKernel, psf_builder, reconstruct
 from tiltview.resolution import extract_fov, radial_extent, scan_resolution
 from tiltview.scene import Scene, TexturedPlane, capture, point_source_scene
 
+from elemental_sets import dense
+
 REAL_VIRTUAL = OpticalSystemConfig(
     m=16, n=16, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0, focal_length_mm=35.0
 )
@@ -290,7 +292,7 @@ def test_criterion_8_reductions_and_determinism(monkeypatch):
     X, Y = np.meshgrid(grid.xs(), grid.ys(), indexing="ij")
     M = 200.0 / cfg.gap_mm
     rows, cols, pitch = eis.pixels_y, eis.pixels_x, eis.pixel_pitch_mm
-    loop = np.zeros_like(X)
+    loop, images = np.zeros_like(X), dense(eis)
     centers_x, centers_y = cfg.lenslet_centers()
     for p in range(cfg.m):
         for q in range(cfg.n):
@@ -304,7 +306,7 @@ def test_criterion_8_reductions_and_determinism(monkeypatch):
                 r, c = r0 + dr, c0 + dc
                 inside = (r >= 0) & (r < rows) & (c >= 0) & (c < cols)
                 w = (wr if dr else 1.0 - wr) * (wc if dc else 1.0 - wc)
-                pixel = eis.images[p, q, np.clip(r, 0, rows - 1), np.clip(c, 0, cols - 1)]
+                pixel = images[p, q, np.clip(r, 0, rows - 1), np.clip(c, 0, cols - 1)]
                 vals += np.where(inside, w * pixel, 0.0)
             loop += vals / ((200.0 + cfg.gap_mm) ** 2
                             + ((X - cx) ** 2 + (Y - cy) ** 2) * (1.0 + 1.0 / M) ** 2)

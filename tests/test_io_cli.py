@@ -22,8 +22,9 @@ from tiltview import manifest as manifest_io
 from tiltview.cli import ConfigError, RunConfig, build_parser, load_scene, main
 from tiltview.optics import OpticalSystemConfig
 from tiltview.pgm import MAXVAL_16, read_pgm, to_codes, write_pgm16
-from tiltview.reconstruction import ElementalImageSet
 from tiltview.scene import PointEmitter, Scene, capture, point_source_scene
+
+from elemental_sets import dense, elemental_set
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,12 +171,12 @@ def test_manifest_roundtrip(tmp_path):
     # the save-side normalization without loss
     images = rng.integers(0, 65535, size=(4, 4, 6, 5)).astype(float)
     images[0, 0, 0, 0] = 65535.0
-    eis = ElementalImageSet(images, 0.5, cfg)
+    eis = elemental_set(images, 0.5, cfg)
     path = manifest_io.save_elemental_set(eis, tmp_path)
     assert path.name == "manifest.json"
     assert len(list(tmp_path.glob("e_*.pgm"))) == 16
     back = manifest_io.load_elemental_set(path)
-    np.testing.assert_array_equal(back.images, images)
+    np.testing.assert_array_equal(dense(back), images)
     assert back.pixel_pitch_mm == eis.pixel_pitch_mm
     assert back.capture_config.gap_mm == cfg.gap_mm
     assert back.capture_config.m == 4
@@ -201,7 +202,7 @@ def test_manifest_round_trips_capture_config(tmp_path):
     # the counts, the pitches per axis and the wavelength all differ from the 16x16 configs
     cfg = OpticalSystemConfig(m=2, n=3, pitch_x_mm=10.0, pitch_y_mm=8.0, gap_mm=50.0,
                               focal_length_mm=35.0, wavelength_nm=633.0)
-    eis = ElementalImageSet(np.ones((2, 3, 4, 4)), 0.5, cfg)
+    eis = elemental_set(np.ones((2, 3, 4, 4)), 0.5, cfg)
     back = manifest_io.load_elemental_set(manifest_io.save_elemental_set(eis, tmp_path))
     assert back.capture_config == cfg
 
@@ -268,11 +269,12 @@ def test_manifest_resave_of_loaded_set_is_byte_identical(tmp_path):
     eis = capture(Scene(points=[PointEmitter(x, y, 200.0 + 40.0 * x, 1.0 + y)
                                 for x in (-3.0, 1.0) for y in (0.0, 2.5)]),
                   cfg4(), 8, 6, pixel_pitch_mm=1.0)
-    assert eis.images.dtype == np.float64  # a capture stays float
+    assert all(block.dtype == np.float64 for block in eis.blocks.values())  # a capture stays float
     first = manifest_io.save_elemental_set(eis, tmp_path / "a")
     loaded = manifest_io.load_elemental_set(first)
     # a loaded set holds its 16-bit codes, 2 bytes per pixel
-    assert loaded.images.dtype == np.uint16 and loaded.images.itemsize == 2
+    assert all(block.dtype == np.uint16 and block.itemsize == 2
+               for block in loaded.blocks.values())
     manifest_io.save_elemental_set(loaded, tmp_path / "b")
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     # the manifest and the 12 images the points reach; q = 0 stays dark
@@ -299,7 +301,7 @@ def test_manifest_rejects_image_that_is_not_16bit(tmp_path, maxval):
 def _saved_2x2(tmp_path, images):
     cfg = OpticalSystemConfig(m=2, n=2, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0,
                               focal_length_mm=35.0)
-    return manifest_io.save_elemental_set(ElementalImageSet(images, 0.5, cfg), tmp_path)
+    return manifest_io.save_elemental_set(elemental_set(images, 0.5, cfg), tmp_path)
 
 
 def test_manifest_rejects_image_of_another_shape(tmp_path):
@@ -318,8 +320,8 @@ def test_manifest_round_trips_full_code_range(tmp_path):
     codes = np.random.default_rng(5).integers(0, 65536, size=(2, 2, 6, 7), dtype=np.uint16)
     codes[0, 0, 0, :4] = [0, 0x00FF, 0xFF00, MAXVAL_16]
     back = manifest_io.load_elemental_set(_saved_2x2(tmp_path, codes))
-    assert back.images.dtype == np.uint16
-    np.testing.assert_array_equal(back.images, codes)
+    assert all(block.dtype == np.uint16 for block in back.blocks.values())
+    np.testing.assert_array_equal(dense(back), codes)
 
 
 def test_manifest_loads_commented_headers_and_ignores_bytes_past_the_raster(tmp_path):
@@ -334,7 +336,7 @@ def test_manifest_loads_commented_headers_and_ignores_bytes_past_the_raster(tmp_
         lengths.add(len(header) % 2)
         image.write_bytes(header + image.read_bytes()[len(b"P5\n3 5\n65535\n"):] + b"tail")
     assert lengths == {0, 1}
-    np.testing.assert_array_equal(manifest_io.load_elemental_set(path).images, codes)
+    np.testing.assert_array_equal(dense(manifest_io.load_elemental_set(path)), codes)
 
 
 def test_manifest_truncated_image_names_the_file(tmp_path):
@@ -392,18 +394,19 @@ def _write_dense_manifest(out, codes):
 
 def test_manifest_stores_only_images_that_hold_light(tmp_path):
     eis = capture(point_source_scene(200.0), cfg4(), 8, 8, pixel_pitch_mm=1.0)
-    dense = to_codes(eis.images, float(eis.images.max()))
-    nonzero = int((dense.max(axis=(2, 3)) > 0).sum())
+    images = dense(eis)
+    codes = to_codes(images, float(images.max()))
+    nonzero = int((codes.max(axis=(2, 3)) > 0).sum())
     assert nonzero == 9
     path = manifest_io.save_elemental_set(eis, tmp_path / "set")
     assert len(list(path.parent.iterdir())) == nonzero + 1
-    np.testing.assert_array_equal(manifest_io.load_elemental_set(path).images, dense)
-    np.testing.assert_array_equal(_read_listed_images(path), dense)
+    np.testing.assert_array_equal(dense(manifest_io.load_elemental_set(path)), codes)
+    np.testing.assert_array_equal(_read_listed_images(path), codes)
     # each stored file holds the bytes that one PGM per lenslet had
     (tmp_path / "dense").mkdir()
     for entry in json.loads(path.read_text())["images"]:
         expected = tmp_path / "dense" / entry["file"]
-        write_pgm16(expected, dense[entry["p"], entry["q"]])
+        write_pgm16(expected, codes[entry["p"], entry["q"]])
         assert (path.parent / entry["file"]).read_bytes() == expected.read_bytes()
 
 
@@ -418,7 +421,7 @@ def test_manifest_omits_image_whose_codes_round_to_zero(tmp_path):
     assert [[e["p"], e["q"]] for e in doc["images"]] == [[0, 0], [1, 0]]
     assert doc["zero_images"] == [[0, 1], [1, 1]]
     assert sorted(p.name for p in tmp_path.glob("e_*.pgm")) == ["e_00_00.pgm", "e_01_00.pgm"]
-    np.testing.assert_array_equal(manifest_io.load_elemental_set(path).images,
+    np.testing.assert_array_equal(dense(manifest_io.load_elemental_set(path)),
                                   to_codes(images, 65535.0))
 
 
@@ -428,8 +431,8 @@ def test_manifest_of_all_zero_set_has_no_image_file(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["images"] == [] and doc["zero_images"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
     back = manifest_io.load_elemental_set(path)
-    assert back.images.dtype == np.uint16
-    np.testing.assert_array_equal(back.images, np.zeros((2, 2, 3, 4)))
+    assert back.blocks == {}
+    np.testing.assert_array_equal(dense(back), np.zeros((2, 2, 3, 4)))
 
 
 def test_manifest_ignores_stale_image_of_earlier_save(tmp_path):
@@ -439,7 +442,7 @@ def test_manifest_ignores_stale_image_of_earlier_save(tmp_path):
     path = _saved_2x2(tmp_path, images)
     assert (tmp_path / "e_01_00.pgm").exists()  # the earlier save's, with codes 65535
     assert json.loads(path.read_text())["zero_images"] == [[1, 0]]
-    np.testing.assert_array_equal(manifest_io.load_elemental_set(path).images,
+    np.testing.assert_array_equal(dense(manifest_io.load_elemental_set(path)),
                                   to_codes(images, 1.0))
 
 
@@ -448,7 +451,7 @@ def test_manifest_without_zero_images_key_loads(tmp_path):
     codes[0, 1] = 0  # stored as a file, as every image was
     path = _write_dense_manifest(tmp_path / "dense", codes)
     back = manifest_io.load_elemental_set(path)
-    np.testing.assert_array_equal(back.images, codes)
+    np.testing.assert_array_equal(dense(back), codes)
     assert back.capture_config == OpticalSystemConfig(
         m=2, n=2, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0, focal_length_mm=35.0)
 
@@ -906,8 +909,8 @@ def test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, key
     ("config", ["optical_system", "gap_mm"], True, "the optical_system block", "gap_mm"),
     ("config", ["optical_system", "z_i_override_mm"], True, "the optical_system block",
      "z_i_override_mm"),
-    # the plane block builds the plane's axial_offset_mm from D_mm
-    ("config", ["plane", "D_mm"], True, "the plane block", "axial_offset_mm"),
+    # the plane block builds the plane's axial_offset_mm from D_mm, and names D_mm
+    ("config", ["plane", "D_mm"], True, "the plane block", "D_mm"),
     ("config", ["plane", "grid", "sample_pitch_mm"], False, "the plane.grid block",
      "sample_pitch_mm"),
     ("config", ["scan", "theta_min_deg"], True, "the scan block", "theta_min_deg"),
@@ -923,6 +926,26 @@ def test_cli_rejects_json_bool_for_a_real_value(tmp_path, caplog, document, keys
     test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, keys, value, block)
     bool_text = "false" if value is False else "true"
     assert f": {block}: {key} must be a number, got {bool_text}" in caplog.text
+
+
+@pytest.mark.parametrize("document, key, value, block, message", [
+    ("config", "D_mm", True, "the plane block", "D_mm must be a number, got true"),
+    ("config", "D_mm", -1, "the plane block",
+     "axial offset must be positive and finite, got D_mm=-1"),
+    ("manifest", "g_mm", True, "the manifest", "g_mm must be a number, got true"),
+    ("manifest", "g_mm", -1, "the manifest", "g_mm must be positive and finite, got -1"),
+    ("manifest", "f_mm", True, "the manifest", "f_mm must be a number, got true"),
+    ("manifest", "f_mm", 0, "the manifest", "f_mm must be positive and finite, got 0"),
+], ids=["D_mm-bool", "D_mm-negative", "g_mm-bool", "g_mm-negative", "f_mm-bool", "f_mm-zero"])
+def test_cli_rejection_names_the_documents_key(tmp_path, caplog, document, key, value, block,
+                                               message):
+    # the plane's D_mm is built as axial_offset_mm, and the manifest's g_mm
+    # and f_mm as gap_mm and focal_length_mm; the message names the key the
+    # document holds, and its value
+    keys = ["plane", key] if document == "config" else [key]
+    test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, keys, value, block)
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.endswith(f": {block}: {message}")
 
 
 @pytest.mark.parametrize("document, edit, message", [

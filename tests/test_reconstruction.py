@@ -4,6 +4,7 @@ import gc
 import logging
 import math
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,10 +34,13 @@ from tiltview.reconstruction import (
     backproject_geometric,
     corner,
     gather,
+    into_window,
     psf_builder,
     reconstruct,
 )
-from tiltview.scene import Scene, PointEmitter, capture, point_source_scene
+from tiltview.scene import Scene, PointEmitter, TexturedPlane, capture, point_source_scene
+
+from elemental_sets import dense, elemental_set
 
 
 def small_config(**kw):
@@ -91,13 +95,19 @@ def test_magnification_behind_array_rejected():
 
 def test_elemental_set_validation():
     cfg = small_config()
+    with pytest.raises(ValueError, match="is not a"):
+        ElementalImageSet({(4, 0): np.zeros((8, 8))}, 8, 8, 0.1, cfg)  # past the 4 x 4 array
+    with pytest.raises(ValueError, match="has shape"):
+        ElementalImageSet({(0, 0): np.zeros((8, 7))}, 8, 8, 0.1, cfg)
+    with pytest.raises(ValueError, match="row_spans"):
+        ElementalImageSet({}, 8, 8, 0.1, cfg, row_spans=np.tile([0, 9], (4, 1)))
+    with pytest.raises(ValueError, match="col_spans"):
+        ElementalImageSet({}, 8, 8, 0.1, cfg, col_spans=np.tile([3, 2], (4, 1)))
     with pytest.raises(ValueError):
-        ElementalImageSet(np.zeros((3, 4, 8, 8)), 0.1, cfg)
-    with pytest.raises(ValueError):
-        ElementalImageSet(-np.ones((4, 4, 8, 8)), 0.1, cfg)
+        elemental_set(-np.ones((4, 4, 8, 8)), 0.1, cfg)
     with pytest.raises(ValueError):
         # 8 pixels * 2 mm = 16 mm exceeds the 10 mm pitch
-        ElementalImageSet(np.zeros((4, 4, 8, 8)), 2.0, cfg)
+        elemental_set(np.zeros((4, 4, 8, 8)), 2.0, cfg)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1e-300])
@@ -105,28 +115,28 @@ def test_elemental_set_rejects_nonfinite_or_negative_intensity(value):
     images = np.ones((4, 4, 8, 8))
     images[2, 1, 5, 3] = value
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        ElementalImageSet(images, 0.1, small_config())
+        elemental_set(images, 0.1, small_config())
 
 
 @pytest.mark.parametrize("pitch", [math.nan, math.inf, 0.0, -0.1])
 def test_elemental_set_rejects_nonfinite_or_nonpositive_pitch(pitch):
     with pytest.raises(ValueError, match="pixel pitch must be positive and finite"):
-        ElementalImageSet(np.ones((4, 4, 8, 8)), pitch, small_config())
+        elemental_set(np.ones((4, 4, 8, 8)), pitch, small_config())
 
 
 def test_elemental_set_keeps_codes_and_holds_other_input_as_float():
     cfg = small_config()
-    codes = np.full((4, 4, 8, 8), 65535, dtype=np.uint16)
-    assert ElementalImageSet(codes, 0.1, cfg).images is codes
-    ints = np.ones((4, 4, 8, 8), dtype=np.int32)
-    assert ElementalImageSet(ints, 0.1, cfg).images.dtype == np.float64
+    codes = np.full((8, 8), 65535, dtype=np.uint16)
+    assert ElementalImageSet({(1, 2): codes}, 8, 8, 0.1, cfg).blocks[1, 2] is codes
+    ints = np.ones((8, 8), dtype=np.int32)
+    assert ElementalImageSet({(1, 2): ints}, 8, 8, 0.1, cfg).blocks[1, 2].dtype == np.float64
 
 
 def test_elemental_sample_at_pixel_centers():
     cfg = small_config()
     rng = np.random.default_rng(7)
     images = rng.random((4, 4, 8, 8))
-    eis = ElementalImageSet(images, 0.5, cfg)
+    eis = elemental_set(images, 0.5, cfg)
     # pixel (row 3, col 5) center, as an offset from the image centre
     du, dv = (5 - 3.5) * 0.5, (3.5 - 3) * 0.5
     # image (1, 2) is image 1 * 3 + 2 of the stack of rows 0..2 and columns 0..2
@@ -136,7 +146,7 @@ def test_elemental_sample_at_pixel_centers():
 
 def test_elemental_sample_outside_is_zero():
     cfg = small_config()
-    eis = ElementalImageSet(np.ones((4, 4, 8, 8)), 0.5, cfg)
+    eis = elemental_set(np.ones((4, 4, 8, 8)), 0.5, cfg)
     assert sample(eis.padded(slice(0, 1), slice(0, 1)), 0, 7.0, 0.0, 0.5) == 0.0
 
 
@@ -151,11 +161,11 @@ def sample(stack, k, du, dv, pitch):
     return gather(stack, k, (r * width, wr, vr), (c, wc, vc))
 
 
-def masked_sample(eis, p, q, u, v):
-    """Reference bilinear sample of image (p, q) at global display
-    coordinates, written out here: column 0 at the smallest u, row 0 at the
-    largest v, the four corners summed in order and each corner outside the
-    image masked to 0.0. An index array ``q`` broadcasts against the
+def masked_sample(eis, images, p, q, u, v):
+    """Reference bilinear sample of image (p, q) of the set's ``dense``
+    ``images`` at global display coordinates, written out here: column 0 at
+    the smallest u, row 0 at the largest v, the four corners summed in order
+    and each corner outside the image masked to 0.0. An index array ``q`` broadcasts against the
     coordinates. The offsets of these tests stay within a few images, so
     the index needs no clip before its cast."""
     centers_x, centers_y = eis.capture_config.lenslet_centers()
@@ -167,7 +177,7 @@ def masked_sample(eis, p, q, u, v):
     fc = du / eis.pixel_pitch_mm + (cols - 1) / 2.0
     r0, c0 = np.floor(fr).astype(int), np.floor(fc).astype(int)
     wr, wc = fr - r0, fc - c0
-    img = eis.images[p].astype(float)
+    img = images[p].astype(float)
     out = np.zeros(np.broadcast(du, dv).shape)
     for dr, dc in ((0, 0), (0, 1), (1, 0), (1, 1)):
         r, c = r0 + dr, c0 + dc
@@ -236,7 +246,7 @@ def test_padded_gather_matches_masked_scalar_reference(case, p, q):
     images, pitch, du, dv = case
     rows, cols = images.shape[2:]
     cfg = small_config(m=2, n=2, pitch_x_mm=cols * pitch, pitch_y_mm=rows * pitch)
-    eis = ElementalImageSet(images, pitch, cfg)
+    eis = elemental_set(images, pitch, cfg)
     values = sample(eis.padded(slice(0, 2), slice(0, 2)), 2 * p + q, du, dv, pitch)
     expected = [scalar_bilinear(images[p, q], u, v, pitch)
                 for u, v in zip(du.tolist(), dv.tolist())]
@@ -254,12 +264,12 @@ def test_tilted_zero_matches_normal_path():
     plane = plane_at(200.0, hw=3.0, pitch=0.05)
     X, Y = np.meshgrid(plane.grid.xs(), plane.grid.ys(), indexing="ij")
     M = 200.0 / cfg.gap_mm
-    normal = np.zeros_like(X)
+    normal, images = np.zeros_like(X), dense(eis)
     centers_x, centers_y = cfg.lenslet_centers()
     for p in range(cfg.m):
         for q in range(cfg.n):
             cx, cy = centers_x[p], centers_y[q]
-            vals = masked_sample(eis, p, q, cx - (X - cx) / M, cy - (Y - cy) / M)
+            vals = masked_sample(eis, images, p, q, cx - (X - cx) / M, cy - (Y - cy) / M)
             normal += vals / ((200.0 + cfg.gap_mm) ** 2
                               + ((X - cx) ** 2 + (Y - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
     assert np.any(normal)
@@ -292,7 +302,7 @@ def test_off_axis_point_recovered():
 def test_empty_overlap_warns_and_zeroes():
     cfg = small_config()
     images = np.zeros((4, 4, 8, 8))
-    eis = ElementalImageSet(images, 0.5, cfg)
+    eis = elemental_set(images, 0.5, cfg)
     with pytest.warns(UserWarning, match="no elemental image"):
         rec = backproject_geometric(eis, plane_at(200.0, hw=2.0, pitch=0.1))
     assert not np.any(rec.field.values)
@@ -300,7 +310,7 @@ def test_empty_overlap_warns_and_zeroes():
 
 def test_plane_behind_array_rejected():
     cfg = small_config()
-    eis = ElementalImageSet(np.ones((4, 4, 8, 8)), 0.5, cfg)
+    eis = elemental_set(np.ones((4, 4, 8, 8)), 0.5, cfg)
     # a steep tilt drives part of the grid to z <= 0
     plane = TiltedPlaneSpec(80.0, 0.0, 10.0, PlaneGrid(30.0, 30.0, 1.0))
     with pytest.raises(OutOfHalfSpaceError):
@@ -317,13 +327,13 @@ def _per_lenslet_loop(eis, plane):
              + Y * math.sin(plane.theta_y_rad))
     M = depth / cfg.gap_mm
     gx, gy = X * math.cos(plane.theta_x_rad), Y * math.cos(plane.theta_y_rad)
-    expected = np.zeros_like(X)
+    expected, images = np.zeros_like(X), dense(eis)
     reached = 0
     centers_x, centers_y = cfg.lenslet_centers()
     for p in range(cfg.m):
         for q in range(cfg.n):
             cx, cy = centers_x[p], centers_y[q]
-            vals = masked_sample(eis, p, q, cx - (gx - cx) / M, cy - (gy - cy) / M)
+            vals = masked_sample(eis, images, p, q, cx - (gx - cx) / M, cy - (gy - cy) / M)
             expected += vals / ((depth + cfg.gap_mm) ** 2
                                 + ((gx - cx) ** 2 + (gy - cy) ** 2) * (1.0 + 1.0 / M) ** 2)
             reached += bool(np.any(vals))
@@ -334,7 +344,7 @@ def reloaded(eis):
     """The set saved as 16-bit PGMs and loaded back: its uint16 codes."""
     with tempfile.TemporaryDirectory() as tmp:
         back = load_elemental_set(save_elemental_set(eis, tmp))
-    assert back.images.dtype == np.uint16
+    assert all(block.dtype == np.uint16 for block in back.blocks.values())
     return back
 
 
@@ -381,7 +391,7 @@ def test_backprojection_bound_matches_per_lenslet_loop(m, n, pixels_x, pixels_y,
     cfg = small_config(m=m, n=n, pitch_y_mm=10.0 * aspect)
     rng = np.random.default_rng(seed)
     pixel_pitch = fill * min(cfg.pitch_x_mm / pixels_x, cfg.pitch_y_mm / pixels_y)
-    drawn = ElementalImageSet(rng.random((m, n, pixels_y, pixels_x)) + 0.5, pixel_pitch, cfg)
+    drawn = elemental_set(rng.random((m, n, pixels_y, pixels_x)) + 0.5, pixel_pitch, cfg)
     plane = plane_at(D, tx=tx, ty=ty, hw=hw, pitch=hw / steps)
     for eis in (drawn, reloaded(drawn)):
         expected, reached = _per_lenslet_loop(eis, plane)
@@ -398,10 +408,10 @@ def test_backprojection_bound_matches_per_lenslet_loop(m, n, pixels_x, pixels_y,
 def test_backprojection_bound_examples_cover_none_and_part():
     # the two explicit draws of the property above do what their comments say
     cfg = small_config(m=1, n=1)
-    eis = ElementalImageSet(np.ones((1, 1, 4, 4)), 0.05 * 10.0 / 4, cfg)
+    eis = elemental_set(np.ones((1, 1, 4, 4)), 0.05 * 10.0 / 4, cfg)
     assert _per_lenslet_loop(eis, plane_at(60.0, hw=0.5, pitch=0.125))[1] == 0
     cfg = small_config(m=5, n=4)
-    eis = ElementalImageSet(np.ones((5, 4, 16, 16)), 10.0 / 16, cfg)
+    eis = elemental_set(np.ones((5, 4, 16, 16)), 10.0 / 16, cfg)
     assert 0 < _per_lenslet_loop(eis, plane_at(100.0, hw=5.0, pitch=0.5))[1] < 20
 
 
@@ -411,7 +421,7 @@ def sweep_elemental_set(seed=5):
     to it."""
     cfg = small_config(m=16, n=16)
     images = np.random.default_rng(seed).random((16, 16, 128, 128)) + 0.5
-    return ElementalImageSet(images, 10.0 / 128, cfg)
+    return elemental_set(images, 10.0 / 128, cfg)
 
 
 @pytest.mark.parametrize("tx, ty, D", [(0.0, 0.0, 300.0), (17.0, -23.0, 300.0),
@@ -421,6 +431,92 @@ def test_backprojection_on_sweep_geometry_matches_per_lenslet_loop(tx, ty, D):
     plane = TiltedPlaneSpec(tx, ty, D, PlaneGrid(12.0, 12.0, 0.25))
     rec = backproject_geometric(eis, plane)
     np.testing.assert_array_equal(rec.field.values, _per_lenslet_loop(eis, plane)[0])
+
+
+def sweep_capture():
+    """The textured sweep plane (30 mm wide at 300 mm) captured by the sweep
+    geometry, 81 of its lenslets in windows."""
+    texture = np.random.default_rng(3).random((64, 64)) + 0.1
+    scene = Scene(planes=[TexturedPlane(300.0, 15.0, 15.0, texture)])
+    return capture(scene, small_config(m=16, n=16), 128, 128, pixel_pitch_mm=10.0 / 128)
+
+
+@pytest.mark.parametrize("mode", ["geometric", "diffraction"])
+@pytest.mark.parametrize("captured, planes", [
+    (sweep_capture, [(0.0, 0.0, 300.0), (10.0, 0.0, 300.0), (20.0, 0.0, 300.0),
+                     (17.0, -23.0, 300.0), (45.0, 0.0, 360.0)]),
+    # the point at the 360 mm focus lands in windows of 2 x 2 pixels
+    (lambda: capture(point_source_scene(360.0), small_config(), 400, 400,
+                     pixel_pitch_mm=0.025), [(0.0, 0.0, 360.0), (20.0, 0.0, 360.0),
+                                             (40.0, -10.0, 360.0)]),
+], ids=["sweep", "point"])
+def test_windowed_set_reconstructs_as_whole_images(captured, planes, mode):
+    eis = captured()
+    whole = elemental_set(dense(eis), eis.pixel_pitch_mm, eis.capture_config)
+    assert sum(block.size for block in eis.blocks.values()) < dense(eis).size / 10
+    for tx, ty, D in planes:
+        plane = TiltedPlaneSpec(tx, ty, D, PlaneGrid(3.0, 3.0, 0.1))
+        # in focus, so each diffraction kernel is small
+        windowed = reconstruct(eis, plane, mode=mode, z_i_override_mm=D)
+        assert np.any(windowed.field.values)
+        np.testing.assert_array_equal(
+            windowed.field.values,
+            reconstruct(whole, plane, mode=mode, z_i_override_mm=D).field.values)
+
+
+def test_window_gather_matches_whole_image_at_window_edges():
+    # a 12 x 10 image whose light lies in pixel rows 4-7 and columns 3-5. Its
+    # fractional indices straddle each window edge (one corner in, one out),
+    # lie inside, and lie past the window's 2-pixel zero border before and
+    # after it, where into_window clips them; -2 and size + 1 are corner's own clips
+    cfg = small_config(m=1, n=1, pitch_x_mm=10.0, pitch_y_mm=12.0)
+    images = np.zeros((1, 1, 12, 10))
+    images[0, 0, 4:8, 3:6] = np.random.default_rng(2).random((4, 3)) + 0.5
+    whole = elemental_set(images, 1.0, cfg)
+    windowed = elemental_set(images, 1.0, cfg, windows=True)
+    assert windowed.row_spans.tolist() == [[4, 8]] and windowed.col_spans.tolist() == [[3, 6]]
+    fr = np.array([-2.0, 0.5, 1.9, 3.5, 4.0, 6.25, 7.5, 9.0, 10.6, 13.0])
+    fc = np.array([-2.0, 0.25, 2.5, 3.0, 4.75, 5.5, 8.1, 9.9, 11.0])
+    FR, FC = np.meshgrid(fr, fc, indexing="ij")
+    dv, du = (12 - 1) / 2.0 - FR, FC - (10 - 1) / 2.0
+    r, wr, vr = corner(dv, 1.0, 12, "row")
+    c, wc, vc = corner(du, 1.0, 10, "col")
+    full = whole.padded(slice(0, 1), slice(0, 1))
+    expected = gather(full, 0, (r * full.shape[-1], wr, vr), (c, wc, vc))
+    stack = windowed.padded(slice(0, 1), slice(0, 1))
+    assert stack.shape == (1, 1, 4 + 5, 3 + 5)
+    # clipped past the window on each side of each axis
+    assert (r - 4 < -2).any() and (r - 4 > 4 + 1).any()
+    assert (c - 3 < -2).any() and (c - 3 > 3 + 1).any()
+    height, width = stack.shape[-2:]
+    values = gather(stack, 0, (into_window(r.copy(), 4, height) * width, wr, vr),
+                    (into_window(c.copy(), 3, width), wc, vc))
+    np.testing.assert_array_equal(values, expected)
+    # the straddling footprints read light, and so differ from 0
+    assert np.all(values[[3, 6], 3:6] > 0) and np.all(values[4:7, [2, 5]] > 0)
+    plane = plane_at(60.0, hw=8.0, pitch=0.1)
+    field = backproject_geometric(windowed, plane).field.values
+    assert np.any(field)
+    np.testing.assert_array_equal(field, backproject_geometric(whole, plane).field.values)
+
+
+def test_point_capture_and_diffraction_reconstruct_allocate_little():
+    # criterion 7's 4 x 4 point capture at 2000^2 pixels holds 64 lit pixels
+    # in 16 windows of 2 x 2; whole images would be 16 x 2000^2 float64
+    # (488 MiB), and the reconstruct's stack of them as much again
+    cfg = small_config()
+    plane = TiltedPlaneSpec(0.0, 0.0, 360.0, PlaneGrid(0.3, 0.3, 0.006))
+    tracemalloc.start()
+    try:
+        eis = capture(point_source_scene(360.0), cfg, 2000, 2000, pixel_pitch_mm=0.005)
+        rec = reconstruct(eis, plane, mode="diffraction", z_i_override_mm=360.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(rec.field.values)
+    assert len(eis.blocks) == 16
+    assert all(block.shape == (2, 2) for block in eis.blocks.values())
+    assert peak < 16 * 2**20
 
 
 def test_backprojection_logs_lenslets_reached(caplog):
@@ -857,7 +953,7 @@ def test_psf_parts_are_shared_within_one_call_only(monkeypatch):
 
 def test_reconstruct_mode_validation():
     cfg = small_config()
-    eis = ElementalImageSet(np.ones((4, 4, 8, 8)), 0.5, cfg)
+    eis = elemental_set(np.ones((4, 4, 8, 8)), 0.5, cfg)
     with pytest.raises(ValueError):
         reconstruct(eis, plane_at(200.0), mode="fancy")
 

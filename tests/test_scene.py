@@ -17,6 +17,8 @@ from tiltview.scene import (
     point_source_scene,
 )
 
+from elemental_sets import dense
+
 
 def cfg16():
     return OpticalSystemConfig(m=16, n=16, pitch_x_mm=10.0, pitch_y_mm=10.0,
@@ -115,7 +117,7 @@ def test_textured_plane_sample_orientation():
 def test_on_axis_point_under_central_lenslet():
     cfg = cfg16()
     eis = capture(point_source_scene(360.0), cfg, 63, 63, pixel_pitch_mm=0.15)
-    img = eis.images[8, 8]  # lenslet (8, 8) sits on the axis
+    img = dense(eis)[8, 8]  # lenslet (8, 8) sits on the axis
     r, c = np.unravel_index(np.argmax(img), img.shape)
     assert (r, c) == (31, 31)
 
@@ -125,7 +127,7 @@ def test_similar_triangle_projection():
     cfg = cfg16()
     scene = Scene(points=[PointEmitter(5.0, 0.0, 100.0)])
     eis = capture(scene, cfg, 64, 64, pixel_pitch_mm=0.15)
-    u, v = center_of_mass(eis.images[8, 8], 0.15)
+    u, v = center_of_mass(dense(eis)[8, 8], 0.15)
     assert u == pytest.approx(-2.5, abs=1e-9)
     assert v == pytest.approx(0.0, abs=1e-9)
 
@@ -136,7 +138,7 @@ def test_projection_through_offset_lenslet():
     # u - c_p = c_p * g / z for the on-axis source
     for p in (6, 10):
         cx = cfg.lenslet_centers()[0][p]
-        u, _ = center_of_mass(eis.images[p, 8], 0.15)
+        u, _ = center_of_mass(dense(eis)[p, 8], 0.15)
         assert u == pytest.approx(cx * 50.0 / 360.0, abs=1e-9)
 
 
@@ -146,7 +148,7 @@ def test_capture_linear_in_intensity():
                 pixel_pitch_mm=0.3)
     b = capture(Scene(points=[PointEmitter(1.0, -2.0, 250.0, 0.75 * 4.0)]), cfg, 32, 32,
                 pixel_pitch_mm=0.3)
-    np.testing.assert_array_equal(b.images, 4.0 * a.images)
+    np.testing.assert_array_equal(dense(b), 4.0 * dense(a))
 
 
 @given(scale=st.sampled_from([0.5, 2.0, 8.0]))
@@ -156,7 +158,7 @@ def test_capture_linearity_property(scale):
     a = capture(Scene(points=[PointEmitter(2.0, 1.0, 300.0)]), cfg, 16, 16, pixel_pitch_mm=0.5)
     b = capture(Scene(points=[PointEmitter(2.0, 1.0, 300.0, scale)]), cfg, 16, 16,
                 pixel_pitch_mm=0.5)
-    np.testing.assert_array_equal(b.images, scale * a.images)
+    np.testing.assert_array_equal(dense(b), scale * dense(a))
 
 
 def test_central_image_mirror_symmetry():
@@ -164,9 +166,10 @@ def test_central_image_mirror_symmetry():
     # point-reflected copies of each other
     cfg = cfg16()
     eis = capture(point_source_scene(360.0), cfg, 64, 64, pixel_pitch_mm=0.15)
+    images = dense(eis)
     for p, q in ((6, 8), (5, 11), (1, 2)):
-        a = eis.images[p, q]
-        b = eis.images[16 - p, 16 - q]
+        a = images[p, q]
+        b = images[16 - p, 16 - q]
         np.testing.assert_allclose(a, b[::-1, ::-1], atol=1e-12 * max(a.max(), 1e-30))
 
 
@@ -177,7 +180,7 @@ def test_vignetting_reported():
     scene = Scene(points=[PointEmitter(60.0, 0.0, 80.0)])
     eis, vignetted = capture_with_report(scene, cfg, 16, 16, pixel_pitch_mm=0.5)
     assert vignetted == cfg.m * cfg.n
-    assert not np.any(eis.images)
+    assert not np.any(dense(eis))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -188,7 +191,7 @@ def test_emitter_almost_on_the_array_vignettes_without_warning():
     scene = Scene(points=[PointEmitter(3.0, 0.0, 1e-290)])
     eis, vignetted = capture_with_report(scene, cfg, 16, 16, pixel_pitch_mm=0.5)
     assert vignetted == cfg.m * cfg.n
-    assert not np.any(eis.images)
+    assert not np.any(dense(eis))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -205,7 +208,7 @@ def test_emitter_on_the_array_rejected_or_captured_finite(x_mm, z_mm):
         return
     eis, vignetted = capture_with_report(scene, cfg4(), 16, 16, pixel_pitch_mm=0.5)
     assert vignetted == 16
-    assert not np.any(eis.images)
+    assert not np.any(dense(eis))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -216,7 +219,7 @@ def test_emitter_too_far_to_square_captures_zero(z_mm):
     eis, vignetted = capture_with_report(Scene(points=[PointEmitter(0.0, 0.0, z_mm)]), cfg4(),
                                          16, 16, pixel_pitch_mm=0.5)
     assert vignetted == 0
-    assert not np.any(eis.images)
+    assert not np.any(dense(eis))
 
 
 def test_default_pixel_pitch_fills_pitch():
@@ -243,7 +246,7 @@ def test_uniform_plane_gives_uniform_central_region():
     cfg = cfg4()
     plane = TexturedPlane(200.0, 120.0, 120.0, np.ones((16, 16)))
     eis = capture(Scene(planes=[plane]), cfg, 32, 32, pixel_pitch_mm=0.3)
-    inner = eis.images[1, 1][8:-8, 8:-8]
+    inner = dense(eis)[1, 1][8:-8, 8:-8]
     np.testing.assert_allclose(inner, inner[0, 0], rtol=1e-9)
     assert inner[0, 0] > 0
 
@@ -256,7 +259,7 @@ def test_plane_capture_inverts_image():
     tex[:, 4:] = 1.0  # +x half
     plane = TexturedPlane(200.0, 30.0, 30.0, tex)
     eis = capture(Scene(planes=[plane]), cfg, 32, 32, pixel_pitch_mm=0.3)
-    img = eis.images[8, 8]
+    img = dense(eis)[8, 8]
     left = img[:, :16].sum()   # -u side
     right = img[:, 16:].sum()  # +u side
     assert left > right
@@ -321,7 +324,7 @@ def test_plane_capture_skip_matches_unskipped_loop():
     missed = int(np.sum(~np.any(plane_only, axis=(2, 3))))
     assert 0 < missed < cfg.m * cfg.n
     assert 0 < vignetted < len(points) * cfg.m * cfg.n
-    np.testing.assert_array_equal(eis.images, expected)
+    np.testing.assert_array_equal(dense(eis), expected)
     assert vignetted == expected_vignetted
 
 
@@ -343,7 +346,7 @@ def test_capture_matches_per_lenslet_reference_on_unequal_axes(seed):
     plane_only, _ = reference_capture(Scene(planes=[plane]), cfg, 20, 30, 0.4)
     assert 0 < int(np.sum(~np.any(plane_only, axis=(2, 3)))) < cfg.m * cfg.n
     assert 0 < vignetted < len(scene.points) * cfg.m * cfg.n
-    np.testing.assert_array_equal(eis.images, expected)
+    np.testing.assert_array_equal(dense(eis), expected)
     assert vignetted == expected_vignetted
 
 
@@ -360,9 +363,48 @@ def test_plane_capture_crop_partial_on_both_axes():
     scene = Scene(planes=[plane])
     eis = capture(scene, cfg, 24, 18, pixel_pitch_mm=0.4)
     expected, _ = reference_capture(scene, cfg, 24, 18, 0.4)
-    np.testing.assert_array_equal(eis.images, expected)
+    np.testing.assert_array_equal(dense(eis), expected)
     seen = expected > 0
     rows_seen = np.flatnonzero(seen.any(axis=(0, 1, 3)))
     assert (rows_seen[0], rows_seen[-1]) == (2, 15)
     cols_seen = np.flatnonzero(seen[2].any(axis=(0, 1)))
     assert (cols_seen[0], cols_seen[-1]) == (3, 20)
+
+
+def sweep_scene(seed=0):
+    """The textured sweep plane: 30 mm wide at 300 mm, seen by 16 x 16
+    lenslets of 128^2 pixels."""
+    texture = np.random.default_rng(seed).random((64, 64)) + 0.1
+    return Scene(planes=[TexturedPlane(300.0, 15.0, 15.0, texture)])
+
+
+@pytest.mark.parametrize("scene, cfg, pixels, pitch", [
+    (sweep_scene(), cfg16(), 128, 10.0 / 128),
+    (point_source_scene(360.0), cfg16(), 64, 0.15),
+    (Scene(points=[PointEmitter(1.5, -2.0, 250.0, 0.75), PointEmitter(-4.0, 3.0, 180.0)],
+           planes=[TexturedPlane(220.0, 6.0, 9.0, np.arange(1.0, 31.0).reshape(5, 6))]),
+     cfg4(), 40, 0.2),
+], ids=["sweep-plane", "point", "two-emitters-and-plane"])
+def test_windowed_capture_densifies_to_per_lenslet_reference(scene, cfg, pixels, pitch):
+    # the capture stores blocks in windows only; densified they are the
+    # per-lenslet loop's images bit for bit, and the windows leave pixels out
+    eis, vignetted = capture_with_report(scene, cfg, pixels, pixels, pixel_pitch_mm=pitch)
+    expected, expected_vignetted = reference_capture(scene, cfg, pixels, pixels, pitch)
+    np.testing.assert_array_equal(dense(eis), expected)
+    assert vignetted == expected_vignetted
+    assert sum(block.size for block in eis.blocks.values()) < expected.size
+    # every image that holds light has a block, and every block lies in its windows
+    assert set(eis.blocks) >= {tuple(lenslet) for lenslet in
+                               np.argwhere(expected.any(axis=(2, 3))).tolist()}
+    for (p, q), block in eis.blocks.items():
+        assert block.shape == (np.diff(eis.row_spans[q])[0], np.diff(eis.col_spans[p])[0])
+
+
+def test_sweep_capture_blocks_hold_only_the_pixels_on_the_texture():
+    # 9 x 9 lenslets see the plane, each through a window of its column's
+    # pixel rows and its row's pixel columns: 384 rows over 9 columns times
+    # 384 columns over 9 rows, against 256 dense images of 128^2 pixels
+    eis = capture(sweep_scene(), cfg16(), 128, 128, pixel_pitch_mm=10.0 / 128)
+    assert len(eis.blocks) == 81
+    assert sum(block.size for block in eis.blocks.values()) == 147_456
+    assert all(np.all(block > 0) for block in eis.blocks.values())
