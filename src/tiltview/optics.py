@@ -8,7 +8,6 @@ are quoted.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import math
@@ -188,6 +187,8 @@ class OpticalSystemConfig:
         return (z_mm + g) ** 2, (1.0 + 1.0 / (z_mm / g)) ** 2
 
     def digest(self) -> str:
+        import hashlib  # here: OpenSSL's _hashlib adds ~3 ms to start-up, and no command uses it
+
         blob = json.dumps(
             {k: getattr(self, k) for k in self.__dataclass_fields__}, sort_keys=True
         ).encode()

@@ -58,9 +58,9 @@ class ElementalImageSet:
     column on the lenslet row. A set loaded from a manifest holds each
     stored image whole as its 16-bit codes in ``uint16`` (2 bytes per
     pixel); any other block, such as a capture's, is held as float64. The
-    back-projection copies only the blocks of the lenslets it visits
-    (``padded``) and converts to float only the pixels it reads from them
-    (``gather``).
+    back-projection copies only the pixels its plane can read from the
+    blocks of the lenslets it visits (``padded``) and converts to float
+    only the pixels it reads from them (``gather``).
     """
 
     blocks: dict[tuple[int, int], np.ndarray]
@@ -109,25 +109,30 @@ class ElementalImageSet:
             blocks[lenslet] = block
         self.blocks = blocks
 
-    def padded(self, p: slice, q: slice) -> np.ndarray:
-        """The blocks of lenslet rows ``p`` and columns ``q`` (slices), shape
-        (rows of p, columns of q, H + 5, W + 5), with H the most pixel rows
-        of the columns of q and W the most pixel columns of the rows of p.
-        Each block sits at its own window's offset 0, inside the zero border
-        that ``gather`` reads for a corner outside it; a lenslet without a
-        block is all zero. They keep the blocks' dtype: uint16 codes stay 2
-        bytes a pixel."""
-        p, q = range(self.capture_config.m)[p], range(self.capture_config.n)[q]
-        rows, cols = self.row_spans[q.start:q.stop], self.col_spans[p.start:p.stop]
+    def padded(self, p: np.ndarray, q: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+        """The pixels of the blocks of lenslet rows ``p`` and columns ``q``
+        (index arrays) inside ``rows[j]``, the [start, stop) range of pixel
+        rows of column ``q[j]``, and ``cols[i]``, that of pixel columns of
+        row ``p[i]``; each range lies inside its window. Shape (len(p),
+        len(q), H + 5, W + 5), with H the longest range of ``rows`` and W
+        that of ``cols``. Each crop sits at its own range's offset 0, inside
+        the zero border that ``gather`` reads for a corner outside it; a
+        lenslet without a block is all zero. They keep the blocks' dtype:
+        uint16 codes stay 2 bytes a pixel."""
         height = int((rows[:, 1] - rows[:, 0]).max())
         width = int((cols[:, 1] - cols[:, 0]).max())
-        chosen = {(i, j): block for (i, j), block in self.blocks.items() if i in p and j in q}
+        chosen = {(i, j): self.blocks[row, col] for i, row in enumerate(p.tolist())
+                  for j, col in enumerate(q.tolist()) if (row, col) in self.blocks}
         dtype = np.result_type(*chosen.values()) if chosen else np.float64
         out = np.zeros((len(p), len(q), height + 2 * _BORDER + 1, width + 2 * _BORDER + 1),
                        dtype=dtype)
+        # the ranges in the coordinates of each block, whose pixel 0 is its window's start
+        in_rows = (rows - self.row_spans[q, :1]).tolist()
+        in_cols = (cols - self.col_spans[p, :1]).tolist()
         for (i, j), block in chosen.items():
-            out[i - p.start, j - q.start, _BORDER:_BORDER + block.shape[0],
-                _BORDER:_BORDER + block.shape[1]] = block
+            (r0, r1), (c0, c1) = in_rows[j], in_cols[i]
+            out[i, j, _BORDER:_BORDER + r1 - r0, _BORDER:_BORDER + c1 - c0] = block[r0:r1, c0:c1]
         return out
 
 
@@ -163,30 +168,34 @@ def corner(offset, pitch: float, size: int, axis: str):
     return lower.astype(np.intp), w, 1.0 - w
 
 
-def gather(padded: np.ndarray, k: int, row, col) -> np.ndarray:
-    """Bilinear sample of image ``k`` of a ``padded`` stack (its leading axes
-    flattened) at the corners ``row`` and ``col`` of ``corner`` along each
-    axis, the rows' lower index scaled by the padded width:
-    ``(lower * width, w, 1 - w)`` for rows and ``corner``'s own
-    ``(lower, w, 1 - w)`` for columns. The two broadcast against each other.
-    A corner outside the image reads the zero border, so it adds an exact
-    0.0, as a masked sum would."""
-    height, width = padded.shape[-2:]
-    (r, wr, vr), (c, wc, vc) = row, col
-    # flat index of corner (r0, c0) of image k, its pixel (0, 0) _BORDER rows and columns in;
-    # corners (r0, c0 + 1), (r0 + 1, c0) and (r0 + 1, c0 + 1) are 1, width and width + 1 on
-    at = r + c + (k * height * width + _BORDER * (width + 1))
-    flat = padded.reshape(-1)
-    return (vr * vc * flat.take(at) + vr * wc * flat[1:].take(at)
-            + wr * vc * flat[width:].take(at) + wr * wc * flat[width + 1:].take(at))
+def gather(flat: np.ndarray, width: int, at: np.ndarray, row, col, out: np.ndarray,
+           weight: np.ndarray) -> np.ndarray:
+    """Bilinear sample of a flattened ``padded`` stack of images ``width``
+    pixels wide, written into ``out``. ``at`` is the flat index of each
+    sample's lower corner (r0, c0), so (r0, c0 + 1), (r0 + 1, c0) and
+    (r0 + 1, c0 + 1) lie 1, ``width`` and ``width + 1`` on; ``row`` and
+    ``col`` are ``corner``'s weights ``(w, 1 - w)`` along each axis, of
+    ``out``'s shape. ``weight`` is a buffer of that shape for each corner's
+    term. The four terms are summed in that order. A corner outside the
+    image reads the zero border, so it adds an exact 0.0, as a masked sum
+    would; only the pixels read are converted to float."""
+    (wr, vr), (wc, vc) = row, col
+    np.multiply(vr, vc, out=out)
+    out *= flat.take(at)
+    for a, b, step in ((vr, wc, 1), (wr, vc, width), (wr, wc, width + 1)):
+        np.multiply(a, b, out=weight)
+        weight *= flat[step:].take(at)
+        out += weight
+    return out
 
 
 def into_window(lower: np.ndarray, start: int, size: int) -> np.ndarray:
     """``corner``'s lower indices along one axis of an image, moved in place
-    to a window of that axis that starts at pixel ``start``, in a ``padded``
-    stack of ``size`` pixels along it. An index past the zero border around
-    the window is clipped into it: both its corners lie outside the window,
-    where the image is 0, and both still read 0.0."""
+    to a crop of that axis that starts at pixel ``start``, in a ``padded``
+    stack of ``size`` pixels along it. The crop holds every corner that
+    lies inside the image's window. An index past the zero border around
+    the crop is clipped into it: both its corners lie outside the crop, and
+    so outside the window, where the image is 0, and both still read 0.0."""
     lower -= start
     np.maximum(lower, -_BORDER, out=lower)  # two ufuncs take half np.clip's time
     return np.minimum(lower, size - _BORDER - 2, out=lower)
@@ -255,11 +264,14 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     sample fixes its global x, and its plane y its global y. So the row
     corners depend on the lenslet column and the sample only, and are built
     once per column; the column corners once per lenslet row; the depth
-    terms of the pixel distance once per plane. The blocks of the visited
-    lenslets are copied once into a zero-padded stack
-    (``ElementalImageSet.padded``) and sampled with ``gather``, each corner's
-    lower index moved from the image to the window of its column or row
-    (``into_window``).
+    terms of the pixel distance once per plane. The row corners of every
+    column, and the column corners of each row at its first and last plane
+    y, give the pixels each column and row can read. Only those, inside
+    each window, are copied into a zero-padded stack
+    (``ElementalImageSet.padded``), each corner's lower index moved from
+    the image into its crop (``into_window``). Each (lenslet, sample) tile
+    is then sampled with ``gather`` and divided by its distance in reused
+    buffers.
     """
     cfg = eis.capture_config
     g = cfg.gap_mm
@@ -273,15 +285,9 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
     y_lo, y_hi = _reach(gy[0, :], cy, m_max * ((eis.pixels_y + 1) / 2.0 + 1.0) * pitch)
     rows = np.flatnonzero(x_hi > x_lo)
     cols = np.flatnonzero(y_hi > y_lo)
-    log.debug("back-projection: %d of %d lenslets reach the plane, over %d "
-              "(lenslet, sample) pairs", rows.size * cols.size, cfg.m * cfg.n,
-              int((x_hi - x_lo).sum()) * int((y_hi - y_lo).sum()))
     total = np.zeros_like(X)
+    stacked = "no stack"
     if rows.size and cols.size:
-        # a lenslet between two visited ones that reaches no sample, as where the
-        # windows are narrower than the sample pitch, is copied but not visited
-        stack = eis.padded(slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-        stride, (height, width) = cols[-1] + 1 - cols[0], stack.shape[-2:]
         axial, spread = cfg.pixel_distance_terms(depth)
         # the plane samples any visited row (x) or column (y) reaches
         x0, x1 = x_lo[rows[0]], x_hi[rows[-1]]
@@ -291,29 +297,67 @@ def backproject_geometric(eis: ElementalImageSet, plane: TiltedPlaneSpec) -> Rec
             ys_q = slice(y_lo[q], y_hi[q])
             dy = gy[0, ys_q] - cy[q]
             v = cy[q] - dy / M[x0:x1, ys_q]
-            # the lower corner's row offset within the column's window in a padded
-            # image, moved and scaled in place: a temporary per column raised the
-            # sweep's peak RSS ~0.3 MB
-            at, *weights = corner(v - cy[q], pitch, eis.pixels_y, "row")
-            into_window(at, eis.row_spans[q, 0], height)
-            at *= width
-            row_corners.append((at, *weights))
+            row_corners.append(corner(v - cy[q], pitch, eis.pixels_y, "row"))
             dy_sq.append(dy ** 2)
+        # At each plane x, a column corner's lower index is monotone in the
+        # plane y: the depth is, and so is every rounded step from the depth
+        # to the index. So the corners at the first and last y bound those of
+        # the row, which the loop below builds one row at a time.
+        col_reads = []
         for p in rows:
-            xs_p = slice(x_lo[p], x_hi[p])
+            dx = gx[x_lo[p]:x_hi[p], 0] - cx[p]
+            u = cx[p] - dx[:, None] / M[x_lo[p]:x_hi[p], [y0, y1 - 1]]
+            lower = corner(u - cx[p], pitch, eis.pixels_x, "col")[0]
+            col_reads.append((lower.min(), lower.max() + 2))
+        row_reads = [(lower.min(), lower.max() + 2) for lower, *_ in row_corners]
+        # The pixels from each lowest lower corner to each highest upper one,
+        # inside the window: a corner outside this crop is outside the window
+        row_spans, col_spans = eis.row_spans[cols], eis.col_spans[rows]
+        row_spans = np.clip(row_reads, row_spans[:, :1], row_spans[:, 1:])
+        col_spans = np.clip(col_reads, col_spans[:, :1], col_spans[:, 1:])
+        stack = eis.padded(rows, cols, row_spans, col_spans)
+        stacked = f"a {stack.dtype} stack of {stack.shape}, {stack.nbytes} bytes"
+        height, width = stack.shape[-2:]
+        flat = stack.reshape(-1)
+        # The flat index of a lower corner is a part per column plus a part
+        # per row: image (i, j) of the stack starts at (i * cols.size + j)
+        # height * width, and its crop _BORDER rows and columns in
+        for j, (lower, *_) in enumerate(row_corners):
+            into_window(lower, row_spans[j, 0], height)
+            lower += _BORDER + j * height
+            lower *= width
+        tile = (x_hi - x_lo)[rows].max() * (y_hi - y_lo)[cols].max()
+        buffers = np.empty(tile, np.intp), np.empty(tile), np.empty(tile)
+        # the samples each column reaches along y: in the plane, and from y0 on
+        y_tiles = [(slice(lo, hi), slice(lo - y0, hi - y0), hi - lo)
+                   for lo, hi in zip(y_lo[cols].tolist(), y_hi[cols].tolist())]
+        for i, (p, lo, hi) in enumerate(zip(rows.tolist(), x_lo[rows].tolist(),
+                                            x_hi[rows].tolist())):
+            xs_p = slice(lo, hi)
             dx = gx[xs_p, 0] - cx[p]
             u = cx[p] - dx[:, None] / M[xs_p, y0:y1]
-            col_corners = corner(u - cx[p], pitch, eis.pixels_x, "col")
-            into_window(col_corners[0], eis.col_spans[p, 0], width)
+            col_at, *col_weights = corner(u - cx[p], pitch, eis.pixels_x, "col")
+            into_window(col_at, col_spans[i, 0], width)
+            col_at += _BORDER + i * cols.size * height * width
             dx_sq = dx[:, None] ** 2
-            in_x = slice(x_lo[p] - x0, x_hi[p] - x0)
-            for j, q in enumerate(cols):  # fixed lexicographic (p, q) order
-                s = (xs_p, slice(y_lo[q], y_hi[q]))
-                in_y = slice(y_lo[q] - y0, y_hi[q] - y0)
-                values = gather(stack, (p - rows[0]) * stride + q - cols[0],
-                                [a[in_x] for a in row_corners[j]],
-                                [a[:, in_y] for a in col_corners])
-                total[s] += values / (axial[s] + (dx_sq + dy_sq[j]) * spread[s])
+            in_x = slice(lo - x0, hi - x0)
+            for (ys_q, in_y, ny), (row_at, *row_weights), dy_sq_q in zip(
+                    y_tiles, row_corners, dy_sq):  # fixed lexicographic (p, q) order
+                s = (xs_p, ys_q)
+                size = (hi - lo) * ny
+                at, values, weight = (b[:size].reshape(hi - lo, ny) for b in buffers)
+                np.add(row_at[in_x], col_at[:, in_y], out=at)
+                gather(flat, width, at, [a[in_x] for a in row_weights],
+                       [a[:, in_y] for a in col_weights], values, weight)
+                # the squared distance axial + (dx² + dy²) spread, in place
+                np.add(dx_sq, dy_sq_q, out=weight)
+                weight *= spread[s]
+                np.add(axial[s], weight, out=weight)
+                values /= weight
+                total[s] += values
+    log.debug("back-projection: %d of %d lenslets reach the plane, over %d "
+              "(lenslet, sample) pairs; %s", rows.size * cols.size, cfg.m * cfg.n,
+              int((x_hi - x_lo).sum()) * int((y_hi - y_lo).sum()), stacked)
     if not np.any(total):
         warnings.warn("no elemental image sees the reconstruction plane; field is zero")
     field = ScalarField2D(total, xs, ys, plane.grid.sample_pitch_mm)

@@ -139,26 +139,39 @@ def test_elemental_sample_at_pixel_centers():
     eis = elemental_set(images, 0.5, cfg)
     # pixel (row 3, col 5) center, as an offset from the image centre
     du, dv = (5 - 3.5) * 0.5, (3.5 - 3) * 0.5
-    # image (1, 2) is image 1 * 3 + 2 of the stack of rows 0..2 and columns 0..2
-    stack = eis.padded(slice(0, 3), slice(0, 3))
-    assert sample(stack, 5, du, dv, 0.5) == pytest.approx(images[1, 2, 3, 5], rel=1e-12)
+    # image (1, 2) of the stack of lenslet rows and columns 0..2
+    assert sample(eis, whole_stack(eis, 3, 3), 1, 2, du, dv)[0] == pytest.approx(
+        images[1, 2, 3, 5], rel=1e-12)
 
 
 def test_elemental_sample_outside_is_zero():
     cfg = small_config()
     eis = elemental_set(np.ones((4, 4, 8, 8)), 0.5, cfg)
-    assert sample(eis.padded(slice(0, 1), slice(0, 1)), 0, 7.0, 0.0, 0.5) == 0.0
+    assert sample(eis, whole_stack(eis, 1, 1), 0, 0, 7.0, 0.0)[0] == 0.0
 
 
-def sample(stack, k, du, dv, pitch):
-    """``gather`` of image ``k`` of a padded stack at display offsets
-    (du, dv) from the image centre, with the corners of each axis from
-    ``corner``, the rows' lower index scaled by the padded width, as the
-    back-projection passes them."""
-    height, width = stack.shape[-2:]
-    r, wr, vr = corner(dv, pitch, height - 2 * _BORDER - 1, "row")
-    c, wc, vc = corner(du, pitch, width - 2 * _BORDER - 1, "col")
-    return gather(stack, k, (r * width, wr, vr), (c, wc, vc))
+def whole_stack(eis, rows, cols):
+    """The ``padded`` stack of lenslet rows 0..rows - 1 and columns
+    0..cols - 1 of a set, each crop its whole window."""
+    return eis.padded(np.arange(rows), np.arange(cols), eis.row_spans[:cols],
+                      eis.col_spans[:rows])
+
+
+def sample(eis, stack, i, j, du, dv, starts=(0, 0)):
+    """``gather`` of image (i, j) of a ``padded`` stack of the set's images
+    at display offsets (du, dv) from the image centre, as the
+    back-projection samples it: the corners of each axis from ``corner``,
+    moved into the crops that start at pixel rows and columns ``starts``
+    (``into_window``), and the flat index of each lower corner the sum of a
+    row part and a column part."""
+    _, cols, height, width = stack.shape
+    du, dv = np.array(du, dtype=float, ndmin=1), np.array(dv, dtype=float, ndmin=1)
+    r, *row = corner(dv, eis.pixel_pitch_mm, eis.pixels_y, "row")
+    c, *col = corner(du, eis.pixel_pitch_mm, eis.pixels_x, "col")
+    at = ((into_window(r, starts[0], height) + _BORDER + (i * cols + j) * height) * width
+          + into_window(c, starts[1], width) + _BORDER)
+    out = np.empty(at.shape)
+    return gather(stack.reshape(-1), width, at, row, col, out, np.empty_like(out))
 
 
 def masked_sample(eis, images, p, q, u, v):
@@ -247,7 +260,7 @@ def test_padded_gather_matches_masked_scalar_reference(case, p, q):
     rows, cols = images.shape[2:]
     cfg = small_config(m=2, n=2, pitch_x_mm=cols * pitch, pitch_y_mm=rows * pitch)
     eis = elemental_set(images, pitch, cfg)
-    values = sample(eis.padded(slice(0, 2), slice(0, 2)), 2 * p + q, du, dv, pitch)
+    values = sample(eis, whole_stack(eis, 2, 2), p, q, du, dv)
     expected = [scalar_bilinear(images[p, q], u, v, pitch)
                 for u, v in zip(du.tolist(), dv.tolist())]
     np.testing.assert_array_equal(values, expected)
@@ -479,18 +492,15 @@ def test_window_gather_matches_whole_image_at_window_edges():
     fc = np.array([-2.0, 0.25, 2.5, 3.0, 4.75, 5.5, 8.1, 9.9, 11.0])
     FR, FC = np.meshgrid(fr, fc, indexing="ij")
     dv, du = (12 - 1) / 2.0 - FR, FC - (10 - 1) / 2.0
-    r, wr, vr = corner(dv, 1.0, 12, "row")
-    c, wc, vc = corner(du, 1.0, 10, "col")
-    full = whole.padded(slice(0, 1), slice(0, 1))
-    expected = gather(full, 0, (r * full.shape[-1], wr, vr), (c, wc, vc))
-    stack = windowed.padded(slice(0, 1), slice(0, 1))
+    r = corner(dv, 1.0, 12, "row")[0]
+    c = corner(du, 1.0, 10, "col")[0]
+    expected = sample(whole, whole_stack(whole, 1, 1), 0, 0, du, dv)
+    stack = whole_stack(windowed, 1, 1)
     assert stack.shape == (1, 1, 4 + 5, 3 + 5)
     # clipped past the window on each side of each axis
     assert (r - 4 < -2).any() and (r - 4 > 4 + 1).any()
     assert (c - 3 < -2).any() and (c - 3 > 3 + 1).any()
-    height, width = stack.shape[-2:]
-    values = gather(stack, 0, (into_window(r.copy(), 4, height) * width, wr, vr),
-                    (into_window(c.copy(), 3, width), wc, vc))
+    values = sample(windowed, stack, 0, 0, du, dv, starts=(4, 3))
     np.testing.assert_array_equal(values, expected)
     # the straddling footprints read light, and so differ from 0
     assert np.all(values[[3, 6], 3:6] > 0) and np.all(values[4:7, [2, 5]] > 0)
@@ -498,6 +508,78 @@ def test_window_gather_matches_whole_image_at_window_edges():
     field = backproject_geometric(windowed, plane).field.values
     assert np.any(field)
     np.testing.assert_array_equal(field, backproject_geometric(whole, plane).field.values)
+
+
+def spy_stacks(monkeypatch, change=None):
+    """Record each stack that ``padded`` returns, with the crops it was asked
+    for: (stack, row crops, column crops, row windows, column windows).
+    ``change(stack, rows, cols)`` may first change the stack in place."""
+    stacks, padded = [], ElementalImageSet.padded
+
+    def spy(eis, p, q, rows, cols):
+        stack = padded(eis, p, q, rows, cols)
+        if change is not None:
+            change(stack, rows, cols)
+        stacks.append((stack, rows, cols, eis.row_spans[q], eis.col_spans[p]))
+        return stack
+
+    monkeypatch.setattr(ElementalImageSet, "padded", spy)
+    return stacks
+
+
+def _zero_crop_edge(edge):
+    """A ``spy_stacks`` change that zeroes one edge of every nonempty crop:
+    its first or last pixel row, or its first or last pixel column."""
+    def change(stack, rows, cols):
+        for k, (start, stop) in enumerate((rows if edge.endswith("row") else cols).tolist()):
+            if stop > start:
+                at = _BORDER if edge.startswith("first") else _BORDER + stop - start - 1
+                if edge.endswith("row"):
+                    stack[:, k, at, :] = 0
+                else:
+                    stack[k, :, :, at] = 0
+    return change
+
+
+@pytest.mark.parametrize("held", ["windowed capture", "loaded whole images"])
+@pytest.mark.parametrize("tx, ty", [(20.0, 0.0), (-20.0, 0.0), (0.0, 15.0), (17.0, -23.0),
+                                    (-17.0, 23.0)])
+def test_crop_edges_are_read_and_match_whole_images(monkeypatch, held, tx, ty):
+    # the back-projection stacks only the pixels from the lowest lower corner
+    # to the highest upper one of each lenslet column and row, inside its
+    # window; each edge of those crops is read, so zeroing it changes the field
+    captured = sweep_capture()
+    eis = captured if held == "windowed capture" else reloaded(captured)
+    plane = TiltedPlaneSpec(tx, ty, 300.0, PlaneGrid(6.0, 6.0, 0.25))
+    stacks = spy_stacks(monkeypatch)
+    field = backproject_geometric(eis, plane).field.values
+    [(stack, rows, cols, row_windows, col_windows)] = stacks
+    # some crop starts after its window's start, and some ends before its stop
+    for crops, windows in ((rows, row_windows), (cols, col_windows)):
+        assert np.all((windows[:, 0] <= crops[:, 0]) & (crops[:, 1] <= windows[:, 1]))
+        assert np.any(crops[:, 0] > windows[:, 0]) and np.any(crops[:, 1] < windows[:, 1])
+    assert stack.shape[2:] == (np.ptp(rows, axis=1).max() + 5, np.ptp(cols, axis=1).max() + 5)
+    whole = elemental_set(dense(eis), eis.pixel_pitch_mm, eis.capture_config)
+    np.testing.assert_array_equal(field, backproject_geometric(whole, plane).field.values)
+    np.testing.assert_array_equal(field, _per_lenslet_loop(eis, plane)[0])
+    for edge in ("first row", "last row", "first column", "last column"):
+        spy_stacks(monkeypatch, _zero_crop_edge(edge))
+        changed = backproject_geometric(eis, plane).field.values
+        assert not np.array_equal(changed, field), edge
+
+
+def test_sweep_plane_stack_holds_only_the_pixels_it_reads(monkeypatch, caplog):
+    # the 10 deg sweep plane reads ~58 of the 128 pixel rows and columns of
+    # each of its 9 x 9 loaded images, which the stack held whole before
+    eis = reloaded(sweep_capture())
+    plane = TiltedPlaneSpec(10.0, 0.0, 300.0, PlaneGrid(12.0, 12.0, 0.25))
+    stacks = spy_stacks(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="tiltview.reconstruction")
+    backproject_geometric(eis, plane)
+    [(stack, *_)] = stacks
+    assert stack.dtype == np.uint16 and stack.shape[:2] == (9, 9)
+    assert stack.size <= 9 * 9 * (58 + 5) * (58 + 5)
+    assert f"a uint16 stack of {stack.shape}, {stack.nbytes} bytes" in caplog.text
 
 
 def test_point_capture_and_diffraction_reconstruct_allocate_little():
