@@ -127,14 +127,12 @@ def cmd_synth(args) -> int:
 
 def cmd_analyze(args) -> int:
     run = RunConfig.from_file(args.config)
+    if run.plane is None:
+        raise ConfigError("analyze needs the source depth: set plane.D_mm in the config")
     scan = run.scan or ScanConfig()
-    D = args.D_mm if args.D_mm is not None else (
-        run.plane.axial_offset_mm if run.plane else None)
-    if D is None:
-        raise ConfigError("analyze needs a depth: set plane.D_mm or pass --D-mm")
     curve = scan_resolution(
-        run.optical_system, D, scan.axis, scan.theta_min_deg, scan.theta_max_deg,
-        scan.steps, z_i_override_mm=run.z_i_override_mm)
+        run.optical_system, run.plane.axial_offset_mm, scan.axis, scan.theta_min_deg,
+        scan.theta_max_deg, scan.steps, z_i_override_mm=run.z_i_override_mm)
     fov = extract_fov(curve, threshold_ratio=scan.threshold_ratio)
     out = Path(args.out or run.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -149,9 +147,14 @@ def cmd_reconstruct(args) -> int:
         raise UsageError("--strip-width-mm sets the strips of the defocus blur; "
                          "it needs --mode diffraction")
     run = RunConfig.from_file(args.config)
-    plane = run.plane
-    if plane is None:
+    given = run.plane
+    if given is None:
         raise ConfigError("reconstruct needs a plane block in the config")
+    # the config's plane passed its checks when it was read, so a rejection here names a flag
+    plane = build(TiltedPlaneSpec, "reconstruct", "the command line", {"axial_offset_mm": "--D-mm"},
+                  theta_x_deg=given.theta_x_deg if args.theta_x_deg is None else args.theta_x_deg,
+                  theta_y_deg=given.theta_y_deg, grid=given.grid,
+                  axial_offset_mm=given.axial_offset_mm if args.D_mm is None else args.D_mm)
     eis = manifest_io.load_elemental_set(args.manifest)
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
               f"config {getattr(run.optical_system, key)!r})"
@@ -160,9 +163,6 @@ def cmd_reconstruct(args) -> int:
     if differ:
         raise ConfigError(f"the config's optical_system differs from the capture's: "
                           f"{'; '.join(differ)}; pass the config the capture was made with")
-    theta_x = args.theta_x_deg if args.theta_x_deg is not None else plane.theta_x_deg
-    D = args.D_mm if args.D_mm is not None else plane.axial_offset_mm
-    plane = TiltedPlaneSpec(theta_x, plane.theta_y_deg, D, plane.grid)
     recon = reconstruct(
         eis, plane, mode=args.mode, strip_width_mm=args.strip_width_mm,
         z_i_override_mm=run.z_i_override_mm)
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="tilt-angle resolution scan and field of view")
     analyze.add_argument("--config", required=True)
     analyze.add_argument("--out", default=None)
-    analyze.add_argument("--D-mm", dest="D_mm", type=float, default=None)
     analyze.add_argument("--workers", type=int, default=1,
                          help="ignored; accepted for existing command lines")
     analyze.set_defaults(func=cmd_analyze)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .optics import (FOCUS_BAND, ConfigError, OpticalSystemConfig, build, path_string,
-                     read_block, read_json, write_json)
+from .optics import (ConfigError, OpticalSystemConfig, build, path_string, read_block,
+                     read_json, write_json)
 from .pgm import read_pgm16, to_codes, write_pgm16
 from .reconstruction import ElementalImageSet
 
@@ -25,9 +25,6 @@ MANIFEST_NAME = "manifest.json"
 GEOMETRY_KEYS = {f.name: {"gap_mm": "g_mm", "focal_length_mm": "f_mm"}.get(f.name, f.name)
                  for f in dataclasses.fields(OpticalSystemConfig)}
 REQUIRED_KEYS = (*GEOMETRY_KEYS.values(), "pixel_pitch_mm", "pixels_x", "pixels_y", "images")
-#: Keys that manifests written before the pupil and focus band were fixed may
-#: hold, each with the one value it can take.
-FIXED_KEYS = {"aperture_shape": "ellipse", "focus_epsilon": FOCUS_BAND}
 
 
 def save_elemental_set(eis: ElementalImageSet, out_dir) -> Path:
@@ -69,11 +66,7 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
     without a file, in ``zero_images``, which a manifest may lack."""
     path = Path(manifest_path)
     man = read_block(read_json(path), path, "the manifest", required=REQUIRED_KEYS,
-                     optional=(*FIXED_KEYS, "zero_images"))
-    for key, value in FIXED_KEYS.items():
-        if man.get(key, value) != value:
-            raise ConfigError(f"{path}: the manifest's {key} is {man[key]!r}, but only "
-                              f"{value!r} can be reconstructed")
+                     optional=("zero_images",))
     cfg = build(OpticalSystemConfig, path, "the manifest", GEOMETRY_KEYS,
                 **{name: man[key] for name, key in GEOMETRY_KEYS.items()})
     shape = (man["pixels_y"], man["pixels_x"])

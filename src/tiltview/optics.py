@@ -163,7 +163,10 @@ class OpticalSystemConfig:
         return z_i
 
     def lenslet_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lateral centres (cx[p], cy[q]) of the lenslets; lenslet (m/2, n/2) is on axis."""
+        """Lateral centres (cx[p], cy[q]) = ((p - m/2) pitch_x, (q - n/2) pitch_y) of the
+        lenslets. Lenslet (m/2, n/2) sits on the axis when m and n are even;
+        along an axis with an odd count no centre is 0. Either way the array's
+        centre lies half a pitch on the negative side of the axis."""
         cx = (np.arange(self.m) - self.m / 2) * self.pitch_x_mm
         cy = (np.arange(self.n) - self.n / 2) * self.pitch_y_mm
         return cx, cy

@@ -113,13 +113,6 @@ def _windows(on: np.ndarray) -> np.ndarray:
     return np.stack([start, stop], axis=1)
 
 
-def _ranges(on: np.ndarray) -> list[tuple[int, slice]]:
-    """Each row of a 2D mask that holds a true entry, and the range from its
-    first to its last one."""
-    return [(i, slice(start, stop)) for i, (start, stop) in enumerate(_windows(on).tolist())
-            if stop > start]
-
-
 def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
                         pixels_x: int, pixels_y: int,
                         pixel_pitch_mm: float | None = None) -> tuple[ElementalImageSet, int]:
@@ -131,16 +124,18 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     inverse-square distance falloff; textured planes are sampled per display
     pixel through the inverse mapping. Projections that miss the elemental
     image are dropped and counted. Emitters are projected through the whole
-    lenslet grid at once; planes are sampled one lenslet at a time, over the
-    pixel rows and columns of that lenslet whose view lands on the texture.
+    lenslet grid at once; planes are sampled one lenslet at a time, over
+    that lenslet's window.
 
     Every projection is found before a pixel is stored, and the set holds
     only the windows they reach (``ElementalImageSet``): for each lenslet
     that receives a deposit or sees a plane, the pixel rows that its
     lenslet column reaches times the pixel columns that its lenslet row
     reaches. The deposits go into those blocks emitter by emitter and
-    corner by corner, and the plane samples after them, so every pixel gets
-    the additions, in the order, that a whole image would.
+    corner by corner, and the planes' samples after them in scene order. A
+    window pixel whose view misses a plane samples +0.0, which leaves any
+    sum unchanged, so every pixel gets the additions, in the order, that a
+    whole image would.
     """
     pixel_pitch_mm = raster_pitch(cfg, pixels_y, pixels_x, pixel_pitch_mm)
     vignetted, g = 0, cfg.gap_mm
@@ -190,18 +185,17 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
         # pixel (du, dv) sees the plane point x = cx - du z/g, y = cy - dv z/g
         sx, sy = du * plane.z_mm / g, dv * plane.z_mm / g
         # a pixel sees the texture iff its x lies on the texture's columns and
-        # its y on its rows: lenslet (p, q) is cropped to the pixel columns
-        # whose x does through lenslet row p, and the pixel rows whose y does
-        # through lenslet column q
+        # its y on its rows: through lenslet row p those are the pixel columns
+        # cols_on[p], through lenslet column q the pixel rows rows_on[q]
         fc, fr = plane._texel(cx[:, None] - sx, cy[:, None] - sy)
         tex_rows, tex_cols = plane.texture.shape
         cols_on, rows_on = _on_texels(fc, tex_cols), _on_texels(fr, tex_rows)
-        pixel_rows, pixel_cols = _ranges(rows_on), _ranges(cols_on)
-        if pixel_rows and pixel_cols:
+        seen = cols_on.any(axis=1)[:, None] & rows_on.any(axis=1)
+        if seen.any():
             rows_reached |= rows_on
             cols_reached |= cols_on
-            lit |= cols_on.any(axis=1)[:, None] & rows_on.any(axis=1)
-            views.append((plane, sx, sy, pixel_rows, pixel_cols))
+            lit |= seen
+            views.append((plane, sx, sy))
     # one buffer holds the blocks of the lit lenslets, each (rows of q) x (columns of p)
     row_spans, col_spans = _windows(rows_reached), _windows(cols_reached)
     heights, widths = np.diff(row_spans)[:, 0], np.diff(col_spans)[:, 0]
@@ -213,14 +207,10 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     for row, col, inside, deposit in deposits:
         at = offsets + (row - row_spans[Q, 0]) * widths[P] + (col - col_spans[P, 0])
         buffer[at[inside]] += deposit[inside]
-    for plane, sx, sy, pixel_rows, pixel_cols in views:
-        for p, c in pixel_cols:
-            x = cx[p] - sx[c]
-            c0 = col_spans[p, 0]
-            for q, r in pixel_rows:
-                r0 = row_spans[q, 0]
-                blocks[p, q][r.start - r0:r.stop - r0, c.start - c0:c.stop - c0] += \
-                    plane.sample(x, cy[q] - sy[r, None])
+    for plane, sx, sy in views:
+        for (p, q), block in blocks.items():
+            (r0, r1), (c0, c1) = row_spans[q], col_spans[p]
+            block += plane.sample(cx[p] - sx[c0:c1], cy[q] - sy[r0:r1, None])
     eis = ElementalImageSet(blocks, pixels_y, pixels_x, pixel_pitch_mm, cfg,
                             row_spans=row_spans, col_spans=col_spans)
     return eis, vignetted

@@ -817,7 +817,8 @@ def test_cli_geometric_reconstruct_rejects_strip_width(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [("aperture_shape", "rectangle"),
                                         ("focus_epsilon", 0.001)])
 def test_cli_reconstruct_rejects_manifest_of_another_geometry(tmp_path, caplog, key, value):
-    # a capture with another pupil or focus band is never reconstructed with this one
+    # a capture with another pupil or focus band is never reconstructed with this one:
+    # no writer has stored either key since both were fixed, so each is an unknown key
     config, manifest, img = _synth_point_capture(tmp_path)
     doc = json.loads(manifest.read_text())
     doc[key] = value
@@ -826,19 +827,20 @@ def test_cli_reconstruct_rejects_manifest_of_another_geometry(tmp_path, caplog, 
                "--mode", "diffraction", "--out", str(img)])
     assert rc == 1
     assert not img.exists() and not img.with_suffix(".json").exists()
-    assert f"{manifest}: the manifest's {key} is {value!r}" in caplog.text
+    assert f"{manifest}: the manifest has unknown key(s): {key}" in caplog.text
 
 
-def test_cli_reconstruct_reads_manifest_with_fixed_geometry_keys(tmp_path):
-    # older manifests store the pupil shape and focus band with the only values there are
+def test_cli_reconstruct_names_the_rejected_flag(tmp_path, caplog):
+    # an override is checked before the manifest is read, and named by its flag
     config, manifest, img = _synth_point_capture(tmp_path)
-    doc = json.loads(manifest.read_text())
-    doc.update(aperture_shape="ellipse", focus_epsilon=1e-06)
-    manifest.write_text(json.dumps(doc, indent=2))
-    assert '"focus_epsilon": 1e-06' in manifest.read_text()
-    assert main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
-                 "--mode", "diffraction", "--out", str(img)]) == 0
-    assert img.exists()
+    manifest.unlink()
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--D-mm", "-5", "--out", str(img)])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "reconstruct: the command line: axial offset must be positive and finite, "
+        "got --D-mm=-5.0"]
+    assert not img.exists() and not img.with_suffix(".json").exists()
 
 
 def test_cli_rejects_pupil_shape_in_config(tmp_path, caplog):
@@ -847,7 +849,7 @@ def test_cli_rejects_pupil_shape_in_config(tmp_path, caplog):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "o"
-    assert main(["analyze", "--config", str(path), "--D-mm", "300", "--out", str(out)]) == 1
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
     assert (f"{path}: the optical_system block has unknown key(s): aperture_shape"
             in caplog.text)
     assert not out.exists()
@@ -1226,6 +1228,19 @@ def test_readme_names_every_cli_flag():
     assert missing == []
 
 
+def test_readme_command_bullets_name_only_their_commands_flags():
+    # the reverse check: a flag deleted from a command cannot stay in its README bullet
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    readme = (ROOT / "README.md").read_text()
+    bullets = dict(re.findall(r"^\* `(\w+)`:(.*(?:\n  .*)*)", readme, re.M))
+    assert sorted(bullets) == sorted(commands.choices)
+    stale = [f"{name} {flag}" for name, text in bullets.items()
+             for flag in re.findall(r"(?<![\w-])--\w[\w-]*", text)
+             if flag not in commands.choices[name]._option_string_actions]
+    assert stale == []
+
+
 def test_cli_synth_is_byte_deterministic(tmp_path):
     config = write_config(tmp_path)
     scene = write_scene(tmp_path, {"points": [{"x_mm": 1.5, "z_mm": 180.0}]})
@@ -1285,13 +1300,30 @@ def test_cli_analyze_rejects_bad_scan_block(tmp_path, caplog, scan, message):
 @pytest.mark.parametrize("depth", ["nan", "inf"])
 def test_cli_analyze_rejects_non_finite_depth(tmp_path, caplog, depth):
     # a NaN depth had written a curve.csv of nan and a fov.json holding a
-    # bare NaN, which is not JSON
+    # bare NaN, which is not JSON; json.dumps writes NaN and Infinity, which
+    # the config reader takes
+    plane = {"D_mm": float(depth), "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
+                                            "sample_pitch_mm": 0.2}}
+    config = write_config(tmp_path, plane=plane, scan={"steps": 5})
+    out = tmp_path / "o"
+    rc = main(["analyze", "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    assert (f"{config}: the plane block: axial offset must be positive and finite, "
+            f"got D_mm={float(depth)!r}" in caplog.text)
+    assert not out.exists()
+
+
+def test_cli_analyze_takes_the_depth_from_the_config_only(tmp_path, caplog, capsys):
     config = write_config(tmp_path, scan={"steps": 5})
     out = tmp_path / "o"
-    rc = main(["analyze", "--config", str(config), "--D-mm", depth, "--out", str(out)])
-    assert rc == 1
-    assert "source depth must be positive and finite" in caplog.text
-    assert not (out / "curve.csv").exists() and not (out / "fov.json").exists()
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "analyze needs the source depth: set plane.D_mm in the config"]
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "--config", str(config), "--D-mm", "300", "--out", str(out)])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --D-mm 300" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_analyze_rejects_beam_tilted_to_ninety_degrees(tmp_path, caplog):

@@ -221,6 +221,17 @@ def test_lenslet_center_values():
     assert cx.shape == cy.shape == (16,)
 
 
+def test_odd_lenslet_count_puts_no_lenslet_on_the_axis():
+    # cx = (p - m/2) pitch for every m: for odd m no centre is 0, and the
+    # array's centre lies half a pitch off the axis, as for even m
+    cfg = OpticalSystemConfig(m=15, n=16, pitch_x_mm=10.0, pitch_y_mm=8.0,
+                              gap_mm=50.0, focal_length_mm=35.0)
+    cx, cy = cfg.lenslet_centers()
+    assert not np.any(cx == 0.0)
+    assert (cx[0], cx[-1]) == (-75.0, 65.0)
+    assert cx.mean() == -5.0 and cy.mean() == -4.0
+
+
 # ---------------------------------------------------------------------------
 # pixel distance: the on-axis source at depth D seen through lenslet (p, q)
 

@@ -309,8 +309,9 @@ def random_points(rng, count, spread_mm, z_range_mm):
 
 def test_plane_capture_skip_matches_unskipped_loop():
     # points that vignette on some lenslets and a textured plane narrower
-    # than the array's reach: lenslets whose view misses the plane are
-    # skipped, and the images must equal the per-lenslet loop bit for bit
+    # than the array's reach: the plane is sampled over the blocks that the
+    # points lit too, where its view misses the texture and adds exact
+    # zeros, and the images must equal the per-lenslet loop bit for bit
     cfg = cfg16()
     rng = np.random.default_rng(4)
     plane = TexturedPlane(300.0, 9.0, 6.0, rng.random((20, 30)) + 0.1)
@@ -353,9 +354,9 @@ def test_capture_matches_per_lenslet_reference_on_unequal_axes(seed):
 def test_plane_capture_crop_partial_on_both_axes():
     # lenslet row 2 sees the 14 x 3 mm plane through pixel columns 3-20 of
     # 24, rows 1 and 3 through one edge each; lenslet columns 2 and 3 see it
-    # through pixel rows 12-15 and 2-5 of 18, so their batch is cropped to
-    # rows 2-15. A crop one pixel too tight on either axis drops a nonzero
-    # pixel, and lenslets whose view misses the plane are left out.
+    # through pixel rows 12-15 and 2-5 of 18, so the windows span only part
+    # of each axis. A window one pixel too tight on either axis drops a
+    # nonzero pixel, and lenslets whose view misses the plane get no block.
     cfg = OpticalSystemConfig(m=4, n=5, pitch_x_mm=10.0, pitch_y_mm=8.0,
                               gap_mm=50.0, focal_length_mm=35.0)
     rng = np.random.default_rng(7)
@@ -384,7 +385,15 @@ def sweep_scene(seed=0):
     (Scene(points=[PointEmitter(1.5, -2.0, 250.0, 0.75), PointEmitter(-4.0, 3.0, 180.0)],
            planes=[TexturedPlane(220.0, 6.0, 9.0, np.arange(1.0, 31.0).reshape(5, 6))]),
      cfg4(), 40, 0.2),
-], ids=["sweep-plane", "point", "two-emitters-and-plane"])
+    # the planes overlap at two depths: each window holds pixels that one of
+    # them misses, the 140 mm plane is seen by 9 of the 16 lit lenslets, and 2
+    # pixels round differently when the planes are added in the other order
+    (Scene(points=[PointEmitter(1.5, -2.0, 250.0, 0.75), PointEmitter(-12.0, 8.0, 90.0)],
+           planes=[TexturedPlane(220.0, 6.0, 9.0, np.arange(1.0, 31.0).reshape(5, 6)),
+                   TexturedPlane(140.0, 9.0, 3.0,
+                                 np.arange(12.0, 0.0, -1.0).reshape(3, 4) * 0.3)]),
+     cfg4(), 40, 0.2),
+], ids=["sweep-plane", "point", "two-emitters-and-plane", "two-emitters-and-two-planes"])
 def test_windowed_capture_densifies_to_per_lenslet_reference(scene, cfg, pixels, pitch):
     # the capture stores blocks in windows only; densified they are the
     # per-lenslet loop's images bit for bit, and the windows leave pixels out
