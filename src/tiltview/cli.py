@@ -146,12 +146,20 @@ def cmd_reconstruct(args) -> int:
     if args.strip_width_mm is not None and args.mode != "diffraction":
         raise UsageError("--strip-width-mm sets the strips of the defocus blur; "
                          "it needs --mode diffraction")
+    out = Path(args.out)
+    sidecar_path = out.with_suffix(".json")
+    for path, name in ((out, "--out itself"), (args.manifest, "the manifest"),
+                       (args.config, "the config")):
+        if Path(path).resolve() == sidecar_path.resolve():
+            raise UsageError(f"--out {args.out}: the sidecar is --out with the suffix .json, "
+                             f"{sidecar_path}, which is {name}; choose another --out")
     run = RunConfig.from_file(args.config)
     given = run.plane
     if given is None:
         raise ConfigError("reconstruct needs a plane block in the config")
     # the config's plane passed its checks when it was read, so a rejection here names a flag
-    plane = build(TiltedPlaneSpec, "reconstruct", "the command line", {"axial_offset_mm": "--D-mm"},
+    plane = build(TiltedPlaneSpec, "reconstruct", "the command line",
+                  {"axial_offset_mm": "--D-mm", "theta_x_deg": "--theta-x-deg"},
                   theta_x_deg=given.theta_x_deg if args.theta_x_deg is None else args.theta_x_deg,
                   theta_y_deg=given.theta_y_deg, grid=given.grid,
                   axial_offset_mm=given.axial_offset_mm if args.D_mm is None else args.D_mm)
@@ -166,7 +174,6 @@ def cmd_reconstruct(args) -> int:
     recon = reconstruct(
         eis, plane, mode=args.mode, strip_width_mm=args.strip_width_mm,
         z_i_override_mm=run.z_i_override_mm)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     peak = float(recon.field.values.max())
     # field is [ix, iy]; image rows run top-down along -y
@@ -179,7 +186,7 @@ def cmd_reconstruct(args) -> int:
         "mode": recon.mode,
         "normalization_max": peak,
     }
-    write_json(sidecar, out.with_suffix(".json"))
+    write_json(sidecar, sidecar_path)
     log.info("wrote %s", out)
     return 0
 

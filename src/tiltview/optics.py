@@ -290,8 +290,10 @@ class TiltedPlaneSpec:
     grid: PlaneGrid
 
     def __post_init__(self):
-        if not (abs(self.theta_x_deg) < 90.0 and abs(self.theta_y_deg) < 90.0):
-            raise ValueError("tilt angles must satisfy |theta| < 90 degrees")
+        for name in ("theta_x_deg", "theta_y_deg"):
+            value = getattr(self, name)
+            if not abs(value) < 90.0:  # NaN too
+                raise ValueError(f"{name} must satisfy |theta| < 90 degrees, got {value!r}")
         if not 0 < self.axial_offset_mm < math.inf:
             raise ValueError(f"axial offset must be positive and finite, "
                              f"got axial_offset_mm={self.axial_offset_mm!r}")

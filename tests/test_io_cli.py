@@ -843,6 +843,55 @@ def test_cli_reconstruct_names_the_rejected_flag(tmp_path, caplog):
     assert not img.exists() and not img.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize("theta", ["95", "nan"])
+def test_cli_reconstruct_names_the_rejected_tilt_flag(tmp_path, caplog, theta):
+    config, manifest, img = _synth_point_capture(tmp_path)
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--theta-x-deg", theta, "--out", str(img)])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "reconstruct: the command line: --theta-x-deg must satisfy |theta| < 90 degrees, "
+        f"got {float(theta)!r}"]
+    assert not img.exists() and not img.with_suffix(".json").exists()
+
+
+def test_cli_reconstruct_names_the_rejected_tilt_key(tmp_path, caplog):
+    config, manifest, img = _synth_point_capture(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["plane"]["theta_y_deg"] = -90
+    config.write_text(json.dumps(doc))
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--out", str(img)])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{config}: the plane block: theta_y_deg must satisfy |theta| < 90 degrees, got -90"]
+    assert not img.exists() and not img.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("out, overwritten", [
+    ("r.json", "--out itself"),
+    ("cap/manifest.json", "--out itself"),
+    ("cap/manifest.pgm", "the manifest"),
+    ("cap/manifest", "the manifest"),
+    ("run", "the config"),
+])
+def test_cli_reconstruct_rejects_out_whose_sidecar_overwrites_a_file(tmp_path, capsys, out,
+                                                                     overwritten):
+    # the sidecar is --out with the suffix .json; it must land on neither the image
+    # nor an input, and the rejection comes before the config or the manifest is read
+    config, manifest, _ = _synth_point_capture(tmp_path)
+    config.unlink()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+              "--out", str(tmp_path / out)])
+    assert err.value.code == 2
+    sidecar = (tmp_path / out).with_suffix(".json")
+    assert (f"--out {tmp_path / out}: the sidecar is --out with the suffix .json, {sidecar}, "
+            f"which is {overwritten}; choose another --out" in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 def test_cli_rejects_pupil_shape_in_config(tmp_path, caplog):
     doc = json.loads(write_config(tmp_path).read_text())
     doc["optical_system"]["aperture_shape"] = "hexagon"
@@ -1208,12 +1257,15 @@ def test_cli_imports_without_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_package_exports_resolve():
-    import tiltview
-
-    assert len(tiltview.__all__) == len(set(tiltview.__all__))
-    missing = [name for name in tiltview.__all__ if not hasattr(tiltview, name)]
-    assert missing == []
+def test_importing_a_module_loads_only_its_own_imports():
+    # the package root imports nothing, so pgm and optics come without the rest
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, tiltview.pgm, tiltview.optics; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'tiltview'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "['tiltview', 'tiltview.optics', 'tiltview.pgm']"
 
 
 def test_readme_names_every_cli_flag():
