@@ -18,11 +18,10 @@ from pathlib import Path
 
 from . import manifest as manifest_io
 from .optics import (ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, build,
-                     path_string, read_block, read_json, write_json)
+                     check_number, path_string, read_block, read_json, write_json)
 from .pgm import read_pgm, to_codes, write_pgm16
-from .reconstruction import reconstruct
-from .resolution import (check_scan, check_threshold_ratio, extract_fov, scan_resolution,
-                         write_curve_csv)
+from .reconstruction import raster_pitch, reconstruct
+from .resolution import check_scan, extract_fov, scan_resolution, write_curve_csv
 from .scene import PointEmitter, Scene, TexturedPlane, capture_with_report
 
 log = logging.getLogger("tiltview")
@@ -46,7 +45,7 @@ class ScanConfig:
 
     def __post_init__(self):
         check_scan(self.axis, self.theta_min_deg, self.theta_max_deg, self.steps)
-        check_threshold_ratio(self.threshold_ratio)
+        check_number("threshold_ratio", self.threshold_ratio, 1.0)
 
 
 @dataclass
@@ -113,10 +112,13 @@ def load_scene(path) -> Scene:
 
 def cmd_synth(args) -> int:
     run = RunConfig.from_file(args.config)
-    scene = load_scene(args.scene)
-    eis, vignetted = capture_with_report(
-        scene, run.optical_system, args.pixels_x, args.pixels_y,
+    pitch = build(raster_pitch, "synth", "the command line", {
+        "pixels_x": "--pixels-x", "pixels_y": "--pixels-y", "pixel_pitch_mm": "--pixel-pitch-mm"},
+        cfg=run.optical_system, pixels_y=args.pixels_y, pixels_x=args.pixels_x,
         pixel_pitch_mm=args.pixel_pitch_mm)
+    scene = load_scene(args.scene)
+    eis, vignetted = capture_with_report(scene, run.optical_system, args.pixels_x,
+                                         args.pixels_y, pixel_pitch_mm=pitch)
     out = Path(args.out or run.out_dir or ".")
     path = manifest_io.save_elemental_set(eis, out)
     zero = len(read_json(path)["zero_images"])
@@ -164,6 +166,12 @@ def cmd_reconstruct(args) -> int:
                   theta_y_deg=given.theta_y_deg, grid=given.grid,
                   axial_offset_mm=given.axial_offset_mm if args.D_mm is None else args.D_mm)
     eis = manifest_io.load_elemental_set(args.manifest)
+    # a listed image can be overwritten only through a path that exists already
+    for path, name in ((out, "--out"), (sidecar_path, f"the sidecar {sidecar_path}")):
+        for entry in read_json(args.manifest)["images"] if path.exists() else ():
+            if os.path.samefile(path, Path(args.manifest).parent / entry["file"]):
+                raise UsageError(f"--out {args.out}: {name} is {entry['file']}, an image the "
+                                 "manifest lists; choose another --out")
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
               f"config {getattr(run.optical_system, key)!r})"
               for key in OPTICAL_SYSTEM_KEYS

@@ -18,7 +18,7 @@ import numpy as np
 from .optics import (ConfigError, OpticalSystemConfig, build, path_string, read_block,
                      read_json, write_json)
 from .pgm import read_pgm16, to_codes, write_pgm16
-from .reconstruction import ElementalImageSet
+from .reconstruction import ElementalImageSet, raster_pitch
 
 MANIFEST_NAME = "manifest.json"
 #: The manifest key of each OpticalSystemConfig field, in the order they are written.
@@ -69,10 +69,10 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
                      optional=("zero_images",))
     cfg = build(OpticalSystemConfig, path, "the manifest", GEOMETRY_KEYS,
                 **{name: man[key] for name, key in GEOMETRY_KEYS.items()})
+    # the raster is checked before any image is read
+    build(raster_pitch, path, "the manifest", cfg=cfg, pixels_y=man["pixels_y"],
+          pixels_x=man["pixels_x"], pixel_pitch_mm=man["pixel_pitch_mm"])
     shape = (man["pixels_y"], man["pixels_x"])
-    if not all(type(size) is int and size >= 1 for size in shape):
-        raise ConfigError(f"{path}: the manifest: pixels_x and pixels_y must be integers "
-                          f">= 1, got {man['pixels_x']!r} and {man['pixels_y']!r}")
     blocks, folder, seen = {}, os.path.dirname(path), set()
     for key in ("images", "zero_images"):
         if type(man.get(key, [])) is not list:

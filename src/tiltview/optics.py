@@ -8,11 +8,10 @@ are quoted.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
+import numbers
 import re
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,28 +91,43 @@ def path_string(value, path, block: str, key: str) -> str:
     return value
 
 
+def check_number(name: str, value, low: float = 0.0, closed: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` and ``value`` unless ``value`` is a finite
+    real number above ``low``, or at or above it when ``closed``; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value, default=repr)}")
+    if not (low <= value if closed else low < value) or not value < math.inf:  # NaN fails too
+        rule = ("finite" if low == -math.inf else
+                f"{'nonnegative' if closed else 'positive'} and finite" if low == 0 else
+                f"a finite number {'at least' if closed else 'above'} {low:g}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_count(name: str, value, low: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` and ``value`` unless ``value`` is an
+    int of at least ``low``; a bool or a fractional count is not."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def build(cls, path, block: str, keys: dict[str, str] | None = None, /, **values):
     """``cls(**values)`` for a class or any other callable, with a rejected value
-    reported as a ``ConfigError`` naming the file and the block. A JSON
-    ``true`` or ``false`` for a parameter annotated ``float`` is rejected too:
-    a bool is an int, which would pass as 1 or 0. ``keys`` maps a parameter
-    to the document's key for it where the two differ, and the message
-    names the key."""
-    keys = keys or {}
-    for name, value in values.items():
-        if isinstance(value, bool):
-            param = inspect.signature(cls, eval_str=True).parameters.get(name)
-            hint = param.annotation if param else None
-            if float in (hint, *typing.get_args(hint)):
-                raise ConfigError(f"{path}: {block}: {keys.get(name, name)} must be a number, "
-                                  f"got {json.dumps(value)}")
+    reported as a ``ConfigError`` naming the file and the block. A message
+    that names a parameter names the document's key where ``keys`` maps it
+    to one. A JSON ``true`` or ``false`` that ``cls`` accepted is rejected
+    after it: no value a document gives here is a bool, and a bool is an
+    int, which would pass as 1 or 0."""
     try:
-        return cls(**values)
+        result = cls(**values)
+        for name, value in values.items():
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
     except (ValueError, TypeError) as exc:
         message = str(exc)
-        for name, key in keys.items():
+        for name, key in (keys or {}).items():
             message = re.sub(rf"\b{name}\b", key, message)
         raise ConfigError(f"{path}: {block}: {message}") from exc
+    return result
 
 
 @dataclass(frozen=True)
@@ -129,18 +143,13 @@ class OpticalSystemConfig:
     wavelength_nm: float = 550.0
 
     def __post_init__(self):
-        for name in ("m", "n"):
-            value = getattr(self, name)
-            # bool is an int subclass, and a fractional count puts no lenslet on the axis
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_count("m", self.m)
+        check_count("n", self.n)
         for name in ("pitch_x_mm", "pitch_y_mm", "gap_mm", "focal_length_mm", "wavelength_nm"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            check_number(name, getattr(self, name))
         if not 380.0 <= self.wavelength_nm <= 780.0:
-            raise ValueError(
-                f"wavelength {self.wavelength_nm} nm outside the visible band [380, 780]")
+            raise ValueError(f"wavelength_nm must lie in the visible band [380, 780], "
+                             f"got {self.wavelength_nm!r}")
 
     @property
     def wavelength_mm(self) -> float:
@@ -261,9 +270,8 @@ class PlaneGrid:
     sample_pitch_mm: float
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.half_width_x_mm, self.half_width_y_mm,
-                                              self.sample_pitch_mm)):
-            raise ValueError("grid spans and sample pitch must be positive and finite")
+        for name in ("half_width_x_mm", "half_width_y_mm", "sample_pitch_mm"):
+            check_number(name, getattr(self, name))
 
     def _axis(self, half_width: float) -> np.ndarray:
         count = max(1, round(2.0 * half_width / self.sample_pitch_mm))
@@ -294,9 +302,7 @@ class TiltedPlaneSpec:
             value = getattr(self, name)
             if not abs(value) < 90.0:  # NaN too
                 raise ValueError(f"{name} must satisfy |theta| < 90 degrees, got {value!r}")
-        if not 0 < self.axial_offset_mm < math.inf:
-            raise ValueError(f"axial offset must be positive and finite, "
-                             f"got axial_offset_mm={self.axial_offset_mm!r}")
+        check_number("axial_offset_mm", self.axial_offset_mm)
 
     @property
     def theta_x_rad(self) -> float:

@@ -16,6 +16,8 @@ from .optics import (
     OpticalSystemConfig,
     ScalarField2D,
     TiltedPlaneSpec,
+    check_count,
+    check_number,
     tilted_to_global,
 )
 
@@ -29,16 +31,15 @@ def raster_pitch(cfg: OpticalSystemConfig, pixels_y: int, pixels_x: int,
     None the largest that fits both lens pitches. Raises ``ValueError`` for
     an image with no pixel, a pitch that is not positive and finite, or an
     image wider than the lens pitch."""
-    if pixels_x < 1 or pixels_y < 1:
-        raise ValueError("elemental images need at least one pixel per axis")
+    check_count("pixels_x", pixels_x)
+    check_count("pixels_y", pixels_y)
     if pixel_pitch_mm is None:
         pixel_pitch_mm = min(cfg.pitch_x_mm / pixels_x, cfg.pitch_y_mm / pixels_y)
-    if not (math.isfinite(pixel_pitch_mm) and pixel_pitch_mm > 0):
-        raise ValueError(f"pixel pitch must be positive and finite, got {pixel_pitch_mm!r}")
-    if pixels_x * pixel_pitch_mm > cfg.pitch_x_mm * (1 + 1e-12):
-        raise ValueError("elemental image wider than the lens pitch in x")
-    if pixels_y * pixel_pitch_mm > cfg.pitch_y_mm * (1 + 1e-12):
-        raise ValueError("elemental image wider than the lens pitch in y")
+    check_number("pixel_pitch_mm", pixel_pitch_mm)
+    for axis, pixels, pitch in (("x", pixels_x, cfg.pitch_x_mm), ("y", pixels_y, cfg.pitch_y_mm)):
+        if pixels * pixel_pitch_mm > pitch * (1 + 1e-12):
+            raise ValueError(f"pixels_{axis} times pixel_pitch_mm must not exceed the lens pitch "
+                             f"pitch_{axis}_mm, got {pixels} * {pixel_pitch_mm!r} > {pitch!r}")
     return pixel_pitch_mm
 
 

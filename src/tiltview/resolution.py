@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import BeamParameters, OpticalSystemConfig, PlaneGrid, ScalarField2D
+from .optics import (BeamParameters, OpticalSystemConfig, PlaneGrid, ScalarField2D, check_count,
+                     check_number)
 
 
 class DegenerateFieldError(ValueError):
@@ -115,8 +116,7 @@ def spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
     The two sums read (p, q, a, b) copies, which keeps the summation order,
     and so every bit, of an (m, n, 8, 8) array.
     """
-    if not 0 < D_mm < math.inf:
-        raise ValueError(f"source depth must be positive and finite, got {D_mm!r}")
+    check_number("D_mm", D_mm)
     cx, cy = cfg.lenslet_centers()  # the source point is (0, 0, D)
     angles_x, angles_y = np.degrees(np.arctan(cx / D_mm)), np.degrees(np.arctan(cy / D_mm))
     theta_x, theta_y = np.asarray(theta_x_deg, dtype=float), np.asarray(theta_y_deg, dtype=float)
@@ -189,19 +189,13 @@ def check_scan(axis: str, theta_min_deg: float, theta_max_deg: float, steps: int
     integer number of steps of at least 3."""
     if axis not in ("x", "y", "diagonal"):
         raise ValueError(f"scan axis must be 'x', 'y' or 'diagonal', got {axis!r}")
-    if not -60.0 <= theta_min_deg < theta_max_deg <= 60.0:  # NaN fails too
-        raise ValueError(f"scan range must satisfy -60 <= theta_min < theta_max <= 60 degrees, "
-                         f"got theta_min {theta_min_deg!r} and theta_max {theta_max_deg!r}")
-    # bool is an int subclass, and a fractional count is no number of steps
-    if type(steps) is not int or steps < 3:
-        raise ValueError(f"scan steps must be an integer >= 3, got {steps!r}")
-
-
-def check_threshold_ratio(threshold_ratio: float) -> None:
-    """Raise ``ValueError`` unless the ratio is a finite number above 1."""
-    if not 1.0 < threshold_ratio < math.inf:
-        raise ValueError(
-            f"threshold_ratio must be a finite number above 1, got {threshold_ratio!r}")
+    for name, value in (("theta_min_deg", theta_min_deg), ("theta_max_deg", theta_max_deg)):
+        if not -60.0 <= value <= 60.0:  # NaN fails too
+            raise ValueError(f"{name} must lie in the scan range [-60, 60] degrees, got {value!r}")
+    if not theta_min_deg < theta_max_deg:
+        raise ValueError(f"theta_min_deg must be below theta_max_deg in the scan range, "
+                         f"got {theta_min_deg!r} and {theta_max_deg!r}")
+    check_count("steps", steps, low=3)
 
 
 def extract_fov(curve: ResolutionCurve, threshold_ratio: float = 1.5) -> FovResult:
@@ -210,7 +204,7 @@ def extract_fov(curve: ResolutionCurve, threshold_ratio: float = 1.5) -> FovResu
     Crossings are located by linear interpolation between bracketing
     samples; a side that never crosses is reported as open-ended (None).
     """
-    check_threshold_ratio(threshold_ratio)
+    check_number("threshold_ratio", threshold_ratio, 1.0)
     if not curve.samples:
         raise ValueError("cannot extract a field of view from an empty curve")
     angles = curve.swept_angles()

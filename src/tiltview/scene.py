@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optics import OpticalSystemConfig
+from .optics import OpticalSystemConfig, check_number
 from .reconstruction import ElementalImageSet, corner, pixel_centers, raster_pitch
 
 
@@ -25,15 +25,10 @@ class PointEmitter:
     intensity: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.z_mm < math.inf:
-            raise ValueError("emitters must sit in front of the lens array at a finite depth "
-                             f"(0 < z_mm < inf), got {self.z_mm!r}")
-        if not (math.isfinite(self.x_mm) and math.isfinite(self.y_mm)):
-            raise ValueError("emitter x_mm and y_mm must be finite, "
-                             f"got {self.x_mm!r} and {self.y_mm!r}")
-        if not 0 <= self.intensity < math.inf:
-            raise ValueError("emitter intensity must be nonnegative and finite, "
-                             f"got {self.intensity!r}")
+        check_number("x_mm", self.x_mm, low=-math.inf)
+        check_number("y_mm", self.y_mm, low=-math.inf)
+        check_number("z_mm", self.z_mm)  # in front of the lens array
+        check_number("intensity", self.intensity, closed=True)
 
 
 def _on_texels(f, count: int):
@@ -52,15 +47,9 @@ class TexturedPlane:
     intensity_scale: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.z_mm < math.inf:
-            raise ValueError("plane must sit in front of the lens array at a finite depth "
-                             f"(0 < z_mm < inf), got {self.z_mm!r}")
-        if not (0 < self.half_width_x_mm < math.inf and 0 < self.half_width_y_mm < math.inf):
-            raise ValueError("plane half widths must be positive and finite, "
-                             f"got {self.half_width_x_mm!r} and {self.half_width_y_mm!r}")
-        if not 0 <= self.intensity_scale < math.inf:
-            raise ValueError("intensity_scale must be nonnegative and finite, "
-                             f"got {self.intensity_scale!r}")
+        for name in ("z_mm", "half_width_x_mm", "half_width_y_mm"):
+            check_number(name, getattr(self, name))
+        check_number("intensity_scale", self.intensity_scale, closed=True)
         object.__setattr__(self, "texture", np.asarray(self.texture, dtype=float))
         if self.texture.ndim != 2 or min(self.texture.shape) < 2:
             # one texel per axis would give the bilinear lookup no edge on that axis

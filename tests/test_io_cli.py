@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltview import manifest as manifest_io
-from tiltview.cli import ConfigError, RunConfig, build_parser, load_scene, main
-from tiltview.optics import OpticalSystemConfig
+from tiltview.cli import ConfigError, RunConfig, ScanConfig, build_parser, load_scene, main
+from tiltview.optics import OpticalSystemConfig, PlaneGrid
 from tiltview.pgm import MAXVAL_16, read_pgm, to_codes, write_pgm16
-from tiltview.scene import PointEmitter, Scene, capture, point_source_scene
+from tiltview.scene import PointEmitter, Scene, TexturedPlane, capture, point_source_scene
 
 from elemental_sets import dense, elemental_set
 
@@ -625,7 +625,8 @@ def test_cli_synth_scene_plane_zero_half_width_names_block_and_file(tmp_path, ca
     rc = main(["synth", "--config", str(write_config(tmp_path)), "--scene", str(scene),
                "--out", str(out), "--pixels-x", "8", "--pixels-y", "8"])
     assert rc == 1
-    assert f"{scene}: scene plane 0: plane half widths must be positive" in caplog.text
+    assert (f"{scene}: scene plane 0: half_width_x_mm must be positive and finite, got 0.0"
+            in caplog.text)
     assert not out.exists()
 
 
@@ -636,7 +637,7 @@ def test_cli_synth_rejects_zero_pixel_pitch(tmp_path, caplog):
                "--out", str(out), "--pixels-x", "8", "--pixels-y", "8",
                "--pixel-pitch-mm", "0"])
     assert rc == 1
-    assert "pixel pitch must be positive" in caplog.text
+    assert "--pixel-pitch-mm must be positive and finite, got 0.0" in caplog.text
     assert not out.exists()
 
 
@@ -838,8 +839,7 @@ def test_cli_reconstruct_names_the_rejected_flag(tmp_path, caplog):
                "--D-mm", "-5", "--out", str(img)])
     assert rc == 1
     assert [r.getMessage() for r in caplog.records] == [
-        "reconstruct: the command line: axial offset must be positive and finite, "
-        "got --D-mm=-5.0"]
+        "reconstruct: the command line: --D-mm must be positive and finite, got -5.0"]
     assert not img.exists() and not img.with_suffix(".json").exists()
 
 
@@ -934,9 +934,10 @@ def test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, key
                                                  block):
     config, manifest, _ = _synth_point_capture(tmp_path, scan={"steps": 5})
     write_pgm16(tmp_path / "tex.pgm", np.full((4, 4), 100, dtype=np.uint16))
-    scene = write_scene(tmp_path, {"planes": [{"z_mm": 200.0, "half_width_x_mm": 5.0,
-                                               "half_width_y_mm": 5.0,
-                                               "texture_file": "tex.pgm"}]})
+    scene = write_scene(tmp_path, {
+        "points": [{"x_mm": 0.0, "y_mm": 0.0, "z_mm": 200.0, "intensity": 1.0}],
+        "planes": [{"z_mm": 200.0, "half_width_x_mm": 5.0, "half_width_y_mm": 5.0,
+                    "texture_file": "tex.pgm", "intensity_scale": 1.0}]})
     path = {"config": config, "scene": scene, "manifest": manifest}[document]
     doc = json.loads(path.read_text())
     block_doc = doc
@@ -981,8 +982,7 @@ def test_cli_rejects_json_bool_for_a_real_value(tmp_path, caplog, document, keys
 
 @pytest.mark.parametrize("document, key, value, block, message", [
     ("config", "D_mm", True, "the plane block", "D_mm must be a number, got true"),
-    ("config", "D_mm", -1, "the plane block",
-     "axial offset must be positive and finite, got D_mm=-1"),
+    ("config", "D_mm", -1, "the plane block", "D_mm must be positive and finite, got -1"),
     ("manifest", "g_mm", True, "the manifest", "g_mm must be a number, got true"),
     ("manifest", "g_mm", -1, "the manifest", "g_mm must be positive and finite, got -1"),
     ("manifest", "f_mm", True, "the manifest", "f_mm must be a number, got true"),
@@ -997,6 +997,90 @@ def test_cli_rejection_names_the_documents_key(tmp_path, caplog, document, key, 
     test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, keys, value, block)
     [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert error.endswith(f": {block}: {message}")
+
+
+def _numeric_keys(cls):
+    """The fields of ``cls`` annotated ``int`` or ``float``: a numeric field
+    added later joins the table below without an edit."""
+    return [f.name for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+
+
+NUMERIC_KEYS = [
+    *[("config", ["optical_system", key], "the optical_system block")
+      for key in (*_numeric_keys(OpticalSystemConfig), "z_i_override_mm")],
+    *[("config", ["plane", key], "the plane block")
+      for key in ("D_mm", "theta_x_deg", "theta_y_deg")],
+    *[("config", ["plane", "grid", key], "the plane.grid block")
+      for key in _numeric_keys(PlaneGrid)],
+    *[("config", ["scan", key], "the scan block") for key in _numeric_keys(ScanConfig)],
+    *[("scene", ["points", 0, key], "scene point 0") for key in _numeric_keys(PointEmitter)],
+    *[("scene", ["planes", 0, key], "scene plane 0") for key in _numeric_keys(TexturedPlane)],
+    *[("manifest", [key], "the manifest")
+      for key in (*manifest_io.GEOMETRY_KEYS.values(), "pixel_pitch_mm", "pixels_x", "pixels_y")],
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, True], ids=["nan", "true"])
+@pytest.mark.parametrize("document, keys, block", NUMERIC_KEYS,
+                         ids=[f"{block}-{keys[-1]}" for _, keys, block in NUMERIC_KEYS])
+def test_cli_rejected_number_names_its_key(tmp_path, caplog, document, keys, block, value):
+    # every numeric key of the config, the scene and the manifest: the one
+    # ERROR line names the file, the block, the key and the value given
+    test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, keys, value, block)
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert f": {block}: {keys[-1]} " in error
+    shown = ("nan",) if value is not True else ("true", "True")
+    assert any(f"got {text}" in error for text in shown), error
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--pixels-x", "0"], "--pixels-x must be an integer >= 1, got 0"),
+    (["--pixels-y", "-2"], "--pixels-y must be an integer >= 1, got -2"),
+    (["--pixel-pitch-mm", "nan"], "--pixel-pitch-mm must be positive and finite, got nan"),
+    (["--pixels-x", "200", "--pixel-pitch-mm", "0.1"], "--pixels-x times --pixel-pitch-mm "
+     "must not exceed the lens pitch pitch_x_mm, got 200 * 0.1 > 10.0"),
+], ids=["pixels-x", "pixels-y", "pixel-pitch-mm", "wider-than-the-lens"])
+def test_cli_synth_names_the_rejected_pixel_flag(tmp_path, caplog, flags, message):
+    # the flags are checked before the scene is read, so an absent scene is
+    # not what the error names
+    out = tmp_path / "cap"
+    rc = main(["synth", "--config", str(write_config(tmp_path)),
+               "--scene", str(tmp_path / "absent.json"), "--out", str(out), *flags])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records] == [f"synth: the command line: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("written", ["--out", "the sidecar"])
+def test_cli_reconstruct_rejects_out_onto_an_image_the_manifest_lists(tmp_path, capsys,
+                                                                        written):
+    # --out had overwritten the stored image, exiting 0, and the capture no
+    # longer loaded; the check comes after the manifest is read
+    config, manifest, _ = _synth_point_capture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    entry = doc["images"][0]
+    if written == "the sidecar":
+        # a manifest may name its images as it likes: list one with the suffix .json
+        (manifest.parent / entry["file"]).rename(manifest.parent / "e.json")
+        entry["file"] = "e.json"
+        manifest.write_text(json.dumps(doc))
+    out = (manifest.parent / entry["file"]).with_suffix(".pgm")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+              "--out", str(out)])
+    assert err.value.code == 2
+    name = "--out" if written == "--out" else f"the sidecar {out.with_suffix('.json')}"
+    assert (f"--out {out}: {name} is {entry['file']}, an image the manifest lists; "
+            "choose another --out" in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    # a path in the capture's folder that the manifest does not list is written
+    assert main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+                 "--out", str(manifest.parent / "recon.pgm")]) == 0
+    after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert set(after) - set(before) == {manifest.parent / "recon.pgm",
+                                        manifest.parent / "recon.json"}
+    assert all(after[path] == data for path, data in before.items())
 
 
 @pytest.mark.parametrize("document, edit, message", [
@@ -1320,7 +1404,7 @@ def test_cli_analyze_zero_steps_usage_error(tmp_path, caplog):
         scan={"steps": 0},
     )
     assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert f"{config}: the scan block: scan steps must be an integer >= 3, got 0" in caplog.text
+    assert f"{config}: the scan block: steps must be an integer >= 3, got 0" in caplog.text
 
 
 @pytest.mark.parametrize("scan, message", [
@@ -1360,8 +1444,8 @@ def test_cli_analyze_rejects_non_finite_depth(tmp_path, caplog, depth):
     out = tmp_path / "o"
     rc = main(["analyze", "--config", str(config), "--out", str(out)])
     assert rc == 1
-    assert (f"{config}: the plane block: axial offset must be positive and finite, "
-            f"got D_mm={float(depth)!r}" in caplog.text)
+    assert (f"{config}: the plane block: D_mm must be positive and finite, "
+            f"got {float(depth)!r}" in caplog.text)
     assert not out.exists()
 
 

@@ -197,7 +197,7 @@ def test_plane_spec_validation():
 
 @pytest.mark.parametrize("D", [math.nan, math.inf])
 def test_plane_spec_rejects_non_finite_depth(D):
-    with pytest.raises(ValueError, match="axial offset must be positive and finite"):
+    with pytest.raises(ValueError, match=f"axial_offset_mm must be positive and finite, got {D}"):
         _plane(0.0, 0.0, D)
 
 

@@ -120,7 +120,7 @@ def test_elemental_set_rejects_nonfinite_or_negative_intensity(value):
 
 @pytest.mark.parametrize("pitch", [math.nan, math.inf, 0.0, -0.1])
 def test_elemental_set_rejects_nonfinite_or_nonpositive_pitch(pitch):
-    with pytest.raises(ValueError, match="pixel pitch must be positive and finite"):
+    with pytest.raises(ValueError, match="pixel_pitch_mm must be positive and finite"):
         elemental_set(np.ones((4, 4, 8, 8)), pitch, small_config())
 
 

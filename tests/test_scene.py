@@ -91,7 +91,8 @@ def test_textured_plane_two_texels_has_edges():
 
 @pytest.mark.parametrize("half_widths", [(0.0, 5.0), (5.0, 0.0), (-5.0, 5.0), (5.0, -5.0)])
 def test_textured_plane_rejects_nonpositive_half_widths(half_widths):
-    with pytest.raises(ValueError, match="half widths must be positive"):
+    key = "half_width_x_mm" if half_widths[0] <= 0 else "half_width_y_mm"
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
         TexturedPlane(100.0, *half_widths, np.ones((4, 4)))
 
 
@@ -234,7 +235,7 @@ def test_capture_rejects_empty_raster():
 
 
 def test_capture_rejects_zero_pixel_pitch_before_projecting():
-    with pytest.raises(ValueError, match="pixel pitch must be positive"):
+    with pytest.raises(ValueError, match="pixel_pitch_mm must be positive and finite, got 0.0"):
         capture(point_source_scene(100.0), cfg4(), 16, 16, pixel_pitch_mm=0.0)
 
 
