@@ -166,12 +166,20 @@ def cmd_reconstruct(args) -> int:
                   theta_y_deg=given.theta_y_deg, grid=given.grid,
                   axial_offset_mm=given.axial_offset_mm if args.D_mm is None else args.D_mm)
     eis = manifest_io.load_elemental_set(args.manifest)
-    # a listed image can be overwritten only through a path that exists already
-    for path, name in ((out, "--out"), (sidecar_path, f"the sidecar {sidecar_path}")):
-        for entry in read_json(args.manifest)["images"] if path.exists() else ():
-            if os.path.samefile(path, Path(args.manifest).parent / entry["file"]):
-                raise UsageError(f"--out {args.out}: {name} is {entry['file']}, an image the "
-                                 "manifest lists; choose another --out")
+    # a listed image can be overwritten only through a path that exists already;
+    # two paths name one file when their (device, inode) pairs are equal
+    existing = [(path, name) for path, name in
+                ((out, "--out"), (sidecar_path, f"the sidecar {sidecar_path}")) if path.exists()]
+    if existing:
+        listed, folder = {}, os.path.dirname(args.manifest)
+        for entry in read_json(args.manifest)["images"]:
+            st = os.stat(os.path.join(folder, entry["file"]))
+            listed.setdefault((st.st_dev, st.st_ino), entry["file"])
+        for path, name in existing:
+            st = os.stat(path)
+            if (st.st_dev, st.st_ino) in listed:
+                raise UsageError(f"--out {args.out}: {name} is {listed[st.st_dev, st.st_ino]}, "
+                                 "an image the manifest lists; choose another --out")
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
               f"config {getattr(run.optical_system, key)!r})"
               for key in OPTICAL_SYSTEM_KEYS

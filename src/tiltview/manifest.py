@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .optics import (ConfigError, OpticalSystemConfig, build, path_string, read_block,
-                     read_json, write_json)
+from .optics import (ConfigError, OpticalSystemConfig, build, check_number, path_string,
+                     read_block, read_json, write_json)
 from .pgm import read_pgm16, to_codes, write_pgm16
 from .reconstruction import ElementalImageSet, raster_pitch
 
@@ -69,7 +69,9 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
                      optional=("zero_images",))
     cfg = build(OpticalSystemConfig, path, "the manifest", GEOMETRY_KEYS,
                 **{name: man[key] for name, key in GEOMETRY_KEYS.items()})
-    # the raster is checked before any image is read
+    # the raster is checked before any image is read; a manifest states its
+    # pitch, which raster_pitch would choose for a None
+    build(check_number, path, "the manifest", name="pixel_pitch_mm", value=man["pixel_pitch_mm"])
     build(raster_pitch, path, "the manifest", cfg=cfg, pixels_y=man["pixels_y"],
           pixels_x=man["pixels_x"], pixel_pitch_mm=man["pixel_pitch_mm"])
     shape = (man["pixels_y"], man["pixels_x"])

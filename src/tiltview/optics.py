@@ -91,11 +91,17 @@ def path_string(value, path, block: str, key: str) -> str:
     return value
 
 
+def check_real(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` and ``value`` unless ``value`` is a real
+    number, NaN and infinities included; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value, default=repr)}")
+
+
 def check_number(name: str, value, low: float = 0.0, closed: bool = False) -> None:
     """Raise ``ValueError`` naming ``name`` and ``value`` unless ``value`` is a finite
     real number above ``low``, or at or above it when ``closed``; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {json.dumps(value, default=repr)}")
+    check_real(name, value)
     if not (low <= value if closed else low < value) or not value < math.inf:  # NaN fails too
         rule = ("finite" if low == -math.inf else
                 f"{'nonnegative' if closed else 'positive'} and finite" if low == 0 else
@@ -247,18 +253,29 @@ class BeamParameters:
                    rayleigh_x_mm=math.pi * w0x**2 / (2.0 * lam),
                    rayleigh_y_mm=math.pi * w0y**2 / (2.0 * lam))
 
-    def _width(self, z_mm, waist_mm: float, rayleigh_mm: float):
-        """w(z) of one axis, for a scalar or an array ``z_mm``."""
+    def _width(self, z_mm, waist_mm: float, rayleigh_mm: float, out=None):
+        """w(z) of one axis, for a scalar or an array ``z_mm``. With ``out``, a
+        float array of z's shape (``z_mm`` itself too), every operation writes
+        into ``out``, which is returned; the bits are those of a new array."""
         z = np.asarray(z_mm, dtype=float)
         if not math.isfinite(self.z_focus_mm):
-            return waist_mm * np.ones_like(z)
-        return waist_mm * np.sqrt(1.0 + 4.0 * ((z - self.z_focus_mm) / rayleigh_mm) ** 2)
+            return np.multiply(waist_mm, np.ones_like(z), out=out)
+        # the augmented operators work in place on an array and rebind a
+        # scalar; ** squares an array but calls pow on a scalar, as it always did
+        w = np.subtract(z, self.z_focus_mm, out=out)
+        w /= rayleigh_mm
+        w **= 2
+        w *= 4.0
+        w += 1.0
+        w = np.sqrt(w, out=out)
+        w *= waist_mm
+        return w
 
-    def width_x(self, z_mm):
-        return self._width(z_mm, self.waist_x_mm, self.rayleigh_x_mm)
+    def width_x(self, z_mm, out=None):
+        return self._width(z_mm, self.waist_x_mm, self.rayleigh_x_mm, out)
 
-    def width_y(self, z_mm):
-        return self._width(z_mm, self.waist_y_mm, self.rayleigh_y_mm)
+    def width_y(self, z_mm, out=None):
+        return self._width(z_mm, self.waist_y_mm, self.rayleigh_y_mm, out)
 
 
 @dataclass(frozen=True)
@@ -300,6 +317,7 @@ class TiltedPlaneSpec:
     def __post_init__(self):
         for name in ("theta_x_deg", "theta_y_deg"):
             value = getattr(self, name)
+            check_real(name, value)
             if not abs(value) < 90.0:  # NaN too
                 raise ValueError(f"{name} must satisfy |theta| < 90 degrees, got {value!r}")
         check_number("axial_offset_mm", self.axial_offset_mm)

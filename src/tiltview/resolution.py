@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optics import (BeamParameters, OpticalSystemConfig, PlaneGrid, ScalarField2D, check_count,
-                     check_number)
+                     check_number, check_real)
 
 
 class DegenerateFieldError(ValueError):
@@ -106,15 +106,18 @@ def spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
     across the tilted spot, the only remaining factor of the integrand.
 
     What does not depend on the tilt is built once for all steps: the
-    angles of the lenslet centres, the inverse-square weights, the beam
-    widths at D, the node arrays and the full-size arrays every step writes
+    angles of the lenslet centres, the inverse-square weights and the Gauss-
+    Hermite y weights at full size, the beam widths at D, the small factors
+    of every step (the node offsets and their terms in the depth, the
+    exponent and the moment) and the full-size buffers every step writes
     into; a round beam's width is evaluated once for both axes. Every step
     is checked before any is evaluated: ``ValueError`` is raised when a
-    step turns some lenslet's beam to 90 degrees or more. The arrays are
-    laid out (p, a, q, b): lenslet row, x node, lenslet column, y node, so
-    that each full-size operation streams over contiguous (q, b) blocks.
-    The two sums read (p, q, a, b) copies, which keeps the summation order,
-    and so every bit, of an (m, n, 8, 8) array.
+    step turns some lenslet's beam to 90 degrees or more. Each full-size
+    pass runs over a contiguous (m*8, n*8) array whose rows are (p, a),
+    lenslet row and x node, and whose columns are (q, b), lenslet column
+    and y node; a small factor enters as a row or a column vector. The two
+    sums read (p, q, a, b) copies, which keeps the summation order, and so
+    every bit, of an (m, n, 8, 8) array.
     """
     check_number("D_mm", D_mm)
     cx, cy = cfg.lenslet_centers()  # the source point is (0, 0, D)
@@ -123,42 +126,66 @@ def spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
     tilt_x, tilt_y = theta_x[:, None] - angles_x, theta_y[:, None] - angles_y
     if np.any(np.abs(tilt_x) >= 90.0) or np.any(np.abs(tilt_y) >= 90.0):
         raise _grazing_error(theta_x, theta_y, tilt_x, tilt_y, angles_x, angles_y, D_mm)
+    m, n, k = cfg.m, cfg.n, _GH_NODES.size
+    shape = (m * k, n * k)
     # the inverse-square weights, exactly 1 for the central lenslet
     weight = (D_mm + cfg.gap_mm) ** 2 / cfg.pixel_distance_sq(
         0.0 - cx[:, None, None, None], 0.0 - cy[:, None], D_mm)
+    weight = np.broadcast_to(weight, (m, k, n, k)).reshape(shape)  # a full-size copy
+    weights_b = np.tile(_GH_WEIGHTS, (m * k, n))
     width_x, width_y = beam.width_x(D_mm), beam.width_y(D_mm)
     round_beam = beam.waist_x_mm == beam.waist_y_mm and beam.rayleigh_x_mm == beam.rayleigh_y_mm
-    k = _GH_NODES.size
-    nodes_a, weights_a = _GH_NODES[:, None, None], _GH_WEIGHTS[:, None, None]
-    mass, work = np.empty((2, cfg.m, k, cfg.n, k))
-    summand = np.empty((cfg.m, cfg.n, k, k))
+    # the small factors of every step: a column over the rows (p, a) or a
+    # row over the columns (q, b) of that step's full-size arrays
+    tpx, tpy = np.radians(tilt_x)[:, :, None], np.radians(tilt_y)[:, :, None]
+    sx = width_x / (math.sqrt(2.0) * np.cos(tpx))
+    sy = width_y / (math.sqrt(2.0) * np.cos(tpy))
+    x, y = sx * _GH_NODES, sy * _GH_NODES
+    columns, rows = (-1, m * k, 1), (-1, n * k)
+    depth_x, depth_y = (D_mm + x * np.sin(tpx)).reshape(columns), (y * np.sin(tpy)).reshape(rows)
+    spread_x = ((x * np.cos(tpx)) ** 2).reshape(columns)
+    spread_y = ((y * np.cos(tpy)) ** 2).reshape(rows)
+    x_sq, y_sq = (x**2).reshape(columns), (y**2).reshape(rows)
+    wx, mass, arg, work = np.empty((4,) + shape)
+    wy = wx if round_beam else np.empty(shape)
+    summand = np.empty((m, n, k, k))
     extents = []
-    for tpx, tpy in zip(np.radians(tilt_x), np.radians(tilt_y)):
-        tpx, tpy = tpx[:, None, None, None], tpy[:, None]
-        sx = width_x / (math.sqrt(2.0) * np.cos(tpx))
-        sy = width_y / (math.sqrt(2.0) * np.cos(tpy))
-        x, y = sx * nodes_a, sy * _GH_NODES
-        # the weighted Gaussians at the nodes, written into mass
-        z_loc = np.add(D_mm + x * np.sin(tpx), y * np.sin(tpy), out=work)
-        wx = beam.width_x(z_loc)
-        wy = wx if round_beam else beam.width_y(z_loc)
+    for i in range(min(len(tilt_x), len(tilt_y))):  # as zip pairs the steps
+        # the weighted Gaussians at the nodes, written into mass. A factor
+        # that comes first in its operation is copied into a buffer by a
+        # broadcasting np.copyto, which with the in-place pass that follows
+        # measured faster than one ufunc that broadcasts it
+        np.copyto(work, depth_x[i])
+        z_loc = np.add(work, depth_y[i], out=work)
+        if wy is not wx:
+            beam.width_y(z_loc, out=wy)
+        beam.width_x(z_loc, out=wx)
         np.multiply(math.pi, wx, out=mass)
         mass *= wy
         np.divide(2.0, mass, out=mass)
         mass *= weight
-        wx_sq = wx**2
-        wy_sq = wx_sq if wy is wx else wy**2
-        arg = np.divide((x * np.cos(tpx)) ** 2, wx_sq, out=work)
-        arg += (y * np.cos(tpy)) ** 2 / wy_sq
+        wx **= 2
+        if wy is not wx:
+            wy **= 2
+        np.copyto(arg, spread_x[i])
+        arg /= wx
+        np.copyto(work, spread_y[i])
+        work /= wy
+        arg += work
         arg *= -2.0
         mass *= np.exp(arg, out=arg)
-        # the quadrature weight sx sy w_a w_b, multiplied in that order
-        mass *= np.multiply(sx * sy * weights_a, _GH_WEIGHTS, out=work)
-        moment = np.add(x**2, y**2, out=work)
+        # the quadrature weight sx sy w_a w_b, multiplied in that order:
+        # sx sy w_a repeated over the y nodes, times the tiled w_b
+        quadrature = (sx[i] * sy[i].T)[:, None, :] * _GH_WEIGHTS[:, None]
+        np.copyto(work.reshape(m * k, n, k), quadrature.reshape(m * k, n, 1))
+        work *= weights_b
+        mass *= work
+        np.copyto(work, x_sq[i])
+        moment = np.add(work, y_sq[i], out=work)
         moment *= mass
-        np.copyto(summand, moment.transpose(0, 2, 1, 3))
+        np.copyto(summand, moment.reshape(m, k, n, k).transpose(0, 2, 1, 3))
         total_moment = summand.sum()
-        np.copyto(summand, mass.transpose(0, 2, 1, 3))
+        np.copyto(summand, mass.reshape(m, k, n, k).transpose(0, 2, 1, 3))
         extents.append(float(np.sqrt(total_moment / summand.sum())))
     return extents
 
@@ -190,6 +217,7 @@ def check_scan(axis: str, theta_min_deg: float, theta_max_deg: float, steps: int
     if axis not in ("x", "y", "diagonal"):
         raise ValueError(f"scan axis must be 'x', 'y' or 'diagonal', got {axis!r}")
     for name, value in (("theta_min_deg", theta_min_deg), ("theta_max_deg", theta_max_deg)):
+        check_real(name, value)
         if not -60.0 <= value <= 60.0:  # NaN fails too
             raise ValueError(f"{name} must lie in the scan range [-60, 60] degrees, got {value!r}")
     if not theta_min_deg < theta_max_deg:

@@ -987,7 +987,13 @@ def test_cli_rejects_json_bool_for_a_real_value(tmp_path, caplog, document, keys
     ("manifest", "g_mm", -1, "the manifest", "g_mm must be positive and finite, got -1"),
     ("manifest", "f_mm", True, "the manifest", "f_mm must be a number, got true"),
     ("manifest", "f_mm", 0, "the manifest", "f_mm must be positive and finite, got 0"),
-], ids=["D_mm-bool", "D_mm-negative", "g_mm-bool", "g_mm-negative", "f_mm-bool", "f_mm-zero"])
+    # raster_pitch reads None as "choose the pitch": a null pitch had loaded, and
+    # reconstruct had exited 1 with "unsupported operand type(s) for *: 'float'
+    # and 'NoneType'"
+    ("manifest", "pixel_pitch_mm", None, "the manifest",
+     "pixel_pitch_mm must be a number, got null"),
+], ids=["D_mm-bool", "D_mm-negative", "g_mm-bool", "g_mm-negative", "f_mm-bool", "f_mm-zero",
+        "pixel_pitch_mm-null"])
 def test_cli_rejection_names_the_documents_key(tmp_path, caplog, document, key, value, block,
                                                message):
     # the plane's D_mm is built as axial_offset_mm, and the manifest's g_mm
@@ -1031,6 +1037,22 @@ def test_cli_rejected_number_names_its_key(tmp_path, caplog, document, keys, blo
     assert f": {block}: {keys[-1]} " in error
     shown = ("nan",) if value is not True else ("true", "True")
     assert any(f"got {text}" in error for text in shown), error
+
+
+@pytest.mark.parametrize("value", ["5", None], ids=["string", "null"])
+@pytest.mark.parametrize("keys, block", [
+    (["plane", "theta_x_deg"], "the plane block"),
+    (["plane", "theta_y_deg"], "the plane block"),
+    (["scan", "theta_min_deg"], "the scan block"),
+    (["scan", "theta_max_deg"], "the scan block"),
+], ids=["theta_x_deg", "theta_y_deg", "theta_min_deg", "theta_max_deg"])
+def test_cli_rejected_angle_that_is_not_a_number_names_its_key(tmp_path, caplog, keys, block,
+                                                                value):
+    # a tilt or a scan angle given as a string or null had been logged as
+    # "bad operand type for abs(): 'str'", naming neither the key nor the value
+    test_cli_rejected_block_names_file_and_block(tmp_path, caplog, "config", keys, value, block)
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.endswith(f": {block}: {keys[-1]} must be a number, got {json.dumps(value)}")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1081,6 +1103,26 @@ def test_cli_reconstruct_rejects_out_onto_an_image_the_manifest_lists(tmp_path, 
     assert set(after) - set(before) == {manifest.parent / "recon.pgm",
                                         manifest.parent / "recon.json"}
     assert all(after[path] == data for path, data in before.items())
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
+@pytest.mark.parametrize("written", ["--out", "the sidecar"])
+def test_cli_reconstruct_rejects_out_linked_to_an_image_the_manifest_lists(tmp_path, capsys,
+                                                                         written, link):
+    # a path outside the capture's folder that is the same file as a listed
+    # image, by a symbolic or a hard link, is rejected like the image's own path
+    config, manifest, out = _synth_point_capture(tmp_path)
+    entry = json.loads(manifest.read_text())["images"][0]
+    link(manifest.parent / entry["file"], out if written == "--out" else out.with_suffix(".json"))
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+              "--out", str(out)])
+    assert err.value.code == 2
+    name = "--out" if written == "--out" else f"the sidecar {out.with_suffix('.json')}"
+    assert (f"--out {out}: {name} is {entry['file']}, an image the manifest lists; "
+            "choose another --out" in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 @pytest.mark.parametrize("document, edit, message", [

@@ -138,6 +138,23 @@ def test_beam_width_collimated_fallback_constant():
     assert widths.shape == (3,) and np.all(widths == 5.0)
 
 
+@pytest.mark.parametrize("focus", [360.0, math.inf], ids=["finite-focus", "collimated"])
+def test_beam_width_into_out_equals_a_new_array(focus):
+    # the spot scan evaluates w(z) into its buffers: the out= form writes
+    # into out, z's own array too, and has the bits of the allocating call
+    rayleigh = 1.03 if math.isfinite(focus) else math.inf
+    beam = BeamParameters(focus, 0.0134, 0.0201, rayleigh, 2.0 * rayleigh)
+    z = np.random.default_rng(7).uniform(300.0, 420.0, (16, 24))
+    for width in (beam.width_x, beam.width_y):
+        expected = width(z)
+        out = np.empty_like(z)
+        assert width(z, out=out) is out
+        assert np.array_equal(out, expected)
+        z_copy = z.copy()
+        assert width(z_copy, out=z_copy) is z_copy
+        assert np.array_equal(z_copy, expected)
+
+
 # ---------------------------------------------------------------------------
 # tilted-plane mapping
 

@@ -446,6 +446,22 @@ def test_scan_samples_equal_spot_extent(system, axis):
         assert extent == _spot_extent_reference(tx, ty, D_mm, cfg, beam)
 
 
+def test_spot_extents_twice_in_one_process_equal_the_reference():
+    # each call allocates its own buffers: a scan that follows another, on a
+    # system of another size and with another step count, still equals the
+    # one-step reference at every step
+    for system, steps in (("round", 7), ("rectangular", 4), ("round", 5)):
+        m, n, px, py, g, f, override, D_mm = REFERENCE_SYSTEMS[system]
+        cfg = OpticalSystemConfig(m=m, n=n, pitch_x_mm=px, pitch_y_mm=py, gap_mm=g,
+                                  focal_length_mm=f)
+        beam = BeamParameters.from_config(cfg, z_i_override_mm=override)
+        tx = np.linspace(-50.0, 50.0, steps)
+        ty = -0.5 * tx
+        extents = spot_extents(cfg, D_mm, beam, tx, ty)
+        assert extents == [_spot_extent_reference(a, b, D_mm, cfg, beam)
+                           for a, b in zip(tx, ty)]
+
+
 def test_scan_rejects_beam_tilted_to_ninety_degrees():
     # at 120 mm the outer lenslets sit 33.7 and 30.3 degrees off the source,
     # so an x scan over +/-60 degrees turns some beam past 90 degrees, where
