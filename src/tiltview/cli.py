@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import manifest as manifest_io
 from .optics import (ConfigError, OpticalSystemConfig, PlaneGrid, TiltedPlaneSpec, build,
-                     check_number, path_string, read_block, read_json, write_json)
+                     check_number, json_type, path_string, read_block, read_json, write_json)
 from .pgm import read_pgm, to_codes, write_pgm16
 from .reconstruction import raster_pitch, reconstruct
 from .resolution import check_scan, extract_fov, scan_resolution, write_curve_csv
@@ -93,6 +93,10 @@ class RunConfig:
 def load_scene(path) -> Scene:
     base = Path(path).parent
     doc = read_block(read_json(path), path, "the scene", optional=("points", "planes"))
+    for key in ("points", "planes"):
+        if type(doc.get(key, [])) is not list:
+            raise ConfigError(f"{path}: the scene: {key} must be an array, "
+                              f"got {json_type(doc[key])}")
     points = []
     for i, entry in enumerate(doc.get("points", [])):
         block = f"scene point {i}"

@@ -101,7 +101,11 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
         if (p, q) in seen:
             raise ValueError(f"{path}: image entry (p={p}, q={q}) is listed more than once")
         name = path_string(entry["file"], path, "an image entry", "file")
-        codes = read_pgm16(os.path.join(folder, name))
+        try:
+            codes = read_pgm16(os.path.join(folder, name))
+        except OSError as exc:  # the same class, so a missing file stays FileNotFoundError
+            raise type(exc)(f"{path}: image entry (p={p}, q={q}, file={name!r}) "
+                            f"cannot be read: {exc}") from exc
         if codes.shape != shape:
             raise ValueError(f"{path}: image entry (p={p}, q={q}, file={name!r}) has shape "
                              f"{codes.shape}, but pixels_y x pixels_x is {shape}")

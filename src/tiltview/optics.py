@@ -33,6 +33,18 @@ class ConfigError(ValueError):
     """
 
 
+#: The JSON name of each type a parsed document holds; bool before int, which it subclasses.
+_JSON_TYPES = ((type(None), "null"), (bool, "boolean"), (numbers.Real, "number"),
+               (str, "string"), (list, "array"), (dict, "object"))
+
+
+def json_type(value) -> str:
+    """The JSON name of a parsed value's type (``null``, ``boolean``, ``number``,
+    ``string``, ``array`` or ``object``), else its Python type's name."""
+    return next((name for cls, name in _JSON_TYPES if isinstance(value, cls)),
+                type(value).__name__)
+
+
 def read_block(doc, path, block: str, required=(), optional=()) -> dict:
     """A copy of one JSON object of a document, holding only the keys named.
 
@@ -41,7 +53,7 @@ def read_block(doc, path, block: str, required=(), optional=()) -> dict:
     required key.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: {block} must be a JSON object, got {type(doc).__name__}")
+        raise ConfigError(f"{path}: {block} must be a JSON object, got {json_type(doc)}")
     unknown = set(doc) - {*required, *optional}
     if unknown:
         raise ConfigError(f"{path}: {block} has unknown key(s): {', '.join(sorted(unknown))}")
@@ -166,11 +178,12 @@ class OpticalSystemConfig:
         1/z_i = 1/f - 1/g, which gives ``math.inf`` when g is within
         ``FOCUS_BAND`` (relative to 1/f) of f. An infinite value of either sign
         is the collimated, focused-mode case and a negative one a virtual
-        focus; a NaN or zero override raises.
+        focus; an override that is not a real number, NaN or zero raises.
         """
         if z_i_override_mm is None:
             inv = 1.0 / self.focal_length_mm - 1.0 / self.gap_mm
             return math.inf if abs(inv) < FOCUS_BAND / self.focal_length_mm else 1.0 / inv
+        check_real("z_i_override_mm", z_i_override_mm)
         z_i = float(z_i_override_mm)
         if math.isnan(z_i) or z_i == 0:
             raise ValueError(f"z_i_override_mm must be nonzero and not NaN, got {z_i!r}; "

@@ -394,6 +394,33 @@ def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
     return pupil
 
 
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-point Gauss-Legendre rule on [-1, 1]: ascending nodes and
+    their weights, each exactly symmetric about 0.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence, whose off-diagonal is k / sqrt(4k^2 - 1) (Golub and Welsch,
+    Math. Comp. 23, 221, 1969), refined by one Newton step on P_n. The
+    weights are 2 / ((1 - x^2) P_n'(x)^2), with P_n and P_(n-1) from the
+    three-term recurrence (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1).
+    """
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+
+    def legendre(x):
+        # P_n(x) and P_n'(x) = n (x P_n - P_(n-1)) / (x^2 - 1)
+        lower, p = np.ones_like(x), x
+        for j in range(1, n):
+            lower, p = p, ((2 * j + 1) * x * p - j * lower) / (j + 1)
+        return p, n * (x * p - lower) / (x * x - 1.0)
+
+    p, dp = legendre(x)
+    x = x - p / dp
+    dp = legendre(x)[1]
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    return (x - x[::-1]) / 2.0, (weights + weights[::-1]) / 2.0
+
+
 def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
                 max_half_width_mm: float) -> Callable[[float], PSFKernel]:
     """The defocus PSF builder of one plane grid and beam focus:
@@ -462,7 +489,7 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
 
     @functools.cache
     def pixel_quadrature(taps, sub):
-        nodes, weights = np.polynomial.legendre.leggauss(sub)
+        nodes, weights = gauss_legendre(sub)
         x = ((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel() * sample_pitch_mm
         x_half = x[x.size // 2:]  # x >= 0: from 0 if x.size is odd
         # pixel i integrates sub-pixel n, whose field is at |x_n| = x_half[mirror[n]]
@@ -534,6 +561,43 @@ def fftconvolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
     return out[k0 // 2:k0 // 2 + n0, k1 // 2:k1 // 2 + n1]
 
 
+def tap_convolve(in1: np.ndarray, in2: np.ndarray) -> np.ndarray:
+    """``fftconvolve``'s sum of strip convolutions, formed directly over the
+    kernel taps: sum_s conv(f_s, k_s) = sum_(a,b) shift_(a,b)(W_ab), with the
+    tap map W_ab = sum_s k_s[a, b] f_s. One kernel row a at a time, its maps
+    are one (taps x strips) @ (strips x pixels) product, and each is added
+    at its shift into the zero-bordered full-size result, which is cropped
+    as ``fftconvolve`` crops."""
+    (n0, n1), (k0, k1) = in1.shape[-2:], in2.shape[-2:]
+    fields, kernels = in1.reshape(-1, n0 * n1), in2.reshape(-1, k0, k1)
+    full = np.zeros((n0 + k0 - 1, n1 + k1 - 1))
+    for a in range(k0):
+        rows = full[a:a + n0]
+        for b, tap_map in enumerate((kernels[:, a].T @ fields).reshape(k1, n0, n1)):
+            rows[:, b:b + n1] += tap_map
+    return full[k0 // 2:k0 // 2 + n0, k1 // 2:k1 // 2 + n1]
+
+
+def convolve_strips(fields: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """The sum of the convolutions of a stack of strip fields with a stack
+    of as many kernels of one odd size, cropped to the field around the
+    kernel centre (scipy's ``mode="same"``).
+
+    ``tap_convolve`` runs when taps <= 11 and taps^2 <= 4 strips + 2, and
+    ``fftconvolve`` otherwise. The rule reads only the two counts. Timed
+    against each other with BLAS on one thread (2-core x86-64 host), on
+    49^2, 97^2 and 161^2 fields with 1-64 strips and 3-15 taps, the tap
+    path took 0.04-0.89 of the FFT path's time wherever the rule picks it.
+    The FFT path's cost grows with the strips (2 strips + 1 transforms) and
+    the tap path's with taps^2 x strips, so their crossover rises with the
+    strips only until the transforms' per-strip cost is matched: past 30
+    strips, 13 taps was already slower on the 97^2 field (1.07-1.08)."""
+    strips, taps = kernels.shape[0], kernels.shape[-1]
+    if taps <= 11 and taps * taps <= 4 * strips + 2:
+        return tap_convolve(fields, kernels)
+    return fftconvolve(fields, kernels)
+
+
 def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
                       cfg: OpticalSystemConfig, z_i_mm: float,
                       strip_width_mm: float | None = None) -> ScalarField2D:
@@ -544,8 +608,10 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
     are blended with a linear cross-fade of one strip overlap. An untilted
     plane, or one strip wider than the plane, is a single strip at depth D.
     The strips' kernels come from one ``psf_builder``, so they share its
-    depth-invariant parts. Each kernel is centred in the widest one, so
-    ``fftconvolve`` sums the strips' spectra and runs one inverse transform.
+    depth-invariant parts. Each kernel is centred in the widest one, and
+    ``convolve_strips`` sums the strips' convolutions: by their tap maps for
+    many strips and small kernels, or else by their spectra and one inverse
+    transform.
     """
     X, Y = field.meshgrid()
     t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
@@ -569,10 +635,13 @@ def apply_diffraction(field: ScalarField2D, plane: TiltedPlaneSpec,
                   "window energy %.6f", psf.defocus_distance_mm, psf.taps, psf.subpixels,
                   psf.pupil_samples, psf.window_energy)
     taps = max(psf.taps for psf in psfs)
-    kernels = np.stack([np.pad(psf.samples, (taps - psf.taps) // 2) for psf in psfs])
+    kernels = np.zeros((len(psfs), taps, taps))
+    for kernel, psf in zip(kernels, psfs):
+        edge = (taps - psf.taps) // 2
+        kernel[edge:taps - edge, edge:taps - edge] = psf.samples
     fields = np.stack([weight for _, weight in strips])
     fields *= field.values
-    out = fftconvolve(fields, kernels)
+    out = convolve_strips(fields, kernels)
     return ScalarField2D(np.clip(out, 0.0, None), field.xs, field.ys, field.sample_pitch_mm)
 
 

@@ -117,12 +117,16 @@ def spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
     lenslet row and x node, and whose columns are (q, b), lenslet column
     and y node; a small factor enters as a row or a column vector. The two
     sums read (p, q, a, b) copies, which keeps the summation order, and so
-    every bit, of an (m, n, 8, 8) array.
+    every bit, of an (m, n, 8, 8) array. The two angle arrays must have one
+    shape, or ``ValueError`` names both lengths.
     """
     check_number("D_mm", D_mm)
     cx, cy = cfg.lenslet_centers()  # the source point is (0, 0, D)
     angles_x, angles_y = np.degrees(np.arctan(cx / D_mm)), np.degrees(np.arctan(cy / D_mm))
     theta_x, theta_y = np.asarray(theta_x_deg, dtype=float), np.asarray(theta_y_deg, dtype=float)
+    if theta_x.shape != theta_y.shape:
+        raise ValueError(f"theta_x_deg and theta_y_deg must give one angle per tilt step, "
+                         f"got {theta_x.size} and {theta_y.size} angles")
     tilt_x, tilt_y = theta_x[:, None] - angles_x, theta_y[:, None] - angles_y
     if np.any(np.abs(tilt_x) >= 90.0) or np.any(np.abs(tilt_y) >= 90.0):
         raise _grazing_error(theta_x, theta_y, tilt_x, tilt_y, angles_x, angles_y, D_mm)

@@ -606,6 +606,52 @@ def test_load_scene_plane_missing_keys_names_block_and_file(tmp_path):
                               "half_width_y_mm, texture_file")
 
 
+@pytest.mark.parametrize("key", ["points", "planes"])
+@pytest.mark.parametrize("value, shown", [(None, "null"), (5, "number"), ("x", "string"),
+                                          ({}, "object"), (True, "boolean")],
+                         ids=["null", "number", "string", "object", "boolean"])
+def test_load_scene_rejects_list_that_is_not_an_array(tmp_path, key, value, shown):
+    # null had read "'NoneType' object is not iterable", naming no file, and
+    # "x" had been iterated one character at a time
+    path = write_scene(tmp_path, {key: value})
+    with pytest.raises(ConfigError) as err:
+        load_scene(path)
+    assert str(err.value) == f"{path}: the scene: {key} must be an array, got {shown}"
+
+
+@pytest.mark.parametrize("document, keys, value, message", [
+    ("config", ["optical_system"], None,
+     "the optical_system block must be a JSON object, got null"),
+    ("config", ["plane", "grid"], [1.0], "the plane.grid block must be a JSON object, got array"),
+    ("scene", ["points", 0], "x", "scene point 0 must be a JSON object, got string"),
+    ("scene", ["planes", 0], False, "scene plane 0 must be a JSON object, got boolean"),
+    ("manifest", ["images", 0], 5, "an image entry must be a JSON object, got number"),
+], ids=["null", "array", "string", "boolean", "number"])
+def test_cli_block_that_is_not_an_object_names_its_json_type(tmp_path, caplog, document, keys,
+                                                             value, message):
+    # the type had been Python's: NoneType, list, str, bool, int
+    block = message.partition(" must ")[0]
+    test_cli_rejected_block_names_file_and_block(tmp_path, caplog, document, keys, value, block)
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.endswith(f": {message}")
+
+
+def test_cli_reconstruct_names_manifest_and_entry_of_a_missing_image(tmp_path, caplog):
+    # a missing file had been logged as "[Errno 2] No such file or directory:
+    # 'cap/e_01_01.pgm'", naming neither the manifest nor the entry
+    config, manifest, img = _synth_point_capture(tmp_path)
+    entry = json.loads(manifest.read_text())["images"][0]
+    (manifest.parent / entry["file"]).unlink()
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--out", str(img)])
+    assert rc == 1
+    assert not img.exists()
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{manifest}: image entry (p={entry['p']}, q={entry['q']}, "
+                            f"file={entry['file']!r}) cannot be read: ")
+    assert "No such file or directory" in error
+
+
 def test_cli_synth_scene_point_missing_key_names_block_and_file(tmp_path, caplog):
     scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}, {"x_mm": 1.0}]})
     out = tmp_path / "cap"
@@ -1253,6 +1299,37 @@ def test_run_config_keeps_infinite_and_negative_focus_override(tmp_path, overrid
     path.write_text(json.dumps(doc))
     run = RunConfig.from_file(path)
     assert run.optical_system.focus_mm(run.z_i_override_mm) == focus
+
+
+@pytest.mark.parametrize("override, message", [
+    ("5", 'z_i_override_mm must be a number, got "5"'),
+    ([], "z_i_override_mm must be a number, got []"),
+    ({}, "z_i_override_mm must be a number, got {}"),
+    ([1.0], "z_i_override_mm must be a number, got [1.0]"),
+    (math.nan, "z_i_override_mm must be nonzero and not NaN, got nan; "
+     "use inf for a collimated beam"),
+    (0, "z_i_override_mm must be nonzero and not NaN, got 0.0; "
+     "use inf for a collimated beam"),
+    (math.inf, None),  # the collimated beam
+], ids=["string", "empty-array", "object", "array", "nan", "zero", "infinity"])
+def test_cli_analyze_focus_override_that_is_not_a_number_names_its_key(tmp_path, caplog,
+                                                                      override, message):
+    # "5" had been read as 5.0 and analyze had exited 0; an array or an object
+    # had read "float() argument must be a string or a real number", naming no key
+    doc = json.loads((ROOT / "configs" / "real_virtual_fov.json").read_text())
+    doc["optical_system"]["z_i_override_mm"] = override
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = main(["analyze", "--config", str(config), "--out", str(out)])
+    if message is None:
+        run = RunConfig.from_file(config)
+        assert rc == 0 and run.optical_system.focus_mm(run.z_i_override_mm) == math.inf
+        return
+    assert rc == 1
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error == f"{config}: the optical_system block: {message}"
+    assert not out.exists()
 
 
 def test_cli_synth_rejects_one_texel_wide_texture(tmp_path, caplog):

@@ -34,6 +34,7 @@ from tiltview.reconstruction import (
     backproject_geometric,
     corner,
     gather,
+    gauss_legendre,
     into_window,
     psf_builder,
     reconstruct,
@@ -848,6 +849,22 @@ def test_psf_builder_matches_complex_form(pitch_y, z_i, z):
     assert psf.window_energy == pytest.approx(window_energy, rel=0.0, abs=1e-12)
 
 
+# S = 1-40 covers every sub-pixel count the shipped configs' planes pick at
+# tilts up to 60 degrees: 4 (real/virtual), 10 (focused 6 m), 25-26 (focused
+# 2 m) and 27-34 (the textured recon at 300-360 mm); the point oracle picks 3
+@pytest.mark.parametrize("sub", range(1, 41))
+def test_gauss_legendre_matches_leggauss_and_integrates_monomials(sub):
+    nodes, weights = gauss_legendre(sub)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(sub)
+    assert np.abs(nodes - ref_nodes).max() <= 1e-15
+    assert np.abs(weights - ref_weights).max() <= 1e-12
+    # exactly symmetric, as pixel_quadrature's mirrored sub-pixels need
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    for k in range(2 * sub):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert weights @ nodes**k == pytest.approx(exact, rel=0.0, abs=1e-14), k
+
+
 # ---------------------------------------------------------------------------
 # spatially varying convolution
 
@@ -953,8 +970,8 @@ def _half_span(field):
 
 def _strip_oracle(field, plane, cfg, z_i_mm, strip_width_mm):
     """apply_diffraction written out with a fresh psf_builder for every strip:
-    each kernel centred in the widest, and the strips' spectra summed by
-    fftconvolve."""
+    each kernel centred in the widest, and the strips' convolutions summed
+    by the blur apply_diffraction runs."""
     X, Y = field.meshgrid()
     t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
     strips = _strip_weights(t, strip_width_mm)
@@ -963,7 +980,7 @@ def _strip_oracle(field, plane, cfg, z_i_mm, strip_width_mm):
     taps = max(len(kernel) for kernel in kernels)
     kernels = np.stack([np.pad(kernel, (taps - len(kernel)) // 2) for kernel in kernels])
     fields = np.stack([field.values * weight for _, weight in strips])
-    return np.clip(reconstruction.fftconvolve(fields, kernels), 0.0, None)
+    return np.clip(reconstruction.convolve_strips(fields, kernels), 0.0, None)
 
 
 def test_spectral_strip_sum_matches_scipy_per_strip():
@@ -973,16 +990,76 @@ def test_spectral_strip_sum_matches_scipy_per_strip():
     plane = plane_at(360.0, tx=45.0, hw=5.0, pitch=0.1)
     field = _random_field(plane)
     out = apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=1.0).values
+    ref, taps = _scipy_strip_sum(field, plane, cfg, 1.0)
+    assert taps == {9, 11}
+    assert np.abs(out - np.clip(ref, 0.0, None)).max() <= 1e-12 * ref.max()
+
+
+def _scipy_strip_sum(field, plane, cfg, strip_width_mm):
+    """Oracle: the sum of scipy's ``mode="same"`` convolution of each
+    weighted strip with its own kernel, uncentred and unclipped, and the set
+    of the kernels' tap counts; the beam focus is at 360 mm."""
     X, Y = field.meshgrid()
     t = tilted_to_global(X, Y, plane)[2] - plane.axial_offset_mm
     build_psf = psf_builder(cfg, 360.0, field.sample_pitch_mm, _half_span(field))
     ref, taps = 0.0, set()
-    for t_center, weight in _strip_weights(t, 1.0):
-        psf = build_psf(360.0 + t_center)
+    for t_center, weight in _strip_weights(t, strip_width_mm):
+        psf = build_psf(plane.axial_offset_mm + t_center)
         taps.add(psf.taps)
         ref = ref + scipy_fftconvolve(field.values * weight, psf.samples, mode="same")
-    assert taps == {9, 11}
+    return ref, taps
+
+
+def _blur_paths(monkeypatch):
+    """Records the name of each strip blur that convolve_strips runs."""
+    ran = []
+    for name in ("tap_convolve", "fftconvolve"):
+        def spy(in1, in2, blur=getattr(reconstruction, name), name=name):
+            ran.append(name)
+            return blur(in1, in2)
+        monkeypatch.setattr(reconstruction, name, spy)
+    return ran
+
+
+@pytest.mark.parametrize("hw, pitch, strip_width, widths", [
+    (12.0, 0.25, 1.0, {5}),  # the steep benchmark plane: 18 strips of 5 taps
+    (5.0, 0.1, 0.2, {9, 11}),  # 36 strips whose kernels have two widths
+])
+def test_tap_maps_match_scipy_per_strip(monkeypatch, hw, pitch, strip_width, widths):
+    # 45 degrees through the 360 mm focus: many strips and small kernels
+    cfg = small_config(m=16, n=16)
+    plane = plane_at(360.0, tx=45.0, hw=hw, pitch=pitch)
+    field = _random_field(plane)
+    ran = _blur_paths(monkeypatch)
+    out = apply_diffraction(field, plane, cfg, 360.0, strip_width_mm=strip_width).values
+    assert ran == ["tap_convolve"]
+    ref, taps = _scipy_strip_sum(field, plane, cfg, strip_width)
+    assert taps == widths
     assert np.abs(out - np.clip(ref, 0.0, None)).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("shape, strips, taps", [((96, 96), 18, 5), ((40, 70), 3, 1),
+                                                 ((40, 70), 64, 11)])
+def test_tap_convolve_matches_fftconvolve(shape, strips, taps):
+    rng = np.random.default_rng(strips)
+    fields = rng.random((strips, *shape))
+    kernels = rng.random((strips, taps, taps))
+    ours = reconstruction.tap_convolve(fields, kernels)
+    ref = reconstruction.fftconvolve(fields, kernels)
+    assert ours.shape == shape
+    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("theta, D, strip_width, blur", [
+    (45.0, 360.0, 1.0, "tap_convolve"),  # 18 strips of 5 taps: 25 <= 4 * 18 + 2
+    (20.0, 300.0, None, "fftconvolve"),  # the sweep plane: one strip of 11 taps
+])
+def test_blur_path_follows_the_strip_and_tap_counts(monkeypatch, theta, D, strip_width, blur):
+    cfg = small_config(m=16, n=16)
+    plane = plane_at(D, tx=theta, hw=12.0, pitch=0.25)
+    ran = _blur_paths(monkeypatch)
+    apply_diffraction(_random_field(plane), plane, cfg, 360.0, strip_width_mm=strip_width)
+    assert ran == [blur]
 
 
 def _pupil_counter(monkeypatch):

@@ -462,6 +462,18 @@ def test_spot_extents_twice_in_one_process_equal_the_reference():
                            for a, b in zip(tx, ty)]
 
 
+@pytest.mark.parametrize("theta_x, theta_y, lengths", [
+    ([1.0, 2.0, 3.0], [0.0], "3 and 1"),
+    ([0.0], [1.0, 2.0], "1 and 2"),
+    ([], [0.0], "0 and 1"),
+])
+def test_spot_extents_rejects_angle_arrays_of_different_lengths(theta_x, theta_y, lengths):
+    # three x angles and one y angle had broadcast to one extent
+    cfg = rv_config()
+    with pytest.raises(ValueError, match=rf"one angle per tilt step, got {lengths} angles"):
+        spot_extents(cfg, 360.0, BeamParameters.from_config(cfg), theta_x, theta_y)
+
+
 def test_scan_rejects_beam_tilted_to_ninety_degrees():
     # at 120 mm the outer lenslets sit 33.7 and 30.3 degrees off the source,
     # so an x scan over +/-60 degrees turns some beam past 90 degrees, where
