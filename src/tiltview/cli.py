@@ -135,12 +135,15 @@ def cmd_analyze(args) -> int:
     run = RunConfig.from_file(args.config)
     if run.plane is None:
         raise ConfigError("analyze needs the source depth: set plane.D_mm in the config")
+    out = Path(args.out or run.out_dir or ".")
+    for path in (out / "curve.csv", out / "fov.json"):
+        if path.resolve() == Path(args.config).resolve():
+            raise UsageError(f"analyze writes {path}, which is the config; choose another --out")
     scan = run.scan or ScanConfig()
     curve = scan_resolution(
         run.optical_system, run.plane.axial_offset_mm, scan.axis, scan.theta_min_deg,
         scan.theta_max_deg, scan.steps, z_i_override_mm=run.z_i_override_mm)
     fov = extract_fov(curve, threshold_ratio=scan.threshold_ratio)
-    out = Path(args.out or run.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out / "curve.csv")
     write_json(dataclasses.asdict(fov), out / "fov.json")
@@ -159,6 +162,9 @@ def cmd_reconstruct(args) -> int:
         if Path(path).resolve() == sidecar_path.resolve():
             raise UsageError(f"--out {args.out}: the sidecar is --out with the suffix .json, "
                              f"{sidecar_path}, which is {name}; choose another --out")
+    for path, name in ((args.manifest, "the manifest"), (args.config, "the config")):
+        if Path(path).resolve() == out.resolve():
+            raise UsageError(f"--out {args.out} is {name}; choose another --out")
     run = RunConfig.from_file(args.config)
     given = run.plane
     if given is None:

@@ -103,7 +103,7 @@ def load_elemental_set(manifest_path) -> ElementalImageSet:
         name = path_string(entry["file"], path, "an image entry", "file")
         try:
             codes = read_pgm16(os.path.join(folder, name))
-        except OSError as exc:  # the same class, so a missing file stays FileNotFoundError
+        except (OSError, ValueError) as exc:  # keeps the class: FileNotFoundError, ValueError
             raise type(exc)(f"{path}: image entry (p={p}, q={q}, file={name!r}) "
                             f"cannot be read: {exc}") from exc
         if codes.shape != shape:

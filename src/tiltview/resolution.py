@@ -154,7 +154,7 @@ def spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
     wy = wx if round_beam else np.empty(shape)
     summand = np.empty((m, n, k, k))
     extents = []
-    for i in range(min(len(tilt_x), len(tilt_y))):  # as zip pairs the steps
+    for i in range(len(tilt_x)):
         # the weighted Gaussians at the nodes, written into mass. A factor
         # that comes first in its operation is copied into a buffer by a
         # broadcasting np.copyto, which with the in-place pass that follows

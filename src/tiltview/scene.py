@@ -31,11 +31,6 @@ class PointEmitter:
         check_number("intensity", self.intensity, closed=True)
 
 
-def _on_texels(f, count: int):
-    """Whether fractional texel indices ``f`` lie on an axis of ``count`` texels."""
-    return (f >= 0) & (f <= count - 1)
-
-
 @dataclass(frozen=True)
 class TexturedPlane:
     """A fronto-parallel textured rectangle at a fixed depth."""
@@ -58,28 +53,29 @@ class TexturedPlane:
         if not np.all((self.texture >= 0) & (self.texture < math.inf)):
             raise ValueError("texture intensities must be nonnegative and finite")
 
-    def _texel(self, x, y):
-        """Fractional texel column and row of scene coordinates."""
-        rows, cols = self.texture.shape
-        fc = (np.asarray(x, dtype=float) + self.half_width_x_mm) \
-            / (2 * self.half_width_x_mm) * (cols - 1)
-        fr = (self.half_width_y_mm - np.asarray(y, dtype=float)) \
-            / (2 * self.half_width_y_mm) * (rows - 1)
-        return fc, fr
+    def texels(self, coord: np.ndarray, axis: str):
+        """The bilinear lookup along ``axis`` at an array of scene coordinates,
+        ``(lower, w, 1 - w, on)``: the lower texel's index, clipped so that it
+        and the next lie on the texture, the next one's weight ``w``, and
+        whether each coordinate lies on the texture. Column 0 lies at the
+        smallest x (``"col"``) and row 0 at the largest y (``"row"``)."""
+        row = axis == "row"
+        count = self.texture.shape[0 if row else 1]
+        f = ((self.half_width_y_mm - coord) / (2 * self.half_width_y_mm) if row
+             else (coord + self.half_width_x_mm) / (2 * self.half_width_x_mm)) * (count - 1)
+        lower = np.clip(np.floor(f).astype(int), 0, count - 2)
+        w = np.clip(f - lower, 0.0, 1.0)
+        return lower, w, 1 - w, (f >= 0) & (f <= count - 1)
 
-    def sample(self, x, y):
-        """Bilinear texture lookup at scene coordinates; zero outside extent."""
-        rows, cols = self.texture.shape
-        fc, fr = self._texel(x, y)
-        inside = _on_texels(fc, cols) & _on_texels(fr, rows)
-        c0 = np.clip(np.floor(fc).astype(int), 0, cols - 2)
-        r0 = np.clip(np.floor(fr).astype(int), 0, rows - 2)
-        wc = np.clip(fc - c0, 0.0, 1.0)
-        wr = np.clip(fr - r0, 0.0, 1.0)
+    def sample(self, cols, rows):
+        """The bilinear values, zero off the texture, on the grid of ``rows``
+        times ``cols``: two ``texels`` lookups of 1D arrays."""
+        c0, wc, vc, cols_on = cols
+        r0, wr, vr, rows_on = (a[:, None] for a in rows)
         t = self.texture
-        vals = ((1 - wr) * (1 - wc) * t[r0, c0] + (1 - wr) * wc * t[r0, c0 + 1]
-                + wr * (1 - wc) * t[r0 + 1, c0] + wr * wc * t[r0 + 1, c0 + 1])
-        return np.where(inside, vals * self.intensity_scale, 0.0)
+        vals = (vr * vc * t[r0, c0] + vr * wc * t[r0, c0 + 1]
+                + wr * vc * t[r0 + 1, c0] + wr * wc * t[r0 + 1, c0 + 1])
+        return np.where(cols_on & rows_on, vals * self.intensity_scale, 0.0)
 
 
 @dataclass
@@ -109,12 +105,12 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     number of point projections vignetted.
 
     Point emitters are projected through each lenslet center onto the
-    display plane (with image inversion), splatted bilinearly with
-    inverse-square distance falloff; textured planes are sampled per display
-    pixel through the inverse mapping. Projections that miss the elemental
-    image are dropped and counted. Emitters are projected through the whole
-    lenslet grid at once; planes are sampled one lenslet at a time, over
-    that lenslet's window.
+    display plane (with image inversion), through the whole lenslet grid at
+    once, and splatted bilinearly with inverse-square distance falloff;
+    projections that miss the elemental image are dropped and counted.
+    Textured planes are sampled per display pixel through the inverse
+    mapping, one lenslet's window at a time, from one ``texels`` lookup per
+    plane and axis.
 
     Every projection is found before a pixel is stored, and the set holds
     only the windows they reach (``ElementalImageSet``): for each lenslet
@@ -171,20 +167,18 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     du, dv = pixel_centers(pixel_pitch_mm, pixels_y, pixels_x)
     views = []
     for plane in scene.planes:
-        # pixel (du, dv) sees the plane point x = cx - du z/g, y = cy - dv z/g
-        sx, sy = du * plane.z_mm / g, dv * plane.z_mm / g
-        # a pixel sees the texture iff its x lies on the texture's columns and
-        # its y on its rows: through lenslet row p those are the pixel columns
-        # cols_on[p], through lenslet column q the pixel rows rows_on[q]
-        fc, fr = plane._texel(cx[:, None] - sx, cy[:, None] - sy)
-        tex_rows, tex_cols = plane.texture.shape
-        cols_on, rows_on = _on_texels(fc, tex_cols), _on_texels(fr, tex_rows)
+        # pixel (du, dv) sees the plane point x = cx - du z/g, y = cy - dv z/g: a
+        # pixel column's x depends only on the lenslet row p, a pixel row's y only
+        # on the lenslet column q, and a pixel sees the texture iff both are on it
+        cols = plane.texels(cx[:, None] - du * plane.z_mm / g, "col")  # each (m, pixels_x)
+        rows = plane.texels(cy[:, None] - dv * plane.z_mm / g, "row")  # each (n, pixels_y)
+        cols_on, rows_on = cols[3], rows[3]
         seen = cols_on.any(axis=1)[:, None] & rows_on.any(axis=1)
         if seen.any():
             rows_reached |= rows_on
             cols_reached |= cols_on
             lit |= seen
-            views.append((plane, sx, sy))
+            views.append((plane, cols, rows))
     # one buffer holds the blocks of the lit lenslets, each (rows of q) x (columns of p)
     row_spans, col_spans = _windows(rows_reached), _windows(cols_reached)
     heights, widths = np.diff(row_spans)[:, 0], np.diff(col_spans)[:, 0]
@@ -196,16 +190,14 @@ def capture_with_report(scene: Scene, cfg: OpticalSystemConfig,
     for row, col, inside, deposit in deposits:
         at = offsets + (row - row_spans[Q, 0]) * widths[P] + (col - col_spans[P, 0])
         buffer[at[inside]] += deposit[inside]
-    for plane, sx, sy in views:
+    for plane, cols, rows in views:
         for (p, q), block in blocks.items():
             (r0, r1), (c0, c1) = row_spans[q], col_spans[p]
-            block += plane.sample(cx[p] - sx[c0:c1], cy[q] - sy[r0:r1, None])
-    eis = ElementalImageSet(blocks, pixels_y, pixels_x, pixel_pitch_mm, cfg,
-                            row_spans=row_spans, col_spans=col_spans)
-    return eis, vignetted
+            block += plane.sample([a[p, c0:c1] for a in cols], [a[q, r0:r1] for a in rows])
+    return ElementalImageSet(blocks, pixels_y, pixels_x, pixel_pitch_mm, cfg,
+                             row_spans=row_spans, col_spans=col_spans), vignetted
 
 
 def capture(scene: Scene, cfg: OpticalSystemConfig, pixels_x: int, pixels_y: int,
             pixel_pitch_mm: float | None = None) -> ElementalImageSet:
-    eis, _ = capture_with_report(scene, cfg, pixels_x, pixels_y, pixel_pitch_mm)
-    return eis
+    return capture_with_report(scene, cfg, pixels_x, pixels_y, pixel_pitch_mm)[0]

@@ -43,6 +43,7 @@ from tiltview.resolution import extract_fov, radial_extent, scan_resolution
 from tiltview.scene import Scene, TexturedPlane, capture, point_source_scene
 
 from elemental_sets import dense
+from textures import texture_at
 
 REAL_VIRTUAL = OpticalSystemConfig(
     m=16, n=16, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0, focal_length_mm=35.0
@@ -252,7 +253,7 @@ def test_criterion_6_geometric_round_trip():
     grid = PlaneGrid(12.0, 12.0, 0.25)
     rec = reconstruct(eis, TiltedPlaneSpec(0.0, 0.0, z0, grid), mode="geometric")
     X, Y = rec.field.meshgrid()
-    truth = texture.sample(X, Y)
+    truth = texture_at(texture, X, Y)
     ncc_focus = _ncc(rec.field.values, truth)
     rec_off = reconstruct(eis, TiltedPlaneSpec(0.0, 0.0, 1.3 * z0, grid), mode="geometric")
     ncc_off = _ncc(rec_off.field.values, truth)

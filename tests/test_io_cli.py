@@ -295,7 +295,8 @@ def test_manifest_rejects_image_that_is_not_16bit(tmp_path, maxval):
     image.write_bytes(f"P5\n8 8\n{maxval}\n".encode() + raster)
     with pytest.raises(ValueError) as err:
         manifest_io.load_elemental_set(path)
-    assert str(err.value).startswith(f"{image}: maxval {maxval}, but a 16-bit PGM")
+    assert str(err.value).startswith(f"{path}: image entry (p=1, q=2, file='e_01_02.pgm') "
+                                     f"cannot be read: {image}: maxval {maxval}, but a 16-bit PGM")
 
 
 def _saved_2x2(tmp_path, images):
@@ -345,7 +346,8 @@ def test_manifest_truncated_image_names_the_file(tmp_path):
     image.write_bytes(image.read_bytes()[:-1])
     with pytest.raises(ValueError) as err:
         manifest_io.load_elemental_set(path)
-    assert str(err.value) == f"{image}: truncated raster (127 < 128 bytes)"
+    assert str(err.value) == (f"{path}: image entry (p=1, q=0, file='e_01_00.pgm') cannot be "
+                              f"read: {image}: truncated raster (127 < 128 bytes)")
 
 
 def test_manifest_load_opens_each_file_once(tmp_path, monkeypatch):
@@ -652,6 +654,22 @@ def test_cli_reconstruct_names_manifest_and_entry_of_a_missing_image(tmp_path, c
     assert "No such file or directory" in error
 
 
+def test_cli_reconstruct_names_manifest_and_entry_of_a_malformed_image(tmp_path, caplog):
+    # a listed file that is not a PGM had been logged as "cap/e_01_01.pgm: not
+    # a binary PGM: ...", naming neither the manifest nor the entry
+    config, manifest, img = _synth_point_capture(tmp_path)
+    entry = json.loads(manifest.read_text())["images"][0]
+    image = manifest.parent / entry["file"]
+    image.write_bytes(b"XX")
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--out", str(img)])
+    assert rc == 1
+    assert not img.exists()
+    [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith(f"{manifest}: image entry (p={entry['p']}, q={entry['q']}, "
+                            f"file={entry['file']!r}) cannot be read: {image}: not a binary PGM")
+
+
 def test_cli_synth_scene_point_missing_key_names_block_and_file(tmp_path, caplog):
     scene = write_scene(tmp_path, {"points": [{"z_mm": 200.0}, {"x_mm": 1.0}]})
     out = tmp_path / "cap"
@@ -850,6 +868,30 @@ def _synth_point_capture(tmp_path, **extra):
     return config, out / "manifest.json", tmp_path / "r.pgm"
 
 
+def test_cli_geometric_reconstruct_does_not_read_the_wavelength(tmp_path):
+    # back-projection is ray geometry: a manifest and config that differ only in
+    # wavelength_nm give the same image and sidecar bytes, where the defocus blur
+    # of a diffraction reconstruct does read it
+    config, manifest, _ = _synth_point_capture(tmp_path)
+    outputs = {"geometric": [], "diffraction": []}
+    for wavelength in (400.0, 750.0):
+        doc = json.loads(config.read_text())
+        doc["optical_system"]["wavelength_nm"] = wavelength
+        run = tmp_path / f"run_{wavelength:.0f}.json"
+        run.write_text(json.dumps(doc))
+        doc = json.loads(manifest.read_text())
+        doc["wavelength_nm"] = wavelength
+        man = manifest.with_name(f"manifest_{wavelength:.0f}.json")
+        man.write_text(json.dumps(doc))
+        for mode, images in outputs.items():
+            img = tmp_path / f"{mode}_{wavelength:.0f}.pgm"
+            assert main(["reconstruct", "--config", str(run), "--manifest", str(man),
+                         "--mode", mode, "--theta-x-deg", "15", "--out", str(img)]) == 0
+            images.append((img.read_bytes(), img.with_suffix(".json").read_bytes()))
+    assert outputs["geometric"][0] == outputs["geometric"][1]
+    assert outputs["diffraction"][0][0] != outputs["diffraction"][1][0]
+
+
 def test_cli_geometric_reconstruct_rejects_strip_width(tmp_path, capsys):
     # the strip width only splits the plane for the defocus blur
     config, manifest, img = _synth_point_capture(tmp_path)
@@ -935,6 +977,41 @@ def test_cli_reconstruct_rejects_out_whose_sidecar_overwrites_a_file(tmp_path, c
     sidecar = (tmp_path / out).with_suffix(".json")
     assert (f"--out {tmp_path / out}: the sidecar is --out with the suffix .json, {sidecar}, "
             f"which is {overwritten}; choose another --out" in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+@pytest.mark.parametrize("overwritten", ["the manifest", "the config"])
+def test_cli_reconstruct_rejects_out_that_is_an_input(tmp_path, capsys, overwritten):
+    # an input without the suffix .json keeps the sidecar off it, and --out itself
+    # had been written over it with exit 0
+    config, manifest, _ = _synth_point_capture(tmp_path)
+    config = config.rename(tmp_path / "run.cfg")
+    manifest = manifest.rename(manifest.with_name("man.txt"))
+    out = manifest if overwritten == "the manifest" else config
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+              "--out", str(out)])
+    assert err.value.code == 2
+    assert f"--out {out} is {overwritten}; choose another --out" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+@pytest.mark.parametrize("name", ["fov.json", "curve.csv"])
+def test_cli_analyze_rejects_out_that_holds_the_config(tmp_path, capsys, name):
+    # analyze writes curve.csv and fov.json into --out; a config at either had
+    # been overwritten with exit 0
+    plane = {"D_mm": 360.0, "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
+                                     "sample_pitch_mm": 0.2}}
+    out = tmp_path / "out"
+    out.mkdir()
+    config = write_config(tmp_path, plane=plane, scan={"steps": 3}).rename(out / name)
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "--config", str(config), "--out", str(out)])
+    assert err.value.code == 2
+    assert (f"analyze writes {config}, which is the config; choose another --out"
+            in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 

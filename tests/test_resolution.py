@@ -474,6 +474,25 @@ def test_spot_extents_rejects_angle_arrays_of_different_lengths(theta_x, theta_y
         spot_extents(cfg, 360.0, BeamParameters.from_config(cfg), theta_x, theta_y)
 
 
+@pytest.mark.parametrize("slope_y", [0.0, 0.5])
+def test_spot_curve_at_the_beam_focus_moves_with_the_wavelength_only_in_scale(slope_y):
+    # at D = z_i the waist and the Rayleigh range both scale with the
+    # wavelength, and the quadrature's depth offsets with the width, so w(z)/w0
+    # at every node is the same at every wavelength: only the scale moves
+    theta_x = np.linspace(-60.0, 60.0, 121)
+    shapes, minima = [], []
+    for wavelength in (400.0, 550.0, 750.0):
+        cfg = OpticalSystemConfig(m=16, n=16, pitch_x_mm=10.0, pitch_y_mm=10.0, gap_mm=50.0,
+                                  focal_length_mm=35.0, wavelength_nm=wavelength)
+        extents = np.array(spot_extents(cfg, 360.0, rv_beam(cfg), theta_x, slope_y * theta_x))
+        shapes.append(extents / extents.min())
+        minima.append(extents.min() / wavelength)
+    for shape in shapes[1:]:
+        np.testing.assert_allclose(shape, shapes[0], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(minima, minima[0], rtol=1e-14, atol=0.0)
+    assert shapes[0].max() > 1.5  # the curve crosses the field-of-view threshold
+
+
 def test_scan_rejects_beam_tilted_to_ninety_degrees():
     # at 120 mm the outer lenslets sit 33.7 and 30.3 degrees off the source,
     # so an x scan over +/-60 degrees turns some beam past 90 degrees, where

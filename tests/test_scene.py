@@ -18,6 +18,7 @@ from tiltview.scene import (
 )
 
 from elemental_sets import dense
+from textures import texture_at
 
 
 def cfg16():
@@ -83,10 +84,16 @@ def test_textured_plane_rejects_texture_under_two_texels_per_axis(shape):
         TexturedPlane(300.0, 5.0, 5.0, np.ones(shape))
 
 
+def sample_at(plane, x, y):
+    """The plane's value at one scene point, through its two axis lookups."""
+    cols, rows = plane.texels(np.array([x]), "col"), plane.texels(np.array([y]), "row")
+    return plane.sample(cols, rows)[0, 0]
+
+
 def test_textured_plane_two_texels_has_edges():
     plane = TexturedPlane(300.0, 5.0, 5.0, np.ones((2, 2)))
-    assert plane.sample(1e6, 0.0) == 0.0 and plane.sample(0.0, 1e6) == 0.0
-    assert plane.sample(5.0, -5.0) == 1.0
+    assert sample_at(plane, 1e6, 0.0) == 0.0 and sample_at(plane, 0.0, 1e6) == 0.0
+    assert sample_at(plane, 5.0, -5.0) == 1.0
 
 
 @pytest.mark.parametrize("half_widths", [(0.0, 5.0), (5.0, 0.0), (-5.0, 5.0), (5.0, -5.0)])
@@ -98,17 +105,47 @@ def test_textured_plane_rejects_nonpositive_half_widths(half_widths):
 
 def test_textured_plane_sample_outside_zero():
     plane = TexturedPlane(100.0, 5.0, 5.0, np.ones((8, 8)))
-    assert plane.sample(6.0, 0.0) == 0.0
-    assert plane.sample(0.0, -7.0) == 0.0
-    assert plane.sample(0.0, 0.0) == 1.0
+    assert sample_at(plane, 6.0, 0.0) == 0.0
+    assert sample_at(plane, 0.0, -7.0) == 0.0
+    assert sample_at(plane, 0.0, 0.0) == 1.0
 
 
 def test_textured_plane_sample_orientation():
     tex = np.zeros((4, 4))
     tex[0, 3] = 1.0  # top-right texel -> (+x, +y) corner
     plane = TexturedPlane(100.0, 5.0, 5.0, tex)
-    assert plane.sample(5.0, 5.0) == 1.0
-    assert plane.sample(-5.0, -5.0) == 0.0
+    assert sample_at(plane, 5.0, 5.0) == 1.0
+    assert sample_at(plane, -5.0, -5.0) == 0.0
+
+
+def test_texels_lookup_per_axis():
+    # 3 rows over y in [-4, 4], 5 columns over x in [-6, 6]: an edge point
+    # takes the last pair of texels with the whole weight on the edge texel
+    plane = TexturedPlane(100.0, 6.0, 4.0, np.ones((3, 5)))
+    lower, w, v, on = plane.texels(np.array([-6.0, -4.5, 6.0, 6.5]), "col")
+    np.testing.assert_array_equal(lower, [0, 0, 3, 3])
+    np.testing.assert_array_equal(w, [0.0, 0.5, 1.0, 1.0])
+    np.testing.assert_array_equal(v, 1 - w)
+    np.testing.assert_array_equal(on, [True, True, True, False])
+    lower, w, v, on = plane.texels(np.array([4.0, 2.0, -4.0, -4.1]), "row")  # row 0 at largest y
+    np.testing.assert_array_equal(lower, [0, 0, 1, 1])
+    np.testing.assert_array_equal(w, [0.0, 0.5, 1.0, 1.0])
+    np.testing.assert_array_equal(on, [True, True, True, False])
+
+
+def test_textured_plane_sample_grid_matches_written_out_lookup():
+    # a grid of pixel rows times pixel columns that crosses every edge, with
+    # points on the edges themselves, equals the bilinear lookup done point
+    # by point in scene coordinates
+    rng = np.random.default_rng(3)
+    plane = TexturedPlane(100.0, 6.0, 4.0, rng.random((7, 9)) + 0.5, intensity_scale=0.8)
+    x = np.concatenate([rng.uniform(-8.0, 8.0, 40), [-6.0, 6.0, 0.0]])
+    y = np.concatenate([rng.uniform(-6.0, 6.0, 30), [-4.0, 4.0]])
+    values = plane.sample(plane.texels(x, "col"), plane.texels(y, "row"))
+    assert values.shape == (y.size, x.size)
+    expected = texture_at(plane, x[None, :], y[:, None])
+    assert 0 < np.count_nonzero(expected) < expected.size
+    np.testing.assert_array_equal(values, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +333,8 @@ def reference_capture(scene, cfg, pixels_x, pixels_y, pitch):
                         hit = True
                 vignetted += not hit
             for plane in scene.planes:
-                img += plane.sample(cx - col_du[None, :] * plane.z_mm / g,
-                                    cy - row_dv[:, None] * plane.z_mm / g)
+                img += texture_at(plane, cx - col_du[None, :] * plane.z_mm / g,
+                                  cy - row_dv[:, None] * plane.z_mm / g)
     return images, vignetted
 
 
