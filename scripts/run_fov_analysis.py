@@ -23,8 +23,11 @@ def summarize(out_dir: Path) -> str:
     extents = [float(r["radial_extent_mm"]) for r in rows]
     fov = json.loads((out_dir / "fov.json").read_text())
     lo, hi = min(extents), max(extents)
+    # each side is a signed crossing angle, or null where the scan stays below the threshold
+    negative, positive = (("open" if deg is None else f"{deg:+.2f} deg")
+                          for deg in (fov["fov_negative_deg"], fov["fov_positive_deg"]))
     return (f"min {lo:.5f} mm, max {hi:.5f} mm, ratio {hi / lo:.3f}, "
-            f"fov -{fov['fov_negative_deg']}/+{fov['fov_positive_deg']} deg")
+            f"fov {negative}/{positive}")
 
 
 def main() -> int:

@@ -108,8 +108,12 @@ def load_scene(path) -> Scene:
         block = f"scene plane {i}"
         entry = read_block(entry, path, block, optional=("intensity_scale",), required=(
             "z_mm", "half_width_x_mm", "half_width_y_mm", "texture_file"))
-        texture = read_pgm(base / path_string(entry.pop("texture_file"), path, block,
-                                              "texture_file"))
+        name = path_string(entry.pop("texture_file"), path, block, "texture_file")
+        try:
+            texture = read_pgm(base / name)
+        except (OSError, ValueError) as exc:  # keeps the class: FileNotFoundError, ValueError
+            raise type(exc)(f"{path}: {block}: texture_file {name!r} cannot be read: "
+                            f"{exc}") from exc
         planes.append(build(TexturedPlane, path, block, texture=texture, **entry))
     return Scene(points=points, planes=planes)
 
@@ -266,7 +270,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.exit(2, f"tiltview: {exc}\n")
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except (ValueError, OSError) as exc:  # a rejected input; any other error is a bug
         log.error("%s", exc)
         return 1
 

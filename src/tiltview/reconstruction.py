@@ -394,33 +394,6 @@ def _antialiased_pupil(U: np.ndarray, V: np.ndarray, ax: float, ay: float,
     return pupil
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n``-point Gauss-Legendre rule on [-1, 1]: ascending nodes and
-    their weights, each exactly symmetric about 0.
-
-    The nodes are the eigenvalues of the Jacobi matrix of the Legendre
-    recurrence, whose off-diagonal is k / sqrt(4k^2 - 1) (Golub and Welsch,
-    Math. Comp. 23, 221, 1969), refined by one Newton step on P_n. The
-    weights are 2 / ((1 - x^2) P_n'(x)^2), with P_n and P_(n-1) from the
-    three-term recurrence (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1).
-    """
-    k = np.arange(1.0, n)
-    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-
-    def legendre(x):
-        # P_n(x) and P_n'(x) = n (x P_n - P_(n-1)) / (x^2 - 1)
-        lower, p = np.ones_like(x), x
-        for j in range(1, n):
-            lower, p = p, ((2 * j + 1) * x * p - j * lower) / (j + 1)
-        return p, n * (x * p - lower) / (x * x - 1.0)
-
-    p, dp = legendre(x)
-    x = x - p / dp
-    dp = legendre(x)[1]
-    weights = 2.0 / ((1.0 - x * x) * dp * dp)
-    return (x - x[::-1]) / 2.0, (weights + weights[::-1]) / 2.0
-
-
 def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
                 max_half_width_mm: float) -> Callable[[float], PSFKernel]:
     """The defocus PSF builder of one plane grid and beam focus:
@@ -489,7 +462,7 @@ def psf_builder(cfg: OpticalSystemConfig, z_i_mm: float, sample_pitch_mm: float,
 
     @functools.cache
     def pixel_quadrature(taps, sub):
-        nodes, weights = gauss_legendre(sub)
+        nodes, weights = np.polynomial.legendre.leggauss(sub)  # exactly symmetric
         x = ((np.arange(taps) - taps // 2)[:, None] + nodes / 2.0).ravel() * sample_pitch_mm
         x_half = x[x.size // 2:]  # x >= 0: from 0 if x.size is odd
         # pixel i integrates sub-pixel n, whose field is at |x_n| = x_half[mirror[n]]

@@ -71,11 +71,23 @@ class TexturedPlane:
         """The bilinear values, zero off the texture, on the grid of ``rows``
         times ``cols``: two ``texels`` lookups of 1D arrays."""
         c0, wc, vc, cols_on = cols
-        r0, wr, vr, rows_on = (a[:, None] for a in rows)
-        t = self.texture
-        vals = (vr * vc * t[r0, c0] + vr * wc * t[r0, c0 + 1]
-                + wr * vc * t[r0 + 1, c0] + wr * wc * t[r0 + 1, c0 + 1])
-        return np.where(cols_on & rows_on, vals * self.intensity_scale, 0.0)
+        r0, wr, vr, rows_on = rows
+        vr, wr = vr[:, None], wr[:, None]
+        flat, width = self.texture.ravel(), self.texture.shape[1]
+        # the flat index of each lower corner; the other three lie 1, width and width + 1
+        # past it, all on the texture, so "clip" clips nothing (and, unlike "raise",
+        # takes into out= unbuffered)
+        at = r0[:, None] * width + c0
+        vals, term, texels = np.multiply(vr, vc), np.empty(at.shape), np.empty(at.shape)
+        vals *= flat.take(at, out=texels, mode="clip")
+        for row_w, col_w, offset in ((vr, wc, 1), (wr, vc, width), (wr, wc, width + 1)):
+            np.multiply(row_w, col_w, out=term)
+            term *= flat[offset:].take(at, out=texels, mode="clip")
+            vals += term
+        vals *= self.intensity_scale
+        vals[~rows_on] = 0.0
+        vals[:, ~cols_on] = 0.0
+        return vals
 
 
 @dataclass

@@ -24,6 +24,7 @@ Under this model the spot grows by obliquity alone, so the 1.5x field of
 view is open-ended within +/-40 degrees and closes only near +/-55 degrees.
 """
 
+import dataclasses
 import math
 import time
 
@@ -212,8 +213,11 @@ def test_criterion_4_moment_oracles():
     report(4, ok, f"Gaussian moment error {g_err:.2%}, disk moment error {d_err:.2%} (< 1%)")
 
 
-def test_criterion_5_airy_zero():
-    psf = psf_builder(REAL_VIRTUAL, 360.0, 0.001, math.inf)(360.0)
+def _airy_zero(cfg):
+    """The first zero of the in-focus kernel's profile along x, with the
+    parabola through the three samples around its minimum, and its
+    expected radius 1.22 lambda z / a at z = z_i = 360 mm."""
+    psf = psf_builder(cfg, 360.0, 0.001, math.inf)(360.0)
     n = psf.taps
     profile = psf.samples[n // 2, n // 2:]
     k = 1
@@ -222,11 +226,26 @@ def test_criterion_5_airy_zero():
     k -= 1
     y0, y1, y2 = profile[k - 1], profile[k], profile[k + 1]
     r_zero = (k + 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2)) * psf.sample_pitch_mm
-    expected = 1.22 * REAL_VIRTUAL.wavelength_mm * 360.0 / REAL_VIRTUAL.pitch_x_mm
+    return r_zero, 1.22 * cfg.wavelength_mm * 360.0 / cfg.pitch_x_mm
+
+
+def test_criterion_5_airy_zero():
+    r_zero, expected = _airy_zero(REAL_VIRTUAL)
     err = abs(r_zero - expected) / expected
     ok = err < 0.05
     report(5, ok, f"Airy first zero {r_zero * 1e3:.2f} um vs {expected * 1e3:.2f} um "
                   f"({err:.2%} error, < 5%)")
+
+
+def test_criterion_5_airy_zero_scales_with_the_wavelength():
+    # across the visible band the zero stays at 1.22 lambda z / a, so it moves as lambda
+    zeros = {}
+    for nm in (400.0, 550.0, 750.0):
+        r_zero, expected = _airy_zero(dataclasses.replace(REAL_VIRTUAL, wavelength_nm=nm))
+        assert r_zero == pytest.approx(expected, rel=0.01), nm
+        zeros[nm] = r_zero
+    for nm in (400.0, 750.0):
+        assert zeros[nm] / zeros[550.0] == pytest.approx(nm / 550.0, rel=0.005), nm
 
 
 def _smooth_texture(n=64, sigma=0.05, seed=42):

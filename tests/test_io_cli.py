@@ -705,6 +705,31 @@ def test_cli_synth_rejects_zero_pixel_pitch(tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error, exits", [
+    pytest.param(ConfigError("the scan block: steps must be an integer >= 2"), True,
+                 id="ConfigError"),
+    pytest.param(TypeError("unsupported operand type(s)"), False, id="TypeError"),
+])
+def test_cli_exits_1_on_a_rejected_input_and_lets_a_bug_propagate(
+        tmp_path, caplog, monkeypatch, error, exits):
+    # a library defect must not pass as a rejected document
+    def scan_resolution(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("tiltview.cli.scan_resolution", scan_resolution)
+    argv = ["analyze", "--config", str(ROOT / "configs" / "real_virtual_fov.json"),
+            "--out", str(tmp_path / "fov")]
+    if exits:
+        assert main(argv) == 1
+        [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert message == str(error)
+    else:
+        with pytest.raises(TypeError, match="unsupported operand"):
+            main(argv)
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+    assert not (tmp_path / "fov").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 
@@ -1423,6 +1448,34 @@ def test_cli_synth_rejects_one_texel_wide_texture(tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("texture, error, reason", [
+    pytest.param(None, FileNotFoundError, "[Errno 2] No such file or directory: '{}'",
+                 id="missing"),
+    pytest.param(b"P6\n2 2\n255\n" + bytes(12), ValueError, "{}: not a binary PGM",
+                 id="not-a-PGM"),
+])
+def test_load_scene_names_scene_block_and_key_of_an_unreadable_texture(
+        tmp_path, caplog, texture, error, reason):
+    if texture is not None:
+        (tmp_path / "tex.pgm").write_bytes(texture)
+    scene = write_scene(tmp_path, {"planes": [
+        {"z_mm": 200.0, "half_width_x_mm": 5.0, "half_width_y_mm": 5.0,
+         "texture_file": "tex.pgm"}]})
+    prefix = (f"{scene}: scene plane 0: texture_file 'tex.pgm' cannot be read: "
+              + reason.format(tmp_path / "tex.pgm"))
+    # the reader's own class is kept
+    with pytest.raises(error) as raised:
+        load_scene(scene)
+    assert str(raised.value).startswith(prefix)
+    out = tmp_path / "cap"
+    rc = main(["synth", "--config", str(write_config(tmp_path)), "--scene", str(scene),
+               "--out", str(out), "--pixels-x", "8", "--pixels-y", "8"])
+    assert rc == 1
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith(prefix)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", ["focused_2m", "focused_6m", "real_virtual_fov"])
 def test_cli_analyze_matches_reference_curve(tmp_path, config):
     # golden bytes of each shipped config; the real/virtual curve is the benchmark's reference
@@ -1455,11 +1508,49 @@ sha256_listing = runpy.run_path(str(ROOT / "tests" / "golden" / "regenerate.py")
     "sha256_listing"]
 
 
-def run_tilt_sweep(monkeypatch, mode, out):
-    monkeypatch.setattr(sys, "argv", ["run_tilt_sweep.py", "--mode", mode, "--out", str(out)])
+def run_script(monkeypatch, name, *args):
+    """Run ``scripts/<name>`` as a program with ``args``; it must exit 0."""
+    monkeypatch.setattr(sys, "argv", [name, *map(str, args)])
     with pytest.raises(SystemExit) as done:
-        runpy.run_path(str(ROOT / "scripts" / "run_tilt_sweep.py"), run_name="__main__")
+        runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
     assert done.value.code == 0
+
+
+def run_tilt_sweep(monkeypatch, mode, out):
+    run_script(monkeypatch, "run_tilt_sweep.py", "--mode", mode, "--out", out)
+
+
+def test_fov_analysis_script_writes_each_shipped_config(tmp_path, monkeypatch, capsys):
+    run_script(monkeypatch, "run_fov_analysis.py", "--out", tmp_path)
+    names = ["real_virtual_fov", "focused_2m", "focused_6m"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["curve.csv", "fov.json"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == names
+    # the shipped scans stop at +/-40 deg, inside every 1.5x crossing
+    assert all(line.endswith(", fov open/open") for line in lines)
+
+
+def test_fov_analysis_summary_prints_each_crossing_with_its_own_sign(tmp_path):
+    summarize = runpy.run_path(str(ROOT / "scripts" / "run_fov_analysis.py"))["summarize"]
+    (tmp_path / "curve.csv").write_bytes(
+        (ROOT / "tests" / "golden" / "focused_2m" / "curve.csv").read_bytes())
+    fov = {"threshold_ratio": 1.5, "min_extent_mm": 0.0344,
+           "fov_negative_deg": -55.16, "fov_positive_deg": 53.64}
+    (tmp_path / "fov.json").write_text(json.dumps(fov))
+    assert summarize(tmp_path).endswith(", fov -55.16 deg/+53.64 deg")
+    fov["fov_negative_deg"] = None
+    (tmp_path / "fov.json").write_text(json.dumps(fov))
+    assert summarize(tmp_path).endswith(", fov open/+53.64 deg")
+
+
+def test_point_oracle_script_agrees_with_the_analyzer(monkeypatch, capsys):
+    # the reconstructed spot against the analyzer's, within tens of percent
+    run_script(monkeypatch, "run_point_oracle.py")
+    [ratio] = [float(line.split(":")[1]) for line in capsys.readouterr().out.splitlines()
+               if line.startswith("ratio:")]
+    assert 0.5 <= ratio <= 1.5
 
 
 def test_geometric_sweep_matches_golden_outputs(tmp_path, monkeypatch, capsys):

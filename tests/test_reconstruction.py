@@ -34,7 +34,6 @@ from tiltview.reconstruction import (
     backproject_geometric,
     corner,
     gather,
-    gauss_legendre,
     into_window,
     psf_builder,
     reconstruct,
@@ -847,22 +846,6 @@ def test_psf_builder_matches_complex_form(pitch_y, z_i, z):
     assert psf.samples.shape == samples.shape
     assert np.abs(psf.samples - samples).max() <= 1e-12 * samples.max()
     assert psf.window_energy == pytest.approx(window_energy, rel=0.0, abs=1e-12)
-
-
-# S = 1-40 covers every sub-pixel count the shipped configs' planes pick at
-# tilts up to 60 degrees: 4 (real/virtual), 10 (focused 6 m), 25-26 (focused
-# 2 m) and 27-34 (the textured recon at 300-360 mm); the point oracle picks 3
-@pytest.mark.parametrize("sub", range(1, 41))
-def test_gauss_legendre_matches_leggauss_and_integrates_monomials(sub):
-    nodes, weights = gauss_legendre(sub)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(sub)
-    assert np.abs(nodes - ref_nodes).max() <= 1e-15
-    assert np.abs(weights - ref_weights).max() <= 1e-12
-    # exactly symmetric, as pixel_quadrature's mirrored sub-pixels need
-    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
-    for k in range(2 * sub):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert weights @ nodes**k == pytest.approx(exact, rel=0.0, abs=1e-14), k
 
 
 # ---------------------------------------------------------------------------
