@@ -263,8 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("TILTVIEW_LOG_LEVEL", "INFO"))
     parser = build_parser()
+    level = os.environ.get("TILTVIEW_LOG_LEVEL", "INFO")
+    levels = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+    if level.upper() not in levels:
+        parser.exit(2, f"tiltview: TILTVIEW_LOG_LEVEL must be one of {', '.join(levels)}, "
+                       f"in any case, got {level!r}\n")
+    logging.basicConfig(level=level.upper())
     args = parser.parse_args(argv)
     try:
         return args.func(args)

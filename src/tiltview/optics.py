@@ -231,7 +231,7 @@ class BeamParameters:
     """Per-lenslet Gaussian-beam constants and the half-width w(z).
 
     With a finite focus z_i: waist w0 = 2.44 lambda |z_i| / pitch, Rayleigh
-    range b = pi w0^2 / (2 lambda), w(z) = w0 sqrt(1 + 4 ((z - z_i) / b)^2). In
+    range b = pi w0^2 / (2 lambda), w(z)^2 = w0^2 + (4 w0^2 / b^2)(z - z_i)^2. In
     focused mode ``z_focus_mm`` and the Rayleigh ranges are infinite, and w(z)
     is the collimated pitch/2 fallback held in the waists, at every depth.
     """
@@ -266,29 +266,28 @@ class BeamParameters:
                    rayleigh_x_mm=math.pi * w0x**2 / (2.0 * lam),
                    rayleigh_y_mm=math.pi * w0y**2 / (2.0 * lam))
 
-    def _width(self, z_mm, waist_mm: float, rayleigh_mm: float, out=None):
-        """w(z) of one axis, for a scalar or an array ``z_mm``. With ``out``, a
-        float array of z's shape (``z_mm`` itself too), every operation writes
-        into ``out``, which is returned; the bits are those of a new array."""
+    def width_sq_terms(self, axis: str) -> tuple[float, float]:
+        """(w0^2, 4 w0^2 / b^2) of axis 'x' or 'y': w(z)^2 = w0^2 + (4 w0^2 / b^2)
+        (z - z_i)^2, the one w(z) formula. The slope is 0 in focused mode."""
+        waist, rayleigh = ((self.waist_x_mm, self.rayleigh_x_mm) if axis == "x"
+                           else (self.waist_y_mm, self.rayleigh_y_mm))
+        return waist**2, 4.0 * waist**2 / rayleigh**2
+
+    def focus_offset(self, z_mm):
+        """z - z_i, the offset of depth z from the focus; 0 in focused mode,
+        where no width depends on it."""
         z = np.asarray(z_mm, dtype=float)
-        if not math.isfinite(self.z_focus_mm):
-            return np.multiply(waist_mm, np.ones_like(z), out=out)
-        # the augmented operators work in place on an array and rebind a
-        # scalar; ** squares an array but calls pow on a scalar, as it always did
-        w = np.subtract(z, self.z_focus_mm, out=out)
-        w /= rayleigh_mm
-        w **= 2
-        w *= 4.0
-        w += 1.0
-        w = np.sqrt(w, out=out)
-        w *= waist_mm
-        return w
+        return z - self.z_focus_mm if math.isfinite(self.z_focus_mm) else 0.0 * z
 
-    def width_x(self, z_mm, out=None):
-        return self._width(z_mm, self.waist_x_mm, self.rayleigh_x_mm, out)
+    def _width(self, z_mm, axis: str):
+        waist_sq, slope = self.width_sq_terms(axis)
+        return np.sqrt(waist_sq + slope * self.focus_offset(z_mm) ** 2)
 
-    def width_y(self, z_mm, out=None):
-        return self._width(z_mm, self.waist_y_mm, self.rayleigh_y_mm, out)
+    def width_x(self, z_mm):
+        return self._width(z_mm, "x")
+
+    def width_y(self, z_mm):
+        return self._width(z_mm, "y")
 
 
 @dataclass(frozen=True)

@@ -105,93 +105,86 @@ def spot_extents(cfg: OpticalSystemConfig, D_mm: float, beam: BeamParameters,
     for a constant beam width and keeps the width's change with depth
     across the tilted spot, the only remaining factor of the integrand.
 
-    What does not depend on the tilt is built once for all steps: the
-    angles of the lenslet centres, the inverse-square weights and the Gauss-
-    Hermite y weights at full size, the beam widths at D, the small factors
-    of every step (the node offsets and their terms in the depth, the
-    exponent and the moment) and the full-size buffers every step writes
-    into; a round beam's width is evaluated once for both axes. Every step
-    is checked before any is evaluated: ``ValueError`` is raised when a
-    step turns some lenslet's beam to 90 degrees or more. Each full-size
-    pass runs over a contiguous (m*8, n*8) array whose rows are (p, a),
-    lenslet row and x node, and whose columns are (q, b), lenslet column
-    and y node; a small factor enters as a row or a column vector. The two
-    sums read (p, q, a, b) copies, which keeps the summation order, and so
-    every bit, of an (m, n, 8, 8) array. The two angle arrays must have one
-    shape, or ``ValueError`` names both lengths.
+    Each step evaluates the weighted Gaussians, its mass, once at full
+    size, in buffers the call allocates once: an (m*8, n*8) array whose rows
+    are (p, a), lenslet row and x node, and whose columns are (q, b),
+    lenslet column and y node. The width is w^2 = w0^2 + (4 w0^2 / b^2)
+    (z - z_i)^2, the offset to the focus a row term plus a column term. The
+    quadrature weight sx w_a sy w_b is a row factor qx times a column factor
+    qy, and x^2 + y^2 a row term plus a column term, so with rows = mass qy
+    and cols = qx^T mass, sum(mass q) = qx . rows and sum(mass q (x^2 +
+    y^2)) = (qx x^2) . rows + cols . (qy y^2). The reductions are numpy's
+    own ``einsum`` loops, not BLAS, whose summation order changes with the
+    CPU. What does not depend on the tilt is built before the loop: the
+    inverse-square weights times 2/pi at full size, and the small factors of
+    every step, D - z_i and -2 folded in. Every step is checked before any
+    is evaluated: ``ValueError`` is raised when the two angle arrays are not
+    1-D of one length, naming their lengths or shapes, and when a step turns
+    some lenslet's beam to 90 degrees or more.
     """
     check_number("D_mm", D_mm)
     cx, cy = cfg.lenslet_centers()  # the source point is (0, 0, D)
     angles_x, angles_y = np.degrees(np.arctan(cx / D_mm)), np.degrees(np.arctan(cy / D_mm))
     theta_x, theta_y = np.asarray(theta_x_deg, dtype=float), np.asarray(theta_y_deg, dtype=float)
-    if theta_x.shape != theta_y.shape:
+    if theta_x.ndim != 1 or theta_x.shape != theta_y.shape:
+        got = (f"{theta_x.size} and {theta_y.size} angles" if theta_x.ndim == theta_y.ndim == 1
+               else f"shapes {theta_x.shape} and {theta_y.shape}")
         raise ValueError(f"theta_x_deg and theta_y_deg must give one angle per tilt step, "
-                         f"got {theta_x.size} and {theta_y.size} angles")
+                         f"got {got}")
     tilt_x, tilt_y = theta_x[:, None] - angles_x, theta_y[:, None] - angles_y
     if np.any(np.abs(tilt_x) >= 90.0) or np.any(np.abs(tilt_y) >= 90.0):
         raise _grazing_error(theta_x, theta_y, tilt_x, tilt_y, angles_x, angles_y, D_mm)
-    m, n, k = cfg.m, cfg.n, _GH_NODES.size
-    shape = (m * k, n * k)
-    # the inverse-square weights, exactly 1 for the central lenslet
-    weight = (D_mm + cfg.gap_mm) ** 2 / cfg.pixel_distance_sq(
+    m, n, k, steps = cfg.m, cfg.n, _GH_NODES.size, theta_x.size
+    mk, nk = m * k, n * k
+    # the inverse-square weights times 2/pi, 2/pi exactly for the central lenslet
+    weight = (2.0 / math.pi) * (D_mm + cfg.gap_mm) ** 2 / cfg.pixel_distance_sq(
         0.0 - cx[:, None, None, None], 0.0 - cy[:, None], D_mm)
-    weight = np.broadcast_to(weight, (m, k, n, k)).reshape(shape)  # a full-size copy
-    weights_b = np.tile(_GH_WEIGHTS, (m * k, n))
-    width_x, width_y = beam.width_x(D_mm), beam.width_y(D_mm)
-    round_beam = beam.waist_x_mm == beam.waist_y_mm and beam.rayleigh_x_mm == beam.rayleigh_y_mm
+    weight = np.broadcast_to(weight, (m, k, n, k)).reshape(mk, nk)  # a full-size copy
+    (waist_x_sq, slope_x), (waist_y_sq, slope_y) = map(beam.width_sq_terms, "xy")
     # the small factors of every step: a column over the rows (p, a) or a
     # row over the columns (q, b) of that step's full-size arrays
     tpx, tpy = np.radians(tilt_x)[:, :, None], np.radians(tilt_y)[:, :, None]
-    sx = width_x / (math.sqrt(2.0) * np.cos(tpx))
-    sy = width_y / (math.sqrt(2.0) * np.cos(tpy))
+    sx = beam.width_x(D_mm) / (math.sqrt(2.0) * np.cos(tpx))
+    sy = beam.width_y(D_mm) / (math.sqrt(2.0) * np.cos(tpy))
     x, y = sx * _GH_NODES, sy * _GH_NODES
-    columns, rows = (-1, m * k, 1), (-1, n * k)
-    depth_x, depth_y = (D_mm + x * np.sin(tpx)).reshape(columns), (y * np.sin(tpy)).reshape(rows)
-    spread_x = ((x * np.cos(tpx)) ** 2).reshape(columns)
-    spread_y = ((y * np.cos(tpy)) ** 2).reshape(rows)
-    x_sq, y_sq = (x**2).reshape(columns), (y**2).reshape(rows)
-    wx, mass, arg, work = np.empty((4,) + shape)
-    wy = wx if round_beam else np.empty(shape)
-    summand = np.empty((m, n, k, k))
-    extents = []
-    for i in range(len(tilt_x)):
-        # the weighted Gaussians at the nodes, written into mass. A factor
-        # that comes first in its operation is copied into a buffer by a
-        # broadcasting np.copyto, which with the in-place pass that follows
-        # measured faster than one ufunc that broadcasts it
-        np.copyto(work, depth_x[i])
-        z_loc = np.add(work, depth_y[i], out=work)
-        if wy is not wx:
-            beam.width_y(z_loc, out=wy)
-        beam.width_x(z_loc, out=wx)
-        np.multiply(math.pi, wx, out=mass)
-        mass *= wy
-        np.divide(2.0, mass, out=mass)
-        mass *= weight
-        wx **= 2
-        if wy is not wx:
-            wy **= 2
-        np.copyto(arg, spread_x[i])
-        arg /= wx
-        np.copyto(work, spread_y[i])
-        work /= wy
-        arg += work
-        arg *= -2.0
+    offset_x = (beam.focus_offset(D_mm) + x * np.sin(tpx)).reshape(steps, mk, 1)
+    offset_y = (y * np.sin(tpy)).reshape(steps, nk)
+    exponent_x = (-2.0 * (x * np.cos(tpx)) ** 2).reshape(steps, mk, 1)
+    exponent_y = (-2.0 * (y * np.cos(tpy)) ** 2).reshape(steps, nk)
+    qx, qy = (sx * _GH_WEIGHTS).reshape(steps, mk), (sy * _GH_WEIGHTS).reshape(steps, nk)
+    wx_sq, mass, arg = np.empty((3, mk, nk))
+    round_beam = (waist_x_sq, slope_x) == (waist_y_sq, slope_y)
+    wy_sq = wx_sq if round_beam else np.empty((mk, nk))  # one width for both axes
+    rows, cols = np.empty((steps, mk)), np.empty((steps, nk))
+    for i in range(steps):
+        # w^2 = w0^2 + slope (z - z_i)^2 of each axis
+        np.add(offset_x[i], offset_y[i], out=arg)
+        np.square(arg, out=arg)
+        if not round_beam:
+            np.multiply(arg, slope_y, out=wy_sq)
+            wy_sq += waist_y_sq
+        np.multiply(arg, slope_x, out=wx_sq)
+        wx_sq += waist_x_sq
+        # the weighted Gaussians at the nodes, 2 weight / (pi w_x w_y) times
+        # exp(-2 (x cos t_px / w_x)^2 - 2 (y cos t_py / w_y)^2)
+        if round_beam:
+            np.divide(weight, wx_sq, out=mass)
+            np.add(exponent_x[i], exponent_y[i], out=arg)
+            arg /= wx_sq
+        else:
+            np.multiply(wx_sq, wy_sq, out=mass)
+            np.sqrt(mass, out=mass)
+            np.divide(weight, mass, out=mass)
+            np.divide(exponent_y[i], wy_sq, out=wy_sq)
+            np.divide(exponent_x[i], wx_sq, out=arg)
+            arg += wy_sq
         mass *= np.exp(arg, out=arg)
-        # the quadrature weight sx sy w_a w_b, multiplied in that order:
-        # sx sy w_a repeated over the y nodes, times the tiled w_b
-        quadrature = (sx[i] * sy[i].T)[:, None, :] * _GH_WEIGHTS[:, None]
-        np.copyto(work.reshape(m * k, n, k), quadrature.reshape(m * k, n, 1))
-        work *= weights_b
-        mass *= work
-        np.copyto(work, x_sq[i])
-        moment = np.add(work, y_sq[i], out=work)
-        moment *= mass
-        np.copyto(summand, moment.reshape(m, k, n, k).transpose(0, 2, 1, 3))
-        total_moment = summand.sum()
-        np.copyto(summand, mass.reshape(m, k, n, k).transpose(0, 2, 1, 3))
-        extents.append(float(np.sqrt(total_moment / summand.sum())))
-    return extents
+        np.einsum("rc,c->r", mass, qy[i], out=rows[i])
+        np.einsum("r,rc->c", qx[i], mass, out=cols[i])
+    total = np.einsum("sr,sr->s", qx, rows)
+    moment = (np.einsum("sr,sr->s", qx * (x**2).reshape(steps, mk), rows)
+              + np.einsum("sc,sc->s", cols, qy * (y**2).reshape(steps, nk)))
+    return np.sqrt(moment / total).tolist()
 
 
 def scan_resolution(cfg: OpticalSystemConfig, D_mm: float, axis: str,

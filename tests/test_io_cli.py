@@ -1628,6 +1628,23 @@ def test_cli_imports_without_scipy():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("level, code", [("debug", 0), ("Warning", 0), ("verbose", 2), ("", 2)])
+def test_cli_log_level_takes_any_case_and_names_the_variable_when_unknown(tmp_path, level, code):
+    # a lower-case or unknown level had ended every command in a traceback
+    # from logging, before the command ran
+    env = dict(os.environ, TILTVIEW_LOG_LEVEL=level)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "tiltview.cli", "analyze", "--config",
+                           str(ROOT / "configs" / "real_virtual_fov.json"),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code and "Traceback" not in done.stderr
+    assert (tmp_path / "out" / "fov.json").exists() == (code == 0)
+    if code:
+        assert done.stderr == (f"tiltview: TILTVIEW_LOG_LEVEL must be one of DEBUG, INFO, "
+                               f"WARNING, ERROR, CRITICAL, in any case, got {level!r}\n")
+
+
 def test_importing_a_module_loads_only_its_own_imports():
     # the package root imports nothing, so pgm and optics come without the rest
     env = dict(os.environ)

@@ -139,20 +139,20 @@ def test_beam_width_collimated_fallback_constant():
 
 
 @pytest.mark.parametrize("focus", [360.0, math.inf], ids=["finite-focus", "collimated"])
-def test_beam_width_into_out_equals_a_new_array(focus):
-    # the spot scan evaluates w(z) into its buffers: the out= form writes
-    # into out, z's own array too, and has the bits of the allocating call
+def test_beam_width_is_the_root_of_its_squared_terms(focus):
+    # the spot scan evaluates w(z)^2 = w0^2 + slope (z - z_i)^2 from these
+    # terms; width_x and width_y are its square root, w0 in focused mode
     rayleigh = 1.03 if math.isfinite(focus) else math.inf
     beam = BeamParameters(focus, 0.0134, 0.0201, rayleigh, 2.0 * rayleigh)
     z = np.random.default_rng(7).uniform(300.0, 420.0, (16, 24))
-    for width in (beam.width_x, beam.width_y):
-        expected = width(z)
-        out = np.empty_like(z)
-        assert width(z, out=out) is out
-        assert np.array_equal(out, expected)
-        z_copy = z.copy()
-        assert width(z_copy, out=z_copy) is z_copy
-        assert np.array_equal(z_copy, expected)
+    offset = z - focus if math.isfinite(focus) else np.zeros_like(z)
+    assert np.array_equal(beam.focus_offset(z), offset)
+    for axis, width, waist, b in (("x", beam.width_x, 0.0134, rayleigh),
+                                  ("y", beam.width_y, 0.0201, 2.0 * rayleigh)):
+        waist_sq, slope = beam.width_sq_terms(axis)
+        assert waist_sq == waist**2
+        assert slope == (4.0 * waist**2 / b**2 if math.isfinite(focus) else 0.0)
+        assert np.array_equal(width(z), np.sqrt(waist_sq + slope * offset**2))
 
 
 # ---------------------------------------------------------------------------

@@ -382,9 +382,9 @@ def test_spot_extent_focused_matches_closed_form(m, n, tx, ty, D_mm):
 
 def _spot_extent_reference(tx, ty, D_mm, cfg, beam):
     """The spot moment as one broadcast expression over an (m, n, 8, 8)
-    array, lenslet row, lenslet column, x node, y node: every operation
-    written out in the order that ``spot_extents`` keeps, so that the two
-    agree bit for bit."""
+    array, lenslet row, lenslet column, x node, y node, summed as one
+    (p, q, a, b) array; ``spot_extents`` sums by row and column reductions
+    and agrees within 1e-15 relative."""
     a, w = np.polynomial.hermite.hermgauss(8)
     w = w * np.exp(a**2)
     centers_x, centers_y = cfg.lenslet_centers()
@@ -419,16 +419,25 @@ REFERENCE_SYSTEMS = {
 }
 
 
+#: The bound between ``spot_extents`` and ``_spot_extent_reference``: the
+#: two sum the same products in other orders, ~2 ulp apart at most
+REFERENCE_REL = 1e-15
+
+
+def near_reference(tx, ty, D_mm, cfg, beam):
+    return pytest.approx(_spot_extent_reference(tx, ty, D_mm, cfg, beam),
+                         rel=REFERENCE_REL, abs=0.0)
+
+
 @pytest.mark.parametrize("system", sorted(REFERENCE_SYSTEMS))
-def test_spot_extent_matches_broadcast_reference_bit_for_bit(system):
+def test_spot_extent_matches_broadcast_reference_within_1e_15(system):
     m, n, px, py, g, f, override, D_mm = REFERENCE_SYSTEMS[system]
     cfg = OpticalSystemConfig(m=m, n=n, pitch_x_mm=px, pitch_y_mm=py, gap_mm=g,
                               focal_length_mm=f)
     beam = BeamParameters.from_config(cfg, z_i_override_mm=override)
     for tx, ty in [(0.0, 0.0), (40.0, 0.0), (0.0, -55.0), (30.0, 30.0), (17.0, -23.0),
                    (-60.0, 60.0)]:
-        assert step_extent(tx, ty, D_mm, cfg, beam) == _spot_extent_reference(
-            tx, ty, D_mm, cfg, beam)
+        assert step_extent(tx, ty, D_mm, cfg, beam) == near_reference(tx, ty, D_mm, cfg, beam)
 
 
 @pytest.mark.parametrize("system", sorted(REFERENCE_SYSTEMS))
@@ -443,13 +452,13 @@ def test_scan_samples_equal_spot_extent(system, axis):
     curve = scan_resolution(cfg, D_mm, axis, -60.0, 60.0, 9, z_i_override_mm=override)
     for tx, ty, extent in curve.samples:
         assert extent == step_extent(tx, ty, D_mm, cfg, beam)
-        assert extent == _spot_extent_reference(tx, ty, D_mm, cfg, beam)
+        assert extent == near_reference(tx, ty, D_mm, cfg, beam)
 
 
 def test_spot_extents_twice_in_one_process_equal_the_reference():
     # each call allocates its own buffers: a scan that follows another, on a
     # system of another size and with another step count, still equals the
-    # one-step reference at every step
+    # one-step reference at every step, within REFERENCE_REL
     for system, steps in (("round", 7), ("rectangular", 4), ("round", 5)):
         m, n, px, py, g, f, override, D_mm = REFERENCE_SYSTEMS[system]
         cfg = OpticalSystemConfig(m=m, n=n, pitch_x_mm=px, pitch_y_mm=py, gap_mm=g,
@@ -458,8 +467,7 @@ def test_spot_extents_twice_in_one_process_equal_the_reference():
         tx = np.linspace(-50.0, 50.0, steps)
         ty = -0.5 * tx
         extents = spot_extents(cfg, D_mm, beam, tx, ty)
-        assert extents == [_spot_extent_reference(a, b, D_mm, cfg, beam)
-                           for a, b in zip(tx, ty)]
+        assert extents == [near_reference(a, b, D_mm, cfg, beam) for a, b in zip(tx, ty)]
 
 
 @pytest.mark.parametrize("theta_x, theta_y, lengths", [
@@ -472,6 +480,23 @@ def test_spot_extents_rejects_angle_arrays_of_different_lengths(theta_x, theta_y
     cfg = rv_config()
     with pytest.raises(ValueError, match=rf"one angle per tilt step, got {lengths} angles"):
         spot_extents(cfg, 360.0, BeamParameters.from_config(cfg), theta_x, theta_y)
+
+
+@pytest.mark.parametrize("theta_x, theta_y, shapes", [
+    (10.0, [0.0], r"\(\) and \(1,\)"),
+    (10.0, 0.0, r"\(\) and \(\)"),
+    ([[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0, 2.0, 3.0], r"\(2, 2\) and \(4,\)"),
+], ids=["scalar-and-array", "two-scalars", "2-D"])
+def test_spot_extents_rejects_angles_that_are_not_one_dimensional(theta_x, theta_y, shapes):
+    # a scalar had raised IndexError and a 2-D array a broadcast error
+    cfg = rv_config()
+    with pytest.raises(ValueError, match=rf"one angle per tilt step, got shapes {shapes}"):
+        spot_extents(cfg, 360.0, BeamParameters.from_config(cfg), theta_x, theta_y)
+
+
+def test_spot_extents_of_no_steps_is_empty():
+    cfg = rv_config()
+    assert spot_extents(cfg, 360.0, BeamParameters.from_config(cfg), [], []) == []
 
 
 @pytest.mark.parametrize("slope_y", [0.0, 0.5])
