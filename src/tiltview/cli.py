@@ -114,7 +114,8 @@ def load_scene(path) -> Scene:
         except (OSError, ValueError) as exc:  # keeps the class: FileNotFoundError, ValueError
             raise type(exc)(f"{path}: {block}: texture_file {name!r} cannot be read: "
                             f"{exc}") from exc
-        planes.append(build(TexturedPlane, path, block, texture=texture, **entry))
+        planes.append(build(TexturedPlane, path, block, texture=texture,
+                            texture_file=str(base / name), **entry))
     return Scene(points=points, planes=planes)
 
 
@@ -125,9 +126,13 @@ def cmd_synth(args) -> int:
         cfg=run.optical_system, pixels_y=args.pixels_y, pixels_x=args.pixels_x,
         pixel_pitch_mm=args.pixel_pitch_mm)
     scene = load_scene(args.scene)
+    out = Path(args.out or run.out_dir or ".")
+    writes = [out / manifest_io.MANIFEST_NAME, *sorted(out.glob("e_*.pgm"))]
+    refuse_overwrite("synth", [(path, str(path)) for path in writes], [
+        (args.config, "the config"), (args.scene, "the scene"),
+        *((plane.texture_file, f"the texture {plane.texture_file}") for plane in scene.planes)])
     eis, vignetted = capture_with_report(scene, run.optical_system, args.pixels_x,
                                          args.pixels_y, pixel_pitch_mm=pitch)
-    out = Path(args.out or run.out_dir or ".")
     path = manifest_io.save_elemental_set(eis, out)
     zero = len(read_json(path)["zero_images"])
     log.info("wrote %s (%d images stored, %d all-zero, %d point projections vignetted)",
@@ -140,9 +145,8 @@ def cmd_analyze(args) -> int:
     if run.plane is None:
         raise ConfigError("analyze needs the source depth: set plane.D_mm in the config")
     out = Path(args.out or run.out_dir or ".")
-    for path in (out / "curve.csv", out / "fov.json"):
-        if path.resolve() == Path(args.config).resolve():
-            raise UsageError(f"analyze writes {path}, which is the config; choose another --out")
+    refuse_overwrite("analyze", [(out / "curve.csv", "curve.csv"), (out / "fov.json", "fov.json")],
+                     [(args.config, "the config")])
     scan = run.scan or ScanConfig()
     curve = scan_resolution(
         run.optical_system, run.plane.axial_offset_mm, scan.axis, scan.theta_min_deg,
@@ -161,14 +165,9 @@ def cmd_reconstruct(args) -> int:
                          "it needs --mode diffraction")
     out = Path(args.out)
     sidecar_path = out.with_suffix(".json")
-    for path, name in ((out, "--out itself"), (args.manifest, "the manifest"),
-                       (args.config, "the config")):
-        if Path(path).resolve() == sidecar_path.resolve():
-            raise UsageError(f"--out {args.out}: the sidecar is --out with the suffix .json, "
-                             f"{sidecar_path}, which is {name}; choose another --out")
-    for path, name in ((args.manifest, "the manifest"), (args.config, "the config")):
-        if Path(path).resolve() == out.resolve():
-            raise UsageError(f"--out {args.out} is {name}; choose another --out")
+    writes = [(out, "--out"), (sidecar_path, "--out's sidecar")]
+    refuse_overwrite("reconstruct", writes,
+                     [(args.config, "the config"), (args.manifest, "the manifest")])
     run = RunConfig.from_file(args.config)
     given = run.plane
     if given is None:
@@ -180,20 +179,10 @@ def cmd_reconstruct(args) -> int:
                   theta_y_deg=given.theta_y_deg, grid=given.grid,
                   axial_offset_mm=given.axial_offset_mm if args.D_mm is None else args.D_mm)
     eis = manifest_io.load_elemental_set(args.manifest)
-    # a listed image can be overwritten only through a path that exists already;
-    # two paths name one file when their (device, inode) pairs are equal
-    existing = [(path, name) for path, name in
-                ((out, "--out"), (sidecar_path, f"the sidecar {sidecar_path}")) if path.exists()]
-    if existing:
-        listed, folder = {}, os.path.dirname(args.manifest)
-        for entry in read_json(args.manifest)["images"]:
-            st = os.stat(os.path.join(folder, entry["file"]))
-            listed.setdefault((st.st_dev, st.st_ino), entry["file"])
-        for path, name in existing:
-            st = os.stat(path)
-            if (st.st_dev, st.st_ino) in listed:
-                raise UsageError(f"--out {args.out}: {name} is {listed[st.st_dev, st.st_ino]}, "
-                                 "an image the manifest lists; choose another --out")
+    if any(path.resolve().exists() for path, _ in writes):  # each listed image exists
+        refuse_overwrite("reconstruct", writes, [
+            (Path(args.manifest).parent / entry["file"], f"the manifest's image {entry['file']}")
+            for entry in read_json(args.manifest)["images"]])
     differ = [f"{key} (manifest {getattr(eis.capture_config, key)!r}, "
               f"config {getattr(run.optical_system, key)!r})"
               for key in OPTICAL_SYSTEM_KEYS
@@ -208,21 +197,29 @@ def cmd_reconstruct(args) -> int:
     peak = float(recon.field.values.max())
     # field is [ix, iy]; image rows run top-down along -y
     write_pgm16(out, to_codes(recon.field.values.T[::-1], peak))
-    sidecar = {
-        "theta_x_deg": plane.theta_x_deg,
-        "theta_y_deg": plane.theta_y_deg,
-        "D_mm": plane.axial_offset_mm,
-        "sample_pitch_mm": plane.grid.sample_pitch_mm,
-        "mode": recon.mode,
-        "normalization_max": peak,
-    }
-    write_json(sidecar, sidecar_path)
+    write_json({"theta_x_deg": plane.theta_x_deg, "theta_y_deg": plane.theta_y_deg,
+                "D_mm": plane.axial_offset_mm, "sample_pitch_mm": plane.grid.sample_pitch_mm,
+                "mode": recon.mode, "normalization_max": peak}, sidecar_path)
     log.info("wrote %s", out)
     return 0
 
 
 class UsageError(Exception):
     pass
+
+
+def refuse_overwrite(command: str, writes, reads) -> None:
+    """Raise ``UsageError`` if a path in ``writes`` is a file in ``reads`` or an earlier write,
+    both lists of (path, name): the two resolve to one path, or both exist with one (st_dev,
+    st_ino), as through a hard link."""
+    seen = []
+    for i, (path, name) in enumerate([*reads, *writes]):
+        st = os.stat(path) if os.path.exists(path) else None
+        ids = {Path(path).resolve(), st and (st.st_dev, st.st_ino)} - {None}
+        same = [other for other_ids, other in seen if ids & other_ids]
+        if same and i >= len(reads):
+            raise UsageError(f"{command} writes {path}, which is {same[0]}; choose another --out")
+        seen.append((ids, name))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -64,10 +64,10 @@ def read_block(doc, path, block: str, required=(), optional=()) -> dict:
 
 
 def read_json(path):
-    """The JSON document in the file ``path``: the one reader of the config,
-    the scene and the manifest. Raises ``ConfigError`` naming the file for a
-    syntax error, with its line and column, and for a key given twice in one
-    object, which JSON would read as its last value."""
+    """The UTF-8 JSON document in the file ``path``: the one reader of the config,
+    the scene and the manifest. Raises ``ConfigError`` naming the file for text
+    that is not UTF-8 or not JSON, with its line and column, and for a key given
+    twice in one object, which JSON would read as its last value."""
 
     def unique(pairs):
         doc = dict(pairs)
@@ -77,9 +77,11 @@ def read_json(path):
             raise ConfigError(f"{path}: key {twice!r} is given more than once in one object")
         return doc
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=unique)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 at byte {exc.start}; save it as UTF-8") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc.msg} at line {exc.lineno}, "
                               f"column {exc.colno}") from exc

@@ -40,6 +40,7 @@ class TexturedPlane:
     half_width_y_mm: float
     texture: np.ndarray  # [row, col], row 0 at largest y
     intensity_scale: float = 1.0
+    texture_file: str | None = None  # the file the texture was read from, if any
 
     def __post_init__(self):
         for name in ("z_mm", "half_width_x_mm", "half_width_y_mm"):

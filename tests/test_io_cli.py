@@ -999,9 +999,11 @@ def test_cli_reconstruct_rejects_out_whose_sidecar_overwrites_a_file(tmp_path, c
         main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
               "--out", str(tmp_path / out)])
     assert err.value.code == 2
-    sidecar = (tmp_path / out).with_suffix(".json")
-    assert (f"--out {tmp_path / out}: the sidecar is --out with the suffix .json, {sidecar}, "
-            f"which is {overwritten}; choose another --out" in capsys.readouterr().err)
+    # a --out that ends in .json is its own sidecar, and a manifest at --out is
+    # met as --out, before the sidecar is
+    name = {"r.json": "--out", "cap/manifest.json": "the manifest"}.get(out, overwritten)
+    assert (f"reconstruct writes {(tmp_path / out).with_suffix('.json')}, which is {name}; "
+            "choose another --out" in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
@@ -1018,7 +1020,8 @@ def test_cli_reconstruct_rejects_out_that_is_an_input(tmp_path, capsys, overwrit
         main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
               "--out", str(out)])
     assert err.value.code == 2
-    assert f"--out {out} is {overwritten}; choose another --out" in capsys.readouterr().err
+    assert (f"reconstruct writes {out}, which is {overwritten}; choose another --out"
+            in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
@@ -1038,6 +1041,99 @@ def test_cli_analyze_rejects_out_that_holds_the_config(tmp_path, capsys, name):
     assert (f"analyze writes {config}, which is the config; choose another --out"
             in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+def _collision_inputs(tmp_path):
+    """The inputs of all three commands: a 6 x 6 config with a plane and a 3-step
+    scan, a scene of one textured plane and its capture in ``cap/``."""
+    plane = {"D_mm": 200.0, "grid": {"half_width_x_mm": 2.0, "half_width_y_mm": 2.0,
+                                     "sample_pitch_mm": 0.2}}
+    config = write_config(tmp_path, plane=plane, scan={"steps": 3})
+    doc = json.loads(config.read_text())
+    doc["optical_system"].update(m=6, n=6)
+    config.write_text(json.dumps(doc))
+    texture = tmp_path / "tex.pgm"
+    write_pgm16(texture, np.full((4, 4), 100, dtype=np.uint16))
+    scene = write_scene(tmp_path, {"planes": [{"z_mm": 200.0, "half_width_x_mm": 20.0,
+                                               "half_width_y_mm": 20.0,
+                                               "texture_file": str(texture)}]})
+    assert main(["synth", "--config", str(config), "--scene", str(scene),
+                 "--out", str(tmp_path / "cap"), "--pixel-pitch-mm", "0.15"]) == 0
+    manifest = tmp_path / "cap" / "manifest.json"
+    image = manifest.parent / json.loads(manifest.read_text())["images"][0]["file"]
+    return {"config": config, "scene": scene, "texture": texture, "manifest": manifest,
+            "image": image}
+
+
+@pytest.mark.parametrize("how", ["path", "symlink", "hard-link"])
+@pytest.mark.parametrize("command, read, written", [
+    ("analyze", "config", "out/fov.json"),
+    ("analyze", "config", "out/curve.csv"),
+    ("reconstruct", "config", "r.pgm"),
+    ("reconstruct", "manifest", "r.pgm"),
+    ("reconstruct", "config", "r.json"),
+    ("reconstruct", "image", "r.pgm"),
+    ("synth", "config", "out/manifest.json"),
+    ("synth", "scene", "out/manifest.json"),
+    ("synth", "texture", "out/manifest.json"),
+    ("synth", "texture", "out/e_05_05.pgm"),
+])
+def test_cli_refuses_to_overwrite_what_it_reads(tmp_path, capsys, command, read, written, how):
+    # one rule for every command: a path it writes may not be a file it reads,
+    # whether by the same path, a symbolic link or a hard link. Several of these
+    # had overwritten the input and exited 0
+    files = _collision_inputs(tmp_path)
+    target = tmp_path / written
+    target.parent.mkdir(exist_ok=True)
+    if how == "path" and command == "reconstruct":
+        target = files[read]  # r.json: the sidecar of --out run.pgm is the config run.json
+    elif how == "path":
+        files[read] = files[read].rename(target)
+        if read == "texture":
+            scene = json.loads(files["scene"].read_text())
+            scene["planes"][0]["texture_file"] = str(target)
+            files["scene"].write_text(json.dumps(scene))
+    else:
+        {"symlink": os.symlink, "hard-link": os.link}[how](files[read], target)
+    out = {"analyze": target.parent, "synth": target.parent,
+           "reconstruct": target if written == "r.pgm" else target.with_suffix(".pgm")}[command]
+    argv = {"analyze": ["--config", files["config"]],
+            "synth": ["--config", files["config"], "--scene", files["scene"],
+                      "--pixel-pitch-mm", "0.15"],
+            "reconstruct": ["--config", files["config"], "--manifest", files["manifest"]]}
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(SystemExit) as err:
+        main([command, *map(str, argv[command]), "--out", str(out)])
+    assert err.value.code == 2
+    name = {"config": "the config", "scene": "the scene", "manifest": "the manifest",
+            "texture": f"the texture {files['texture']}",
+            "image": f"the manifest's image {files['image'].name}"}[read]
+    assert (f"{command} writes {target}, which is {name}; choose another --out"
+            in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+def test_cli_synth_writes_over_its_own_earlier_capture(tmp_path):
+    # the images an earlier synth left in --out are outputs, not inputs
+    files = _collision_inputs(tmp_path)
+    before = {path: path.read_bytes() for path in (tmp_path / "cap").iterdir()}
+    assert main(["synth", "--config", str(files["config"]), "--scene", str(files["scene"]),
+                 "--out", str(tmp_path / "cap"), "--pixel-pitch-mm", "0.15"]) == 0
+    assert {path: path.read_bytes() for path in (tmp_path / "cap").iterdir()} == before
+
+
+@pytest.mark.parametrize("document", ["config", "manifest"])
+def test_cli_json_that_is_not_utf8_names_the_file(tmp_path, caplog, document):
+    # JSON is UTF-8 whatever the locale; a 0xFF byte had been reported without the file
+    config, manifest, out = _synth_point_capture(tmp_path)
+    path = {"config": config, "manifest": manifest}[document]
+    path.write_bytes(b'{"m": \xff}')
+    rc = main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
+               "--out", str(out)])
+    assert rc == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        f"{path}: not UTF-8 at byte 6; save it as UTF-8"]
+    assert not out.exists()
 
 
 def test_cli_rejects_pupil_shape_in_config(tmp_path, caplog):
@@ -1240,8 +1336,8 @@ def test_cli_reconstruct_rejects_out_onto_an_image_the_manifest_lists(tmp_path, 
         main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
               "--out", str(out)])
     assert err.value.code == 2
-    name = "--out" if written == "--out" else f"the sidecar {out.with_suffix('.json')}"
-    assert (f"--out {out}: {name} is {entry['file']}, an image the manifest lists; "
+    path = out if written == "--out" else out.with_suffix(".json")
+    assert (f"reconstruct writes {path}, which is the manifest's image {entry['file']}; "
             "choose another --out" in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
     # a path in the capture's folder that the manifest does not list is written
@@ -1267,8 +1363,8 @@ def test_cli_reconstruct_rejects_out_linked_to_an_image_the_manifest_lists(tmp_p
         main(["reconstruct", "--config", str(config), "--manifest", str(manifest),
               "--out", str(out)])
     assert err.value.code == 2
-    name = "--out" if written == "--out" else f"the sidecar {out.with_suffix('.json')}"
-    assert (f"--out {out}: {name} is {entry['file']}, an image the manifest lists; "
+    path = out if written == "--out" else out.with_suffix(".json")
+    assert (f"reconstruct writes {path}, which is the manifest's image {entry['file']}; "
             "choose another --out" in capsys.readouterr().err)
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
